@@ -11,7 +11,7 @@ the cli module exposes everything as subcommands.
 from .curve import CurveSpec, FormIndex, enumerate_forms, genus, m_exponents, validate_spec
 from .homology import ConjComm, LetterSequence, Power, conjugation_phase, enumerate_generators, expand
 from .contour import BranchState, Path, continue_along, default_base_point, eval_W, init_branch, loop_path
-from .quad import QuadConfig, integrate_smooth, integrate_to_branch_point, tanh_sinh
+from .quad import QuadConfig, integrate_smooth, tanh_sinh
 from .periods import PeriodMatrix, assemble, base_integrals, period_entry
 from .lattice import LatticeBasis, extract_basis, lattice_rank, real_split
 from .oracle import (
@@ -54,7 +54,6 @@ __all__ = [
     "genus",
     "init_branch",
     "integrate_smooth",
-    "integrate_to_branch_point",
     "integrate_word",
     "lattice_rank",
     "loop_path",

@@ -252,9 +252,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _quad_config(cfg: JobConfig) -> QuadConfig:
-    level = cfg.level if cfg.level is not None else 10
-    rel_tol = cfg.rel_tol if cfg.rel_tol is not None else 1e-10
-    max_level = cfg.max_level if cfg.max_level is not None else max(14, level)
+    """QuadConfig from the flags; a --level above the default cap raises the
+    cap to that level unless --max-level is given."""
+    level = cfg.level if cfg.level is not None else QuadConfig.level
+    rel_tol = cfg.rel_tol if cfg.rel_tol is not None else QuadConfig.rel_tol
+    max_level = (
+        cfg.max_level if cfg.max_level is not None else max(QuadConfig.max_level, level)
+    )
     return QuadConfig(level=level, rel_tol=rel_tol, max_level=max_level)
 
 
@@ -354,9 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_lambda_values(argv: list[str]) -> list[str]:
+    """Rewrite each '-l VALUE' / '--lambda VALUE' pair as '--lambda=VALUE',
+    so that argparse does not read a value such as -1e-6 as an option."""
+    out: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("-l", "--lambda") else None
+        out.append(arg if value is None else f"--lambda={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_lambda_values(argv))
     try:
         lambdas = [parse_complex(v) for v in args.lambdas]
     except ValueError as err:

@@ -40,6 +40,8 @@ ARG_LIMIT = math.pi / 2
 # Caps on walk refinement before giving up on a continuation.
 _MAX_REFINE = 24
 _MAX_WALK_POINTS = 1 << 22
+# Starting parameters for each segment of `continue_along`.
+_CONTINUE_SEED = np.linspace(0.0, 1.0, 33)
 
 
 @dataclass(frozen=True)
@@ -243,47 +245,24 @@ def segment_logs(seg: Segment, ts: np.ndarray, R, logs0) -> np.ndarray:
     return continued_logs_param(diff_fn, ts, logs0)
 
 
-def continue_along(state: BranchState, path: Path, steps_per_segment: int) -> BranchState:
-    """Continue the branch state along a path with a fixed step count.
+def continue_along(state: BranchState, path: Path) -> BranchState:
+    """Continue the branch state along a path.
 
-    Raises StepTooCoarse as soon as any increment's argument magnitude
-    reaches pi/2; `continue_adaptive` wraps this with step doubling.
+    Each segment is walked by `segment_logs` from a 33-point seed, refined
+    until every increment passes the pi/2 threshold.  The seed must sample
+    the segment's interior: a closed arc seeded at its ends alone would
+    walk a full turn as zero winding.
     """
     if not path.segments:
         return state
     if abs(path.start - state.point) > 1e-9 * (1.0 + abs(state.point)):
         raise ValueError("path does not start at the state's current point")
-    anchors = np.asarray(state.branch_points, dtype=complex)
     logs = np.asarray(state.logs, dtype=complex)
     for seg in path.segments:
-        t = np.linspace(0.0, 1.0, steps_per_segment + 1)
-        pts = segment_points(seg, t)
-        diffs = pts[:, None] - anchors[None, :]
-        if not np.all(diffs):
-            raise StepTooCoarse("path touches a branch point")
-        incs = np.log(diffs[1:] / diffs[:-1])
-        if np.max(np.abs(incs.imag)) >= ARG_LIMIT:
-            raise StepTooCoarse(
-                f"argument increment reached pi/2 with {steps_per_segment} steps"
-            )
-        logs = logs + incs.sum(axis=0)
+        logs = segment_logs(seg, _CONTINUE_SEED, state.branch_points, logs)[-1]
     return BranchState(
         point=path.end, logs=tuple(logs), branch_points=state.branch_points
     )
-
-
-def continue_adaptive(
-    state: BranchState, path: Path, initial_steps: int = 32
-) -> BranchState:
-    """continue_along with automatic step doubling on StepTooCoarse."""
-    steps = initial_steps
-    while True:
-        try:
-            return continue_along(state, path, steps)
-        except StepTooCoarse:
-            if 2 * steps * max(1, len(path.segments)) > _MAX_WALK_POINTS:
-                raise
-            steps *= 2
 
 
 def branch_state_residual(state: BranchState) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms
-from .errors import DegenerateLambda, InvalidArity
+from .errors import DegenerateLambda, InvalidArity, NoConvergence
 from .homology import ConjComm, HomologyWord, Power, conjugation_phase, expand
 from .lattice import extract_basis, real_split
 from .periods import assemble, base_integrals, period_entry
@@ -62,13 +62,23 @@ class WordIntegrator:
             )
         return self._paths[key]
 
+    def _loop_integral(self, i: int, orientation: int, state, form: FormIndex):
+        """Loop integral and end state from the given state; a NoConvergence
+        is re-raised naming the loop and the form."""
+        try:
+            return quad.integrate_smooth(
+                self._loop(i, orientation), state, form, self.spec, self.cfg
+            )
+        except NoConvergence as err:
+            raise NoConvergence(
+                f"loop i={i}, orientation={orientation:+d}, alpha={form.alpha}: {err}"
+            ) from err
+
     def _base_value(self, i: int, orientation: int, form: FormIndex):
         """Loop integral from the reference state and the loop's log offsets."""
         key = (i, orientation, form.alpha)
         if key not in self._values:
-            value, end_state = quad.integrate_smooth(
-                self._loop(i, orientation), self.state0, form, self.spec, self.cfg
-            )
+            value, end_state = self._loop_integral(i, orientation, self.state0, form)
             self._values[key] = value
             self._deltas[(i, orientation)] = np.asarray(
                 end_state.logs, dtype=complex
@@ -99,9 +109,7 @@ class WordIntegrator:
         state = self.state0
         total = 0j
         for i, sign in letters:
-            value, state = quad.integrate_smooth(
-                self._loop(i, sign), state, form, self.spec, self.cfg
-            )
+            value, state = self._loop_integral(i, sign, state, form)
             total += value
         return -total / self.spec.k
 
@@ -234,7 +242,11 @@ def crosscheck_report(
     (k, n) = (2, 3) lattice equality against the AGM periods.
     """
     forms = enumerate_forms(spec)
-    J = base_integrals(spec, cfg)
+    # Only the AGM check (e) needs the full matrix; the entry loop would
+    # slow every other curve.
+    agm = (spec.k, spec.n) == (2, 3)
+    pm = assemble(spec, cfg) if agm else None
+    J = pm.base_integrals if agm else base_integrals(spec, cfg)
     wi = WordIntegrator(spec, cfg)
     checks: list[CheckResult] = []
 
@@ -313,8 +325,7 @@ def crosscheck_report(
         )
 
     # (e) AGM lattice equality for the (2, 3) family
-    if (spec.k, spec.n) == (2, 3):
-        pm = assemble(spec, cfg)
+    if agm:
         basis = extract_basis(real_split(pm), spec)
         w1, w2 = agm_elliptic_periods(spec.lambdas[0])
         # The pipeline integrand carries 1/sqrt(-w ...), the AGM one

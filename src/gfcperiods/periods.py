@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour, quad
-from ._util import thread_map
 from .curve import CurveSpec, FormIndex, enumerate_forms
-from .errors import NoConvergence
 from .homology import ConjComm, HomologyWord, Power, conjugation_phase, enumerate_generators
 from .quad import QuadConfig
 
@@ -55,44 +53,11 @@ def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
     branch state; the per-leg continuation tables are shared across forms.
     """
     R = spec.branch_points
-    z0 = contour.default_base_point(R)
-    state0 = contour.init_branch(z0, R)
+    state0 = contour.init_branch(contour.default_base_point(R), R)
     forms = enumerate_forms(spec)
     J = np.zeros((spec.n, len(forms)), dtype=complex)
-
-    def leg_row(i: int) -> np.ndarray:
-        legs = contour.clear_leg(z0, complex(R[i - 1]), R, exclude={i - 1})
-        row = np.zeros(len(forms), dtype=complex)
-        state = state0
-        prefix_path = (
-            contour.Path(segments=tuple(legs[:-1])) if len(legs) > 1 else None
-        )
-        integrator = None
-        for c, form in enumerate(forms):
-            try:
-                if prefix_path is not None:
-                    value, state = quad.integrate_smooth(
-                        prefix_path, state0, form, spec, cfg
-                    )
-                    row[c] = value
-                if integrator is None:
-                    integrator = quad.RadialLegIntegrator(
-                        start=legs[-1].start,
-                        logs_at_start=state.logs,
-                        target_index=i - 1,
-                        R=R,
-                    )
-                row[c] += integrator.integrate(
-                    contour.exponent_vector(form, spec.k), cfg
-                )
-            except NoConvergence as err:
-                raise NoConvergence(
-                    f"base integral i={i}, alpha={form.alpha}: {err}"
-                ) from err
-        return row
-
-    for i, row in zip(range(1, spec.n + 1), thread_map(leg_row, range(1, spec.n + 1))):
-        J[i - 1] = row
+    for i in range(1, spec.n + 1):
+        J[i - 1] = quad.leg_row(state0, i, forms, spec, cfg)
     return J
 
 

@@ -89,6 +89,21 @@ def _de_nodes(level: int):
     return sigma, tau, np.log(sigma), log_weight
 
 
+def _converge(value_at, cfg: QuadConfig, what: str):
+    """The tanh-sinh level loop: value_at(level) from cfg.level upward until
+    two successive levels agree to cfg.rel_tol, else NoConvergence naming
+    what was integrated."""
+    prev = None
+    for level in range(cfg.level, cfg.max_level + 1):
+        cur = value_at(level)
+        if prev is not None and abs(cur - prev) <= cfg.rel_tol * abs(cur):
+            return cur
+        prev = cur
+    raise NoConvergence(
+        f"{what} did not reach rel_tol={cfg.rel_tol} by level {cfg.max_level}"
+    )
+
+
 def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
     """Integrate f over [a, b] with the tanh-sinh rule.
 
@@ -96,15 +111,7 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
     are the distances to a and b; endpoint-singular integrands should be
     written in terms of those distances.
     """
-    prev = None
-    for level in range(cfg.level, cfg.max_level + 1):
-        cur = tanh_sinh_level(f, a, b, level)
-        if prev is not None and abs(cur - prev) <= cfg.rel_tol * abs(cur):
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"tanh-sinh did not reach rel_tol={cfg.rel_tol} by level {cfg.max_level}"
-    )
+    return _converge(lambda level: tanh_sinh_level(f, a, b, level), cfg, "tanh-sinh")
 
 
 def tanh_sinh_level(f, a: float, b: float, level: int):
@@ -162,15 +169,10 @@ class RadialLegIntegrator:
         return complex(0.5 * self.D * np.sum(np.exp(logs @ exponents + log_weight)))
 
     def integrate(self, exponents: np.ndarray, cfg: QuadConfig) -> complex:
-        prev = None
-        for level in range(cfg.level, cfg.max_level + 1):
-            cur = self.level_value(exponents, level)
-            if prev is not None and abs(cur - prev) <= cfg.rel_tol * abs(cur):
-                return cur
-            prev = cur
-        raise NoConvergence(
-            f"leg to branch point {self.target + 1} did not reach "
-            f"rel_tol={cfg.rel_tol} by level {cfg.max_level}"
+        return _converge(
+            lambda level: self.level_value(exponents, level),
+            cfg,
+            f"leg to branch point {self.target + 1}",
         )
 
 
@@ -230,26 +232,37 @@ def integrate_smooth(
     return total, BranchState(point=end, logs=tuple(logs), branch_points=R)
 
 
-def integrate_to_branch_point(
-    state: BranchState, i: int, form: FormIndex, spec: CurveSpec, cfg: QuadConfig
-) -> complex:
-    """Integral of W dw from the state's point to branch point r_i.
+def leg_row(
+    state: BranchState, i: int, forms: list[FormIndex], spec: CurveSpec, cfg: QuadConfig
+) -> np.ndarray:
+    """Integrals of W dw from the state's point to branch point r_i, one
+    per form.
 
     The leg follows the straight line, detoured at its midpoint if another
-    branch point comes within the minimum clearance; the singular final
-    piece uses the tanh-sinh kernel, any detour prefix the smooth kernel.
+    branch point comes within the minimum clearance; any detour prefix
+    uses the smooth kernel per form, and the singular final piece one
+    tanh-sinh integrator whose continuation tables all forms share.
     """
     R = state.branch_points
-    target = complex(R[i - 1])
-    legs = contour.clear_leg(state.point, target, R, exclude={i - 1})
-    total = 0j
-    if len(legs) > 1:
-        prefix, state = integrate_smooth(
-            Path(segments=tuple(legs[:-1])), state, form, spec, cfg
-        )
-        total += prefix
-    leg = RadialLegIntegrator(
-        start=legs[-1].start, logs_at_start=state.logs, target_index=i - 1, R=R
-    )
-    total += leg.integrate(contour.exponent_vector(form, spec.k), cfg)
-    return total
+    legs = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
+    prefix = Path(segments=tuple(legs[:-1])) if len(legs) > 1 else None
+    row = np.zeros(len(forms), dtype=complex)
+    integrator = None
+    for c, form in enumerate(forms):
+        try:
+            start = state
+            if prefix is not None:
+                row[c], start = integrate_smooth(prefix, state, form, spec, cfg)
+            if integrator is None:
+                integrator = RadialLegIntegrator(
+                    start=legs[-1].start,
+                    logs_at_start=start.logs,
+                    target_index=i - 1,
+                    R=R,
+                )
+            row[c] += integrator.integrate(contour.exponent_vector(form, spec.k), cfg)
+        except NoConvergence as err:
+            raise NoConvergence(
+                f"base integral i={i}, alpha={form.alpha}: {err}"
+            ) from err
+    return row

@@ -51,6 +51,16 @@ def test_info_k2_n3(capsys):
     assert payload["num_generators"] == 24
 
 
+@pytest.mark.parametrize("flag", ["-l", "--lambda"])
+@pytest.mark.parametrize(
+    "text,expected", [("-1e-6", -1e-6 + 0j), ("-1+0.5i", -1 + 0.5j), ("-1.5", -1.5 + 0j)]
+)
+def test_info_negative_lambda(capsys, flag, text, expected):
+    code, out, err = run_cli(capsys, "info", "-k", "2", "-n", "3", flag, text)
+    assert code == 0, err
+    assert json.loads(out)["lambdas"] == [[expected.real, expected.imag]]
+
+
 def test_info_invalid_input_exits_2(capsys):
     code, out, err = run_cli(capsys, "info", "-k", "1", "-n", "2")
     assert code == 2

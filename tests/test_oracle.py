@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from gfcperiods import (
     crosscheck_report,
     enumerate_forms,
     integrate_word,
+    quad,
     validate_spec,
 )
 from gfcperiods.curve import FormIndex
-from gfcperiods.errors import DegenerateLambda, InvalidArity
+from gfcperiods.errors import DegenerateLambda, InvalidArity, NoConvergence
 from gfcperiods.homology import ConjComm, Power
 from gfcperiods.oracle import WordIntegrator, _optimal_agm, reduce_tau
 from gfcperiods.periods import zeta_power
@@ -81,6 +83,17 @@ def test_memoized_matches_literal_traversal(quad_cfg):
         fast = wi.integrate_word(word, form, memoize=True)
         slow = wi.integrate_word(word, form, memoize=False)
         assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch, memoize):
+    monkeypatch.setattr(quad, "_GL_MAX_PANELS", 4)
+    spec = validate_spec(3, 2, [])
+    form = enumerate_forms(spec)[0]
+    wi = WordIntegrator(spec, quad_cfg)
+    expected = re.escape(f"loop i=2, orientation=+1, alpha={form.alpha}: ")
+    with pytest.raises(NoConvergence, match=expected):
+        wi.integrate_word(Power(2), form, memoize=memoize)
 
 
 def test_beta_magnitude_and_phase_consistency(quad_cfg):

@@ -106,13 +106,12 @@ def test_entries_finite_and_nonzero_generic(quad_cfg):
     assert np.all(np.abs(pm.entries) > 1e-12)
 
 
-def test_threaded_assembly_matches_serial(quad_cfg, monkeypatch):
+def test_repeated_assembly_is_bit_identical(quad_cfg):
     spec = validate_spec(2, 3, [2.0 + 1.0j])
-    serial = assemble(spec, quad_cfg)
-    monkeypatch.setenv("GFC_THREADS", "4")
-    threaded = assemble(spec, quad_cfg)
-    assert np.array_equal(serial.entries, threaded.entries)
-    assert np.array_equal(serial.base_integrals, threaded.base_integrals)
+    first = assemble(spec, quad_cfg)
+    again = assemble(spec, quad_cfg)
+    assert np.array_equal(first.entries, again.entries)
+    assert np.array_equal(first.base_integrals, again.base_integrals)
 
 
 def test_tolerance_tightening_is_stable():

@@ -7,12 +7,17 @@ from gfcperiods import (
     enumerate_forms,
     init_branch,
     integrate_smooth,
-    integrate_to_branch_point,
     validate_spec,
 )
 from gfcperiods.contour import Arc, Line, Path, default_base_point
 from gfcperiods.errors import NoConvergence
-from gfcperiods.quad import QuadConfig, RadialLegIntegrator, tanh_sinh, tanh_sinh_level
+from gfcperiods.quad import (
+    QuadConfig,
+    RadialLegIntegrator,
+    leg_row,
+    tanh_sinh,
+    tanh_sinh_level,
+)
 from gfcperiods.contour import exponent_vector
 
 
@@ -73,7 +78,7 @@ def test_leg_path_independence(quad_cfg):
     form = enumerate_forms(spec)[0]
     z0 = default_base_point(R)
     state = init_branch(z0, R)
-    direct = integrate_to_branch_point(state, 1, form, spec, quad_cfg)
+    (direct,) = leg_row(state, 1, [form], spec, quad_cfg)
     # detour through a waypoint homotopic to the straight leg
     waypoint = z0 + 1.0 - 0.5j
     prefix, mid_state = integrate_smooth(
@@ -137,8 +142,8 @@ def test_no_convergence_raises():
     state = init_branch(default_base_point(spec.branch_points), spec.branch_points)
     form = enumerate_forms(spec)[0]
     cfg = QuadConfig(level=2, rel_tol=1e-15, max_level=3)
-    with pytest.raises(NoConvergence):
-        integrate_to_branch_point(state, 1, form, spec, cfg)
+    with pytest.raises(NoConvergence, match=r"base integral i=1, alpha="):
+        leg_row(state, 1, [form], spec, cfg)
 
 
 def test_leg_ladder_converges_across_desk_scale(quad_cfg):
@@ -177,7 +182,7 @@ def test_leg_integral_reproduces_beta_difference(quad_cfg):
     R = spec.branch_points
     state = init_branch(default_base_point(R), R)
     form = enumerate_forms(spec)[0]  # alpha = (0, 2)
-    j1 = integrate_to_branch_point(state, 1, form, spec, quad_cfg)
-    j2 = integrate_to_branch_point(state, 2, form, spec, quad_cfg)
+    (j1,) = leg_row(state, 1, [form], spec, quad_cfg)
+    (j2,) = leg_row(state, 2, [form], spec, quad_cfg)
     exact = _beta_oracle(0.25, 0.5)
     assert abs(abs(j2 - j1) - exact) / exact < 1e-10
