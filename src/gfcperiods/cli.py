@@ -61,8 +61,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Rendered(str):
+    """JSON text that _json_dump emits verbatim."""
+
+
 def _json_dump(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
+    if isinstance(obj, _Rendered):
+        return obj
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -110,21 +116,27 @@ def _form_label(form) -> str:
     return ".".join(str(a) for a in form.alpha)
 
 
-def periods_payload(pm) -> dict:
-    return {
+def _interleaved_rows(entries: np.ndarray) -> list[list[float]]:
+    """Rows of a complex matrix as Python floats, re and im interleaved,
+    ready for one "%.17g" template per row ("%.17g" % x renders a double
+    exactly as format(x, ".17g") does)."""
+    pairs = np.stack((entries.real, entries.imag), axis=-1)
+    return pairs.reshape(len(entries), -1).tolist()
+
+
+def periods_to_json(pm) -> str:
+    template = "[" + ", ".join(["[%.17g, %.17g]"] * len(pm.cols)) + "]"
+    rows = [template % tuple(row) for row in _interleaved_rows(pm.entries)]
+    return _json_dump({
         "k": pm.spec.k,
         "n": pm.spec.n,
         "lambdas": [_pair(v) for v in pm.spec.lambdas],
         "genus": genus(pm.spec),
         "forms": [list(f.alpha) for f in pm.cols],
         "generators": [_generator_dict(w) for w in pm.rows],
-        "periods": [[_pair(z) for z in row] for row in pm.entries],
+        "periods": _Rendered("[" + ", ".join(rows) + "]"),
         "base_point": _pair(pm.base_point),
-    }
-
-
-def periods_to_json(pm) -> str:
-    return _json_dump(periods_payload(pm)) + "\n"
+    }) + "\n"
 
 
 def periods_to_csv(pm) -> str:
@@ -132,12 +144,10 @@ def periods_to_csv(pm) -> str:
     for f in pm.cols:
         label = _form_label(f)
         header.extend([f"re_{label}", f"im_{label}"])
+    template = "%s" + ",%.17g,%.17g" * len(pm.cols)
     lines = [",".join(header)]
-    for word, row in zip(pm.rows, pm.entries):
-        cells = [_word_label(word)]
-        for z in row:
-            cells.extend([_fmt(z.real), _fmt(z.imag)])
-        lines.append(",".join(cells))
+    for word, row in zip(pm.rows, _interleaved_rows(pm.entries)):
+        lines.append(template % (_word_label(word), *row))
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from .curve import CurveSpec, FormIndex, enumerate_forms
 from .errors import DegenerateLambda, InvalidArity, NoConvergence
 from .homology import ConjComm, HomologyWord, Power, conjugation_phase, expand
 from .lattice import extract_basis, real_split
-from .periods import assemble, base_integrals, period_entry
+from .periods import assemble, period_entry
 from .quad import QuadConfig
 
 
@@ -242,11 +242,8 @@ def crosscheck_report(
     (k, n) = (2, 3) lattice equality against the AGM periods.
     """
     forms = enumerate_forms(spec)
-    # Only the AGM check (e) needs the full matrix; the entry loop would
-    # slow every other curve.
-    agm = (spec.k, spec.n) == (2, 3)
-    pm = assemble(spec, cfg) if agm else None
-    J = pm.base_integrals if agm else base_integrals(spec, cfg)
+    pm = assemble(spec, cfg)
+    J = pm.base_integrals
     wi = WordIntegrator(spec, cfg)
     checks: list[CheckResult] = []
 
@@ -325,7 +322,7 @@ def crosscheck_report(
         )
 
     # (e) AGM lattice equality for the (2, 3) family
-    if agm:
+    if (spec.k, spec.n) == (2, 3):
         basis = extract_basis(real_split(pm), spec)
         w1, w2 = agm_elliptic_periods(spec.lambdas[0])
         # The pipeline integrand carries 1/sqrt(-w ...), the AGM one

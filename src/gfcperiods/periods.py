@@ -25,7 +25,7 @@ import numpy as np
 
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms
-from .homology import ConjComm, HomologyWord, Power, conjugation_phase, enumerate_generators
+from .homology import ConjComm, HomologyWord, conjugation_phase, enumerate_generators
 from .quad import QuadConfig
 
 
@@ -77,6 +77,45 @@ def period_entry(word: ConjComm, form: FormIndex, J_col, k: int) -> complex:
     return phase * pref * (complex(J_col[word.l - 1]) - complex(J_col[word.j - 1]))
 
 
+def _entry_table(words, forms, J: np.ndarray, k: int) -> np.ndarray:
+    """period_entry for every (word, form) pair at once, bit-identical to
+    the scalar routine.
+
+    The phase and the prefactor come from tables of Python complex values
+    indexed by exponents mod k.  The two complex products are written out
+    in real arithmetic in the scalar routine's order, (phase * pref) * diff,
+    because numpy's complex multiply may fuse a multiply and an add and
+    round the last bit differently.
+    """
+    entries = np.zeros((len(words), len(forms)), dtype=complex)
+    if not forms:  # genus 0
+        return entries
+    rows = [s for s, word in enumerate(words) if isinstance(word, ConjComm)]
+    comm = [words[s] for s in rows]
+    G = np.asarray([w.g for w in comm], dtype=np.int64)
+    jj = np.asarray([w.j - 1 for w in comm])
+    ll = np.asarray([w.l - 1 for w in comm])
+    M = np.asarray([f.m_exponents for f in forms], dtype=np.int64) % k
+    zeta = np.asarray([zeta_power(k, e) for e in range(k)])
+    pref = np.asarray(
+        [[(1 - zeta_power(k, a)) * (1 - zeta_power(k, b)) / k for b in range(k)]
+         for a in range(k)]
+    )
+    Mj, Ml = M[:, jj].T, M[:, ll].T
+    a = zeta[(G @ M.T) % k]
+    b = pref[Mj, Ml]
+    ab_re = a.real * b.real - a.imag * b.imag
+    ab_im = a.real * b.imag + a.imag * b.real
+    d_re = J.real[ll] - J.real[jj]
+    d_im = J.imag[ll] - J.imag[jj]
+    block = np.empty(ab_re.shape, dtype=complex)
+    block.real = ab_re * d_re - ab_im * d_im
+    block.imag = ab_re * d_im + ab_im * d_re
+    block[(Mj == 0) | (Ml == 0)] = 0j
+    entries[rows] = block
+    return entries
+
+
 def assemble(
     spec: CurveSpec, cfg: QuadConfig, include_powers: bool = False
 ) -> PeriodMatrix:
@@ -84,16 +123,10 @@ def assemble(
     forms = tuple(enumerate_forms(spec))
     words = tuple(enumerate_generators(spec, include_powers=include_powers))
     J = base_integrals(spec, cfg)
-    entries = np.zeros((len(words), len(forms)), dtype=complex)
-    for s, word in enumerate(words):
-        if isinstance(word, Power):
-            continue
-        for c, form in enumerate(forms):
-            entries[s, c] = period_entry(word, form, J[:, c], spec.k)
     return PeriodMatrix(
         rows=words,
         cols=forms,
-        entries=entries,
+        entries=_entry_table(words, forms, J, spec.k),
         base_integrals=J,
         base_point=contour.default_base_point(spec.branch_points),
         spec=spec,

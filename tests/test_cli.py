@@ -207,3 +207,65 @@ def test_float_formatting_round_trips():
 def test_word_label_round_trip():
     for word in [Power(2), ConjComm(g=(0, 2, 1), j=1, l=3)]:
         assert cli._parse_word_label(cli._word_label(word)) == word
+
+
+def test_periods_step_too_coarse_names_the_leg(capsys):
+    # with a base point about 2e20 away, the leg nodes near r_1 = 0 round
+    # onto a branch point; the error names the base integral
+    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "1e20")
+    assert code == 2
+    assert out == ""
+    assert "i=1" in err
+
+
+def _hand_set_matrix():
+    """A (3, 2) period matrix with power rows, a -0.0 entry and values
+    that need all 17 significant digits."""
+    from gfcperiods import PeriodMatrix, enumerate_forms, enumerate_generators
+
+    spec = validate_spec(3, 2, [])
+    rows = tuple(enumerate_generators(spec, include_powers=True))
+    cols = tuple(enumerate_forms(spec))
+    entries = np.zeros((len(rows), len(cols)), dtype=complex)
+    entries[2:, 0] = np.linspace(-1.0, 1.0, len(rows) - 2) * (0.1 + 1j / 3)
+    entries[3, 0] = complex(-0.0, 5.2441151085842401)
+    entries[4, 0] = complex(1e-300, -1.7976931348623157e308)
+    return PeriodMatrix(
+        rows=rows,
+        cols=cols,
+        entries=entries,
+        base_integrals=np.zeros((2, len(cols)), dtype=complex),
+        base_point=0.5 + 2.25j,
+        spec=spec,
+    )
+
+
+def test_periods_to_json_matches_element_rendering():
+    pm = _hand_set_matrix()
+    payload = {
+        "k": pm.spec.k,
+        "n": pm.spec.n,
+        "lambdas": [],
+        "genus": 1,
+        "forms": [list(f.alpha) for f in pm.cols],
+        "generators": [cli._generator_dict(w) for w in pm.rows],
+        "periods": [[[float(z.real), float(z.imag)] for z in row] for row in pm.entries],
+        "base_point": [0.5, 2.25],
+    }
+    text = cli.periods_to_json(pm)
+    assert text == cli._json_dump(payload) + "\n"
+    assert "[-0, 5.2441151085842401]" in text
+    assert "[[0, 0]]" in text
+
+
+def test_periods_to_csv_matches_element_rendering():
+    pm = _hand_set_matrix()
+    lines = ["generator,re_" + cli._form_label(pm.cols[0]) + ",im_" + cli._form_label(pm.cols[0])]
+    for word, row in zip(pm.rows, pm.entries):
+        cells = [cli._word_label(word)]
+        for z in row:
+            cells.extend([format(float(z.real), ".17g"), format(float(z.imag), ".17g")])
+        lines.append(",".join(cells))
+    text = cli.periods_to_csv(pm)
+    assert text == "\n".join(lines) + "\n"
+    assert "-0,5.2441151085842401" in text

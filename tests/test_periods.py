@@ -120,3 +120,101 @@ def test_tolerance_tightening_is_stable():
     tight = assemble(spec, QuadConfig(rel_tol=1e-12))
     scale = np.max(np.abs(tight.entries))
     assert np.max(np.abs(loose.entries - tight.entries)) <= 10 * 1e-10 * scale
+
+
+# 30-digit values of J (mpmath.quad on the package's own legs) from the
+# benchmark reference perfbench/ref/seed0.json: {alpha: [J_1, ..., J_n]}
+# as (re, im) strings.
+_J_REFERENCE = {
+    (4, 2, ()): {
+        (0, 2): [
+            ("-1.31945076948173066525804176451", "-4.33826400537296646950218808999"),
+            ("2.38869858512101317160965892988", "-0.630114650770222632634487395598"),
+        ],
+        (0, 3): [
+            ("-3.70814935460274383686770069439", "-2.3068065266809161541014482287"),
+            ("3.70814935460274383686770069439", "-2.3068065266809161541014482287"),
+        ],
+        (1, 3): [
+            ("-2.38869858512101317160965892988", "-0.630114650770222632634487395598"),
+            ("1.31945076948173066525804176451", "-4.33826400537296646950218808999"),
+        ],
+    },
+    (2, 4, (-1.5, 2.0 + 1.0j)): {
+        (0, 0, 1, 1): [
+            ("-1.84473577875343258379073686346", "-1.13653845583658415893846796472"),
+            ("-0.816936219708110443796895916594", "-1.4270250459050133845739591971"),
+            ("-1.50793153189730494306257465482", "0.686673885518823906029964862329"),
+            ("0.181817038823743422030631812032", "-1.29332993155430748096588327435"),
+        ],
+        (0, 1, 0, 1): [
+            ("-1.98256183709902110121871523378", "0.825612523991353547749329390916"),
+            ("-2.69479875933624946281029007802", "-1.4158828407234650708817423022"),
+            ("-0.728822671650063265640506216829", "0.570396848310639471731782310893"),
+            ("-0.163827715223060325692140160472", "-1.74035665377707222752731150234"),
+        ],
+        (0, 1, 1, 0): [
+            ("-1.7536271250267545628708936873", "-1.93484270276376766199491536987"),
+            ("0.494776794566576955009525825861", "-1.93484270276376766199491536987"),
+            ("-1.7536271250267545628708936873", "0.531187114114765097013894136201"),
+            ("0.183304186538999061708203778491", "-0.748383088907469505408851264621"),
+        ],
+        (0, 1, 1, 1): [
+            ("-1.23069774467573315405111344703", "1.09809950570168427180614000544"),
+            ("-1.72871016682977452810982977119", "-0.497006285974111036567681311907"),
+            ("0.219018278823984849010150801428", "0.82234564781152759868550871935"),
+            ("-0.278994143330056525048565522724", "-0.772760143864267709688312597998"),
+        ],
+        (1, 1, 1, 1): [
+            ("-0.348483296653490060095878546822", "1.44296283076722841797025113247"),
+            ("-1.35065861605400512550568614963", "1.78498014370177001355625977256"),
+            ("0.649516230245922657399189159999", "1.27197934946571500149633099316"),
+            ("-1.48216224828539691874019722261", "-0.0172104524194594739946964059477"),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("curve", list(_J_REFERENCE))
+def test_default_level_matches_high_precision_reference(curve):
+    # the default start level must reproduce the reference to 1e-13 relative
+    # to each column's largest |J|
+    k, n, lams = curve
+    spec = validate_spec(k, n, lams)
+    J = base_integrals(spec, QuadConfig())
+    forms = enumerate_forms(spec)
+    assert sorted(f.alpha for f in forms) == sorted(_J_REFERENCE[curve])
+    for c, form in enumerate(forms):
+        ref = np.asarray(
+            [complex(float(re), float(im)) for re, im in _J_REFERENCE[curve][form.alpha]]
+        )
+        err = np.max(np.abs(J[:, c] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13, (form.alpha, err)
+
+
+def _entry_loop(pm) -> np.ndarray:
+    """The matrix built one period_entry call at a time."""
+    out = np.zeros(pm.entries.shape, dtype=complex)
+    for s, word in enumerate(pm.rows):
+        if isinstance(word, Power):
+            continue
+        for c, form in enumerate(pm.cols):
+            out[s, c] = period_entry(word, form, pm.base_integrals[:, c], pm.spec.k)
+    return out
+
+
+@pytest.mark.parametrize(
+    "k,n,lams,include_powers",
+    [
+        (3, 2, (), True),
+        (2, 4, (2.0, 2.0 + 1.0j), False),
+        (4, 3, (-1.5,), False),
+        (7, 2, (), False),
+    ],
+)
+def test_assemble_is_bit_identical_to_entry_loop(k, n, lams, include_powers, quad_cfg):
+    pm = assemble(validate_spec(k, n, lams), quad_cfg, include_powers=include_powers)
+    expected = _entry_loop(pm)
+    assert np.array_equal(pm.entries.view(np.uint64), expected.view(np.uint64))
+    if (k, n) == (2, 4):
+        assert np.count_nonzero(pm.entries == 0) > 0
