@@ -34,7 +34,7 @@ class NotFullRank(GfcError):
 
 
 class ReconstructionFailed(GfcError):
-    """A lattice coordinate has no rational approximant with a bounded denominator."""
+    """A generator is not an integer combination of the extracted basis rows."""
 
 
 class InvalidArity(GfcError, ValueError):

@@ -1,23 +1,19 @@
 """Integer lattice basis extraction from a redundant generating set.
 
 The period matrix rows, split into real and imaginary parts, generate a
-rank-2g lattice in R^(2g).  Extraction proceeds in exact arithmetic once
-the generators' coordinates in a maximal independent subset are
-rationalized: the coordinates of the full set are scaled to integers, a
-row-style Hermite Normal Form merges them into a triangular basis of the
-row lattice, and the basis is mapped back to 2g-dimensional vectors.  The
-rational step bounds denominators by k**(2n); failure to reconstruct a
-coordinate within 1e-7 at that bound is reported as an error, never rounded through.
+rank-2g lattice in R^(2g).  In generator order the first 2g linearly
+independent rows are already a Z-basis of that lattice: every other row
+is an integer combination of them.  Extraction keeps those rows, solves
+once for every generator's coordinates in them and rounds the
+coordinates to integers.  A coordinate further than 1e-7 from an integer
+is reported as an error naming the generator, never rounded through.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .curve import CurveSpec, genus
 from .errors import NotFullRank, ReconstructionFailed
@@ -60,104 +56,45 @@ def lattice_rank(vectors, rank_tol: float = 1e-8) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def _hnf_with_transform(rows):
-    """Row-style Hermite Normal Form over exact integers.
+def _first_independent(v: np.ndarray, d: int, rank_tol: float) -> list[int]:
+    """Indices of the first rows of v, in order, that are linearly
+    independent, at most d of them.
 
-    Returns (H, U) where H is the list of nonzero echelon rows (positive
-    pivots, entries above each pivot reduced into [0, pivot)) and U the
-    matching rows of the unimodular transform, so U[i] . rows == H[i].
+    Row i is kept when its distance from the span of the rows kept before
+    it exceeds rank_tol times the largest row norm.  The distance comes
+    from Gram-Schmidt with a second projection pass.
     """
-    a = [[int(x) for x in row] for row in rows]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def combine(dst, src, q):
-        if q == 0:
-            return
-        ad, asrc = a[dst], a[src]
-        for c in range(ncols):
-            ad[c] -= q * asrc[c]
-        ud, usrc = u[dst], u[src]
-        for c in range(m):
-            ud[c] -= q * usrc[c]
-
-    r = 0
-    for col in range(ncols):
-        while True:
-            nz = [i for i in range(r, m) if a[i][col] != 0]
-            if len(nz) <= 1:
+    tol = rank_tol * float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
+    q = np.empty((d, v.shape[1]))
+    kept: list[int] = []
+    for i, row in enumerate(v):
+        q_kept = q[: len(kept)]
+        r = row - q_kept.T @ (q_kept @ row)
+        r -= q_kept.T @ (q_kept @ r)
+        dist = float(np.linalg.norm(r))
+        if dist > tol:
+            q[len(kept)] = r / dist
+            kept.append(i)
+            if len(kept) == d:
                 break
-            nz.sort(key=lambda i: abs(a[i][col]))
-            combine(nz[1], nz[0], a[nz[1]][col] // a[nz[0]][col])
-        nz = [i for i in range(r, m) if a[i][col] != 0]
-        if not nz:
-            continue
-        piv = nz[0]
-        a[r], a[piv] = a[piv], a[r]
-        u[r], u[piv] = u[piv], u[r]
-        if a[r][col] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            combine(i, r, a[i][col] // a[r][col])
-        r += 1
-    return a[:r], u[:r]
-
-
-def _pivot_columns(h):
-    cols = []
-    for row in h:
-        for c, x in enumerate(row):
-            if x != 0:
-                cols.append(c)
-                break
-    return cols
-
-
-def _solve_int_right(c_rows, h):
-    """Integer x per row with x . h == row; h must be in echelon form."""
-    pivots = _pivot_columns(h)
-    out = []
-    for row in c_rows:
-        work = [int(x) for x in row]
-        x = [0] * len(h)
-        for idx, jp in enumerate(pivots):
-            q, rem = divmod(work[jp], h[idx][jp])
-            if rem:
-                raise ReconstructionFailed(
-                    "generator coordinates are not integral in the extracted basis"
-                )
-            x[idx] = q
-            if q:
-                hrow = h[idx]
-                for cc in range(jp, len(work)):
-                    work[cc] -= q * hrow[cc]
-        if any(work):
-            raise ReconstructionFailed(
-                "generator is outside the lattice spanned by the extracted basis"
-            )
-        out.append(x)
-    return out
+    return kept
 
 
 def extract_basis(vectors, spec: CurveSpec, rank_tol: float = 1e-8) -> LatticeBasis:
     """Z-basis of the lattice generated by the input row vectors.
 
-    Steps: greedy maximal independent subset by pivoted QR; coordinates of
-    every generator in that subset; rational reconstruction of the
-    coordinates with denominators bounded by k**(2n); exact-integer HNF of
-    the scaled coordinate matrix; map back and re-express every generator
-    in the final basis.
+    The basis is the first 2g linearly independent input rows, so the
+    result depends on the input order: in generator order (as assemble
+    produces it) those rows are a Z-basis.  Every generator's coordinates
+    in the basis are solved for once and rounded; if any lies further than
+    1e-7 from an integer, ReconstructionFailed names the generator.  An
+    input whose first independent rows span only a sublattice, such as
+    [[2, 0], [0, 2], [1, 1]], is rejected rather than merged.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     d = 2 * genus(spec)
     if v.shape[1] != d:
         raise ValueError(f"expected vectors of dimension 2g = {d}, got {v.shape[1]}")
-    if lattice_rank(v, rank_tol) != d:
-        raise NotFullRank(
-            f"generators have numerical rank {lattice_rank(v, rank_tol)}, need {d}"
-        )
     m = v.shape[0]
     if d == 0:
         return LatticeBasis(
@@ -166,40 +103,25 @@ def extract_basis(vectors, spec: CurveSpec, rank_tol: float = 1e-8) -> LatticeBa
             residual=0.0,
             from_generators=np.zeros((0, m), dtype=np.int64),
         )
-    _, _, piv = scipy.linalg.qr(v.T, pivoting=True, mode="economic")
-    b0_idx = np.sort(piv[:d])
-    b0 = v[b0_idx]
-    coords = np.linalg.solve(b0.T, v.T).T
-
-    denom_bound = spec.k ** (2 * spec.n)
-    fracs = []
-    for row in coords:
-        frow = []
-        for x in row:
-            f = Fraction(float(x)).limit_denominator(denom_bound)
-            if abs(float(f) - float(x)) > _RECON_TOL:
-                raise ReconstructionFailed(
-                    f"coordinate {x!r} has no rational approximant with "
-                    f"denominator <= {denom_bound} within {_RECON_TOL}"
-                )
-            frow.append(f)
-        fracs.append(frow)
-    scale = math.lcm(*(f.denominator for row in fracs for f in row))
-    c_int = [
-        [f.numerator * (scale // f.denominator) for f in row] for row in fracs
-    ]
-
-    h, u = _hnf_with_transform(c_int)
-    if len(h) != d:
+    kept = _first_independent(v, d, rank_tol)
+    if len(kept) != d:
+        raise NotFullRank(f"generators have numerical rank {len(kept)}, need {d}")
+    basis = v[kept]
+    coords = np.linalg.solve(basis.T, v.T).T
+    coeffs = np.rint(coords)
+    off = np.max(np.abs(coords - coeffs), axis=1)
+    bad = np.flatnonzero(off > _RECON_TOL)
+    if bad.size:
+        i = int(bad[0])
         raise ReconstructionFailed(
-            f"reconstructed coordinates have integer rank {len(h)}, need {d}"
+            f"generator {i}: a coordinate in the basis rows is {off[i]:.1e} "
+            f"from an integer (tolerance {_RECON_TOL})"
         )
-    basis = (np.asarray(h, dtype=float) @ b0) / scale
-    coeffs = np.asarray(_solve_int_right(c_int, h), dtype=np.int64)
-    residual = float(np.max(np.abs(coeffs @ basis - v))) if m else 0.0
+    from_generators = np.zeros((d, m), dtype=np.int64)
+    from_generators[np.arange(d), kept] = 1
     return LatticeBasis(
         basis=basis,
-        coefficients=coeffs,
-        residual=residual,
-        from_generators=np.asarray(u, dtype=np.int64),
+        coefficients=coeffs.astype(np.int64),
+        residual=float(np.max(np.abs(coeffs @ basis - v))),
+        from_generators=from_generators,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contour, quad
-from .curve import CurveSpec, FormIndex, enumerate_forms
+from .curve import CurveSpec, FormIndex, enumerate_forms, genus
 from .errors import DegenerateLambda, InvalidArity, NoConvergence
 from .homology import ConjComm, HomologyWord, Power, conjugation_phase, expand
 from .lattice import extract_basis, real_split
@@ -239,6 +239,7 @@ def crosscheck_report(
     Checks: vanishing of every power word; sampled conjugated commutators
     against the entry formula; conjugation covariance of the sampled
     words; for n = 2 the Beta magnitudes of the base integrals; for
+    genus > 0 double inclusion of the extracted lattice basis; for
     (k, n) = (2, 3) lattice equality against the AGM periods.
     """
     forms = enumerate_forms(spec)
@@ -321,9 +322,27 @@ def crosscheck_report(
             )
         )
 
-    # (e) AGM lattice equality for the (2, 3) family
+    # (e) the extracted basis reproduces every generator
+    if genus(spec) > 0:
+        v = real_split(pm)
+        basis = extract_basis(v, spec)
+        worst = float(np.max(np.abs(basis.coefficients @ basis.basis - v)))
+        worst /= float(np.max(np.abs(v)))
+        checks.append(
+            CheckResult(
+                name="lattice_double_inclusion",
+                passed=bool(worst <= 1e-10),
+                max_deviation=worst,
+                tolerance=1e-10,
+                detail=(
+                    f"{v.shape[0]} generators vs integer combinations of the "
+                    f"{v.shape[1]} basis rows, relative to max |generator entry|"
+                ),
+            )
+        )
+
+    # (f) AGM lattice equality for the (2, 3) family
     if (spec.k, spec.n) == (2, 3):
-        basis = extract_basis(real_split(pm), spec)
         w1, w2 = agm_elliptic_periods(spec.lambdas[0])
         # The pipeline integrand carries 1/sqrt(-w ...), the AGM one
         # 1/sqrt(w ...); the factor i rotates the AGM lattice onto ours.

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gfcperiods
 import gfcperiods.cli as cli
 from gfcperiods import assemble, validate_spec
 from gfcperiods.errors import NotFullRank
-from gfcperiods.homology import ConjComm, Power
+from gfcperiods.homology import ConjComm, Power, enumerate_generators
 from gfcperiods.quad import QuadConfig
 
 
@@ -150,6 +155,30 @@ def test_basis_classical_curve(capsys):
     coeffs = np.asarray(payload["coefficients"])
     assert coeffs.shape == (16, 6)
     assert coeffs.dtype.kind == "i"
+
+
+def test_basis_include_powers_never_selects_power_rows(capsys):
+    _, out, _ = run_cli(capsys, "basis", "-k", "4", "-n", "2")
+    code, out_powers, _ = run_cli(
+        capsys, "basis", "-k", "4", "-n", "2", "--include-powers"
+    )
+    assert code == 0
+    plain, with_powers = json.loads(out), json.loads(out_powers)
+    gens = enumerate_generators(validate_spec(4, 2, []), include_powers=True)
+    powers = [i for i, w in enumerate(gens) if isinstance(w, Power)]
+    assert len(powers) == 2
+    selection = np.asarray(with_powers["from_generators"])
+    assert not selection[:, powers].any()
+    assert not np.asarray(with_powers["coefficients"])[powers].any()
+    assert with_powers["basis"] == plain["basis"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(gfcperiods.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, gfcperiods.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_basis_failure_exits_4(capsys, monkeypatch):

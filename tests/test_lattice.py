@@ -3,7 +3,6 @@ import pytest
 
 from gfcperiods import assemble, extract_basis, lattice_rank, real_split, validate_spec
 from gfcperiods.errors import NotFullRank, ReconstructionFailed
-from gfcperiods.lattice import _hnf_with_transform
 
 
 def test_real_split_examples(quad_cfg):
@@ -32,17 +31,6 @@ def test_lattice_rank_cases():
     assert lattice_rank(np.zeros((3, 0))) == 0
 
 
-def test_hnf_merges_redundant_generators():
-    h, u = _hnf_with_transform([[2, 0], [0, 2], [1, 1]])
-    assert h == [[1, 1], [0, 2]]
-    for hrow, urow in zip(h, u):
-        rebuilt = [
-            sum(c * g for c, g in zip(urow, col))
-            for col in zip(*[[2, 0], [0, 2], [1, 1]])
-        ]
-        assert rebuilt == hrow
-
-
 def test_extract_basis_identity_like():
     spec = validate_spec(3, 2, [])  # genus 1, so 2g = 2
     vectors = np.eye(2)
@@ -54,13 +42,21 @@ def test_extract_basis_identity_like():
 
 def test_extract_basis_superlattice():
     spec = validate_spec(3, 2, [])
-    vectors = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    vectors = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
     basis = extract_basis(vectors, spec)
     assert abs(abs(np.linalg.det(basis.basis)) - 2.0) < 1e-12
     # every generator is an integer combination of the basis rows
     assert np.max(np.abs(basis.coefficients @ basis.basis - vectors)) < 1e-12
     # and the basis rows are integer combinations of the generators
     assert np.max(np.abs(basis.from_generators @ vectors - basis.basis)) < 1e-12
+
+
+def test_extract_basis_names_non_integral_generator():
+    # the first two rows span an index-2 sublattice that misses row 2
+    spec = validate_spec(3, 2, [])
+    vectors = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(ReconstructionFailed, match="generator 2:"):
+        extract_basis(vectors, spec)
 
 
 def test_extract_basis_not_full_rank():
@@ -121,3 +117,28 @@ def test_determinant_invariance_under_permutation(quad_cfg):
         perm = rng.permutation(v.shape[0])
         det2 = abs(np.linalg.det(extract_basis(v[perm], pm.spec).basis))
         assert abs(det2 - det1) / det1 < 1e-6
+
+
+# Curves beyond the desk set: up to 1536 generators, and 2g up to 450.
+REGRESSION_CURVES = [
+    (4, 3, (-1.5,)),
+    (5, 3, (-1.5,)),
+    (3, 4, (-1.5, 2 + 1j)),
+    (2, 6, (-1.5, 2 + 1j, 2, -1 - 1j)),
+    (4, 4, (-1.5, 2 + 1j)),
+    (20, 2, ()),
+]
+
+
+@pytest.mark.parametrize("k,n,lams", REGRESSION_CURVES)
+def test_extract_basis_beyond_desk_set(k, n, lams, quad_cfg):
+    spec = validate_spec(k, n, list(lams))
+    v = real_split(assemble(spec, quad_cfg))
+    basis = extract_basis(v, spec)
+    scale = np.max(np.abs(v))
+    assert np.max(np.abs(basis.coefficients @ basis.basis - v)) < 1e-10 * scale
+    # from_generators picks one generator per basis row, bit for bit
+    picked = np.argmax(basis.from_generators, axis=1)
+    assert np.array_equal(basis.from_generators, np.eye(len(v), dtype=np.int8)[picked])
+    assert np.array_equal(v[picked], basis.basis)
+    assert _same_lattice(basis.basis, extract_basis(basis.basis, spec).basis)

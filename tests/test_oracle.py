@@ -176,13 +176,27 @@ def test_crosscheck_report_passes(quad_cfg):
     report = crosscheck_report(spec, quad_cfg, sample=9, seed=0)
     assert report.passed
     names = {c.name for c in report.checks}
-    assert {"power_word_vanishing", "closed_form_vs_contour", "beta_magnitude"} <= names
+    assert {
+        "power_word_vanishing",
+        "closed_form_vs_contour",
+        "beta_magnitude",
+        "lattice_double_inclusion",
+    } <= names
+
+
+@pytest.mark.parametrize("k,n,lams", [(3, 3, [-1.5]), (2, 4, [2.0, 2.0 + 1.0j])])
+def test_crosscheck_report_checks_the_lattice(k, n, lams, quad_cfg):
+    report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, sample=5, seed=1)
+    check = next(c for c in report.checks if c.name == "lattice_double_inclusion")
+    assert check.passed and check.tolerance == 1e-10
+    assert report.passed
 
 
 def test_crosscheck_report_agm_branch(quad_cfg):
     report = crosscheck_report(validate_spec(2, 3, [2.0]), quad_cfg, sample=5, seed=3)
     assert report.passed
-    assert any(c.name == "agm_lattice_equality" for c in report.checks)
+    names = {c.name for c in report.checks}
+    assert {"lattice_double_inclusion", "agm_lattice_equality"} <= names
 
 
 def test_integrate_word_free_function(quad_cfg):
