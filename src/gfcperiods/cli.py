@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -69,6 +70,8 @@ def _json_dump(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     if isinstance(obj, _Rendered):
         return obj
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -192,8 +195,19 @@ def parse_periods_csv(text: str) -> dict:
     }
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def basis_payload(spec, result) -> dict:
-    det = abs(float(np.linalg.det(result.basis))) if result.basis.size else 0.0
+    """The basis as a JSON-ready dict.  |det| can exceed the double range at
+    large genus: abs_det is then None (JSON null), and log10_abs_det, from
+    slogdet, still carries its size."""
+    abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
+    if result.basis.size:
+        with np.errstate(over="ignore"):
+            abs_det = abs(float(np.linalg.det(result.basis)))
+        log10_abs_det = float(np.linalg.slogdet(result.basis)[1]) / math.log(10)
     return {
         "k": spec.k,
         "n": spec.n,
@@ -203,7 +217,8 @@ def basis_payload(spec, result) -> dict:
         "coefficients": [[int(x) for x in row] for row in result.coefficients],
         "from_generators": [[int(x) for x in row] for row in result.from_generators],
         "residual": float(result.residual),
-        "abs_det": det,
+        "abs_det": _finite_or_none(abs_det),
+        "log10_abs_det": _finite_or_none(log10_abs_det),
     }
 
 
@@ -214,7 +229,9 @@ def basis_to_csv(payload: dict) -> str:
     for idx, row in enumerate(payload["coefficients"]):
         lines.append(f"coefficients,{idx}," + ",".join(str(x) for x in row))
     lines.append(f"residual,0,{_fmt(payload['residual'])}")
-    lines.append(f"abs_det,0,{_fmt(payload['abs_det'])}")
+    for key in ("abs_det", "log10_abs_det"):
+        value = payload[key]
+        lines.append(f"{key},0," + ("" if value is None else _fmt(value)))
     return "\n".join(lines) + "\n"
 
 

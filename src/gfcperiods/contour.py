@@ -278,10 +278,16 @@ def branch_state_residual(state: BranchState) -> float:
 
 def exponent_vector(form: FormIndex, k: int) -> np.ndarray:
     """Log-linear exponents of W: ((alpha_1+1)/k - 1, -alpha_2/k, ..., -alpha_n/k)."""
-    a = form.alpha
-    e = [(a[0] + 1) / k - 1.0]
-    e.extend(-at / k for at in a[1:])
-    return np.asarray(e, dtype=float)
+    return exponent_matrix([form], k, len(form.alpha))[0]
+
+
+def exponent_matrix(forms, k: int, n: int) -> np.ndarray:
+    """Exponent vectors of the forms as the rows of a (len(forms), n) matrix."""
+    A = np.asarray([form.alpha for form in forms], dtype=np.int64)
+    A = A.reshape(len(forms), n)
+    E = -A / k
+    E[:, 0] = (A[:, 0] + 1) / k - 1.0
+    return E
 
 
 def eval_W(state: BranchState, form: FormIndex, k: int) -> complex:

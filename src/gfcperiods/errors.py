@@ -26,7 +26,15 @@ class ClearanceUnachievable(GfcError):
 
 
 class NoConvergence(GfcError):
-    """Quadrature failed to meet the relative tolerance within the level budget."""
+    """Quadrature failed to meet the relative tolerance within the level budget.
+
+    form, when set, is the position in the caller's form list of the first
+    form that did not converge.
+    """
+
+    def __init__(self, message: str, form: int | None = None):
+        super().__init__(message)
+        self.form = form
 
 
 class NotFullRank(GfcError):

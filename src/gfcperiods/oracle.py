@@ -26,9 +26,9 @@ import numpy as np
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms, genus
 from .errors import DegenerateLambda, InvalidArity, NoConvergence
-from .homology import ConjComm, HomologyWord, Power, conjugation_phase, expand
+from .homology import ConjComm, HomologyWord, Power, expand
 from .lattice import extract_basis, real_split
-from .periods import assemble, period_entry
+from .periods import assemble, zeta_power
 from .quad import QuadConfig
 
 
@@ -39,9 +39,11 @@ class WordIntegrator:
     point.  A loop's geometric path never changes, and continuing the
     integrand from a shifted branch state only multiplies it by
     exp(sum_t e_t * delta_t) with delta the accumulated log offsets, so
-    each (letter, form) base integral is computed once from the reference
-    state and reused with that exact covariance factor.  Set memoize=False
-    to re-integrate every traversal literally.
+    each (letter, orientation) loop is integrated once from the reference
+    state, for all forms at once, and reused with that exact covariance
+    factor.  A word's values over all forms are then one array expression
+    over its letters.  Set memoize=False to re-integrate every traversal
+    literally.
     """
 
     def __init__(self, spec: CurveSpec, cfg: QuadConfig):
@@ -50,9 +52,12 @@ class WordIntegrator:
         self.R = spec.branch_points
         self.base_point = contour.default_base_point(self.R)
         self.state0 = contour.init_branch(self.base_point, self.R)
+        self.forms = enumerate_forms(spec)
+        self._E = contour.exponent_matrix(self.forms, spec.k, spec.n)
+        self._columns = {form.alpha: c for c, form in enumerate(self.forms)}
         self._paths: dict[tuple[int, int], contour.Path] = {}
-        self._deltas: dict[tuple[int, int], np.ndarray] = {}
-        self._values: dict[tuple[int, int, tuple[int, ...]], complex] = {}
+        self._loops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[HomologyWord, np.ndarray] = {}
 
     def _loop(self, i: int, orientation: int) -> contour.Path:
         key = (i, orientation)
@@ -62,54 +67,72 @@ class WordIntegrator:
             )
         return self._paths[key]
 
-    def _loop_integral(self, i: int, orientation: int, state, form: FormIndex):
-        """Loop integral and end state from the given state; a NoConvergence
-        is re-raised naming the loop and the form."""
+    def _loop_integral(self, i: int, orientation: int, state, forms):
+        """Loop integrals of the forms and the end state from the given
+        state; a NoConvergence is re-raised naming the loop and the form."""
         try:
             return quad.integrate_smooth(
-                self._loop(i, orientation), state, form, self.spec, self.cfg
+                self._loop(i, orientation), state, forms, self.spec, self.cfg
             )
         except NoConvergence as err:
+            alpha = forms[err.form].alpha
             raise NoConvergence(
-                f"loop i={i}, orientation={orientation:+d}, alpha={form.alpha}: {err}"
+                f"loop i={i}, orientation={orientation:+d}, alpha={alpha}: {err}"
             ) from err
 
-    def _base_value(self, i: int, orientation: int, form: FormIndex):
-        """Loop integral from the reference state and the loop's log offsets."""
-        key = (i, orientation, form.alpha)
-        if key not in self._values:
-            value, end_state = self._loop_integral(i, orientation, self.state0, form)
-            self._values[key] = value
-            self._deltas[(i, orientation)] = np.asarray(
-                end_state.logs, dtype=complex
-            ) - np.asarray(self.state0.logs, dtype=complex)
-        return self._values[key], self._deltas[(i, orientation)]
+    def _loop_row(self, i: int, orientation: int):
+        """Loop integrals of all forms from the reference state and the
+        loop's log offsets."""
+        key = (i, orientation)
+        if key not in self._loops:
+            row, end_state = self._loop_integral(
+                i, orientation, self.state0, self.forms
+            )
+            delta = np.asarray(end_state.logs, dtype=complex) - np.asarray(
+                self.state0.logs, dtype=complex
+            )
+            self._loops[key] = (row, delta)
+        return self._loops[key]
+
+    def _column(self, form: FormIndex) -> int:
+        if form.alpha not in self._columns:
+            raise ValueError(f"alpha={form.alpha} is not a form of this curve")
+        return self._columns[form.alpha]
 
     def single_loop_integral(
         self, i: int, form: FormIndex, orientation: int = +1
     ) -> complex:
         """-1/k times the loop integral for one generator traversal from the
         reference state; the commutator decomposition is built from these."""
-        value, _ = self._base_value(i, orientation, form)
-        return -value / self.spec.k
+        row, _ = self._loop_row(i, orientation)
+        return complex(-row[self._column(form)] / self.spec.k)
+
+    def word_row(self, word: HomologyWord) -> np.ndarray:
+        """-1/k times the word's integral for every form, in form order:
+        -sum_s exp(E acc_s) V_s / k over the letters s, with V_s the loop
+        row and acc_s the summed log offsets of the letters before s."""
+        if word not in self._rows:
+            letters = expand(word, self.spec.k).letters
+            loops = [self._loop_row(i, sign) for i, sign in letters]
+            V = np.asarray([row for row, _ in loops])
+            V = V.reshape(len(loops), len(self.forms))
+            D = np.asarray([delta for _, delta in loops])
+            acc = np.zeros_like(D)
+            np.cumsum(D[:-1], axis=0, out=acc[1:])
+            Et = self._E.T
+            phase = np.exp(acc.real @ Et + 1j * (acc.imag @ Et))
+            self._rows[word] = -(phase * V).sum(axis=0) / self.spec.k
+        return self._rows[word]
 
     def integrate_word(
         self, word: HomologyWord, form: FormIndex, memoize: bool = True
     ) -> complex:
-        letters = expand(word, self.spec.k).letters
-        e = contour.exponent_vector(form, self.spec.k)
         if memoize:
-            acc = np.zeros(self.spec.n, dtype=complex)
-            total = 0j
-            for i, sign in letters:
-                value, delta = self._base_value(i, sign, form)
-                total += cmath.exp(complex(e @ acc)) * value
-                acc = acc + delta
-            return -total / self.spec.k
+            return complex(self.word_row(word)[self._column(form)])
         state = self.state0
         total = 0j
-        for i, sign in letters:
-            value, state = self._loop_integral(i, sign, state, form)
+        for i, sign in expand(word, self.spec.k).letters:
+            (value,), state = self._loop_integral(i, sign, state, [form])
             total += value
         return -total / self.spec.k
 
@@ -245,16 +268,15 @@ def crosscheck_report(
     forms = enumerate_forms(spec)
     pm = assemble(spec, cfg)
     J = pm.base_integrals
+    J_max = np.max(np.abs(J), axis=0)
     wi = WordIntegrator(spec, cfg)
     checks: list[CheckResult] = []
 
     # (a) power-word vanishing, scaled per form by the largest base integral
     worst = 0.0
-    for c, form in enumerate(forms):
-        scale = float(np.max(np.abs(J[:, c])))
-        for i in range(1, spec.n + 1):
-            val = abs(wi.integrate_word(Power(i), form))
-            worst = max(worst, val / scale)
+    for i in range(1, spec.n + 1):
+        row = wi.word_row(Power(i))
+        worst = max(worst, float(np.max(np.abs(row) / J_max, initial=0.0)))
     checks.append(
         CheckResult(
             name="power_word_vanishing",
@@ -267,13 +289,12 @@ def crosscheck_report(
 
     # (b) sampled commutator words vs the closed-form entries
     words = _sample_words(spec, sample, seed)
-    devs = []
+    entry_row = {word: s for s, word in enumerate(pm.rows)}
+    worst = 0.0
     for word in words:
-        for c, form in enumerate(forms):
-            lhs = wi.integrate_word(word, form)
-            rhs = period_entry(word, form, J[:, c], spec.k)
-            devs.append((abs(lhs - rhs), abs(rhs)))
-    worst = max((d / max(1e-8 * r, 1e-10) for d, r in devs), default=0.0)
+        rhs = pm.entries[entry_row[word]]
+        dev = np.abs(wi.word_row(word) - rhs) / np.maximum(1e-8 * np.abs(rhs), 1e-10)
+        worst = max(worst, float(np.max(dev, initial=0.0)))
     checks.append(
         CheckResult(
             name="closed_form_vs_contour",
@@ -288,14 +309,16 @@ def crosscheck_report(
     )
 
     # (c) conjugation covariance of the sampled words
+    zeta = np.asarray([zeta_power(spec.k, e) for e in range(spec.k)])
+    M = np.asarray([form.m_exponents for form in forms], dtype=np.int64)
+    M = M.reshape(len(forms), spec.n)
     worst = 0.0
     for word in words:
-        base = ConjComm(g=(0,) * spec.n, j=word.j, l=word.l)
-        for c, form in enumerate(forms):
-            lhs = wi.integrate_word(word, form)
-            rhs = conjugation_phase(word, form, spec.k) * wi.integrate_word(base, form)
-            scale = max(abs(rhs), 1e-2 * float(np.max(np.abs(J[:, c]))))
-            worst = max(worst, abs(lhs - rhs) / scale)
+        base = wi.word_row(ConjComm(g=(0,) * spec.n, j=word.j, l=word.l))
+        rhs = zeta[(M @ np.asarray(word.g)) % spec.k] * base
+        scale = np.maximum(np.abs(rhs), 1e-2 * J_max)
+        dev = np.abs(wi.word_row(word) - rhs) / scale
+        worst = max(worst, float(np.max(dev, initial=0.0)))
     checks.append(
         CheckResult(
             name="conjugation_covariance",

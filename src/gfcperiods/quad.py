@@ -40,6 +40,9 @@ _SIGMA_MIN = 1e-290
 # Gauss-Legendre order per panel and the panel-doubling budget.
 _GL_ORDER = 16
 _GL_MAX_PANELS = 2 ** 13
+# Largest forms x nodes block evaluated at once by the smooth kernel, in
+# complex values (32 MiB).
+_BLOCK_VALUES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -192,13 +195,20 @@ def _gl_rule(order: int):
     return x, w
 
 
-def _gl_segment(seg, R, logs0, exponents, cfg: QuadConfig):
-    """Integrate W over one smooth segment with panel-doubled Gauss-Legendre.
+def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
+    """Integrate W for every form (the rows of the exponent matrix E) over
+    one smooth segment with panel-doubled Gauss-Legendre.
 
-    Returns (integral, logs at the segment end).  Convergence is relative
-    to max(|I|, 1e-3 * L1) so that closed-loop cancellations still settle.
+    The branch walk depends only on the nodes, so each panel count walks
+    the segment once and evaluates all forms there.  A form's value is
+    taken at the first doubling where it agrees with the previous one,
+    relative to max(|I|, 1e-3 * L1) so that closed-loop cancellations still
+    settle; only the forms still open are evaluated at the next doubling.
+    Returns (row of integrals, logs at the segment end).
     """
     gx, gw = _gl_rule(_GL_ORDER)
+    row = np.zeros(len(E), dtype=complex)
+    todo = np.arange(len(E))
     prev = None
     panels = 4
     while panels <= _GL_MAX_PANELS:
@@ -207,39 +217,68 @@ def _gl_segment(seg, R, logs0, exponents, cfg: QuadConfig):
         weights = np.tile(gw / (2.0 * panels), panels)
         params = np.concatenate(([0.0], ts, [1.0]))
         logs = contour.segment_logs(seg, params, R, logs0)
-        vals = np.exp(logs[1:-1] @ exponents)
-        contrib = vals * contour.segment_velocity(seg, ts) * weights
-        cur = np.sum(contrib)
-        l1 = np.sum(np.abs(contrib))
-        if prev is not None and abs(cur - prev) <= cfg.rel_tol * max(
-            abs(cur), 1e-3 * l1
-        ):
-            return complex(cur), logs[-1]
+        cur, l1 = _panel_sums(
+            E[todo], logs[1:-1], contour.segment_velocity(seg, ts) * weights
+        )
+        if prev is not None:
+            done = np.abs(cur - prev) <= cfg.rel_tol * np.maximum(
+                np.abs(cur), 1e-3 * l1
+            )
+            row[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
+        if not todo.size:
+            return row, logs[-1]
         prev = cur
         panels *= 2
     raise NoConvergence(
         f"Gauss-Legendre panels exceeded {_GL_MAX_PANELS} without reaching "
-        f"rel_tol={cfg.rel_tol}"
+        f"rel_tol={cfg.rel_tol}",
+        form=int(todo[0]),
     )
 
 
+def _panel_sums(E, X, vw):
+    """Sums of exp(E @ X.T) * vw and of their magnitudes, one per row of E,
+    in blocks of rows that keep every temporary under _BLOCK_VALUES."""
+    cur = np.empty(len(E), dtype=complex)
+    l1 = np.empty(len(E))
+    Xr, Xi = X.real.T, X.imag.T
+    step = max(1, _BLOCK_VALUES // len(X))
+    for b in range(0, len(E), step):
+        Eb = E[b : b + step]
+        # Real products: np.exp right after a complex matmul ran ~8x slower (OpenBLAS).
+        contrib = np.exp(Eb @ Xr + 1j * (Eb @ Xi)) * vw
+        cur[b : b + step] = contrib.sum(axis=1)
+        l1[b : b + step] = np.abs(contrib).sum(axis=1)
+    return cur, l1
+
+
 def integrate_smooth(
-    path: Path, state: BranchState, form: FormIndex, spec: CurveSpec, cfg: QuadConfig
-) -> tuple[complex, BranchState]:
-    """Integral of W dw along a smooth path plus the continued end state."""
+    path: Path,
+    state: BranchState,
+    forms: list[FormIndex],
+    spec: CurveSpec,
+    cfg: QuadConfig,
+) -> tuple[np.ndarray, BranchState]:
+    """Integrals of W dw along a smooth path, one per form, plus the
+    continued end state.
+
+    A NoConvergence carries in `form` the position in forms of the first
+    form that did not converge.
+    """
     if path.segments and abs(path.start - state.point) > 1e-9 * (
         1.0 + abs(state.point)
     ):
         raise ValueError("path does not start at the state's current point")
-    exponents = contour.exponent_vector(form, spec.k)
+    E = contour.exponent_matrix(forms, spec.k, spec.n)
     R = state.branch_points
     logs = np.asarray(state.logs, dtype=complex)
-    total = 0j
+    row = np.zeros(len(forms), dtype=complex)
     for seg in path.segments:
-        value, logs = _gl_segment(seg, R, logs, exponents, cfg)
-        total += value
+        values, logs = _gl_segment(seg, R, logs, E, cfg)
+        row += values
     end = path.end if path.segments else state.point
-    return total, BranchState(point=end, logs=tuple(logs), branch_points=R)
+    return row, BranchState(point=end, logs=tuple(logs), branch_points=R)
 
 
 def leg_row(
@@ -250,27 +289,29 @@ def leg_row(
 
     The leg follows the straight line, detoured at its midpoint if another
     branch point comes within the minimum clearance; any detour prefix
-    uses the smooth kernel per form, and the singular final piece one
-    tanh-sinh integrator whose continuation tables all forms share.
+    goes through the smooth kernel once for all forms, and the singular
+    final piece through one tanh-sinh integrator whose continuation tables
+    all forms share.
     """
     R = state.branch_points
     legs = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
-    prefix = Path(segments=tuple(legs[:-1])) if len(legs) > 1 else None
     row = np.zeros(len(forms), dtype=complex)
-    integrator = None
-    for c, form in enumerate(forms):
-        try:
-            start = state
-            if prefix is not None:
-                row[c], start = integrate_smooth(prefix, state, form, spec, cfg)
-            if integrator is None:
-                integrator = RadialLegIntegrator(
-                    start=legs[-1].start,
-                    logs_at_start=start.logs,
-                    target_index=i - 1,
-                    R=R,
-                )
-            row[c] += integrator.integrate(contour.exponent_vector(form, spec.k), cfg)
-        except (NoConvergence, StepTooCoarse) as err:
-            raise type(err)(f"base integral i={i}, alpha={form.alpha}: {err}") from err
+    if not forms:
+        return row
+    c = 0  # the form a failure is reported against
+    try:
+        start = state
+        if len(legs) > 1:
+            prefix = Path(segments=tuple(legs[:-1]))
+            row, start = integrate_smooth(prefix, state, forms, spec, cfg)
+        integrator = RadialLegIntegrator(
+            start=legs[-1].start, logs_at_start=start.logs, target_index=i - 1, R=R
+        )
+        E = contour.exponent_matrix(forms, spec.k, spec.n)
+        for c in range(len(forms)):
+            row[c] += integrator.integrate(E[c], cfg)
+    except (NoConvergence, StepTooCoarse) as err:
+        if getattr(err, "form", None) is not None:
+            c = err.form
+        raise type(err)(f"base integral i={i}, alpha={forms[c].alpha}: {err}") from err
     return row

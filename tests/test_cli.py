@@ -151,10 +151,34 @@ def test_basis_classical_curve(capsys):
     assert payload["genus"] == 3
     assert len(payload["basis"]) == 6
     assert payload["abs_det"] > 0
+    assert abs(payload["log10_abs_det"] - np.log10(payload["abs_det"])) < 1e-12
     assert payload["residual"] < 1e-6
     coeffs = np.asarray(payload["coefficients"])
     assert coeffs.shape == (16, 6)
     assert coeffs.dtype.kind == "i"
+
+
+def test_basis_payload_with_overflowing_det_is_valid_json():
+    import warnings
+
+    from gfcperiods.lattice import LatticeBasis
+
+    spec = validate_spec(3, 2, [])
+    result = LatticeBasis(
+        basis=np.diag([1e100, 1e100, 1e100, 1e100]),
+        coefficients=np.eye(4, dtype=np.int64),
+        residual=0.0,
+        from_generators=np.eye(4, dtype=np.int64),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = cli.basis_payload(spec, result)
+    parsed = json.loads(cli._json_dump(payload))
+    assert parsed["abs_det"] is None
+    assert abs(parsed["log10_abs_det"] - 400.0) < 1e-12
+    lines = cli.basis_to_csv(payload).splitlines()
+    assert "abs_det,0," in lines
+    assert any(line.startswith("log10_abs_det,0,400") for line in lines)
 
 
 def test_basis_include_powers_never_selects_power_rows(capsys):
@@ -298,3 +322,36 @@ def test_periods_to_csv_matches_element_rendering():
     text = cli.periods_to_csv(pm)
     assert text == "\n".join(lines) + "\n"
     assert "-0,5.2441151085842401" in text
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: the J leg to r_1 and the oracle's loop 1 take their "
+        "midpoint detours on opposite sides of lambda"
+    ),
+)
+def test_verify_passes_with_lambda_near_the_leg_to_r1(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "-k", "4", "-n", "3", "-l", "0.115+0.842i"
+    )
+    assert "FAIL closed_form_vs_contour" not in err
+    assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: leg 5 passes 7.1e-4 from r_3, outside the detour "
+        "clearance but too close for tanh-sinh to converge by level 14"
+    ),
+)
+def test_periods_converges_with_a_leg_close_to_a_branch_point(capsys):
+    code, out, err = run_cli(
+        capsys, "periods", "-k", "2", "-n", "5",
+        "-l", "0.05056+1.671i", "-l", "0.1256-0.6405i", "-l", "-0.06184-2.823i",
+    )
+    assert "base integral i=5" not in err
+    assert code == 0

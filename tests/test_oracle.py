@@ -85,6 +85,38 @@ def test_memoized_matches_literal_traversal(quad_cfg):
         assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
 
 
+@pytest.mark.parametrize(
+    "k,n,lams,words",
+    [
+        (
+            3, 3, [-1.5],
+            [ConjComm(g=(1, 0, 1), j=1, l=3), ConjComm(g=(0, 2, 1), j=2, l=3)],
+        ),
+        (
+            2, 4, [2.0, 2.0 + 1.0j],
+            [ConjComm(g=(1, 0, 0, 1), j=1, l=4), ConjComm(g=(0, 1, 1, 0), j=2, l=3)],
+        ),
+        (5, 3, [-1.5], [ConjComm(g=(1, 0, 1), j=1, l=3)]),
+        (4, 3, [0.115 + 0.842j], [ConjComm(g=(0, 0, 0), j=1, l=2)]),
+    ],
+)
+def test_word_row_matches_literal_traversal(k, n, lams, words, quad_cfg):
+    spec = validate_spec(k, n, lams)
+    wi = WordIntegrator(spec, quad_cfg)
+    if (k, n) == (4, 3):
+        # lambda lies next to the line from the base point to r_1
+        assert len(wi._loop(1, +1).segments) == 5
+    for word in words:
+        row = wi.word_row(word)
+        assert row.shape == (len(wi.forms),)
+        literal = np.asarray(
+            [wi.integrate_word(word, form, memoize=False) for form in wi.forms]
+        )
+        assert np.max(np.abs(row - literal)) <= 1e-12 * np.max(np.abs(row))
+        for c, form in enumerate(wi.forms):
+            assert wi.integrate_word(word, form) == row[c]
+
+
 @pytest.mark.parametrize("memoize", [True, False])
 def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch, memoize):
     monkeypatch.setattr(quad, "_GL_MAX_PANELS", 4)
@@ -180,6 +212,21 @@ def test_crosscheck_report_passes(quad_cfg):
         "power_word_vanishing",
         "closed_form_vs_contour",
         "beta_magnitude",
+        "lattice_double_inclusion",
+    } <= names
+
+
+@pytest.mark.parametrize(
+    "k,n,lams", [(4, 4, [-1.5, 2.0 + 1.0j]), (2, 5, [-1.5, 2.0 + 1.0j, 2.0])]
+)
+def test_crosscheck_report_passes_beyond_desk_scale(k, n, lams, quad_cfg):
+    report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, sample=25, seed=0)
+    assert all(c.passed for c in report.checks), report.checks
+    names = {c.name for c in report.checks}
+    assert {
+        "power_word_vanishing",
+        "closed_form_vs_contour",
+        "conjugation_covariance",
         "lattice_double_inclusion",
     } <= names
 

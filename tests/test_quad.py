@@ -81,8 +81,8 @@ def test_leg_path_independence(quad_cfg):
     (direct,) = leg_row(state, 1, [form], spec, quad_cfg)
     # detour through a waypoint homotopic to the straight leg
     waypoint = z0 + 1.0 - 0.5j
-    prefix, mid_state = integrate_smooth(
-        Path(segments=(Line(z0, waypoint),)), state, form, spec, quad_cfg
+    (prefix,), mid_state = integrate_smooth(
+        Path(segments=(Line(z0, waypoint),)), state, [form], spec, quad_cfg
     )
     leg = RadialLegIntegrator(
         start=waypoint, logs_at_start=mid_state.logs, target_index=0, R=R
@@ -95,7 +95,7 @@ def test_zero_length_path(quad_cfg):
     spec = validate_spec(3, 2, [])
     state = init_branch(default_base_point(spec.branch_points), spec.branch_points)
     form = enumerate_forms(spec)[0]
-    val, out = integrate_smooth(Path(segments=()), state, form, spec, quad_cfg)
+    (val,), out = integrate_smooth(Path(segments=()), state, [form], spec, quad_cfg)
     assert val == 0j
     assert out.logs == state.logs
 
@@ -117,7 +117,7 @@ def test_closed_loop_without_branch_points_is_zero(quad_cfg):
             ),
         )
     )
-    val, out = integrate_smooth(circle, state, form, spec, quad_cfg)
+    (val,), out = integrate_smooth(circle, state, [form], spec, quad_cfg)
     assert abs(val) < 1e-10
     assert np.max(np.abs(np.asarray(out.logs) - np.asarray(state.logs))) < 1e-10
 
@@ -131,8 +131,8 @@ def test_loop_then_reversed_loop_cancels(quad_cfg):
     z0 = default_base_point(R)
     state = init_branch(z0, R)
     loop = loop_path(z0, 2, R, +1)
-    v1, mid = integrate_smooth(loop, state, form, spec, quad_cfg)
-    v2, back = integrate_smooth(loop.reversed(), mid, form, spec, quad_cfg)
+    (v1,), mid = integrate_smooth(loop, state, [form], spec, quad_cfg)
+    (v2,), back = integrate_smooth(loop.reversed(), mid, [form], spec, quad_cfg)
     assert abs(v1 + v2) < 1e-10
     assert np.max(np.abs(np.asarray(back.logs) - np.asarray(state.logs))) < 1e-10
 
@@ -188,3 +188,25 @@ def test_leg_integral_reproduces_beta_difference(quad_cfg):
     (j2,) = leg_row(state, 2, [form], spec, quad_cfg)
     exact = _beta_oracle(0.25, 0.5)
     assert abs(abs(j2 - j1) - exact) / exact < 1e-10
+
+
+def test_smooth_kernel_blocks_give_the_same_row(quad_cfg, monkeypatch):
+    # every form of (3, 3) around loop 2, once in one block and once in
+    # blocks of one form per panel count
+    from gfcperiods import loop_path
+    from gfcperiods import quad
+
+    spec = validate_spec(3, 3, [-1.5])
+    forms = enumerate_forms(spec)
+    R = spec.branch_points
+    z0 = default_base_point(R)
+    state = init_branch(z0, R)
+    loop = loop_path(z0, 2, R, +1)
+    whole, end = integrate_smooth(loop, state, forms, spec, quad_cfg)
+    monkeypatch.setattr(quad, "_BLOCK_VALUES", 1)
+    blocked, end_blocked = integrate_smooth(loop, state, forms, spec, quad_cfg)
+    assert np.max(np.abs(whole - blocked)) <= 1e-14 * np.max(np.abs(whole))
+    assert end.logs == end_blocked.logs
+    for c, form in enumerate(forms):
+        (alone,), _ = integrate_smooth(loop, state, [form], spec, quad_cfg)
+        assert abs(alone - whole[c]) <= 1e-14 * np.max(np.abs(whole))
