@@ -10,7 +10,7 @@ the cli module exposes everything as subcommands.
 
 from .curve import CurveSpec, FormIndex, enumerate_forms, genus, m_exponents, validate_spec
 from .homology import ConjComm, LetterSequence, Power, conjugation_phase, enumerate_generators, expand
-from .contour import BranchState, Path, continue_along, default_base_point, eval_W, init_branch, loop_path
+from .contour import BranchState, Path, default_base_point, init_branch, loop_path
 from .quad import QuadConfig, integrate_smooth, tanh_sinh
 from .periods import PeriodMatrix, assemble, base_integrals, period_entry
 from .lattice import LatticeBasis, extract_basis, lattice_rank, real_split
@@ -20,7 +20,6 @@ from .oracle import (
     agm_elliptic_periods,
     beta_closed_form,
     crosscheck_report,
-    integrate_word,
 )
 
 __version__ = "0.1.0"
@@ -43,18 +42,15 @@ __all__ = [
     "base_integrals",
     "beta_closed_form",
     "conjugation_phase",
-    "continue_along",
     "crosscheck_report",
     "default_base_point",
     "enumerate_forms",
     "enumerate_generators",
-    "eval_W",
     "expand",
     "extract_basis",
     "genus",
     "init_branch",
     "integrate_smooth",
-    "integrate_word",
     "lattice_rank",
     "loop_path",
     "m_exponents",

@@ -27,7 +27,7 @@ from .errors import (
     NotFullRank,
     ReconstructionFailed,
 )
-from .homology import ConjComm, Power, enumerate_generators
+from .homology import Power, enumerate_generators
 from .lattice import extract_basis, real_split
 from .oracle import crosscheck_report
 from .periods import assemble
@@ -106,15 +106,6 @@ def _word_label(word) -> str:
     return f"conj_comm:j={word.j};l={word.l};g={gs}"
 
 
-def _parse_word_label(label: str):
-    kind, _, rest = label.partition(":")
-    fields = dict(part.split("=", 1) for part in rest.split(";"))
-    if kind == "power":
-        return Power(i=int(fields["i"]))
-    g = tuple(int(v) for v in fields["g"].split("."))
-    return ConjComm(g=g, j=int(fields["j"]), l=int(fields["l"]))
-
-
 def _form_label(form) -> str:
     return ".".join(str(a) for a in form.alpha)
 
@@ -152,47 +143,6 @@ def periods_to_csv(pm) -> str:
     for word, row in zip(pm.rows, _interleaved_rows(pm.entries)):
         lines.append(template % (_word_label(word), *row))
     return "\n".join(lines) + "\n"
-
-
-def parse_periods_json(text: str) -> dict:
-    """Inverse of periods_to_json: entries back as a complex ndarray."""
-    raw = json.loads(text)
-    entries = np.asarray(
-        [[complex(re, im) for re, im in row] for row in raw["periods"]],
-        dtype=complex,
-    ).reshape(len(raw["generators"]), len(raw["forms"]))
-    return {
-        "k": raw["k"],
-        "n": raw["n"],
-        "lambdas": tuple(complex(re, im) for re, im in raw["lambdas"]),
-        "genus": raw["genus"],
-        "forms": [tuple(f) for f in raw["forms"]],
-        "generators": raw["generators"],
-        "entries": entries,
-        "base_point": complex(*raw["base_point"]),
-    }
-
-
-def parse_periods_csv(text: str) -> dict:
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    nforms = (len(header) - 1) // 2
-    forms = [tuple(int(a) for a in header[1 + 2 * c].removeprefix("re_").split("."))
-             for c in range(nforms)]
-    words = []
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        words.append(_parse_word_label(cells[0]))
-        vals = cells[1:]
-        rows.append(
-            [complex(float(vals[2 * c]), float(vals[2 * c + 1])) for c in range(nforms)]
-        )
-    return {
-        "forms": forms,
-        "generators": words,
-        "entries": np.asarray(rows, dtype=complex).reshape(len(words), nforms),
-    }
 
 
 def _finite_or_none(x: float) -> float | None:

@@ -13,11 +13,14 @@ principal logs of successive point ratios (w' - r)/(w - r), which is exact
 as long as no single increment swings the argument by pi or more; the
 engine enforces a pi/2 safety threshold and subdivides until it holds.
 
-Paths are chains of line segments and circular arcs.  `loop_path` builds
-the standard generator loop around one branch point: a radial line in, a
-full circle, and the same line back out, with a perpendicular midpoint
-detour when the straight line would pass too close to another branch
-point.
+Paths are chains of line segments and circular arcs.  `clear_leg` is the
+one routing decision: the straight line from the base point to a branch
+point, with a perpendicular midpoint detour when it passes too close to
+another branch point relative to the leg's length.  The J legs of the quad
+module and the generator loops of `loop_path` (in along the route, cut at
+a small circle around the branch point, the full circle, and the same
+route back out) both follow it, so each loop is homotopic to its leg by
+construction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import FormIndex
 from .errors import (
     BasePointOnBranchPoint,
     ClearanceUnachievable,
@@ -40,8 +42,9 @@ ARG_LIMIT = math.pi / 2
 # Caps on walk refinement before giving up on a continuation.
 _MAX_REFINE = 24
 _MAX_WALK_POINTS = 1 << 22
-# Starting parameters for each segment of `continue_along`.
-_CONTINUE_SEED = np.linspace(0.0, 1.0, 33)
+# A branch point is an obstacle to a leg when it lies closer to the leg
+# than this fraction of the leg's length or of its distance to the target.
+_LEG_CLEARANCE = 3e-3
 
 
 @dataclass(frozen=True)
@@ -125,23 +128,6 @@ class Path:
     def end(self) -> complex:
         return segment_end(self.segments[-1])
 
-    def reversed(self) -> "Path":
-        rev: list[Segment] = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, Line):
-                rev.append(Line(seg.end, seg.start))
-            else:
-                rev.append(
-                    Arc(
-                        center=seg.center,
-                        radius=seg.radius,
-                        start_angle=seg.end_angle,
-                        end_angle=seg.start_angle,
-                        orientation=-seg.orientation,
-                    )
-                )
-        return Path(segments=tuple(rev))
-
 
 @dataclass(frozen=True)
 class BranchState:
@@ -161,17 +147,6 @@ class BranchState:
 def diameter(R) -> float:
     pts = [complex(r) for r in R]
     return max(abs(a - b) for a in pts for b in pts)
-
-
-def min_pairwise_distance(R) -> float:
-    pts = [complex(r) for r in R]
-    return min(
-        abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
-    )
-
-
-def min_clearance(R) -> float:
-    return 1e-3 * min_pairwise_distance(R)
 
 
 def loop_radius(i: int, R) -> float:
@@ -245,42 +220,6 @@ def segment_logs(seg: Segment, ts: np.ndarray, R, logs0) -> np.ndarray:
     return continued_logs_param(diff_fn, ts, logs0)
 
 
-def continue_along(state: BranchState, path: Path) -> BranchState:
-    """Continue the branch state along a path.
-
-    Each segment is walked by `segment_logs` from a 33-point seed, refined
-    until every increment passes the pi/2 threshold.  The seed must sample
-    the segment's interior: a closed arc seeded at its ends alone would
-    walk a full turn as zero winding.
-    """
-    if not path.segments:
-        return state
-    if abs(path.start - state.point) > 1e-9 * (1.0 + abs(state.point)):
-        raise ValueError("path does not start at the state's current point")
-    logs = np.asarray(state.logs, dtype=complex)
-    for seg in path.segments:
-        logs = segment_logs(seg, _CONTINUE_SEED, state.branch_points, logs)[-1]
-    return BranchState(
-        point=path.end, logs=tuple(logs), branch_points=state.branch_points
-    )
-
-
-def branch_state_residual(state: BranchState) -> float:
-    """Largest relative mismatch between exp(logs) and the factors they
-    track; well-formed states stay below 1e-12."""
-    w = state.point
-    worst = 0.0
-    for slot, log in enumerate(state.logs):
-        target = -w if slot == 0 else w - state.branch_points[slot]
-        worst = max(worst, abs(cmath.exp(log) - target) / abs(target))
-    return worst
-
-
-def exponent_vector(form: FormIndex, k: int) -> np.ndarray:
-    """Log-linear exponents of W: ((alpha_1+1)/k - 1, -alpha_2/k, ..., -alpha_n/k)."""
-    return exponent_matrix([form], k, len(form.alpha))[0]
-
-
 def exponent_matrix(forms, k: int, n: int) -> np.ndarray:
     """Exponent vectors of the forms as the rows of a (len(forms), n) matrix."""
     A = np.asarray([form.alpha for form in forms], dtype=np.int64)
@@ -288,12 +227,6 @@ def exponent_matrix(forms, k: int, n: int) -> np.ndarray:
     E = -A / k
     E[:, 0] = (A[:, 0] + 1) / k - 1.0
     return E
-
-
-def eval_W(state: BranchState, form: FormIndex, k: int) -> complex:
-    """Value of W on the sheet selected by the branch state."""
-    e = exponent_vector(form, k)
-    return complex(np.exp(np.dot(e, np.asarray(state.logs, dtype=complex))))
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -306,37 +239,45 @@ def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def _line_clear(a: complex, b: complex, R, exclude: set[int], clearance: float) -> bool:
-    for idx, r in enumerate(R):
-        if idx in exclude:
-            continue
-        if _point_segment_distance(complex(r), a, b) < clearance:
-            return False
-    return True
+def _line_clear(a: complex, b: complex, pts, clearances: dict[int, float]) -> bool:
+    return all(
+        _point_segment_distance(pts[idx], a, b) >= c for idx, c in clearances.items()
+    )
 
 
 def clear_leg(z_from: complex, z_to: complex, R, exclude: set[int]) -> list[Line]:
     """Straight leg from z_from to z_to, detoured at the midpoint if it
-    passes within the minimum clearance of a branch point not in exclude.
+    passes too close to a branch point r_t not in exclude.
 
-    Raises ClearanceUnachievable when no perpendicular offset up to the
-    diameter of R clears the remaining branch points.
+    r_t is too close when its distance to a piece is below _LEG_CLEARANCE
+    times the smaller of the leg's length and |r_t - z_to|: the quadrature
+    converges at a rate set by distance over length, and tanh-sinh already
+    resolves a neighbour of the target end.  Both halves of a detour are
+    held to the clearances of the outer leg.
+
+    Raises ClearanceUnachievable for a zero-length leg, and when no
+    perpendicular offset up to the diameter of R clears the branch points.
     """
-    clearance = min_clearance(R)
-    if _line_clear(z_from, z_to, R, exclude, clearance):
-        return [Line(z_from, z_to)]
     span = z_to - z_from
     if span == 0:
-        raise ClearanceUnachievable("degenerate zero-length leg near a branch point")
+        raise ClearanceUnachievable("degenerate zero-length leg")
+    pts = [complex(r) for r in R]
+    clearances = {
+        idx: _LEG_CLEARANCE * min(abs(span), abs(r - z_to))
+        for idx, r in enumerate(pts)
+        if idx not in exclude
+    }
+    if _line_clear(z_from, z_to, pts, clearances):
+        return [Line(z_from, z_to)]
     perp = 1j * span / abs(span)
     mid = 0.5 * (z_from + z_to)
     diam = diameter(R)
-    offset = clearance
+    offset = max(clearances.values())
     while offset <= diam:
         for sign in (+1.0, -1.0):
             m = mid + sign * offset * perp
-            if _line_clear(z_from, m, R, exclude, clearance) and _line_clear(
-                m, z_to, R, exclude, clearance
+            if _line_clear(z_from, m, pts, clearances) and _line_clear(
+                m, z_to, pts, clearances
             ):
                 return [Line(z_from, m), Line(m, z_to)]
         offset *= 2.0
@@ -347,18 +288,20 @@ def clear_leg(z_from: complex, z_to: complex, R, exclude: set[int]) -> list[Line
 
 def loop_path(base_point: complex, i: int, R, orientation: int) -> Path:
     """Standard loop realizing the i-th fundamental-group generator (or its
-    inverse for orientation -1): radial line in, full circle around r_i,
-    radial line back out."""
+    inverse for orientation -1): in along the J leg's route to r_i, cut at
+    the circle, a full circle around r_i, and the same route back out."""
     if orientation not in (+1, -1):
         raise ValueError("orientation must be +1 or -1")
     z0 = complex(base_point)
     r = complex(R[i - 1])
     if z0 == r:
         raise BasePointOnBranchPoint(f"base point {z0} is a branch point")
+    legs = clear_leg(z0, r, R, exclude={i - 1})
+    last = legs[-1].start
     rho = loop_radius(i, R)
-    theta0 = cmath.phase(z0 - r)
+    theta0 = cmath.phase(last - r)
     entry = r + rho * cmath.exp(1j * theta0)
-    inbound = clear_leg(z0, entry, R, exclude={i - 1})
+    inbound = legs[:-1] + [Line(last, entry)]
     circle = Arc(
         center=r,
         radius=rho,

@@ -2,7 +2,7 @@
 
 Three routes that never touch the closed-form entry formula:
 
-* `integrate_word` integrates the multivalued integrand along the literal
+* `WordIntegrator` integrates the multivalued integrand along the literal
   loop concatenation spelled by a homology word, with the branch state
   carried continuously through every letter;
 * `beta_closed_form` gives the classical Beta value that the rank-2 base
@@ -99,14 +99,6 @@ class WordIntegrator:
             raise ValueError(f"alpha={form.alpha} is not a form of this curve")
         return self._columns[form.alpha]
 
-    def single_loop_integral(
-        self, i: int, form: FormIndex, orientation: int = +1
-    ) -> complex:
-        """-1/k times the loop integral for one generator traversal from the
-        reference state; the commutator decomposition is built from these."""
-        row, _ = self._loop_row(i, orientation)
-        return complex(-row[self._column(form)] / self.spec.k)
-
     def word_row(self, word: HomologyWord) -> np.ndarray:
         """-1/k times the word's integral for every form, in form order:
         -sum_s exp(E acc_s) V_s / k over the letters s, with V_s the loop
@@ -135,17 +127,6 @@ class WordIntegrator:
             (value,), state = self._loop_integral(i, sign, state, [form])
             total += value
         return -total / self.spec.k
-
-
-def integrate_word(
-    word: HomologyWord,
-    form: FormIndex,
-    spec: CurveSpec,
-    cfg: QuadConfig,
-    memoize: bool = True,
-) -> complex:
-    """One-shot contour integral of a homology word (see WordIntegrator)."""
-    return WordIntegrator(spec, cfg).integrate_word(word, form, memoize=memoize)
 
 
 def beta_closed_form(form: FormIndex, k: int) -> float:
@@ -186,19 +167,6 @@ def agm_elliptic_periods(lam: complex) -> tuple[complex, complex]:
     if abs(tau.imag) < 1e-12:
         raise DegenerateLambda(f"period ratio degenerated for lambda = {lam}")
     return w1, w2
-
-
-def reduce_tau(tau: complex) -> complex:
-    """Lattice-shape invariant: the period ratio moved into the standard
-    fundamental domain (|Re| <= 1/2, |tau| >= 1, Im > 0)."""
-    if tau.imag < 0:
-        tau = -tau
-    for _ in range(200):
-        tau = complex(tau.real - round(tau.real), tau.imag)
-        if abs(tau) >= 1.0 - 1e-14:
-            break
-        tau = -1.0 / tau
-    return tau
 
 
 def _mutual_integer_expressible(

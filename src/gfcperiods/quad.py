@@ -29,7 +29,7 @@ import numpy as np
 from . import contour
 from .contour import BranchState, Path
 from .curve import CurveSpec, FormIndex
-from .errors import NoConvergence, StepTooCoarse
+from .errors import ClearanceUnachievable, NoConvergence, StepTooCoarse
 
 # t-range of the double-exponential substitution; beyond this the node
 # distance to the endpoint drops under the 1e-290 clip.
@@ -287,14 +287,16 @@ def leg_row(
     """Integrals of W dw from the state's point to branch point r_i, one
     per form.
 
-    The leg follows the straight line, detoured at its midpoint if another
-    branch point comes within the minimum clearance; any detour prefix
-    goes through the smooth kernel once for all forms, and the singular
-    final piece through one tanh-sinh integrator whose continuation tables
-    all forms share.
+    The leg follows the route of `contour.clear_leg`, which the oracle's
+    loop around r_i shares; any detour prefix goes through the smooth
+    kernel once for all forms, and the singular final piece through one
+    tanh-sinh integrator whose continuation tables all forms share.
     """
     R = state.branch_points
-    legs = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
+    try:
+        legs = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
+    except ClearanceUnachievable as err:
+        raise ClearanceUnachievable(f"base integral i={i}: {err}") from err
     row = np.zeros(len(forms), dtype=complex)
     if not forms:
         return row

@@ -9,7 +9,7 @@ import pytest
 
 import gfcperiods
 import gfcperiods.cli as cli
-from gfcperiods import assemble, validate_spec
+from gfcperiods import assemble, contour, validate_spec
 from gfcperiods.errors import NotFullRank
 from gfcperiods.homology import ConjComm, Power, enumerate_generators
 from gfcperiods.quad import QuadConfig
@@ -91,13 +91,16 @@ def test_periods_json_round_trip(capsys, tmp_path):
         capsys, "periods", "-k", "3", "-n", "2", "--out", str(out_path)
     )
     assert code == 0
-    parsed = cli.parse_periods_json(out_path.read_text())
+    raw = json.loads(out_path.read_text())
     pm = assemble(validate_spec(3, 2, []), QuadConfig())
-    assert parsed["k"] == 3 and parsed["n"] == 2
-    assert parsed["genus"] == 1
-    assert parsed["forms"] == [f.alpha for f in pm.cols]
-    assert np.array_equal(parsed["entries"], pm.entries)
-    assert parsed["base_point"] == pm.base_point
+    assert raw["k"] == 3 and raw["n"] == 2
+    assert raw["genus"] == 1
+    assert raw["forms"] == [list(f.alpha) for f in pm.cols]
+    assert raw["generators"] == [cli._generator_dict(w) for w in pm.rows]
+    # [re, im] pairs of doubles viewed as complex, bit for bit
+    entries = np.asarray(raw["periods"], dtype=float).view(complex)[..., 0]
+    assert np.array_equal(entries, pm.entries)
+    assert complex(*raw["base_point"]) == pm.base_point
 
 
 def test_periods_csv_round_trip(capsys, tmp_path):
@@ -108,11 +111,14 @@ def test_periods_csv_round_trip(capsys, tmp_path):
         "--format", "csv", "--out", str(out_path),
     )
     assert code == 0
-    parsed = cli.parse_periods_csv(out_path.read_text())
+    header, *lines = out_path.read_text().splitlines()
     pm = assemble(validate_spec(2, 3, [2.0]), QuadConfig())
-    assert parsed["forms"] == [f.alpha for f in pm.cols]
-    assert parsed["generators"] == list(pm.rows)
-    assert np.array_equal(parsed["entries"], pm.entries)
+    assert [f.alpha for f in pm.cols] == [(0, 1, 1)]
+    assert header == "generator,re_0.1.1,im_0.1.1"
+    cells = [line.split(",") for line in lines]
+    assert [row[0] for row in cells] == [cli._word_label(w) for w in pm.rows]
+    entries = np.asarray([row[1:] for row in cells], dtype=float).view(complex)
+    assert np.array_equal(entries, pm.entries)
 
 
 def test_periods_deterministic_output(capsys, tmp_path):
@@ -258,8 +264,9 @@ def test_float_formatting_round_trips():
 
 
 def test_word_label_round_trip():
-    for word in [Power(2), ConjComm(g=(0, 2, 1), j=1, l=3)]:
-        assert cli._parse_word_label(cli._word_label(word)) == word
+    assert cli._word_label(Power(2)) == "power:i=2"
+    word = ConjComm(g=(0, 2, 1), j=1, l=3)
+    assert cli._word_label(word) == "conj_comm:j=1;l=3;g=0.2.1"
 
 
 def test_periods_step_too_coarse_names_the_leg(capsys):
@@ -269,6 +276,15 @@ def test_periods_step_too_coarse_names_the_leg(capsys):
     assert code == 2
     assert out == ""
     assert "i=1" in err
+
+
+def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
+    # a clearance wider than the branch set leaves no detour for any leg
+    monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
+    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "2")
+    assert code == 2
+    assert out == ""
+    assert "base integral i=1: no midpoint detour" in err
 
 
 def _hand_set_matrix():
@@ -324,15 +340,9 @@ def test_periods_to_csv_matches_element_rendering():
     assert "-0,5.2441151085842401" in text
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 1: the J leg to r_1 and the oracle's loop 1 take their "
-        "midpoint detours on opposite sides of lambda"
-    ),
-)
 def test_verify_passes_with_lambda_near_the_leg_to_r1(capsys):
+    # lambda lies 1.1e-4 from the straight line between z0 and r_1, so the
+    # J leg and the oracle's loop 1 both take the same midpoint detour
     code, out, err = run_cli(
         capsys, "verify", "-k", "4", "-n", "3", "-l", "0.115+0.842i"
     )
@@ -340,18 +350,60 @@ def test_verify_passes_with_lambda_near_the_leg_to_r1(capsys):
     assert code == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 1: leg 5 passes 7.1e-4 from r_3, outside the detour "
-        "clearance but too close for tanh-sinh to converge by level 14"
-    ),
-)
 def test_periods_converges_with_a_leg_close_to_a_branch_point(capsys):
+    # leg 5 is about 11.5 long and passes 7.1e-4 from r_3: a detour
     code, out, err = run_cli(
         capsys, "periods", "-k", "2", "-n", "5",
         "-l", "0.05056+1.671i", "-l", "0.1256-0.6405i", "-l", "-0.06184-2.823i",
     )
     assert "base integral i=5" not in err
     assert code == 0
+
+
+def test_periods_converges_with_lambda_next_to_the_target(capsys):
+    # lambda = 1.0001 lies within any fixed fraction of the leg length of
+    # every path into r_2 = 1; tanh-sinh resolves it without a detour
+    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "3", "-l", "1.0001")
+    assert code == 0, err
+
+
+def _near_collinear_lambda(rho: float, side: int) -> complex:
+    """lambda_2 of the (3, 4) curve with lambda_1 = -3, placed 80% of the
+    way from the base point z0 to r_1 = 0 and offset sideways by rho |z0|.
+    z0 moves with lambda_2, so the placement is iterated to its fixed point."""
+    lam = 0j
+    for _ in range(100):
+        z0 = contour.default_base_point((0j, 1 + 0j, -3 + 0j, lam))
+        lam, prev = 0.2 * z0 + side * rho * 1j * z0, lam
+        if lam == prev:
+            return lam
+    raise AssertionError("lambda placement did not reach a fixed point")
+
+
+@pytest.mark.parametrize("side", [+1, -1])
+@pytest.mark.parametrize("rho", [1e-5, 1e-4, 1e-3, 1e-2])
+def test_verify_passes_on_near_collinear_lambda(capsys, rho, side):
+    lam = _near_collinear_lambda(rho, side)
+    R = (0j, 1 + 0j, -3 + 0j, lam)
+    # the family straddles the clearance: the closer members detour
+    legs = contour.clear_leg(contour.default_base_point(R), 0j, R, exclude={0})
+    assert len(legs) == (2 if rho < 1e-3 else 1)
+    code, out, err = run_cli(
+        capsys, "verify", "-k", "3", "-n", "4", "-l", "-3",
+        "-l", f"{lam.real!r},{lam.imag!r}",
+    )
+    assert code == 0, err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1, adaptive panels: the oracle's loop runs out of "
+        "Gauss-Legendre panels at 8192 and verify exits 3"
+    ),
+)
+@pytest.mark.parametrize("k,lam", [(2, "1e6"), (3, "1.0001")])
+def test_verify_passes_with_extreme_lambda(capsys, k, lam):
+    code, out, err = run_cli(capsys, "verify", "-k", str(k), "-n", "3", "-l", lam)
+    assert code == 0, err

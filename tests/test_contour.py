@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from gfcperiods import eval_W, init_branch, loop_path, validate_spec
+from gfcperiods import contour, init_branch, loop_path, validate_spec
 from gfcperiods.contour import (
     Arc,
     Line,
     Path,
-    continue_along,
     clear_leg,
     default_base_point,
-    exponent_vector,
+    exponent_matrix,
     loop_radius,
-    min_clearance,
+    segment_logs,
+    segment_points,
 )
 from gfcperiods.curve import FormIndex
 from gfcperiods.errors import (
@@ -24,6 +24,21 @@ from gfcperiods.errors import (
 )
 
 R2 = (0j, 1 + 0j)
+# Walk parameters per segment: interior samples, so that a closed arc is
+# not read as zero winding.
+SEED = np.linspace(0.0, 1.0, 33)
+
+
+def _walk(logs, path, R):
+    """Logs continued segment by segment along the path."""
+    for seg in path.segments:
+        logs = segment_logs(seg, SEED, R, logs)[-1]
+    return logs
+
+
+def _W(logs, form, k):
+    """W on the sheet selected by the continued logs."""
+    return complex(np.exp(exponent_matrix([form], k, len(form.alpha))[0] @ logs))
 
 
 def test_init_branch_principal_values():
@@ -59,39 +74,54 @@ def _full_circle(center, radius, start_point, orientation):
 
 def test_winding_increments_ccw_around_origin():
     st = init_branch(0.25 + 0j, R2)
-    out = continue_along(st, _full_circle(0j, 0.25, 0.25 + 0j, +1))
-    delta = np.asarray(out.logs) - np.asarray(st.logs)
+    delta = _walk(st.logs, _full_circle(0j, 0.25, 0.25 + 0j, +1), R2) - st.logs
     assert abs(delta[0] - 2j * math.pi) < 1e-10
     assert abs(delta[1]) < 1e-10
 
 
 def test_winding_increments_cw_around_one():
     st = init_branch(1.25 + 0j, R2)
-    out = continue_along(st, _full_circle(1 + 0j, 0.25, 1.25 + 0j, -1))
-    delta = np.asarray(out.logs) - np.asarray(st.logs)
+    delta = _walk(st.logs, _full_circle(1 + 0j, 0.25, 1.25 + 0j, -1), R2) - st.logs
     assert abs(delta[0]) < 1e-10
     assert abs(delta[1] + 2j * math.pi) < 1e-10
 
 
 def test_empty_path_is_identity():
+    # a walk over a single parameter moves nowhere and returns the start logs
     st = init_branch(1j, R2)
-    assert continue_along(st, Path(segments=())) is st
+    seg = Line(1j, 2 + 1j)
+    out = segment_logs(seg, np.zeros(1), R2, st.logs)
+    assert out.shape == (1, 2)
+    assert tuple(out[0]) == st.logs
 
 
 def test_path_reversal_restores_logs():
-    z0 = default_base_point(R2)
-    st = init_branch(z0, R2)
-    loop = loop_path(z0, 1, R2, +1)
-    roundtrip = continue_along(continue_along(st, loop), loop.reversed())
-    delta = np.asarray(roundtrip.logs) - np.asarray(st.logs)
-    assert np.max(np.abs(delta)) < 1e-10
+    # the -1 loop is the +1 loop reversed, point for point, and walking one
+    # after the other restores the logs
+    # (the second base point's route to r_1 takes a midpoint detour)
+    R3 = (0j, 1 + 0j, 0.5 + 1e-9j)
+    for R, z0, i, nseg in [
+        (R2, default_base_point(R2), 1, 3),
+        (R3, 2.5 + 5e-9j, 1, 5),
+        (R3, 2.5 + 5e-9j, 2, 3),
+    ]:
+        fwd = loop_path(z0, i, R, +1).segments
+        back = loop_path(z0, i, R, -1).segments
+        assert len(fwd) == len(back) == nseg
+        for a, b in zip(fwd, reversed(back)):
+            assert type(a) is type(b)
+            gap = segment_points(a, SEED) - segment_points(b, SEED[::-1])
+            assert np.max(np.abs(gap)) < 1e-12
+        st = init_branch(z0, R)
+        roundtrip = _walk(_walk(st.logs, Path(fwd), R), Path(back), R)
+        assert np.max(np.abs(roundtrip - st.logs)) < 1e-10
 
 
 def test_step_too_coarse_raises():
     # the segment passes exactly through the branch point 0
     st = init_branch(-0.5 + 0j, R2)
     with pytest.raises(StepTooCoarse):
-        continue_along(st, Path(segments=(Line(-0.5 + 0j, 0.5 + 0j),)))
+        segment_logs(Line(-0.5 + 0j, 0.5 + 0j), SEED, R2, st.logs)
 
 
 def test_eval_w_principal_value():
@@ -99,7 +129,7 @@ def test_eval_w_principal_value():
     form = FormIndex(alpha=(0, 1, 1))
     z0 = 0.5 + 2j
     st = init_branch(z0, spec.branch_points)
-    got = eval_W(st, form, spec.k)
+    got = _W(st.logs, form, spec.k)
     expected = 1.0 / cmath.sqrt(-z0 * (z0 - 1) * (z0 - 2))
     # both sides are principal products of principal factors at a generic point
     assert abs(got - expected) < 1e-12 or abs(got + expected) < 1e-12
@@ -112,9 +142,8 @@ def test_eval_w_monodromy_ratio(i):
     R = spec.branch_points
     z0 = default_base_point(R)
     st = init_branch(z0, R)
-    before = eval_W(st, form, spec.k)
-    out = continue_along(st, loop_path(z0, i, R, +1))
-    after = eval_W(out, form, spec.k)
+    before = _W(st.logs, form, spec.k)
+    after = _W(_walk(st.logs, loop_path(z0, i, R, +1), R), form, spec.k)
     if i == 1:
         expected = cmath.exp(2j * math.pi * (form.alpha[0] + 1) / spec.k)
     else:
@@ -140,13 +169,21 @@ def test_clear_leg_detours_around_interior_point():
     z0 = 2.5 + 5e-9j  # straight line to 0 passes through r_3
     legs = clear_leg(z0, 0j, R, exclude={0})
     assert len(legs) == 2
-    clearance = min_clearance(R)
+    assert legs[0].start == z0 and legs[-1].end == 0j
+    r3 = 0.5 + 1e-9j
+    clearance = contour._LEG_CLEARANCE * min(abs(z0), abs(r3))
     for seg in legs:
-        # midpoint of each piece stays clear of r_3
-        mid = 0.5 * (seg.start + seg.end)
-        assert abs(mid - (0.5 + 1e-9j)) > clearance or abs(seg.end - 0j) < 1e-12
+        # each piece stays clear of r_3
+        dist = np.min(np.abs(segment_points(seg, np.linspace(0, 1, 1001)) - r3))
+        assert dist >= clearance
+    # the loop around r_1 follows the same route, cut at its circle
     path = loop_path(z0, 1, R, +1)
     assert len(path.segments) == 5
+    assert path.segments[0] == legs[0]
+    inbound = path.segments[1]
+    assert inbound.start == legs[1].start
+    assert abs(abs(inbound.end) - loop_radius(1, R)) < 1e-15
+    assert abs(cmath.phase(inbound.end) - cmath.phase(legs[1].start)) < 1e-12
 
 
 def test_clear_leg_unachievable_for_degenerate_leg():
@@ -155,17 +192,22 @@ def test_clear_leg_unachievable_for_degenerate_leg():
 
 
 def test_exponent_vector():
-    e = exponent_vector(FormIndex(alpha=(1, 3)), 4)
+    (e,) = exponent_matrix([FormIndex(alpha=(1, 3))], 4, 2)
     assert np.allclose(e, [2 / 4 - 1, -3 / 4])
 
 
-def test_branch_state_invariant_preserved_along_paths():
-    from gfcperiods.contour import branch_state_residual
+def _residual(w, logs, R):
+    """Largest relative mismatch between exp(logs) and the factors they
+    track: -w, then w - r_t for t >= 2."""
+    targets = np.concatenate(([-w], w - np.asarray(R[1:])))
+    return float(np.max(np.abs(np.exp(logs) - targets) / np.abs(targets)))
 
+
+def test_branch_state_invariant_preserved_along_paths():
     R = (0j, 1 + 0j, -1.5 + 0j)
     z0 = default_base_point(R)
     st = init_branch(z0, R)
-    assert branch_state_residual(st) < 1e-12
+    assert _residual(z0, np.asarray(st.logs), R) < 1e-12
     for i in (1, 2, 3):
-        moved = continue_along(st, loop_path(z0, i, R, +1))
-        assert branch_state_residual(moved) < 1e-12
+        moved = _walk(st.logs, loop_path(z0, i, R, +1), R)
+        assert _residual(z0, moved, R) < 1e-12

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 
 import numpy as np
@@ -12,14 +13,13 @@ from gfcperiods import (
     beta_closed_form,
     crosscheck_report,
     enumerate_forms,
-    integrate_word,
     quad,
     validate_spec,
 )
 from gfcperiods.curve import FormIndex
 from gfcperiods.errors import DegenerateLambda, InvalidArity, NoConvergence
 from gfcperiods.homology import ConjComm, Power
-from gfcperiods.oracle import WordIntegrator, _optimal_agm, reduce_tau
+from gfcperiods.oracle import WordIntegrator, _optimal_agm
 from gfcperiods.periods import zeta_power
 
 
@@ -33,11 +33,11 @@ def test_separa_decomposition(wi32):
     wi, _ = wi32
     spec = wi.spec
     k = spec.k
-    for form in enumerate_forms(spec):
+    for c, form in enumerate(enumerate_forms(spec)):
         m = form.m_exponents
         lhs = wi.integrate_word(ConjComm(g=(0, 0), j=1, l=2), form)
-        i1 = wi.single_loop_integral(1, form)
-        i2 = wi.single_loop_integral(2, form)
+        i1 = -wi._loop_row(1, +1)[0][c] / k
+        i2 = -wi._loop_row(2, +1)[0][c] / k
         rhs = (1 - zeta_power(k, m[1])) * i1 - (1 - zeta_power(k, m[0])) * i2
         assert abs(lhs - rhs) / abs(rhs) < 1e-8
 
@@ -48,7 +48,7 @@ def test_expliciti_reduction(wi32):
     for c, form in enumerate(enumerate_forms(spec)):
         m = form.m_exponents
         for i in (1, 2):
-            lhs = wi.single_loop_integral(i, form)
+            lhs = -wi._loop_row(i, +1)[0][c] / spec.k
             rhs = -(1 - zeta_power(spec.k, m[i - 1])) * J[i - 1, c] / spec.k
             assert abs(lhs - rhs) / abs(rhs) < 1e-8
 
@@ -180,6 +180,19 @@ def test_agm_matches_adaptive_quadrature(lam):
     assert abs((w2 / w1).imag) > 0.1
 
 
+def _reduce_tau(tau: complex) -> complex:
+    """The period ratio moved into the standard fundamental domain
+    (|Re| <= 1/2, |tau| >= 1, Im > 0)."""
+    if tau.imag < 0:
+        tau = -tau
+    for _ in range(200):
+        tau = complex(tau.real - round(tau.real), tau.imag)
+        if abs(tau) >= 1.0 - 1e-14:
+            break
+        tau = -1.0 / tau
+    return tau
+
+
 def test_agm_lattice_shape_invariant_under_moebius():
     # lambda, 1 - lambda and 1/lambda give isomorphic curves, so the reduced
     # period ratios coincide
@@ -187,7 +200,7 @@ def test_agm_lattice_shape_invariant_under_moebius():
         taus = []
         for image in (lam, 1 - lam, 1 / lam):
             w1, w2 = agm_elliptic_periods(image)
-            taus.append(reduce_tau(w2 / w1))
+            taus.append(_reduce_tau(w2 / w1))
         for tau in taus[1:]:
             assert abs(tau - taus[0]) < 1e-8
 
@@ -239,17 +252,21 @@ def test_crosscheck_report_checks_the_lattice(k, n, lams, quad_cfg):
     assert report.passed
 
 
+def test_crosscheck_report_passes_on_random_lambda(quad_cfg):
+    # 40 seeded random curves; their branch points land anywhere in the
+    # square |Re|, |Im| <= 3, some close to each other or to a leg
+    kinds = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (4, 3), (3, 4)]
+    rng = random.Random(0)
+    for c in range(40):
+        k, n = kinds[c % len(kinds)]
+        lams = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n - 2)]
+        report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, sample=5, seed=c)
+        assert report.passed, (k, n, lams, report.checks)
+
+
 def test_crosscheck_report_agm_branch(quad_cfg):
     report = crosscheck_report(validate_spec(2, 3, [2.0]), quad_cfg, sample=5, seed=3)
     assert report.passed
     names = {c.name for c in report.checks}
     assert {"lattice_double_inclusion", "agm_lattice_equality"} <= names
 
-
-def test_integrate_word_free_function(quad_cfg):
-    spec = validate_spec(3, 2, [])
-    form = enumerate_forms(spec)[0]
-    word = ConjComm(g=(0, 0), j=1, l=2)
-    value = integrate_word(word, form, spec, quad_cfg)
-    wi = WordIntegrator(spec, quad_cfg)
-    assert value == wi.integrate_word(word, form)
