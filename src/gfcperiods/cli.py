@@ -7,7 +7,9 @@ stderr.  Exit codes: 2 invalid input, 3 quadrature non-convergence,
 4 lattice extraction failure, 1 failed verification.
 
 All floating-point output uses 17 significant digits, so parsing the
-emitted JSON or CSV reproduces every double bit-exactly.
+emitted JSON or CSV reproduces every double bit-exactly.  A numeric matrix
+is rendered from a table of its distinct values, each formatted once; the
+text is the same as formatting every element on its own.
 """
 
 from __future__ import annotations
@@ -62,14 +64,45 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _Rendered(str):
-    """JSON text that _json_dump emits verbatim."""
+def _cell_text(a: np.ndarray) -> np.ndarray:
+    """The text of every cell of a float or integer array, as an object array
+    of the same shape.  Each distinct value is formatted once: floats keyed
+    by their bit pattern (so -0.0 keeps its sign) with "%.17g", which renders
+    a double exactly as _fmt does, and integers with str."""
+    if a.dtype.kind == "f":
+        bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        table = ["%.17g" % x for x in keys.view(np.float64).tolist()]
+    elif a.dtype.kind in "iu":
+        keys, inverse = np.unique(a, return_inverse=True)
+        table = [str(x) for x in keys.tolist()]
+    else:
+        raise TypeError(f"cannot serialize an array of {a.dtype}")
+    # before numpy 2 the inverse is flat; since then it has the input's shape
+    return np.array(table, dtype=object)[inverse.reshape(a.shape)]
+
+
+def _filled_rows(template: str, cells: np.ndarray, *lead) -> list[str]:
+    """Each leading row of cells filled through one "%s" template, after
+    that row's item of every sequence in lead."""
+    flat = cells.reshape(len(cells), math.prod(cells.shape[1:])).tolist()
+    return [template % (*head, *row) for *head, row in zip(*lead, flat)]
+
+
+def _json_template(shape: tuple[int, ...]) -> str:
+    """A "%s" template for a nested JSON list of the given shape."""
+    if not shape:
+        return "%s"
+    return "[" + ", ".join([_json_template(shape[1:])] * shape[0]) + "]"
+
+
+def _json_object(members: dict[str, str]) -> str:
+    """A JSON object from its keys and their rendered values."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in members.items()) + "}"
 
 
 def _json_dump(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
-    if isinstance(obj, _Rendered):
-        return obj
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -80,12 +113,13 @@ def _json_dump(obj) -> str:
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        rows = _filled_rows(_json_template(obj.shape[1:]), _cell_text(obj))
+        return "[" + ", ".join(rows) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ", ".join(
-            f"{json.dumps(k)}: {_json_dump(v)}" for k, v in obj.items()
-        ) + "}"
+        return _json_object({k: _json_dump(v) for k, v in obj.items()})
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -93,10 +127,25 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _re_im(entries: np.ndarray) -> np.ndarray:
+    """A complex matrix as doubles, with a trailing (re, im) axis."""
+    return np.stack((entries.real, entries.imag), axis=-1)
+
+
 def _generator_dict(word) -> dict:
     if isinstance(word, Power):
         return {"type": "power", "i": word.i}
     return {"type": "conj_comm", "g": list(word.g), "j": word.j, "l": word.l}
+
+
+def _generators_json(words, n: int) -> str:
+    """The words as _json_dump renders their _generator_dict, through one
+    template per word kind."""
+    power = '{"type": "power", "i": %d}'
+    conj = '{"type": "conj_comm", "g": [' + ", ".join(["%d"] * n) + '], "j": %d, "l": %d}'
+    return "[" + ", ".join(
+        power % w.i if isinstance(w, Power) else conj % (*w.g, w.j, w.l) for w in words
+    ) + "]"
 
 
 def _word_label(word) -> str:
@@ -110,26 +159,16 @@ def _form_label(form) -> str:
     return ".".join(str(a) for a in form.alpha)
 
 
-def _interleaved_rows(entries: np.ndarray) -> list[list[float]]:
-    """Rows of a complex matrix as Python floats, re and im interleaved,
-    ready for one "%.17g" template per row ("%.17g" % x renders a double
-    exactly as format(x, ".17g") does)."""
-    pairs = np.stack((entries.real, entries.imag), axis=-1)
-    return pairs.reshape(len(entries), -1).tolist()
-
-
 def periods_to_json(pm) -> str:
-    template = "[" + ", ".join(["[%.17g, %.17g]"] * len(pm.cols)) + "]"
-    rows = [template % tuple(row) for row in _interleaved_rows(pm.entries)]
-    return _json_dump({
-        "k": pm.spec.k,
-        "n": pm.spec.n,
-        "lambdas": [_pair(v) for v in pm.spec.lambdas],
-        "genus": genus(pm.spec),
-        "forms": [list(f.alpha) for f in pm.cols],
-        "generators": [_generator_dict(w) for w in pm.rows],
-        "periods": _Rendered("[" + ", ".join(rows) + "]"),
-        "base_point": _pair(pm.base_point),
+    return _json_object({
+        "k": _json_dump(pm.spec.k),
+        "n": _json_dump(pm.spec.n),
+        "lambdas": _json_dump([_pair(v) for v in pm.spec.lambdas]),
+        "genus": _json_dump(genus(pm.spec)),
+        "forms": _json_dump([list(f.alpha) for f in pm.cols]),
+        "generators": _generators_json(pm.rows, pm.spec.n),
+        "periods": _json_dump(_re_im(pm.entries)),
+        "base_point": _json_dump(_pair(pm.base_point)),
     }) + "\n"
 
 
@@ -138,10 +177,10 @@ def periods_to_csv(pm) -> str:
     for f in pm.cols:
         label = _form_label(f)
         header.extend([f"re_{label}", f"im_{label}"])
-    template = "%s" + ",%.17g,%.17g" * len(pm.cols)
-    lines = [",".join(header)]
-    for word, row in zip(pm.rows, _interleaved_rows(pm.entries)):
-        lines.append(template % (_word_label(word), *row))
+    template = "%s" + ",%s,%s" * len(pm.cols)
+    labels = [_word_label(w) for w in pm.rows]
+    cells = _cell_text(_re_im(pm.entries))
+    lines = [",".join(header), *_filled_rows(template, cells, labels)]
     return "\n".join(lines) + "\n"
 
 
@@ -150,9 +189,9 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def basis_payload(spec, result) -> dict:
-    """The basis as a JSON-ready dict.  |det| can exceed the double range at
-    large genus: abs_det is then None (JSON null), and log10_abs_det, from
-    slogdet, still carries its size."""
+    """The basis as a dict for _json_dump, its matrices kept as arrays.
+    |det| can exceed the double range at large genus: abs_det is then None
+    (JSON null), and log10_abs_det, from slogdet, still carries its size."""
     abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
     if result.basis.size:
         with np.errstate(over="ignore"):
@@ -163,9 +202,9 @@ def basis_payload(spec, result) -> dict:
         "n": spec.n,
         "lambdas": [_pair(v) for v in spec.lambdas],
         "genus": genus(spec),
-        "basis": [[float(x) for x in row] for row in result.basis],
-        "coefficients": [[int(x) for x in row] for row in result.coefficients],
-        "from_generators": [[int(x) for x in row] for row in result.from_generators],
+        "basis": result.basis,
+        "coefficients": result.coefficients,
+        "from_generators": result.from_generators,
         "residual": float(result.residual),
         "abs_det": _finite_or_none(abs_det),
         "log10_abs_det": _finite_or_none(log10_abs_det),
@@ -174,15 +213,23 @@ def basis_payload(spec, result) -> dict:
 
 def basis_to_csv(payload: dict) -> str:
     lines = ["kind,index," + ",".join(f"c{j}" for j in range(len(payload["basis"])))]
-    for idx, row in enumerate(payload["basis"]):
-        lines.append(f"basis,{idx}," + ",".join(_fmt(x) for x in row))
-    for idx, row in enumerate(payload["coefficients"]):
-        lines.append(f"coefficients,{idx}," + ",".join(str(x) for x in row))
+    for kind in ("basis", "coefficients"):
+        cells = _cell_text(payload[kind])
+        template = f"{kind},%d," + ",".join(["%s"] * cells.shape[1])
+        lines.extend(_filled_rows(template, cells, range(len(cells))))
     lines.append(f"residual,0,{_fmt(payload['residual'])}")
     for key in ("abs_det", "log10_abs_det"):
         value = payload[key]
         lines.append(f"{key},0," + ("" if value is None else _fmt(value)))
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    """text as one CSV cell: quoted, with inner quotes doubled, when it holds
+    a comma or a quote (RFC 4180)."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def info_payload(spec, include_powers: bool) -> dict:
@@ -243,7 +290,7 @@ def cmd_info(cfg: JobConfig) -> int:
     spec = validate_spec(cfg.k, cfg.n, cfg.lambdas)
     payload = info_payload(spec, cfg.include_powers)
     if cfg.fmt == "csv":
-        lines = [f"{key},{_json_dump(val)}" for key, val in payload.items()]
+        lines = [f"{key},{_csv_cell(_json_dump(val))}" for key, val in payload.items()]
         _emit("\n".join(lines) + "\n", cfg.out)
     else:
         _emit(_json_dump(payload) + "\n", cfg.out)

@@ -1,3 +1,6 @@
+import csv
+import functools
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ import pytest
 
 import gfcperiods
 import gfcperiods.cli as cli
-from gfcperiods import assemble, contour, validate_spec
+from gfcperiods import assemble, contour, extract_basis, genus, real_split, validate_spec
 from gfcperiods.errors import NotFullRank
 from gfcperiods.homology import ConjComm, Power, enumerate_generators
 from gfcperiods.quad import QuadConfig
@@ -54,6 +57,19 @@ def test_info_k2_n3(capsys):
     assert payload["genus"] == 1
     assert payload["num_forms"] == 1
     assert payload["num_generators"] == 24
+
+
+def test_info_csv_rows_read_back_as_the_json_values(capsys):
+    argv = ["info", "-k", "2", "-n", "4", "-l", "-1.5", "-l", "2+1i"]
+    _, out_json, _ = run_cli(capsys, *argv)
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = json.loads(out_json)
+    rows = list(csv.reader(io.StringIO(out_csv)))
+    assert [row[0] for row in rows] == list(payload)
+    for row in rows:
+        assert len(row) == 2, row
+        assert json.loads(row[1]) == payload[row[0]]
 
 
 @pytest.mark.parametrize("flag", ["-l", "--lambda"])
@@ -179,10 +195,10 @@ def test_basis_payload_with_overflowing_det_is_valid_json():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         payload = cli.basis_payload(spec, result)
-    parsed = json.loads(cli._json_dump(payload))
+        parsed = json.loads(cli._json_dump(payload))
+        lines = cli.basis_to_csv(payload).splitlines()
     assert parsed["abs_det"] is None
     assert abs(parsed["log10_abs_det"] - 400.0) < 1e-12
-    lines = cli.basis_to_csv(payload).splitlines()
     assert "abs_det,0," in lines
     assert any(line.startswith("log10_abs_det,0,400") for line in lines)
 
@@ -309,35 +325,162 @@ def _hand_set_matrix():
     )
 
 
-def test_periods_to_json_matches_element_rendering():
-    pm = _hand_set_matrix()
+def _element_json(obj) -> str:
+    """Reference JSON rendering, one recursive call per value: the CLI's
+    output must match it byte for byte."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_element_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {_element_json(v)}" for k, v in obj.items()
+        ) + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# Curves rendered against the reference: (k, n, lambdas, include_powers).
+_RENDER_CURVES = {
+    "k4n3": (4, 3, [-1.5], False),
+    "k2n4": (2, 4, [-1.5, 2 + 1j], False),
+    "genus0": (2, 2, [], False),
+    "k3n2_powers": (3, 2, [], True),
+}
+
+
+@functools.cache
+def _render_matrix(case: str):
+    if case == "hand_set":
+        return _hand_set_matrix()
+    k, n, lams, powers = _RENDER_CURVES[case]
+    return assemble(validate_spec(k, n, lams), QuadConfig(), include_powers=powers)
+
+
+@pytest.mark.parametrize(
+    "case,fragments",
+    [
+        pytest.param("hand_set", ["[-0, 5.2441151085842401]", "[[0, 0]]"], id="hand_set"),
+        pytest.param("k4n3", [], id="k4n3"),
+        pytest.param("k2n4", [], id="k2n4"),
+        pytest.param("genus0", ['"forms": []', '"periods": [[], [], [], []]'], id="genus0"),
+        pytest.param(
+            "k3n2_powers", ['"generators": [{"type": "power", "i": 1}, '], id="k3n2_powers"
+        ),
+    ],
+)
+def test_periods_to_json_matches_element_rendering(case, fragments):
+    pm = _render_matrix(case)
     payload = {
         "k": pm.spec.k,
         "n": pm.spec.n,
-        "lambdas": [],
-        "genus": 1,
+        "lambdas": [[float(z.real), float(z.imag)] for z in pm.spec.lambdas],
+        "genus": genus(pm.spec),
         "forms": [list(f.alpha) for f in pm.cols],
         "generators": [cli._generator_dict(w) for w in pm.rows],
-        "periods": [[[float(z.real), float(z.imag)] for z in row] for row in pm.entries],
-        "base_point": [0.5, 2.25],
+        "periods": np.stack((pm.entries.real, pm.entries.imag), axis=-1).tolist(),
+        "base_point": [float(pm.base_point.real), float(pm.base_point.imag)],
     }
     text = cli.periods_to_json(pm)
-    assert text == cli._json_dump(payload) + "\n"
-    assert "[-0, 5.2441151085842401]" in text
-    assert "[[0, 0]]" in text
+    assert text == _element_json(payload) + "\n"
+    for fragment in fragments:
+        assert fragment in text
 
 
-def test_periods_to_csv_matches_element_rendering():
-    pm = _hand_set_matrix()
-    lines = ["generator,re_" + cli._form_label(pm.cols[0]) + ",im_" + cli._form_label(pm.cols[0])]
-    for word, row in zip(pm.rows, pm.entries):
+@pytest.mark.parametrize(
+    "case,fragments",
+    [
+        pytest.param("hand_set", ["-0,5.2441151085842401"], id="hand_set"),
+        pytest.param("k4n3", [], id="k4n3"),
+        pytest.param("k2n4", [], id="k2n4"),
+        pytest.param("genus0", ["\nconj_comm:j=1;l=2;g=0.0\n"], id="genus0"),
+        pytest.param("k3n2_powers", ["\npower:i=1,0,0\n"], id="k3n2_powers"),
+    ],
+)
+def test_periods_to_csv_matches_element_rendering(case, fragments):
+    pm = _render_matrix(case)
+    header = ["generator"]
+    for f in pm.cols:
+        header.extend(["re_" + cli._form_label(f), "im_" + cli._form_label(f)])
+    lines = [",".join(header)]
+    for word, row in zip(pm.rows, pm.entries.tolist()):
         cells = [cli._word_label(word)]
         for z in row:
-            cells.extend([format(float(z.real), ".17g"), format(float(z.imag), ".17g")])
+            cells.extend([format(z.real, ".17g"), format(z.imag, ".17g")])
         lines.append(",".join(cells))
     text = cli.periods_to_csv(pm)
     assert text == "\n".join(lines) + "\n"
-    assert "-0,5.2441151085842401" in text
+    for fragment in fragments:
+        assert fragment in text
+
+
+def _hand_set_basis():
+    """A 4 x 4 basis with a 1e100 diagonal (|det| overflows), -0.0, a
+    17-digit double and repeated values, with negative coefficients."""
+    from gfcperiods.lattice import LatticeBasis
+
+    basis = np.diag([1e100, 1e100, 1e100, 1e100])
+    basis[0, 1] = -0.0
+    basis[0, 2] = basis[1, 2] = 5.2441151085842401
+    basis[3, 0] = basis[3, 1] = -1 / 3
+    coefficients = np.array(
+        [[1, 0, -2, 0], [0, -1, 0, 3], [-5, -5, 1, 1], [0, 0, 0, -1], [2, 0, 0, 0]],
+        dtype=np.int64,
+    )
+    from_generators = np.zeros((4, 5), dtype=np.int64)
+    from_generators[[0, 1, 2, 3], [0, 1, 3, 4]] = [1, -1, -1, 1]
+    spec = validate_spec(3, 2, [])
+    return spec, LatticeBasis(
+        basis=basis,
+        coefficients=coefficients,
+        residual=2.5e-16,
+        from_generators=from_generators,
+    )
+
+
+def _element_basis_csv(payload: dict, result) -> str:
+    """Reference CSV rendering of a basis, one cell at a time."""
+    lines = ["kind,index," + ",".join(f"c{j}" for j in range(len(result.basis)))]
+    for idx, row in enumerate(result.basis.tolist()):
+        lines.append(f"basis,{idx}," + ",".join(format(x, ".17g") for x in row))
+    for idx, row in enumerate(result.coefficients.tolist()):
+        lines.append(f"coefficients,{idx}," + ",".join(str(x) for x in row))
+    lines.append(f"residual,0,{format(payload['residual'], '.17g')}")
+    for key in ("abs_det", "log10_abs_det"):
+        value = payload[key]
+        lines.append(f"{key},0," + ("" if value is None else format(value, ".17g")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", ["hand_set", "k4n3", "k2n4", "genus0", "k3n2_powers"])
+def test_basis_rendering_matches_element_rendering(case):
+    if case == "hand_set":
+        spec, result = _hand_set_basis()
+    else:
+        pm = _render_matrix(case)
+        spec, result = pm.spec, extract_basis(real_split(pm), pm.spec)
+    payload = cli.basis_payload(spec, result)
+    reference = dict(
+        payload,
+        basis=result.basis.tolist(),
+        coefficients=result.coefficients.tolist(),
+        from_generators=result.from_generators.tolist(),
+    )
+    text = cli._json_dump(payload)
+    assert text == _element_json(reference)
+    assert cli.basis_to_csv(payload) == _element_basis_csv(payload, result)
+    if case == "hand_set":
+        assert "[1e+100, -0, 5.2441151085842401, 0]" in text
+        assert '"coefficients": [[1, 0, -2, 0], [0, -1, 0, 3], ' in text
+    if case == "genus0":
+        assert '"basis": [], "coefficients": [[], [], [], []], "from_generators": []' in text
 
 
 def test_verify_passes_with_lambda_near_the_leg_to_r1(capsys):
