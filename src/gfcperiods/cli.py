@@ -8,7 +8,9 @@ stderr.  Exit codes: 2 invalid input, 3 quadrature non-convergence,
 
 All floating-point output uses 17 significant digits, so parsing the
 emitted JSON or CSV reproduces every double bit-exactly.  A numeric matrix
-is rendered from a table of its distinct values, each formatted once; the
+is rendered from a table of its values, each formatted once: the periods
+from the PeriodMatrix value table (one entry per phase, pair and form)
+gathered by its index, the basis matrices from their distinct values.  The
 text is the same as formatting every element on its own.
 """
 
@@ -127,11 +129,6 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _re_im(entries: np.ndarray) -> np.ndarray:
-    """A complex matrix as doubles, with a trailing (re, im) axis."""
-    return np.stack((entries.real, entries.imag), axis=-1)
-
-
 def _generator_dict(word) -> dict:
     if isinstance(word, Power):
         return {"type": "power", "i": word.i}
@@ -159,29 +156,44 @@ def _form_label(form) -> str:
     return ".".join(str(a) for a in form.alpha)
 
 
+def _period_cells(pm, template: str) -> np.ndarray:
+    """The text of every period cell as an object array of the matrix's
+    shape: each entry of pm.values formatted once through template (two
+    "%.17g" fields, re and im) and gathered by pm.index."""
+    values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
+    return np.array([template % z for z in values], dtype=object)[pm.index]
+
+
 def periods_to_json(pm) -> str:
-    return _json_object({
+    """The period document.  The head members are glued onto the first row
+    and the tail onto the last, so the text is copied by one join."""
+    head = _json_object({
         "k": _json_dump(pm.spec.k),
         "n": _json_dump(pm.spec.n),
         "lambdas": _json_dump([_pair(v) for v in pm.spec.lambdas]),
         "genus": _json_dump(genus(pm.spec)),
         "forms": _json_dump([list(f.alpha) for f in pm.cols]),
         "generators": _generators_json(pm.rows, pm.spec.n),
-        "periods": _json_dump(_re_im(pm.entries)),
-        "base_point": _json_dump(_pair(pm.base_point)),
-    }) + "\n"
+    })
+    cells = _period_cells(pm, "[%.17g, %.17g]")
+    rows = _filled_rows(_json_template(cells.shape[1:]), cells)
+    rows[0] = head[:-1] + ', "periods": [' + rows[0]
+    rows[-1] += '], "base_point": ' + _json_dump(_pair(pm.base_point)) + "}\n"
+    return ", ".join(rows)
 
 
 def periods_to_csv(pm) -> str:
+    """The period table, copied by one join like periods_to_json."""
     header = ["generator"]
     for f in pm.cols:
         label = _form_label(f)
         header.extend([f"re_{label}", f"im_{label}"])
-    template = "%s" + ",%s,%s" * len(pm.cols)
+    template = "%s" + ",%s" * len(pm.cols)
     labels = [_word_label(w) for w in pm.rows]
-    cells = _cell_text(_re_im(pm.entries))
-    lines = [",".join(header), *_filled_rows(template, cells, labels)]
-    return "\n".join(lines) + "\n"
+    rows = _filled_rows(template, _period_cells(pm, "%.17g,%.17g"), labels)
+    rows[0] = ",".join(header) + "\n" + rows[0]
+    rows[-1] += "\n"
+    return "\n".join(rows)
 
 
 def _finite_or_none(x: float) -> float | None:

@@ -10,6 +10,7 @@ throughout the period computation.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 
@@ -56,9 +57,9 @@ class FormIndex:
 def validate_spec(k: int, n: int, lambdas) -> CurveSpec:
     """Validate (k, n, lambdas) and build the CurveSpec.
 
-    Raises DegenerateInput for out-of-range k, n or a wrong-length lambda
-    list, and CollidingBranchPoints when any two of {0, 1, lambda_i}
-    coincide exactly.
+    Raises DegenerateInput for out-of-range k, n, a wrong-length lambda
+    list or a non-finite lambda, and CollidingBranchPoints when any two of
+    {0, 1, lambda_i} coincide exactly.
     """
     k = int(k)
     n = int(n)
@@ -69,6 +70,9 @@ def validate_spec(k: int, n: int, lambdas) -> CurveSpec:
         raise DegenerateInput(
             f"need exactly n-2 = {n - 2} lambda values, got {len(lams)}"
         )
+    for i, lam in enumerate(lams, start=1):
+        if not cmath.isfinite(lam):
+            raise DegenerateInput(f"lambda_{i} must be finite, got {lam}")
     spec = CurveSpec(k=k, n=n, lambdas=lams)
     r = spec.branch_points
     for i in range(len(r)):

@@ -6,7 +6,8 @@ class GfcError(Exception):
 
 
 class DegenerateInput(GfcError, ValueError):
-    """Curve parameters out of range (k < 2, n < 2, or wrong lambda count)."""
+    """Curve parameters out of range (k < 2, n < 2, wrong lambda count, or a
+    non-finite lambda)."""
 
 
 class CollidingBranchPoints(GfcError, ValueError):

@@ -70,8 +70,8 @@ class QuadConfig:
     def __post_init__(self):
         if self.level > self.max_level:
             raise ValueError("level must not exceed max_level")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be a positive finite number")
 
 
 @lru_cache(maxsize=32)

@@ -101,6 +101,24 @@ def test_bad_lambda_syntax_exits_2(capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize(
+    "lam,shown", [("nan", "(nan+0j)"), ("1,nan", "(1+nanj)"), ("1e400", "(inf+0j)")]
+)
+def test_non_finite_lambda_exits_2(capsys, lam, shown):
+    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", lam)
+    assert code == 2
+    assert out == ""
+    assert f"lambda_1 must be finite, got {shown}" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "rel_tol must be a positive finite number" in err
+
+
 def test_periods_json_round_trip(capsys, tmp_path):
     out_path = tmp_path / "p.json"
     code, _, _ = run_cli(
@@ -318,7 +336,8 @@ def _hand_set_matrix():
     return PeriodMatrix(
         rows=rows,
         cols=cols,
-        entries=entries,
+        values=entries.ravel(),
+        index=np.arange(entries.size).reshape(entries.shape),
         base_integrals=np.zeros((2, len(cols)), dtype=complex),
         base_point=0.5 + 2.25j,
         spec=spec,
@@ -353,6 +372,7 @@ _RENDER_CURVES = {
     "k2n4": (2, 4, [-1.5, 2 + 1j], False),
     "genus0": (2, 2, [], False),
     "k3n2_powers": (3, 2, [], True),
+    "k5n3_powers": (5, 3, [-1.5], True),
 }
 
 
@@ -374,6 +394,7 @@ def _render_matrix(case: str):
         pytest.param(
             "k3n2_powers", ['"generators": [{"type": "power", "i": 1}, '], id="k3n2_powers"
         ),
+        pytest.param("k5n3_powers", ['"periods": [[[0, 0], [0, 0], '], id="k5n3_powers"),
     ],
 )
 def test_periods_to_json_matches_element_rendering(case, fragments):
@@ -402,6 +423,7 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
         pytest.param("k2n4", [], id="k2n4"),
         pytest.param("genus0", ["\nconj_comm:j=1;l=2;g=0.0\n"], id="genus0"),
         pytest.param("k3n2_powers", ["\npower:i=1,0,0\n"], id="k3n2_powers"),
+        pytest.param("k5n3_powers", ["\npower:i=3,0,0,0,0,"], id="k5n3_powers"),
     ],
 )
 def test_periods_to_csv_matches_element_rendering(case, fragments):
@@ -419,6 +441,22 @@ def test_periods_to_csv_matches_element_rendering(case, fragments):
     assert text == "\n".join(lines) + "\n"
     for fragment in fragments:
         assert fragment in text
+
+
+def test_periods_rendering_needs_no_sort(monkeypatch):
+    # the period text is gathered from the (phase, pair, form) table, so
+    # rendering never sorts the matrix
+    pm = assemble(validate_spec(4, 4, [-1.5, 2 + 1j]), QuadConfig())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called while rendering periods")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    text_json, text_csv = cli.periods_to_json(pm), cli.periods_to_csv(pm)
+    periods = np.asarray(json.loads(text_json)["periods"], dtype=float).view(complex)
+    assert np.array_equal(periods[..., 0], pm.entries)
+    cells = [line.split(",")[1:] for line in text_csv.splitlines()[1:]]
+    assert np.array_equal(np.asarray(cells, dtype=float).view(complex), pm.entries)
 
 
 def _hand_set_basis():

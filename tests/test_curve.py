@@ -32,6 +32,20 @@ def test_validate_rejects_degenerate(k, n, lams):
 
 
 @pytest.mark.parametrize(
+    "lams,message",
+    [
+        ([complex("nan"), 2.0], "lambda_1 must be finite, got (nan+0j)"),
+        ([2.0, complex(1.0, float("nan"))], "lambda_2 must be finite, got (1+nanj)"),
+        ([2.0, complex("1e400")], "lambda_2 must be finite, got (inf+0j)"),
+    ],
+)
+def test_validate_rejects_non_finite_lambda(lams, message):
+    with pytest.raises(DegenerateInput) as err:
+        validate_spec(2, 4, lams)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "k,n,expected",
     [(3, 2, 1), (2, 3, 1), (2, 4, 5), (4, 2, 3), (2, 2, 0)],
 )

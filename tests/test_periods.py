@@ -218,3 +218,30 @@ def test_assemble_is_bit_identical_to_entry_loop(k, n, lams, include_powers, qua
     assert np.array_equal(pm.entries.view(np.uint64), expected.view(np.uint64))
     if (k, n) == (2, 4):
         assert np.count_nonzero(pm.entries == 0) > 0
+
+
+@pytest.mark.parametrize(
+    "k,n,lams,include_powers",
+    [
+        (3, 2, (), True),
+        (2, 4, (2.0, 2.0 + 1.0j), False),
+        (2, 2, (), False),
+    ],
+)
+def test_factor_table_layout(k, n, lams, include_powers, quad_cfg):
+    spec = validate_spec(k, n, lams)
+    pm = assemble(spec, quad_cfg, include_powers=include_powers)
+    g = len(pm.cols)
+    assert pm.values.shape == (k * math.comb(n, 2) * g + 1,)
+    assert pm.index.shape == (len(pm.rows), g)
+    assert pm.index.min(initial=0) >= 0
+    assert pm.index.max(initial=0) < pm.values.size
+    # power rows point at the final slot, an exact zero
+    assert pm.values[-1] == 0j
+    powers = [s for s, word in enumerate(pm.rows) if isinstance(word, Power)]
+    assert len(powers) == (n if include_powers else 0)
+    assert np.all(pm.index[powers] == pm.values.size - 1)
+    gathered = pm.values[pm.index]
+    assert np.array_equal(pm.entries.view(np.uint64), gathered.view(np.uint64))
+    if (k, n) == (2, 4):
+        assert np.count_nonzero(pm.values == 0) > 1

@@ -33,6 +33,9 @@ def test_quad_config_validation():
         QuadConfig(level=15, max_level=14)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            QuadConfig(rel_tol=bad)
 
 
 def test_arcsine_integral(quad_cfg):
