@@ -8,8 +8,8 @@ lattice basis (lattice).  Independent numerical oracles live in oracle;
 the cli module exposes everything as subcommands.
 """
 
-from .curve import CurveSpec, FormIndex, enumerate_forms, genus, m_exponents, validate_spec
-from .homology import ConjComm, LetterSequence, Power, conjugation_phase, enumerate_generators, expand
+from .curve import CurveSpec, FormIndex, enumerate_forms, genus, validate_spec
+from .homology import ConjComm, Power, conjugation_phase, enumerate_generators, expand
 from .contour import BranchState, Path, default_base_point, init_branch, loop_path
 from .quad import QuadConfig, integrate_smooth, tanh_sinh
 from .periods import PeriodMatrix, assemble, base_integrals, period_entry
@@ -31,7 +31,6 @@ __all__ = [
     "CurveSpec",
     "FormIndex",
     "LatticeBasis",
-    "LetterSequence",
     "Path",
     "PeriodMatrix",
     "Power",
@@ -53,7 +52,6 @@ __all__ = [
     "integrate_smooth",
     "lattice_rank",
     "loop_path",
-    "m_exponents",
     "period_entry",
     "real_split",
     "validate_spec",

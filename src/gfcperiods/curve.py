@@ -107,7 +107,3 @@ def enumerate_forms(spec: CurveSpec) -> list[FormIndex]:
     forms.sort(key=lambda f: f.alpha)
     return forms
 
-
-def m_exponents(form: FormIndex) -> tuple[int, ...]:
-    """Eigenvalue exponents (M_1, ..., M_n) of a form under the deck generators."""
-    return form.m_exponents

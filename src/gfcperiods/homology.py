@@ -36,13 +36,6 @@ class ConjComm:
 HomologyWord = Power | ConjComm
 
 
-@dataclass(frozen=True)
-class LetterSequence:
-    """Free-group spelling of a word: (generator index, +1 or -1) pairs."""
-
-    letters: tuple[tuple[int, int], ...]
-
-
 def enumerate_generators(spec: CurveSpec, include_powers: bool = False) -> list[HomologyWord]:
     """All ConjComm(g, j, l) in lexicographic (j, l, g) order, count C(n,2)*k**n.
 
@@ -59,16 +52,17 @@ def enumerate_generators(spec: CurveSpec, include_powers: bool = False) -> list[
     return words
 
 
-def expand(word: HomologyWord, k: int) -> LetterSequence:
-    """Spell a word out as free-group letters; no free reduction is applied."""
+def expand(word: HomologyWord, k: int) -> tuple[tuple[int, int], ...]:
+    """Spell a word out as free-group letters, (generator index, +1 or -1)
+    pairs; no free reduction is applied."""
     if isinstance(word, Power):
-        return LetterSequence(letters=((word.i, +1),) * k)
+        return ((word.i, +1),) * k
     rho = []
     for d, e in enumerate(word.g, start=1):
         rho.extend((d, +1) for _ in range(e))
     comm = [(word.j, +1), (word.l, +1), (word.j, -1), (word.l, -1)]
     rho_inv = [(d, -1) for d, _ in reversed(rho)]
-    return LetterSequence(letters=tuple(rho + comm + rho_inv))
+    return tuple(rho + comm + rho_inv)
 
 
 def conjugation_phase(word: ConjComm, form: FormIndex, k: int) -> complex:

@@ -104,7 +104,7 @@ class WordIntegrator:
         -sum_s exp(E acc_s) V_s / k over the letters s, with V_s the loop
         row and acc_s the summed log offsets of the letters before s."""
         if word not in self._rows:
-            letters = expand(word, self.spec.k).letters
+            letters = expand(word, self.spec.k)
             loops = [self._loop_row(i, sign) for i, sign in letters]
             V = np.asarray([row for row, _ in loops])
             V = V.reshape(len(loops), len(self.forms))
@@ -123,7 +123,7 @@ class WordIntegrator:
             return complex(self.word_row(word)[self._column(form)])
         state = self.state0
         total = 0j
-        for i, sign in expand(word, self.spec.k).letters:
+        for i, sign in expand(word, self.spec.k):
             (value,), state = self._loop_integral(i, sign, state, [form])
             total += value
         return -total / self.spec.k
@@ -317,8 +317,7 @@ def crosscheck_report(
     if genus(spec) > 0:
         v = real_split(pm)
         basis = extract_basis(v, spec)
-        worst = float(np.max(np.abs(basis.coefficients @ basis.basis - v)))
-        worst /= float(np.max(np.abs(v)))
+        worst = basis.residual / float(np.max(np.abs(v)))
         checks.append(
             CheckResult(
                 name="lattice_double_inclusion",

@@ -6,8 +6,13 @@ singularity of exponent > -1 at the r_i end.  The tanh-sinh (double
 exponential) substitution x = tanh((pi/2) sinh t) clusters trapezoid nodes
 double-exponentially at both ends, which integrates such singularities to
 near machine precision with a plain equispaced sum in t.  Refinement
-halves the t-step per level; two successive levels agreeing to the
-relative tolerance is the convergence gate.
+halves the t-step per level.  Smooth pieces double a Gauss-Legendre panel
+count instead.
+
+Both rules share one refinement loop (`_refine`) and one evaluation
+kernel (`_panel_sums`).  Each step walks the nodes once, evaluates every
+form still open on them, and a form leaves the loop at the first step
+that agrees with the previous one to the relative tolerance.
 
 Node positions are handled in terms of the distance fractions to either
 endpoint (sigma toward the singular end, tau toward the start), never as
@@ -40,9 +45,16 @@ _SIGMA_MIN = 1e-290
 # Gauss-Legendre order per panel and the panel-doubling budget.
 _GL_ORDER = 16
 _GL_MAX_PANELS = 2 ** 13
-# Largest forms x nodes block evaluated at once by the smooth kernel, in
-# complex values (32 MiB).
+# Largest forms x nodes block evaluated at once by the kernel, in complex
+# values (32 MiB).
 _BLOCK_VALUES = 2 ** 21
+# Highest tanh-sinh level whose walk, 2 floor(_T_MAX 2**level) + 1 nodes
+# plus the leg's start, fits the continuation's point budget (18).
+_LEVEL_CAP = max(
+    level
+    for level in range(64)
+    if 2 * math.floor(_T_MAX * 2**level) + 2 <= contour._MAX_WALK_POINTS
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,8 @@ class QuadConfig:
     """Tolerances and refinement budget shared by both kernels.
 
     level is the first tanh-sinh level evaluated; refinement may continue
-    to max_level before NoConvergence is raised.
+    to max_level before NoConvergence is raised.  Both lie in 0.._LEVEL_CAP
+    (18), the levels whose nodes the continuation walk can hold.
 
     The start level 5 is chosen against 30-digit references of the base
     integrals.  A leg that converges there costs 391 + 781 nodes (levels 5
@@ -68,6 +81,10 @@ class QuadConfig:
     max_level: int = 14
 
     def __post_init__(self):
+        for name in ("level", "max_level"):
+            value = getattr(self, name)
+            if not 0 <= value <= _LEVEL_CAP:
+                raise ValueError(f"{name} must lie in 0..{_LEVEL_CAP}, got {value}")
         if self.level > self.max_level:
             raise ValueError("level must not exceed max_level")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
@@ -102,18 +119,31 @@ def _de_nodes(level: int):
     return sigma, tau, np.log(sigma), log_weight
 
 
-def _converge(value_at, cfg: QuadConfig, what: str):
-    """The tanh-sinh level loop: value_at(level) from cfg.level upward until
-    two successive levels agree to cfg.rel_tol, else NoConvergence naming
-    what was integrated."""
-    prev = None
-    for level in range(cfg.level, cfg.max_level + 1):
-        cur = value_at(level)
-        if prev is not None and abs(cur - prev) <= cfg.rel_tol * abs(cur):
-            return cur
+def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
+    """The one refinement loop of both kernels.
+
+    rows_at(step, todo) returns the values of the rows todo at one step
+    and the scale each is gated against.  A row is taken at the first step
+    where it agrees with the previous step to rel_tol times its scale, and
+    only the rows still open are evaluated at the next step.  Returns all
+    size values, or raises NoConvergence naming the first open row and
+    the last step, described as unit.
+    """
+    todo = np.arange(size)
+    row = prev = None
+    for step in steps:
+        cur, scale = rows_at(step, todo)
+        if row is None:
+            row = np.zeros_like(cur)
+        if prev is not None:
+            done = np.abs(cur - prev) <= rel_tol * scale
+            row[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
+        if not todo.size:
+            return row
         prev = cur
     raise NoConvergence(
-        f"{what} did not reach rel_tol={cfg.rel_tol} by level {cfg.max_level}"
+        f"did not reach rel_tol={rel_tol} by {unit} {step}", form=int(todo[0])
     )
 
 
@@ -124,7 +154,13 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
     are the distances to a and b; endpoint-singular integrands should be
     written in terms of those distances.
     """
-    return _converge(lambda level: tanh_sinh_level(f, a, b, level), cfg, "tanh-sinh")
+
+    def rows_at(level, todo):
+        value = np.atleast_1d(tanh_sinh_level(f, a, b, level))
+        return value, np.abs(value)
+
+    levels = range(cfg.level, cfg.max_level + 1)
+    return _refine(rows_at, levels, 1, cfg.rel_tol, "tanh-sinh level")[0]
 
 
 def tanh_sinh_level(f, a: float, b: float, level: int):
@@ -136,57 +172,38 @@ def tanh_sinh_level(f, a: float, b: float, level: int):
     return 0.5 * span * np.sum(vals * np.exp(log_weight))
 
 
-class RadialLegIntegrator:
-    """Shared-node integrator for one straight leg ending at a branch point.
+def _leg_rows(start: complex, logs0, target: int, R, E):
+    """rows_at(level, todo) of the tanh-sinh sums over the straight leg from
+    start to the branch point R[target], for the forms E[todo].
 
-    The per-level continued-log tables are independent of the form, so one
-    instance serves every exponent vector on the same leg (all columns of
-    the base-integral table reuse the walk).
+    Each level walks the leg once for all forms.  The node log-weight is
+    appended to the continued logs as one more column, and E gets a column
+    of ones, so each term is exp(E . logs + log_weight) in one exponential:
+    near the singular end a separate weight factor would underflow while
+    the power of sigma overflows.  The gate scale is |I|.
     """
+    logs0 = np.asarray(logs0, dtype=complex)
+    n = len(R)
+    D = complex(R[target]) - complex(start)
+    others = [s for s in range(n) if s != target]
+    offsets = np.asarray([complex(start) - complex(R[s]) for s in others])
+    E1 = np.hstack([E, np.ones((len(E), 1))])
 
-    def __init__(self, start: complex, logs_at_start, target_index: int, R):
-        self.start = complex(start)
-        self.logs0 = np.asarray(logs_at_start, dtype=complex)
-        self.target = target_index  # 0-based anchor/slot index
-        self.R = tuple(complex(r) for r in R)
-        self.D = self.R[self.target] - self.start
-        if self.D == 0:
-            raise ValueError("leg has zero length")
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def diff_fn(taus):
+        return offsets[None, :] + taus[:, None] * D
 
-    def _level_table(self, level: int):
-        """Continued logs of every factor at the level's nodes plus the
-        node log-weights."""
-        if level in self._tables:
-            return self._tables[level]
+    def rows_at(level, todo):
         sigma, tau, log_sigma, log_weight = _de_nodes(level)
-        n = len(self.R)
-        others = [s for s in range(n) if s != self.target]
-        logs = np.empty((len(sigma), n), dtype=complex)
-        logs[:, self.target] = self.logs0[self.target] + log_sigma
+        X = np.empty((len(sigma), n + 1), dtype=complex)
+        X[:, target] = logs0[target] + log_sigma
         if others:
-            offsets = np.asarray([self.start - self.R[s] for s in others], dtype=complex)
-
-            def diff_fn(taus):
-                return offsets[None, :] + taus[:, None] * self.D
-
             params = np.concatenate(([0.0], tau))
-            walked = contour.continued_logs_param(diff_fn, params, self.logs0[others])
-            logs[:, others] = walked[1:]
-        self._tables[level] = (logs, log_weight)
-        return self._tables[level]
+            X[:, others] = contour.continued_logs_param(diff_fn, params, logs0[others])[1:]
+        X[:, n] = log_weight
+        cur, _ = _panel_sums(E1[todo], X, 0.5 * D)
+        return cur, np.abs(cur)
 
-    def level_value(self, exponents: np.ndarray, level: int) -> complex:
-        """Single-level sum (exposed for convergence diagnostics)."""
-        logs, log_weight = self._level_table(level)
-        return complex(0.5 * self.D * np.sum(np.exp(logs @ exponents + log_weight)))
-
-    def integrate(self, exponents: np.ndarray, cfg: QuadConfig) -> complex:
-        return _converge(
-            lambda level: self.level_value(exponents, level),
-            cfg,
-            f"leg to branch point {self.target + 1}",
-        )
+    return rows_at
 
 
 @lru_cache(maxsize=8)
@@ -200,46 +217,38 @@ def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
     one smooth segment with panel-doubled Gauss-Legendre.
 
     The branch walk depends only on the nodes, so each panel count walks
-    the segment once and evaluates all forms there.  A form's value is
-    taken at the first doubling where it agrees with the previous one,
-    relative to max(|I|, 1e-3 * L1) so that closed-loop cancellations still
-    settle; only the forms still open are evaluated at the next doubling.
-    Returns (row of integrals, logs at the segment end).
+    the segment once and evaluates the open forms there.  A form is gated
+    against max(|I|, 1e-3 * L1) so that closed-loop cancellations still
+    settle.  Returns (row of integrals, logs at the segment end).
     """
     gx, gw = _gl_rule(_GL_ORDER)
-    row = np.zeros(len(E), dtype=complex)
-    todo = np.arange(len(E))
-    prev = None
-    panels = 4
-    while panels <= _GL_MAX_PANELS:
+    end = None
+
+    def rows_at(panels, todo):
+        nonlocal end
         starts = np.arange(panels) / panels
         ts = (starts[:, None] + (gx[None, :] + 1.0) / (2.0 * panels)).ravel()
         weights = np.tile(gw / (2.0 * panels), panels)
         params = np.concatenate(([0.0], ts, [1.0]))
         logs = contour.segment_logs(seg, params, R, logs0)
+        end = logs[-1]
         cur, l1 = _panel_sums(
             E[todo], logs[1:-1], contour.segment_velocity(seg, ts) * weights
         )
-        if prev is not None:
-            done = np.abs(cur - prev) <= cfg.rel_tol * np.maximum(
-                np.abs(cur), 1e-3 * l1
-            )
-            row[todo[done]] = cur[done]
-            todo, cur = todo[~done], cur[~done]
-        if not todo.size:
-            return row, logs[-1]
-        prev = cur
-        panels *= 2
-    raise NoConvergence(
-        f"Gauss-Legendre panels exceeded {_GL_MAX_PANELS} without reaching "
-        f"rel_tol={cfg.rel_tol}",
-        form=int(todo[0]),
-    )
+        return cur, np.maximum(np.abs(cur), 1e-3 * l1)
+
+    panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
+    row = _refine(rows_at, panels, len(E), cfg.rel_tol, "Gauss-Legendre panels")
+    return row, end
 
 
 def _panel_sums(E, X, vw):
     """Sums of exp(E @ X.T) * vw and of their magnitudes, one per row of E,
-    in blocks of rows that keep every temporary under _BLOCK_VALUES."""
+    in blocks of rows that keep every temporary under _BLOCK_VALUES.
+
+    The evaluation kernel of both rules: X holds one row of continued logs
+    per node and vw the node weights times dw/dt (or one common factor).
+    """
     cur = np.empty(len(E), dtype=complex)
     l1 = np.empty(len(E))
     Xr, Xi = X.real.T, X.imag.T
@@ -288,32 +297,30 @@ def leg_row(
     per form.
 
     The leg follows the route of `contour.clear_leg`, which the oracle's
-    loop around r_i shares; any detour prefix goes through the smooth
-    kernel once for all forms, and the singular final piece through one
-    tanh-sinh integrator whose continuation tables all forms share.
+    loop around r_i shares.  Any detour prefix goes through the smooth
+    kernel and the singular final piece through the tanh-sinh rows, each
+    once for all forms: every level walks the leg once and evaluates the
+    forms still open.  A NoConvergence names i and the alpha of the first
+    form that did not converge; a routing or continuation failure names
+    only i, because the walk serves every form.
     """
     R = state.branch_points
+    row = np.zeros(len(forms), dtype=complex)
     try:
         legs = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
-    except ClearanceUnachievable as err:
-        raise ClearanceUnachievable(f"base integral i={i}: {err}") from err
-    row = np.zeros(len(forms), dtype=complex)
-    if not forms:
-        return row
-    c = 0  # the form a failure is reported against
-    try:
+        if not forms:
+            return row
         start = state
         if len(legs) > 1:
             prefix = Path(segments=tuple(legs[:-1]))
             row, start = integrate_smooth(prefix, state, forms, spec, cfg)
-        integrator = RadialLegIntegrator(
-            start=legs[-1].start, logs_at_start=start.logs, target_index=i - 1, R=R
-        )
         E = contour.exponent_matrix(forms, spec.k, spec.n)
-        for c in range(len(forms)):
-            row[c] += integrator.integrate(E[c], cfg)
-    except (NoConvergence, StepTooCoarse) as err:
-        if getattr(err, "form", None) is not None:
-            c = err.form
-        raise type(err)(f"base integral i={i}, alpha={forms[c].alpha}: {err}") from err
+        rows_at = _leg_rows(legs[-1].start, start.logs, i - 1, R, E)
+        levels = range(cfg.level, cfg.max_level + 1)
+        row += _refine(rows_at, levels, len(forms), cfg.rel_tol, "tanh-sinh level")
+    except NoConvergence as err:
+        alpha = forms[err.form].alpha
+        raise NoConvergence(f"base integral i={i}, alpha={alpha}: {err}", err.form) from err
+    except (ClearanceUnachievable, StepTooCoarse) as err:
+        raise type(err)(f"base integral i={i}: {err}") from err
     return row

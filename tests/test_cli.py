@@ -12,7 +12,7 @@ import pytest
 
 import gfcperiods
 import gfcperiods.cli as cli
-from gfcperiods import assemble, contour, extract_basis, genus, real_split, validate_spec
+from gfcperiods import assemble, contour, extract_basis, genus, quad, real_split, validate_spec
 from gfcperiods.errors import NotFullRank
 from gfcperiods.homology import ConjComm, Power, enumerate_generators
 from gfcperiods.quad import QuadConfig
@@ -184,6 +184,23 @@ def test_periods_no_convergence_exits_3(capsys):
     assert "alpha" in err and "i=" in err
 
 
+@pytest.mark.parametrize(
+    "flag,field",
+    [("--level=-2000", "level"), ("--level=40", "level"), ("--max-level=19", "max_level")],
+)
+def test_out_of_range_level_exits_2(capsys, monkeypatch, flag, field):
+    # refused when the configuration is built, before any node table exists
+    def no_nodes(level):
+        raise AssertionError(f"node table of level {level} built")
+
+    monkeypatch.setattr(quad, "_de_nodes", no_nodes)
+    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must lie in 0..18, got ")
+    assert "Traceback" not in err
+
+
 def test_basis_classical_curve(capsys):
     code, out, _ = run_cli(capsys, "basis", "-k", "4", "-n", "2")
     assert code == 0
@@ -310,6 +327,8 @@ def test_periods_step_too_coarse_names_the_leg(capsys):
     assert code == 2
     assert out == ""
     assert "i=1" in err
+    # the walk serves every form of the leg, so no form is named
+    assert "alpha" not in err
 
 
 def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):

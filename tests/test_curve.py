@@ -1,6 +1,6 @@
 import pytest
 
-from gfcperiods import enumerate_forms, genus, m_exponents, validate_spec
+from gfcperiods import enumerate_forms, genus, validate_spec
 from gfcperiods.curve import FormIndex
 from gfcperiods.errors import CollidingBranchPoints, DegenerateInput
 
@@ -95,7 +95,7 @@ def test_forms_satisfy_bounds_and_order():
     [((0, 2), (1, -2)), ((1, 3), (2, -3)), ((0, 1, 1), (1, -1, -1))],
 )
 def test_m_exponents(alpha, expected):
-    assert m_exponents(FormIndex(alpha=alpha)) == expected
+    assert FormIndex(alpha=alpha).m_exponents == expected
 
 
 def test_m_exponents_signs_and_determinism():

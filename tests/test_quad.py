@@ -10,14 +10,9 @@ from gfcperiods import (
     validate_spec,
 )
 from gfcperiods.contour import Arc, Line, Path, default_base_point, exponent_matrix
+from gfcperiods import quad
 from gfcperiods.errors import NoConvergence
-from gfcperiods.quad import (
-    QuadConfig,
-    RadialLegIntegrator,
-    leg_row,
-    tanh_sinh,
-    tanh_sinh_level,
-)
+from gfcperiods.quad import QuadConfig, leg_row, tanh_sinh, tanh_sinh_level
 
 
 def _beta_oracle(a, b):
@@ -36,6 +31,19 @@ def test_quad_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive finite"):
             QuadConfig(rel_tol=bad)
+    # levels must lie where the continuation walk can hold the nodes
+    assert quad._LEVEL_CAP == 18
+    QuadConfig(level=18, max_level=18)
+    for field, kwargs in [
+        ("level", dict(level=-1)),
+        ("level", dict(level=-2000)),
+        ("level", dict(level=19, max_level=19)),
+        ("level", dict(level=40, max_level=40)),
+        ("max_level", dict(max_level=19)),
+        ("max_level", dict(level=0, max_level=-1)),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{field} must lie in 0\.\.18"):
+            QuadConfig(**kwargs)
 
 
 def test_arcsine_integral(quad_cfg):
@@ -86,11 +94,8 @@ def test_leg_path_independence(quad_cfg):
     (prefix,), mid_state = integrate_smooth(
         Path(segments=(Line(z0, waypoint),)), state, [form], spec, quad_cfg
     )
-    leg = RadialLegIntegrator(
-        start=waypoint, logs_at_start=mid_state.logs, target_index=0, R=R
-    )
-    (e,) = exponent_matrix([form], spec.k, spec.n)
-    detoured = prefix + leg.integrate(e, quad_cfg)
+    (tail,) = leg_row(mid_state, 1, [form], spec, quad_cfg)
+    detoured = prefix + tail
     assert abs(direct - detoured) / abs(direct) < 1e-9
 
 
@@ -162,14 +167,12 @@ def test_leg_ladder_converges_across_desk_scale(quad_cfg):
             z0 = default_base_point(R)
             state = init_branch(z0, R)
             sample = [forms[0], forms[len(forms) // 2], forms[-1]]
+            E = exponent_matrix(sample, spec.k, spec.n)
+            every = np.arange(len(sample))
             for i in range(1, n + 1):
-                leg = RadialLegIntegrator(
-                    start=z0, logs_at_start=state.logs, target_index=i - 1, R=R
-                )
-                for e in exponent_matrix(sample, spec.k, spec.n):
-                    values = [
-                        leg.level_value(e, lvl) for lvl in range(quad_cfg.level, 12)
-                    ]
+                rows_at = quad._leg_rows(z0, state.logs, i - 1, R, E)
+                levels = [rows_at(lvl, every)[0] for lvl in range(quad_cfg.level, 12)]
+                for values in np.transpose(levels):
                     diffs = [
                         abs(v2 - v1) / abs(v2) for v1, v2 in zip(values, values[1:])
                     ]
@@ -212,3 +215,24 @@ def test_smooth_kernel_blocks_give_the_same_row(quad_cfg, monkeypatch):
     for c, form in enumerate(forms):
         (alone,), _ = integrate_smooth(loop, state, [form], spec, quad_cfg)
         assert abs(alone - whole[c]) <= 1e-14 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("k,n,lams", [(3, 3, [-1.5]), (4, 4, [-1.5, 2 + 1j])])
+@pytest.mark.parametrize("block_values", [None, 1])
+def test_leg_row_over_all_forms_matches_each_form_alone(
+    k, n, lams, block_values, quad_cfg, monkeypatch
+):
+    # forms leave the level loop independently, so batching changes no
+    # form's value beyond rounding, in one block or in blocks of one form
+    if block_values is not None:
+        monkeypatch.setattr(quad, "_BLOCK_VALUES", block_values)
+    spec = validate_spec(k, n, lams)
+    forms = enumerate_forms(spec)
+    R = spec.branch_points
+    state = init_branch(default_base_point(R), R)
+    for i in range(1, n + 1):
+        whole = leg_row(state, i, forms, spec, quad_cfg)
+        scale = np.max(np.abs(whole))
+        for c, form in enumerate(forms):
+            (alone,) = leg_row(state, i, [form], spec, quad_cfg)
+            assert abs(alone - whole[c]) <= 1e-14 * scale
