@@ -3,8 +3,9 @@
 Subcommands: info (genus, forms, generator counts), periods (the full
 period matrix), basis (extracted lattice basis), verify (oracle
 cross-check report).  Data goes to stdout or --out; diagnostics go to
-stderr.  Exit codes: 2 invalid input, 3 quadrature non-convergence,
-4 lattice extraction failure, 1 failed verification.
+stderr.  Exit codes: 2 invalid input, 3 numerical failure (quadrature
+non-convergence, or a failed branch walk or route), 4 lattice extraction
+failure, 1 failed verification.
 
 All floating-point output uses 17 significant digits, so parsing the
 emitted JSON or CSV reproduces every double bit-exactly.  A numeric matrix
@@ -20,37 +21,23 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curve import validate_spec, enumerate_forms, genus
 from .errors import (
+    ClearanceUnachievable,
     GfcError,
     NoConvergence,
     NotFullRank,
     ReconstructionFailed,
+    StepTooCoarse,
 )
 from .homology import Power, enumerate_generators
 from .lattice import extract_basis, real_split
 from .oracle import crosscheck_report
 from .periods import assemble
 from .quad import QuadConfig
-
-
-@dataclass
-class JobConfig:
-    command: str
-    k: int
-    n: int
-    lambdas: list[complex] = field(default_factory=list)
-    rel_tol: float | None = None
-    level: int | None = None
-    max_level: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    seed: int = 0
-    include_powers: bool = False
 
 
 def parse_complex(text: str) -> complex:
@@ -129,15 +116,10 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _generator_dict(word) -> dict:
-    if isinstance(word, Power):
-        return {"type": "power", "i": word.i}
-    return {"type": "conj_comm", "g": list(word.g), "j": word.j, "l": word.l}
-
-
 def _generators_json(words, n: int) -> str:
-    """The words as _json_dump renders their _generator_dict, through one
-    template per word kind."""
+    """The words as a JSON list of {"type": "power", "i": ...} and
+    {"type": "conj_comm", "g": [...], "j": ..., "l": ...} objects, through
+    one template per word kind."""
     power = '{"type": "power", "i": %d}'
     conj = '{"type": "conj_comm", "g": [' + ", ".join(["%d"] * n) + '], "j": %d, "l": %d}'
     return "[" + ", ".join(
@@ -287,51 +269,50 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _quad_config(cfg: JobConfig) -> QuadConfig:
-    """QuadConfig from the flags; a --level above the default cap raises the
-    cap to that level unless --max-level is given."""
-    level = cfg.level if cfg.level is not None else QuadConfig.level
-    rel_tol = cfg.rel_tol if cfg.rel_tol is not None else QuadConfig.rel_tol
-    max_level = (
-        cfg.max_level if cfg.max_level is not None else max(QuadConfig.max_level, level)
-    )
-    return QuadConfig(level=level, rel_tol=rel_tol, max_level=max_level)
+def _quad_config(args: argparse.Namespace) -> QuadConfig:
+    """QuadConfig from the flags, whose defaults are QuadConfig's.  Without
+    --max-level the cap is the default cap, or one above --level when that
+    is higher: refinement accepts a value only when two levels agree."""
+    max_level = args.max_level
+    if max_level is None:
+        max_level = max(QuadConfig.max_level, args.level + 1)
+    return QuadConfig(level=args.level, rel_tol=args.tol, max_level=max_level)
 
 
-def cmd_info(cfg: JobConfig) -> int:
-    spec = validate_spec(cfg.k, cfg.n, cfg.lambdas)
-    payload = info_payload(spec, cfg.include_powers)
-    if cfg.fmt == "csv":
+def cmd_info(args: argparse.Namespace) -> int:
+    spec = validate_spec(args.k, args.n, args.lambdas)
+    payload = info_payload(spec, args.include_powers)
+    if args.fmt == "csv":
         lines = [f"{key},{_csv_cell(_json_dump(val))}" for key, val in payload.items()]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_dump(payload) + "\n", cfg.out)
+        _emit(_json_dump(payload) + "\n", args.out)
     return 0
 
 
-def cmd_periods(cfg: JobConfig) -> int:
-    spec = validate_spec(cfg.k, cfg.n, cfg.lambdas)
-    pm = assemble(spec, _quad_config(cfg), include_powers=cfg.include_powers)
-    text = periods_to_csv(pm) if cfg.fmt == "csv" else periods_to_json(pm)
-    _emit(text, cfg.out)
+def cmd_periods(args: argparse.Namespace) -> int:
+    spec = validate_spec(args.k, args.n, args.lambdas)
+    pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
+    text = periods_to_csv(pm) if args.fmt == "csv" else periods_to_json(pm)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_basis(cfg: JobConfig) -> int:
-    spec = validate_spec(cfg.k, cfg.n, cfg.lambdas)
-    pm = assemble(spec, _quad_config(cfg), include_powers=cfg.include_powers)
+def cmd_basis(args: argparse.Namespace) -> int:
+    spec = validate_spec(args.k, args.n, args.lambdas)
+    pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
     result = extract_basis(real_split(pm), spec)
     payload = basis_payload(spec, result)
-    text = basis_to_csv(payload) if cfg.fmt == "csv" else _json_dump(payload) + "\n"
-    _emit(text, cfg.out)
+    text = basis_to_csv(payload) if args.fmt == "csv" else _json_dump(payload) + "\n"
+    _emit(text, args.out)
     return 0
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    spec = validate_spec(cfg.k, cfg.n, cfg.lambdas)
-    report = crosscheck_report(spec, _quad_config(cfg), seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = validate_spec(args.k, args.n, args.lambdas)
+    report = crosscheck_report(spec, _quad_config(args), seed=args.seed)
     payload = report_payload(report)
-    _emit(_json_dump(payload) + "\n", cfg.out)
+    _emit(_json_dump(payload) + "\n", args.out)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(
@@ -342,27 +323,20 @@ def cmd_verify(cfg: JobConfig) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "info": cmd_info,
-    "periods": cmd_periods,
-    "basis": cmd_basis,
-    "verify": cmd_verify,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfcperiods",
         description="Period lattice generators of generalized Fermat curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("info", "genus, form list, and generator counts"),
-        ("periods", "compute the period matrix"),
-        ("basis", "extract an integer lattice basis"),
-        ("verify", "run the oracle cross-check report"),
+    for name, run, help_text in [
+        ("info", cmd_info, "genus, form list, and generator counts"),
+        ("periods", cmd_periods, "compute the period matrix"),
+        ("basis", cmd_basis, "extract an integer lattice basis"),
+        ("verify", cmd_verify, "run the oracle cross-check report"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("-k", type=int, required=True, help="cover degree (>= 2)")
         p.add_argument("-n", type=int, required=True, help="curve rank (>= 2)")
         p.add_argument(
@@ -374,8 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="VALUE",
             help="branch value; 'a+bi' or 'a,b'; repeat for each of the n-2 values",
         )
-        p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
-        p.add_argument("--level", type=int, default=None, help="tanh-sinh starting level")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=QuadConfig.rel_tol,
+            help="quadrature relative tolerance",
+        )
+        p.add_argument(
+            "--level", type=int, default=QuadConfig.level, help="tanh-sinh starting level"
+        )
         p.add_argument(
             "--max-level",
             dest="max_level",
@@ -410,30 +391,20 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_lambda_values(argv))
     try:
-        lambdas = [parse_complex(v) for v in args.lambdas]
+        args.lambdas = [parse_complex(v) for v in args.lambdas]
     except ValueError as err:
         print(f"error: cannot parse lambda value: {err}", file=sys.stderr)
         return 2
-    cfg = JobConfig(
-        command=args.command,
-        k=args.k,
-        n=args.n,
-        lambdas=lambdas,
-        rel_tol=args.tol,
-        level=args.level,
-        max_level=args.max_level,
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        include_powers=args.include_powers,
-    )
     try:
-        return _COMMANDS[args.command](cfg)
+        return args.run(args)
     except (NotFullRank, ReconstructionFailed) as err:
         print(f"error: lattice extraction failed: {err}", file=sys.stderr)
         return 4
     except NoConvergence as err:
         print(f"error: quadrature did not converge: {err}", file=sys.stderr)
+        return 3
+    except (StepTooCoarse, ClearanceUnachievable) as err:
+        print(f"error: branch continuation failed: {err}", file=sys.stderr)
         return 3
     except GfcError as err:
         print(f"error: {err}", file=sys.stderr)

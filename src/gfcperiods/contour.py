@@ -55,24 +55,17 @@ class Line:
 
 @dataclass(frozen=True)
 class Arc:
-    """Circular arc traversed from start_angle to end_angle.
-
-    The signed sweep end_angle - start_angle must match orientation
-    (+1 counterclockwise, -1 clockwise).
-    """
+    """Circular arc traversed from start_angle to end_angle: counterclockwise
+    when end_angle > start_angle, clockwise when it is smaller."""
 
     center: complex
     radius: float
     start_angle: float
     end_angle: float
-    orientation: int
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("arc radius must be positive")
-        sweep = self.end_angle - self.start_angle
-        if sweep * self.orientation < 0:
-            raise ValueError("arc sweep direction contradicts orientation")
 
 
 Segment = Line | Arc
@@ -221,11 +214,11 @@ def segment_logs(seg: Segment, ts: np.ndarray, R, logs0) -> np.ndarray:
 
 
 def exponent_matrix(forms, k: int, n: int) -> np.ndarray:
-    """Exponent vectors of the forms as the rows of a (len(forms), n) matrix."""
-    A = np.asarray([form.alpha for form in forms], dtype=np.int64)
-    A = A.reshape(len(forms), n)
-    E = -A / k
-    E[:, 0] = (A[:, 0] + 1) / k - 1.0
+    """Exponent vectors of the forms as the rows of a (len(forms), n) matrix:
+    M/k with 1 subtracted from the first column, M the forms' m_exponents."""
+    M = np.asarray([form.m_exponents for form in forms], dtype=np.int64)
+    E = M.reshape(len(forms), n) / k
+    E[:, 0] -= 1.0
     return E
 
 
@@ -307,7 +300,6 @@ def loop_path(base_point: complex, i: int, R, orientation: int) -> Path:
         radius=rho,
         start_angle=theta0,
         end_angle=theta0 + orientation * 2.0 * math.pi,
-        orientation=orientation,
     )
     outbound = [Line(seg.end, seg.start) for seg in reversed(inbound)]
     return Path(segments=tuple(inbound) + (circle,) + tuple(outbound))

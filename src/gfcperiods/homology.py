@@ -65,12 +65,15 @@ def expand(word: HomologyWord, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(rho + comm + rho_inv)
 
 
+def zeta_power(k: int, e: int) -> complex:
+    """zeta_k**e with the exponent reduced mod k."""
+    return cmath.exp(2j * cmath.pi * (e % k) / k)
+
+
 def conjugation_phase(word: ConjComm, form: FormIndex, k: int) -> complex:
     """zeta_k ** (sum_d g_d * M_d), the factor a conjugator rho contributes.
 
     The exponent is reduced mod k so the value depends on g only through
     sum(g_d * M_d) mod k.
     """
-    m = form.m_exponents
-    e = sum(gd * md for gd, md in zip(word.g, m)) % k
-    return cmath.exp(2j * cmath.pi * e / k)
+    return zeta_power(k, sum(gd * md for gd, md in zip(word.g, form.m_exponents)))

@@ -19,6 +19,7 @@ from .curve import CurveSpec, genus
 from .errors import NotFullRank, ReconstructionFailed
 from .periods import PeriodMatrix
 
+_RANK_TOL = 1e-8
 _RECON_TOL = 1e-7
 
 
@@ -56,15 +57,15 @@ def lattice_rank(vectors, rank_tol: float = 1e-8) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def _first_independent(v: np.ndarray, d: int, rank_tol: float) -> list[int]:
+def _first_independent(v: np.ndarray, d: int) -> list[int]:
     """Indices of the first rows of v, in order, that are linearly
     independent, at most d of them.
 
     Row i is kept when its distance from the span of the rows kept before
-    it exceeds rank_tol times the largest row norm.  The distance comes
+    it exceeds _RANK_TOL times the largest row norm.  The distance comes
     from Gram-Schmidt with a second projection pass.
     """
-    tol = rank_tol * float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
+    tol = _RANK_TOL * float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
     q = np.empty((d, v.shape[1]))
     kept: list[int] = []
     for i, row in enumerate(v):
@@ -80,7 +81,7 @@ def _first_independent(v: np.ndarray, d: int, rank_tol: float) -> list[int]:
     return kept
 
 
-def extract_basis(vectors, spec: CurveSpec, rank_tol: float = 1e-8) -> LatticeBasis:
+def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     """Z-basis of the lattice generated by the input row vectors.
 
     The basis is the first 2g linearly independent input rows, so the
@@ -103,7 +104,7 @@ def extract_basis(vectors, spec: CurveSpec, rank_tol: float = 1e-8) -> LatticeBa
             residual=0.0,
             from_generators=np.zeros((0, m), dtype=np.int64),
         )
-    kept = _first_independent(v, d, rank_tol)
+    kept = _first_independent(v, d)
     if len(kept) != d:
         raise NotFullRank(f"generators have numerical rank {len(kept)}, need {d}")
     basis = v[kept]

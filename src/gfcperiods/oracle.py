@@ -25,10 +25,16 @@ import numpy as np
 
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms, genus
-from .errors import DegenerateLambda, InvalidArity, NoConvergence
-from .homology import ConjComm, HomologyWord, Power, expand
+from .errors import (
+    ClearanceUnachievable,
+    DegenerateLambda,
+    InvalidArity,
+    NoConvergence,
+    StepTooCoarse,
+)
+from .homology import ConjComm, HomologyWord, Power, expand, zeta_power
 from .lattice import extract_basis, real_split
-from .periods import assemble, zeta_power
+from .periods import assemble
 from .quad import QuadConfig
 
 
@@ -42,8 +48,8 @@ class WordIntegrator:
     each (letter, orientation) loop is integrated once from the reference
     state, for all forms at once, and reused with that exact covariance
     factor.  A word's values over all forms are then one array expression
-    over its letters.  Set memoize=False to re-integrate every traversal
-    literally.
+    over its letters.  The tests keep the literal letter-by-letter
+    traversal as the reference.
     """
 
     def __init__(self, spec: CurveSpec, cfg: QuadConfig):
@@ -55,49 +61,31 @@ class WordIntegrator:
         self.forms = enumerate_forms(spec)
         self._E = contour.exponent_matrix(self.forms, spec.k, spec.n)
         self._columns = {form.alpha: c for c, form in enumerate(self.forms)}
-        self._paths: dict[tuple[int, int], contour.Path] = {}
         self._loops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[HomologyWord, np.ndarray] = {}
 
-    def _loop(self, i: int, orientation: int) -> contour.Path:
-        key = (i, orientation)
-        if key not in self._paths:
-            self._paths[key] = contour.loop_path(
-                self.base_point, i, self.R, orientation
-            )
-        return self._paths[key]
-
-    def _loop_integral(self, i: int, orientation: int, state, forms):
-        """Loop integrals of the forms and the end state from the given
-        state; a NoConvergence is re-raised naming the loop and the form."""
-        try:
-            return quad.integrate_smooth(
-                self._loop(i, orientation), state, forms, self.spec, self.cfg
-            )
-        except NoConvergence as err:
-            alpha = forms[err.form].alpha
-            raise NoConvergence(
-                f"loop i={i}, orientation={orientation:+d}, alpha={alpha}: {err}"
-            ) from err
-
     def _loop_row(self, i: int, orientation: int):
         """Loop integrals of all forms from the reference state and the
-        loop's log offsets."""
+        loop's log offsets.  A failure is re-raised naming the loop, and a
+        NoConvergence also the form."""
         key = (i, orientation)
         if key not in self._loops:
-            row, end_state = self._loop_integral(
-                i, orientation, self.state0, self.forms
-            )
+            name = f"loop i={i}, orientation={orientation:+d}"
+            try:
+                path = contour.loop_path(self.base_point, i, self.R, orientation)
+                row, end_state = quad.integrate_smooth(
+                    path, self.state0, self.forms, self.spec, self.cfg
+                )
+            except NoConvergence as err:
+                alpha = self.forms[err.form].alpha
+                raise NoConvergence(f"{name}, alpha={alpha}: {err}", err.form) from err
+            except (ClearanceUnachievable, StepTooCoarse) as err:
+                raise type(err)(f"{name}: {err}") from err
             delta = np.asarray(end_state.logs, dtype=complex) - np.asarray(
                 self.state0.logs, dtype=complex
             )
             self._loops[key] = (row, delta)
         return self._loops[key]
-
-    def _column(self, form: FormIndex) -> int:
-        if form.alpha not in self._columns:
-            raise ValueError(f"alpha={form.alpha} is not a form of this curve")
-        return self._columns[form.alpha]
 
     def word_row(self, word: HomologyWord) -> np.ndarray:
         """-1/k times the word's integral for every form, in form order:
@@ -116,17 +104,11 @@ class WordIntegrator:
             self._rows[word] = -(phase * V).sum(axis=0) / self.spec.k
         return self._rows[word]
 
-    def integrate_word(
-        self, word: HomologyWord, form: FormIndex, memoize: bool = True
-    ) -> complex:
-        if memoize:
-            return complex(self.word_row(word)[self._column(form)])
-        state = self.state0
-        total = 0j
-        for i, sign in expand(word, self.spec.k):
-            (value,), state = self._loop_integral(i, sign, state, [form])
-            total += value
-        return -total / self.spec.k
+    def integrate_word(self, word: HomologyWord, form: FormIndex) -> complex:
+        """-1/k times the word's integral of one form: its entry of word_row."""
+        if form.alpha not in self._columns:
+            raise ValueError(f"alpha={form.alpha} is not a form of this curve")
+        return complex(self.word_row(word)[self._columns[form.alpha]])
 
 
 def beta_closed_form(form: FormIndex, k: int) -> float:

@@ -23,7 +23,6 @@ and an index array of the same shape as the matrix.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 from dataclasses import dataclass
@@ -32,13 +31,14 @@ import numpy as np
 
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms
-from .homology import ConjComm, HomologyWord, conjugation_phase, enumerate_generators
+from .homology import (
+    ConjComm,
+    HomologyWord,
+    conjugation_phase,
+    enumerate_generators,
+    zeta_power,
+)
 from .quad import QuadConfig
-
-
-def zeta_power(k: int, e: int) -> complex:
-    """zeta_k**e with the exponent reduced mod k."""
-    return cmath.exp(2j * cmath.pi * (e % k) / k)
 
 
 @dataclass(frozen=True)

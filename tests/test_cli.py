@@ -24,6 +24,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _generator_dict(word) -> dict:
+    """A generator as its JSON object in the period document."""
+    if isinstance(word, Power):
+        return {"type": "power", "i": word.i}
+    return {"type": "conj_comm", "g": list(word.g), "j": word.j, "l": word.l}
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -130,7 +137,7 @@ def test_periods_json_round_trip(capsys, tmp_path):
     assert raw["k"] == 3 and raw["n"] == 2
     assert raw["genus"] == 1
     assert raw["forms"] == [list(f.alpha) for f in pm.cols]
-    assert raw["generators"] == [cli._generator_dict(w) for w in pm.rows]
+    assert raw["generators"] == [_generator_dict(w) for w in pm.rows]
     # [re, im] pairs of doubles viewed as complex, bit for bit
     entries = np.asarray(raw["periods"], dtype=float).view(complex)[..., 0]
     assert np.array_equal(entries, pm.entries)
@@ -199,6 +206,42 @@ def test_out_of_range_level_exits_2(capsys, monkeypatch, flag, field):
     assert out == ""
     assert err.startswith(f"error: {field} must lie in 0..18, got ")
     assert "Traceback" not in err
+
+
+def test_default_flags_give_the_default_quad_config():
+    # argparse holds the defaults, taken from QuadConfig itself
+    args = cli.build_parser().parse_args(["periods", "-k", "3", "-n", "2"])
+    assert cli._quad_config(args) == QuadConfig()
+
+
+@pytest.mark.parametrize("command", ["info", "periods", "basis", "verify"])
+def test_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gfcperiods {command} ")
+
+
+@functools.cache
+def _default_periods_json() -> str:
+    return cli.periods_to_json(assemble(validate_spec(3, 2, []), QuadConfig()))
+
+
+@pytest.mark.parametrize("level", ["14", "17"])
+def test_high_start_level_converges(capsys, level):
+    # the cap rises to one above the start, so two levels can agree
+    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", "--level", level)
+    assert code == 0, err
+    high = np.asarray(json.loads(out)["periods"])
+    default = np.asarray(json.loads(_default_periods_json())["periods"])
+    assert np.max(np.abs(high - default)) <= 1e-12 * np.max(np.abs(default))
+
+
+def test_start_level_18_has_no_level_above_it(capsys):
+    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", "--level", "18")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_level must lie in 0..18, got 19")
 
 
 def test_basis_classical_curve(capsys):
@@ -324,9 +367,9 @@ def test_periods_step_too_coarse_names_the_leg(capsys):
     # with a base point about 2e20 away, the leg nodes near r_1 = 0 round
     # onto a branch point; the error names the base integral
     code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "1e20")
-    assert code == 2
+    assert code == 3
     assert out == ""
-    assert "i=1" in err
+    assert err.startswith("error: branch continuation failed: base integral i=1: ")
     # the walk serves every form of the leg, so no form is named
     assert "alpha" not in err
 
@@ -335,9 +378,9 @@ def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
     # a clearance wider than the branch set leaves no detour for any leg
     monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
     code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "2")
-    assert code == 2
+    assert code == 3
     assert out == ""
-    assert "base integral i=1: no midpoint detour" in err
+    assert err.startswith("error: branch continuation failed: base integral i=1: no midpoint")
 
 
 def _hand_set_matrix():
@@ -424,7 +467,7 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
         "lambdas": [[float(z.real), float(z.imag)] for z in pm.spec.lambdas],
         "genus": genus(pm.spec),
         "forms": [list(f.alpha) for f in pm.cols],
-        "generators": [cli._generator_dict(w) for w in pm.rows],
+        "generators": [_generator_dict(w) for w in pm.rows],
         "periods": np.stack((pm.entries.real, pm.entries.imag), axis=-1).tolist(),
         "base_point": [float(pm.base_point.real), float(pm.base_point.imag)],
     }
@@ -596,7 +639,6 @@ def test_verify_passes_on_near_collinear_lambda(capsys, rho, side):
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=AssertionError,
     reason=(
         "ROADMAP item 1, adaptive panels: the oracle's loop runs out of "

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gfcperiods import contour, init_branch, loop_path, validate_spec
+from gfcperiods import contour, enumerate_forms, init_branch, loop_path, validate_spec
 from gfcperiods.contour import (
     Arc,
     Line,
@@ -66,7 +66,6 @@ def _full_circle(center, radius, start_point, orientation):
                 radius=radius,
                 start_angle=theta,
                 end_angle=theta + orientation * 2 * math.pi,
-                orientation=orientation,
             ),
         )
     )
@@ -156,12 +155,11 @@ def test_loop_path_structure():
     assert len(path.segments) == 3
     arc = path.segments[1]
     assert isinstance(arc, Arc)
-    assert arc.orientation == +1
+    assert abs(arc.end_angle - arc.start_angle - 2 * math.pi) < 1e-12
     assert abs(arc.radius - loop_radius(1, R2)) == 0
     assert abs(path.start - 1j) < 1e-12 and abs(path.end - 1j) < 1e-12
     cw = loop_path(1j, 1, R2, -1).segments[1]
-    assert cw.orientation == -1
-    assert cw.end_angle < cw.start_angle
+    assert abs(cw.end_angle - cw.start_angle + 2 * math.pi) < 1e-12
 
 
 def test_clear_leg_detours_around_interior_point():
@@ -194,6 +192,14 @@ def test_clear_leg_unachievable_for_degenerate_leg():
 def test_exponent_vector():
     (e,) = exponent_matrix([FormIndex(alpha=(1, 3))], 4, 2)
     assert np.allclose(e, [2 / 4 - 1, -3 / 4])
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_exponent_matrix_matches_the_integrand_exponents(k, n):
+    # W = (-w)**((alpha_1+1)/k - 1) * prod_t (w - r_t)**(-alpha_t/k), bit for bit
+    forms = enumerate_forms(validate_spec(k, n, [2.0, -1.5, 2 + 1j][: n - 2]))
+    expected = [[(f.alpha[0] + 1) / k - 1.0] + [-a / k for a in f.alpha[1:]] for f in forms]
+    assert np.array_equal(exponent_matrix(forms, k, n), np.asarray(expected))
 
 
 def _residual(w, logs, R):

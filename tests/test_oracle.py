@@ -11,14 +11,20 @@ from gfcperiods import (
     agm_elliptic_periods,
     base_integrals,
     beta_closed_form,
+    contour,
     crosscheck_report,
     enumerate_forms,
     quad,
     validate_spec,
 )
 from gfcperiods.curve import FormIndex
-from gfcperiods.errors import DegenerateLambda, InvalidArity, NoConvergence
-from gfcperiods.homology import ConjComm, Power
+from gfcperiods.errors import (
+    ClearanceUnachievable,
+    DegenerateLambda,
+    InvalidArity,
+    NoConvergence,
+)
+from gfcperiods.homology import ConjComm, Power, expand
 from gfcperiods.oracle import WordIntegrator, _optimal_agm
 from gfcperiods.periods import zeta_power
 
@@ -75,13 +81,26 @@ def test_sumasuma_covariance(wi32):
         assert abs(lhs - rhs) < 1e-8 * abs(base)
 
 
+def _literal_word(wi, word, form):
+    """-1/k times the word's integral of one form, one loop per letter from
+    the branch state the letters before it left: the reference for the
+    integrator's reuse of each loop's integrals."""
+    state = wi.state0
+    total = 0j
+    for i, sign in expand(word, wi.spec.k):
+        path = contour.loop_path(wi.base_point, i, wi.R, sign)
+        (value,), state = quad.integrate_smooth(path, state, [form], wi.spec, wi.cfg)
+        total += value
+    return -total / wi.spec.k
+
+
 def test_memoized_matches_literal_traversal(quad_cfg):
     spec = validate_spec(2, 3, [2.0])
     wi = WordIntegrator(spec, quad_cfg)
     form = enumerate_forms(spec)[0]
     for word in [ConjComm(g=(1, 0, 1), j=1, l=3), ConjComm(g=(0, 1, 1), j=2, l=3)]:
-        fast = wi.integrate_word(word, form, memoize=True)
-        slow = wi.integrate_word(word, form, memoize=False)
+        fast = wi.integrate_word(word, form)
+        slow = _literal_word(wi, word, form)
         assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
 
 
@@ -105,27 +124,39 @@ def test_word_row_matches_literal_traversal(k, n, lams, words, quad_cfg):
     wi = WordIntegrator(spec, quad_cfg)
     if (k, n) == (4, 3):
         # lambda lies next to the line from the base point to r_1
-        assert len(wi._loop(1, +1).segments) == 5
+        assert len(contour.loop_path(wi.base_point, 1, wi.R, +1).segments) == 5
     for word in words:
         row = wi.word_row(word)
         assert row.shape == (len(wi.forms),)
-        literal = np.asarray(
-            [wi.integrate_word(word, form, memoize=False) for form in wi.forms]
-        )
+        literal = np.asarray([_literal_word(wi, word, form) for form in wi.forms])
         assert np.max(np.abs(row - literal)) <= 1e-12 * np.max(np.abs(row))
         for c, form in enumerate(wi.forms):
             assert wi.integrate_word(word, form) == row[c]
 
 
-@pytest.mark.parametrize("memoize", [True, False])
-def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch, memoize):
+def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
     monkeypatch.setattr(quad, "_GL_MAX_PANELS", 4)
     spec = validate_spec(3, 2, [])
     form = enumerate_forms(spec)[0]
     wi = WordIntegrator(spec, quad_cfg)
     expected = re.escape(f"loop i=2, orientation=+1, alpha={form.alpha}: ")
     with pytest.raises(NoConvergence, match=expected):
-        wi.integrate_word(Power(2), form, memoize=memoize)
+        wi.integrate_word(Power(2), form)
+
+
+def test_word_routing_failure_names_the_loop(quad_cfg, monkeypatch):
+    # a clearance wider than the branch set leaves no detour for any loop
+    monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
+    wi = WordIntegrator(validate_spec(2, 3, [2.0]), quad_cfg)
+    expected = re.escape("loop i=1, orientation=+1: no midpoint detour")
+    with pytest.raises(ClearanceUnachievable, match=expected):
+        wi.word_row(Power(1))
+
+
+def test_integrate_word_rejects_a_foreign_form(wi32):
+    wi, _ = wi32
+    with pytest.raises(ValueError, match=re.escape("alpha=(0, 1, 1) is not a form")):
+        wi.integrate_word(Power(1), FormIndex(alpha=(0, 1, 1)))
 
 
 def test_beta_magnitude_and_phase_consistency(quad_cfg):

@@ -121,7 +121,6 @@ def test_closed_loop_without_branch_points_is_zero(quad_cfg):
                 radius=0.4,
                 start_angle=0.0,
                 end_angle=2 * math.pi,
-                orientation=1,
             ),
         )
     )
