@@ -37,7 +37,7 @@ from .homology import Power, enumerate_generators
 from .lattice import extract_basis, real_split
 from .oracle import crosscheck_report
 from .periods import assemble
-from .quad import QuadConfig
+from .quad import _LEVEL_CAP, QuadConfig
 
 
 def parse_complex(text: str) -> complex:
@@ -272,10 +272,17 @@ def _emit(text: str, out: str | None) -> None:
 def _quad_config(args: argparse.Namespace) -> QuadConfig:
     """QuadConfig from the flags, whose defaults are QuadConfig's.  Without
     --max-level the cap is the default cap, or one above --level when that
-    is higher: refinement accepts a value only when two levels agree."""
+    is higher: refinement accepts a value only when two levels agree.  The
+    raised cap cannot pass the highest level, so a start there is refused
+    naming --level."""
     max_level = args.max_level
     if max_level is None:
         max_level = max(QuadConfig.max_level, args.level + 1)
+        if max_level > _LEVEL_CAP >= args.level:
+            raise ValueError(
+                f"--level must lie in 0..{_LEVEL_CAP - 1} without --max-level, "
+                f"got {args.level}"
+            )
     return QuadConfig(level=args.level, rel_tol=args.tol, max_level=max_level)
 
 

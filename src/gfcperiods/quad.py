@@ -14,6 +14,14 @@ kernel (`_panel_sums`).  Each step walks the nodes once, evaluates every
 form still open on them, and a form leaves the loop at the first step
 that agrees with the previous one to the relative tolerance.
 
+A form's term at a node is exp(E . X): E its exponent row, X the node's
+continued logs.  Column 0 of the forms' exponent matrix takes at most
+(n-1)(k-1)-1 values and every other column at most k, so the kernel
+splits the columns into two groups, exponentiates each group only over
+its distinct rows, and takes every form's node sum from one matrix
+product of the two factors.  It stays unsplit where a split would not at
+least halve the exponentials per node.
+
 Node positions are handled in terms of the distance fractions to either
 endpoint (sigma toward the singular end, tau toward the start), never as
 absolute coordinates, so evaluation stays stable when nodes approach the
@@ -178,9 +186,10 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
 
     Each level walks the leg once for all forms.  The node log-weight is
     appended to the continued logs as one more column, and E gets a column
-    of ones, so each term is exp(E . logs + log_weight) in one exponential:
-    near the singular end a separate weight factor would underflow while
-    the power of sigma overflows.  The gate scale is |I|.
+    of ones, tied to the target's column in the kernel, so the weight and
+    the power of sigma share one exponential: near the singular end a
+    separate weight factor would underflow while the power of sigma
+    overflows.  The gate scale is |I|.
     """
     logs0 = np.asarray(logs0, dtype=complex)
     n = len(R)
@@ -200,7 +209,7 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
             params = np.concatenate(([0.0], tau))
             X[:, others] = contour.continued_logs_param(diff_fn, params, logs0[others])[1:]
         X[:, n] = log_weight
-        cur, _ = _panel_sums(E1[todo], X, 0.5 * D)
+        cur, _ = _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n))
         return cur, np.abs(cur)
 
     return rows_at
@@ -232,9 +241,8 @@ def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
         params = np.concatenate(([0.0], ts, [1.0]))
         logs = contour.segment_logs(seg, params, R, logs0)
         end = logs[-1]
-        cur, l1 = _panel_sums(
-            E[todo], logs[1:-1], contour.segment_velocity(seg, ts) * weights
-        )
+        velocity = contour.segment_velocity(seg, ts) * weights
+        cur, l1 = _panel_sums(E, todo, logs[1:-1], velocity, magnitudes=True)
         return cur, np.maximum(np.abs(cur), 1e-3 * l1)
 
     panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
@@ -242,24 +250,92 @@ def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
     return row, end
 
 
-def _panel_sums(E, X, vw):
-    """Sums of exp(E @ X.T) * vw and of their magnitudes, one per row of E,
-    in blocks of rows that keep every temporary under _BLOCK_VALUES.
+@lru_cache(maxsize=32)
+def _factored(data: bytes, shape: tuple[int, int], tie: tuple[int, int] | None):
+    """The column groups of the kernel for one exponent matrix E, given as
+    its bytes and shape, cached like the node tables.
+
+    Returns the two groups, each as (columns, distinct rows of E over
+    those columns, each row's index into them), or None to stay unsplit.
+    The candidate splits cut the columns at a prefix; with tie = (a, b),
+    column b always joins column a's group and takes no part in the cut.
+    The candidate with the fewest distinct rows in all is kept only when it
+    at least halves the exponentials per node (len(E)).  For the forms of a
+    curve a prefix cut is as good as any other split, because the
+    enumeration is symmetric in alpha_2..alpha_n.
+    """
+    E = np.frombuffer(data).reshape(shape)
+    lead, follow = tie or (None, None)
+    free = [c for c in range(shape[1]) if c != follow]
+
+    def group(cols):
+        cols = np.sort(cols + [follow] if lead in cols else cols)
+        rows, index = np.unique(E[:, cols], axis=0, return_inverse=True)
+        return cols, rows, index.reshape(-1)
+
+    best, split = shape[0], None
+    for t in range(1, len(free)):
+        groups = (group(free[:t]), group(free[t:]))
+        total = sum(len(rows) for _, rows, _ in groups)
+        if 2 * total <= shape[0] and total < best:
+            best, split = total, groups
+    return split
+
+
+def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
+    """Sums of exp(E[todo] @ X.T) * vw over the nodes, one per open row of
+    E, and with magnitudes also the sums of their magnitudes (else None).
 
     The evaluation kernel of both rules: X holds one row of continued logs
     per node and vw the node weights times dw/dt (or one common factor).
+    When `_factored` (given tie) splits the exponent columns into groups A
+    and B, a term factors as exp(E_A . X_A) exp(E_B . X_B): each group is
+    exponentiated only over its distinct rows among the open forms, every
+    form's sum is one entry of the complex product (P_A * vw) @ P_B.T, and
+    its magnitude sum one entry of the real product |P_A * vw| @ |P_B|.T,
+    accumulated over blocks of nodes.  Unsplit, each row is summed over
+    all nodes directly, in blocks of rows.  Every forms x nodes temporary
+    stays under _BLOCK_VALUES.
     """
-    cur = np.empty(len(E), dtype=complex)
-    l1 = np.empty(len(E))
-    Xr, Xi = X.real.T, X.imag.T
-    step = max(1, _BLOCK_VALUES // len(X))
-    for b in range(0, len(E), step):
-        Eb = E[b : b + step]
+    split = _factored(E.tobytes(), E.shape, tie)
+
+    def powers(rows, nodes, cols):
+        Xs = X[nodes, cols]
         # Real products: np.exp right after a complex matmul ran ~8x slower (OpenBLAS).
-        contrib = np.exp(Eb @ Xr + 1j * (Eb @ Xi)) * vw
-        cur[b : b + step] = contrib.sum(axis=1)
-        l1[b : b + step] = np.abs(contrib).sum(axis=1)
-    return cur, l1
+        return np.exp(rows @ Xs.real.T + 1j * (rows @ Xs.imag.T))
+
+    if split is None:
+        rows = E[todo]
+        cur = np.empty(len(rows), dtype=complex)
+        l1 = np.empty(len(rows)) if magnitudes else None
+        step = max(1, _BLOCK_VALUES // len(X))
+        for b in range(0, len(rows), step):
+            terms = powers(rows[b : b + step], slice(None), slice(None)) * vw
+            cur[b : b + step] = terms.sum(axis=1)
+            if magnitudes:
+                l1[b : b + step] = np.abs(terms).sum(axis=1)
+        return cur, l1
+    (cols_a, rows_a, at_a), (cols_b, rows_b, at_b) = (
+        _open_rows(group, todo) for group in split
+    )
+    cur = l1 = 0
+    step = max(1, _BLOCK_VALUES // max(len(rows_a), len(rows_b)))
+    for b in range(0, len(X), step):
+        nodes = slice(b, b + step)
+        P_a = powers(rows_a, nodes, cols_a) * (vw if np.ndim(vw) == 0 else vw[nodes])
+        P_b = powers(rows_b, nodes, cols_b)
+        cur = cur + P_a @ P_b.T
+        if magnitudes:
+            l1 = l1 + np.abs(P_a) @ np.abs(P_b).T
+    return cur[at_a, at_b], (l1[at_a, at_b] if magnitudes else None)
+
+
+def _open_rows(group, todo):
+    """A group's columns, its distinct rows among the open forms todo, and
+    each open form's index into those rows."""
+    cols, rows, index = group
+    present, inverse = np.unique(index[todo], return_inverse=True)
+    return cols, rows[present], inverse.reshape(-1)
 
 
 def integrate_smooth(

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -241,7 +242,7 @@ def test_start_level_18_has_no_level_above_it(capsys):
     code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", "--level", "18")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: max_level must lie in 0..18, got 19")
+    assert err.startswith("error: --level must lie in 0..17 without --max-level, got 18")
 
 
 def test_basis_classical_curve(capsys):
@@ -305,6 +306,22 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_periods_stdout_does_not_depend_on_blas_threads():
+    # the split kernel sums over nodes inside a BLAS product
+    src = str(Path(gfcperiods.__file__).resolve().parents[1])
+    argv = ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"]
+    code = f"import sys, gfcperiods.cli; sys.exit(gfcperiods.cli.main({argv!r}))"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True
+        ).stdout
+        digests.add(hashlib.sha256(out).hexdigest())
+    assert len(digests) == 1
+
+
 def test_basis_failure_exits_4(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NotFullRank("forced by test")
@@ -323,6 +340,13 @@ def test_verify_passes_and_exits_0(capsys):
     assert payload["seed"] == 5
     assert all(c["passed"] for c in payload["checks"])
     assert "pass" in err
+
+
+def test_verify_genus_zero_passes(capsys):
+    # no forms: every loop integrates an empty row
+    code, out, err = run_cli(capsys, "verify", "-k", "2", "-n", "2")
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
 
 
 def test_verify_reports_failure_exit(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +177,26 @@ _J_REFERENCE = {
 }
 
 
-@pytest.mark.parametrize("curve", list(_J_REFERENCE))
+# Curves whose forms take the split kernel, read from the reference file.
+_SPLIT_CURVES = [
+    (4, 4, (-1.5, 2.0 + 1.0j)),
+    (3, 4, (-1.5, 2.0 + 1.0j)),
+    (5, 3, (-1.5,)),
+    (17, 2, ()),
+]
+
+
+def _seed0_reference(curve) -> dict:
+    """{alpha: [(re, im), ...]} of one curve in perfbench/ref/seed0.json."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "seed0.json"
+    with path.open() as fh:
+        table = json.load(fh)
+    k, n, lams = curve
+    key = f"{k},{n}|" + ";".join(f"{complex(z).real},{complex(z).imag}" for z in lams)
+    return {tuple(map(int, alpha.split("."))): J for alpha, J in table[key].items()}
+
+
+@pytest.mark.parametrize("curve", list(_J_REFERENCE) + _SPLIT_CURVES)
 def test_default_level_matches_high_precision_reference(curve):
     # the default start level must reproduce the reference to 1e-13 relative
     # to each column's largest |J|
@@ -183,10 +204,11 @@ def test_default_level_matches_high_precision_reference(curve):
     spec = validate_spec(k, n, lams)
     J = base_integrals(spec, QuadConfig())
     forms = enumerate_forms(spec)
-    assert sorted(f.alpha for f in forms) == sorted(_J_REFERENCE[curve])
+    reference = _J_REFERENCE.get(curve) or _seed0_reference(curve)
+    assert sorted(f.alpha for f in forms) == sorted(reference)
     for c, form in enumerate(forms):
         ref = np.asarray(
-            [complex(float(re), float(im)) for re, im in _J_REFERENCE[curve][form.alpha]]
+            [complex(float(re), float(im)) for re, im in reference[form.alpha]]
         )
         err = np.max(np.abs(J[:, c] - ref)) / np.max(np.abs(ref))
         assert err <= 1e-13, (form.alpha, err)

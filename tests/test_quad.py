@@ -235,3 +235,71 @@ def test_leg_row_over_all_forms_matches_each_form_alone(
         for c, form in enumerate(forms):
             (alone,) = leg_row(state, i, [form], spec, quad_cfg)
             assert abs(alone - whole[c]) <= 1e-14 * scale
+
+
+def _kernel_reference(E, X, vw):
+    """The kernel's sums written out one form at a time."""
+    cur = np.empty(len(E), dtype=complex)
+    l1 = np.empty(len(E))
+    for f, e in enumerate(E):
+        terms = np.exp(e @ X.T) * vw
+        cur[f] = terms.sum()
+        l1[f] = np.abs(terms).sum()
+    return cur, l1
+
+
+# (k, n) -> whether the forms' exponent matrix takes the split kernel: only
+# where a split at least halves the exponentials per node.
+_KERNEL_CURVES = {
+    (2, 3): False,
+    (3, 3): False,
+    (4, 3): False,
+    (4, 4): True,
+    (17, 2): True,
+    (2, 6): True,
+}
+
+
+def _kernel_cases(k, n, rng):
+    """(E, tie, X, vw) in Gauss-Legendre shape and in leg shape for every
+    target: random bounded continued logs, and for legs a log-weight column
+    and a common factor."""
+    forms = enumerate_forms(validate_spec(k, n, [2.0 + 0.5j * t for t in range(n - 2)]))
+    E = exponent_matrix(forms, k, n)
+    nodes = 48
+
+    def logs(cols):
+        return rng.uniform(-2.0, 2.0, (nodes, cols)) + 1j * rng.uniform(-4.0, 4.0, (nodes, cols))
+
+    vw = logs(1)[:, 0]
+    yield E, None, logs(n), vw
+    E1 = np.hstack([E, np.ones((len(E), 1))])
+    for target in range(n):
+        X = logs(n + 1)
+        X[:, n] = rng.uniform(-30.0, 0.0, nodes)
+        yield E1, (target, n), X, complex(vw[0])
+
+
+@pytest.mark.parametrize("k,n", list(_KERNEL_CURVES))
+@pytest.mark.parametrize("block_values", [None, 1])
+def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeypatch):
+    if block_values is not None:
+        monkeypatch.setattr(quad, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(7 * k + n)
+    for E, tie, X, vw in _kernel_cases(k, n, rng):
+        split = quad._factored(E.tobytes(), E.shape, tie)
+        assert (split is not None) == _KERNEL_CURVES[k, n]
+        if tie and split:
+            # the log weight shares the target factor's exponential
+            assert [tie[0] in cols for cols, _, _ in split] == [
+                tie[1] in cols for cols, _, _ in split
+            ]
+        every = np.arange(len(E))
+        for todo in (every, every[1::3]):
+            cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
+            ref_cur, ref_l1 = _kernel_reference(E[todo], X, vw)
+            assert np.all(np.abs(cur - ref_cur) <= 1e-14 * ref_l1)
+            assert np.all(np.abs(l1 - ref_l1) <= 1e-14 * ref_l1)
+            alone, none = quad._panel_sums(E, todo, X, vw, tie=tie)
+            assert none is None
+            assert np.array_equal(alone, cur)
