@@ -8,11 +8,12 @@ non-convergence, or a failed branch walk or route), 4 lattice extraction
 failure, 1 failed verification.
 
 All floating-point output uses 17 significant digits, so parsing the
-emitted JSON or CSV reproduces every double bit-exactly.  A numeric matrix
-is rendered from a table of its values, each formatted once: the periods
-from the PeriodMatrix value table (one entry per phase, pair and form)
-gathered by its index, the basis matrices from their distinct values.  The
-text is the same as formatting every element on its own.
+emitted JSON or CSV reproduces every double bit-exactly.  Each numeric
+matrix is one gather from a table of cell texts, each formatted once, and
+one join: the periods from the PeriodMatrix value table (one entry per
+phase, pair and form) by its index, the basis from its distinct values, and
+the integer matrices from their value range, unsorted.  The text is the
+same as formatting every element on its own.
 """
 
 from __future__ import annotations
@@ -53,41 +54,49 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _cell_text(a: np.ndarray) -> np.ndarray:
-    """The text of every cell of a float or integer array, as an object array
-    of the same shape.  Each distinct value is formatted once: floats keyed
-    by their bit pattern (so -0.0 keeps its sign) with "%.17g", which renders
-    a double exactly as _fmt does, and integers with str."""
-    if a.dtype.kind == "f":
+def _cells(a: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """A table of cell texts and an index of a's shape into it.  Integers
+    index their value range by value - min, with no sort, unless it is wider
+    than both a and 2**16; else the table holds the distinct values, floats
+    keyed by bit pattern (so -0.0 keeps its sign) in "%.17g", as _fmt."""
+    if a.dtype.kind in "iu":
+        low, high = int(a.min(initial=0)), int(a.max(initial=0))
+        if high - low < max(a.size, 1 << 16):
+            return [str(v) for v in range(low, high + 1)], a - low
+        keys, inverse = np.unique(a, return_inverse=True)
+        table = [str(v) for v in keys.tolist()]
+    elif a.dtype.kind == "f":
         bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
         keys, inverse = np.unique(bits, return_inverse=True)
         table = ["%.17g" % x for x in keys.view(np.float64).tolist()]
-    elif a.dtype.kind in "iu":
-        keys, inverse = np.unique(a, return_inverse=True)
-        table = [str(x) for x in keys.tolist()]
     else:
         raise TypeError(f"cannot serialize an array of {a.dtype}")
     # before numpy 2 the inverse is flat; since then it has the input's shape
-    return np.array(table, dtype=object)[inverse.reshape(a.shape)]
+    return table, inverse.reshape(a.shape)
 
 
-def _filled_rows(template: str, cells: np.ndarray, *lead) -> list[str]:
-    """Each leading row of cells filled through one "%s" template, after
-    that row's item of every sequence in lead."""
-    flat = cells.reshape(len(cells), math.prod(cells.shape[1:])).tolist()
-    return [template % (*head, *row) for *head, row in zip(*lead, flat)]
-
-
-def _json_template(shape: tuple[int, ...]) -> str:
-    """A "%s" template for a nested JSON list of the given shape."""
-    if not shape:
-        return "%s"
-    return "[" + ", ".join([_json_template(shape[1:])] * shape[0]) + "]"
+def _joined(texts: list[str], index: np.ndarray, sep, end, head, tail) -> str:
+    """head, then the rows of the 2-D index as the texts it points at, each
+    followed by sep, or by end when last in its row, and tail for the last
+    end.  A row with no cells is one empty text.  One gather from a table
+    of each text twice and one join; the document is never sliced."""
+    if not index.shape[1]:
+        texts, index = [""], np.zeros((len(index), 1), dtype=np.intp)
+    table = np.array([t + sep for t in texts] + [t + end for t in texts], dtype=object)
+    gathered = table[index]
+    gathered[:, -1] = table[index[:, -1] + len(texts)]
+    parts = gathered.ravel().tolist()
+    del table, gathered
+    parts[0] = head + parts[0]
+    parts[-1] = parts[-1][: len(parts[-1]) - len(end)] + tail
+    return "".join(parts)
 
 
 def _json_object(members: dict[str, str]) -> str:
-    """A JSON object from its keys and their rendered values."""
-    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in members.items()) + "}"
+    """A JSON object from its keys and their rendered values, copied by one
+    join: a value can be a matrix of many megabytes."""
+    parts = [x for k, v in members.items() for x in (", ", json.dumps(k), ": ", v)]
+    return "".join(["{", *parts[1:], "}"])
 
 
 def _json_dump(obj) -> str:
@@ -103,8 +112,9 @@ def _json_dump(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        rows = _filled_rows(_json_template(obj.shape[1:]), _cell_text(obj))
-        return "[" + ", ".join(rows) + "]"
+        if obj.ndim != 2 or not obj.size:
+            return _json_dump(obj.tolist())
+        return _joined(*_cells(obj), ", ", "], [", "[[", "]]")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -138,17 +148,8 @@ def _form_label(form) -> str:
     return ".".join(str(a) for a in form.alpha)
 
 
-def _period_cells(pm, template: str) -> np.ndarray:
-    """The text of every period cell as an object array of the matrix's
-    shape: each entry of pm.values formatted once through template (two
-    "%.17g" fields, re and im) and gathered by pm.index."""
-    values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
-    return np.array([template % z for z in values], dtype=object)[pm.index]
-
-
 def periods_to_json(pm) -> str:
-    """The period document.  The head members are glued onto the first row
-    and the tail onto the last, so the text is copied by one join."""
+    """The period document, the matrix gathered from pm.values by pm.index."""
     head = _json_object({
         "k": _json_dump(pm.spec.k),
         "n": _json_dump(pm.spec.n),
@@ -157,25 +158,22 @@ def periods_to_json(pm) -> str:
         "forms": _json_dump([list(f.alpha) for f in pm.cols]),
         "generators": _generators_json(pm.rows, pm.spec.n),
     })
-    cells = _period_cells(pm, "[%.17g, %.17g]")
-    rows = _filled_rows(_json_template(cells.shape[1:]), cells)
-    rows[0] = head[:-1] + ', "periods": [' + rows[0]
-    rows[-1] += '], "base_point": ' + _json_dump(_pair(pm.base_point)) + "}\n"
-    return ", ".join(rows)
+    tail = ']], "base_point": ' + _json_dump(_pair(pm.base_point)) + "}\n"
+    values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
+    texts = ["[%.17g, %.17g]" % z for z in values]
+    return _joined(texts, pm.index, ", ", "], [", head[:-1] + ', "periods": [[', tail)
 
 
 def periods_to_csv(pm) -> str:
-    """The period table, copied by one join like periods_to_json."""
+    """The period table, each row led by its generator's label."""
     header = ["generator"]
     for f in pm.cols:
         label = _form_label(f)
         header.extend([f"re_{label}", f"im_{label}"])
-    template = "%s" + ",%s" * len(pm.cols)
-    labels = [_word_label(w) for w in pm.rows]
-    rows = _filled_rows(template, _period_cells(pm, "%.17g,%.17g"), labels)
-    rows[0] = ",".join(header) + "\n" + rows[0]
-    rows[-1] += "\n"
-    return "\n".join(rows)
+    values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
+    texts = ["%.17g,%.17g" % z for z in values] + [_word_label(w) for w in pm.rows]
+    index = np.column_stack((np.arange(pm.values.size, len(texts)), pm.index))
+    return _joined(texts, index, ",", "\n", ",".join(header) + "\n", "\n")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -206,16 +204,23 @@ def basis_payload(spec, result) -> dict:
 
 
 def basis_to_csv(payload: dict) -> str:
-    lines = ["kind,index," + ",".join(f"c{j}" for j in range(len(payload["basis"])))]
+    width = len(payload["basis"])
+    texts, blocks = [], []
     for kind in ("basis", "coefficients"):
-        cells = _cell_text(payload[kind])
-        template = f"{kind},%d," + ",".join(["%s"] * cells.shape[1])
-        lines.extend(_filled_rows(template, cells, range(len(cells))))
-    lines.append(f"residual,0,{_fmt(payload['residual'])}")
+        table, index = _cells(payload[kind])
+        # a row with no cells keeps the comma after its index
+        leads = [f"{kind},{i}" + "," * (not width) for i in range(len(index))]
+        lead = np.arange(len(leads)) + len(texts) + len(table)
+        blocks.append(np.column_stack((lead, index + len(texts))))
+        texts += table + leads
+    tail = f"\nresidual,0,{_fmt(payload['residual'])}"
     for key in ("abs_det", "log10_abs_det"):
         value = payload[key]
-        lines.append(f"{key},0," + ("" if value is None else _fmt(value)))
-    return "\n".join(lines) + "\n"
+        tail += f"\n{key},0," + ("" if value is None else _fmt(value))
+    head = "kind,index," + ",".join(f"c{j}" for j in range(width)) + "\n"
+    index = np.concatenate(blocks)
+    del blocks  # hold one index, not two, through the join
+    return _joined(texts, index, ",", "\n", head, tail + "\n")
 
 
 def _csv_cell(text: str) -> str:

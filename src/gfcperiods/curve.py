@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import CollidingBranchPoints, DegenerateInput
 
@@ -96,14 +97,18 @@ def enumerate_forms(spec: CurveSpec) -> list[FormIndex]:
     """All exponent tuples with 0 <= alpha_i <= k-1 (i >= 2) and
     0 <= alpha_1 <= sum(alpha_2..alpha_n) - 2, in lexicographic order.
 
-    The count always equals the genus.
+    The count always equals the genus.  They are built once per (k, n).
     """
-    k, n = spec.k, spec.n
+    return list(_forms(spec.k, spec.n))
+
+
+@lru_cache(maxsize=32)
+def _forms(k: int, n: int) -> tuple[FormIndex, ...]:
     forms = []
     for tail in itertools.product(range(k), repeat=n - 1):
         top = sum(tail) - 2
         for a1 in range(top + 1):
             forms.append(FormIndex(alpha=(a1,) + tail))
     forms.sort(key=lambda f: f.alpha)
-    return forms
+    return tuple(forms)
 

@@ -457,6 +457,7 @@ _RENDER_CURVES = {
     "k4n3": (4, 3, [-1.5], False),
     "k2n4": (2, 4, [-1.5, 2 + 1j], False),
     "genus0": (2, 2, [], False),
+    "k3n2": (3, 2, [], False),
     "k3n2_powers": (3, 2, [], True),
     "k5n3_powers": (5, 3, [-1.5], True),
 }
@@ -477,6 +478,7 @@ def _render_matrix(case: str):
         pytest.param("k4n3", [], id="k4n3"),
         pytest.param("k2n4", [], id="k2n4"),
         pytest.param("genus0", ['"forms": []', '"periods": [[], [], [], []]'], id="genus0"),
+        pytest.param("k3n2", ["]], [["], id="k3n2"),
         pytest.param(
             "k3n2_powers", ['"generators": [{"type": "power", "i": 1}, '], id="k3n2_powers"
         ),
@@ -508,6 +510,7 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
         pytest.param("k4n3", [], id="k4n3"),
         pytest.param("k2n4", [], id="k2n4"),
         pytest.param("genus0", ["\nconj_comm:j=1;l=2;g=0.0\n"], id="genus0"),
+        pytest.param("k3n2", ["\nconj_comm:j=1;l=2;g=0.0,"], id="k3n2"),
         pytest.param("k3n2_powers", ["\npower:i=1,0,0\n"], id="k3n2_powers"),
         pytest.param("k5n3_powers", ["\npower:i=3,0,0,0,0,"], id="k5n3_powers"),
     ],
@@ -531,11 +534,21 @@ def test_periods_to_csv_matches_element_rendering(case, fragments):
 
 def test_periods_rendering_needs_no_sort(monkeypatch):
     # the period text is gathered from the (phase, pair, form) table, so
-    # rendering never sorts the matrix
+    # rendering never sorts the matrix; the basis's integer matrices index
+    # the table of their value range, so they are never sorted either
     pm = assemble(validate_spec(4, 4, [-1.5, 2 + 1j]), QuadConfig())
+    result = extract_basis(real_split(pm), pm.spec)
+    payload = cli.basis_payload(pm.spec, result)
+    unique = np.unique
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called while rendering periods")
+
+    def refuse_integers(a, *args, **kwargs):
+        # the float cells are keyed by their uint64 bit patterns
+        if np.asarray(a).dtype.kind == "i":
+            raise AssertionError("np.unique called on integers while rendering a basis")
+        return unique(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", refuse)
     text_json, text_csv = cli.periods_to_json(pm), cli.periods_to_csv(pm)
@@ -544,10 +557,19 @@ def test_periods_rendering_needs_no_sort(monkeypatch):
     cells = [line.split(",")[1:] for line in text_csv.splitlines()[1:]]
     assert np.array_equal(np.asarray(cells, dtype=float).view(complex), pm.entries)
 
+    monkeypatch.setattr(np, "unique", refuse_integers)
+    basis_json, basis_csv = json.loads(cli._json_dump(payload)), cli.basis_to_csv(payload)
+    for kind in ("coefficients", "from_generators"):
+        assert np.array_equal(basis_json[kind], getattr(result, kind))
+    rows = [line.split(",")[2:] for line in basis_csv.splitlines() if line.startswith("coef")]
+    assert np.array_equal(np.asarray(rows, dtype=np.int64), result.coefficients)
+
 
 def _hand_set_basis():
     """A 4 x 4 basis with a 1e100 diagonal (|det| overflows), -0.0, a
-    17-digit double and repeated values, with negative coefficients."""
+    17-digit double and repeated values.  The coefficients are negative
+    down to -25507, with gaps in their range; one entry of from_generators
+    is 10**6, a range wider than 2**16 and than the matrix."""
     from gfcperiods.lattice import LatticeBasis
 
     basis = np.diag([1e100, 1e100, 1e100, 1e100])
@@ -555,11 +577,11 @@ def _hand_set_basis():
     basis[0, 2] = basis[1, 2] = 5.2441151085842401
     basis[3, 0] = basis[3, 1] = -1 / 3
     coefficients = np.array(
-        [[1, 0, -2, 0], [0, -1, 0, 3], [-5, -5, 1, 1], [0, 0, 0, -1], [2, 0, 0, 0]],
+        [[1, 0, -2, 0], [0, -1, 0, 3], [-5, -5, 1, 1], [0, 0, 0, -25507], [2, 0, 0, 0]],
         dtype=np.int64,
     )
     from_generators = np.zeros((4, 5), dtype=np.int64)
-    from_generators[[0, 1, 2, 3], [0, 1, 3, 4]] = [1, -1, -1, 1]
+    from_generators[[0, 1, 2, 3], [0, 1, 3, 4]] = [1, -1, -1, 10**6]
     spec = validate_spec(3, 2, [])
     return spec, LatticeBasis(
         basis=basis,
@@ -583,7 +605,7 @@ def _element_basis_csv(payload: dict, result) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("case", ["hand_set", "k4n3", "k2n4", "genus0", "k3n2_powers"])
+@pytest.mark.parametrize("case", ["hand_set", "k4n3", "k2n4", "genus0", "k3n2", "k3n2_powers"])
 def test_basis_rendering_matches_element_rendering(case):
     if case == "hand_set":
         spec, result = _hand_set_basis()
@@ -603,6 +625,10 @@ def test_basis_rendering_matches_element_rendering(case):
     if case == "hand_set":
         assert "[1e+100, -0, 5.2441151085842401, 0]" in text
         assert '"coefficients": [[1, 0, -2, 0], [0, -1, 0, 3], ' in text
+        assert "[0, 0, 0, -25507], [2, 0, 0, 0]]" in text
+        assert "[0, 0, 0, 0, 1000000]]" in text
+        # so wide a range is tabled by its distinct values, not by every value in it
+        assert len(cli._cells(result.from_generators)[0]) == 4
     if case == "genus0":
         assert '"basis": [], "coefficients": [[], [], [], []], "from_generators": []' in text
 

@@ -71,6 +71,9 @@ def test_genus_matches_classical_fermat():
 def test_enumerate_forms_examples(k, n, expected):
     spec = validate_spec(k, n, [2.0] * (n - 2))
     assert [f.alpha for f in enumerate_forms(spec)] == expected
+    # the forms are built once per (k, n), but each call returns its own list
+    enumerate_forms(spec).clear()
+    assert [f.alpha for f in enumerate_forms(validate_spec(k, n, [3.0] * (n - 2)))] == expected
 
 
 def test_form_count_equals_genus():
