@@ -104,7 +104,8 @@ def _factor_table(words, forms, J: np.ndarray, k: int):
     (e * P + pair) * g + form for the C(n,2) = P pairs in lexicographic
     order and the g forms, then one exact zero for the power rows.  Slots
     whose M_j or M_l is 0 mod k are exact zeros.  index[s, c] points a
-    commutator row at its phase e = (g . M_c) mod k.
+    commutator row at its phase e = (g . M_c) mod k, read from a table of
+    the phase slots of all k**n conjugators.
 
     The phase and the prefactor come from tables of Python complex values
     indexed by exponents mod k.  The two complex products are written out
@@ -134,14 +135,17 @@ def _factor_table(words, forms, J: np.ndarray, k: int):
     block.imag = ab_re * d_im + ab_im * d_re
     block[:, (Mj == 0) | (Ml == 0)] = 0j
 
+    # the phase slots of every conjugator g in Z_k**n, at row g . radix
+    G_all = np.indices((k,) * n, dtype=np.int64).reshape(n, -1).T
+    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    table = ((G_all @ M.T) % k) * (len(pairs) * len(forms)) + np.arange(len(forms))
     index = np.full((len(words), len(forms)), values.size - 1, dtype=np.intp)
     rows = [s for s, word in enumerate(words) if isinstance(word, ConjComm)]
     comm = [words[s] for s in rows]
     G = np.asarray([w.g for w in comm], dtype=np.int64)
     pair_of = {p: i for i, p in enumerate(pairs)}
     pair = np.asarray([pair_of[w.j - 1, w.l - 1] for w in comm])
-    E = (G @ M.T) % k
-    index[rows] = (E * len(pairs) + pair[:, None]) * len(forms) + np.arange(len(forms))
+    index[rows] = table[G @ radix] + (pair * len(forms))[:, None]
     return values, index
 
 

@@ -12,7 +12,11 @@ count instead.
 Both rules share one refinement loop (`_refine`) and one evaluation
 kernel (`_panel_sums`).  Each step walks the nodes once, evaluates every
 form still open on them, and a form leaves the loop at the first step
-that agrees with the previous one to the relative tolerance.
+that agrees with the previous one to the relative tolerance.  Tanh-sinh
+levels nest (the level-L nodes are the even-j nodes of level L + 1), so
+the first two levels of a leg share one walk and one kernel pass: the
+first level, only ever a gate reference, is read off the second level's
+even-j nodes.
 
 A form's term at a node is exp(E . X): E its exponent row, X the node's
 continued logs.  Column 0 of the forms' exponent matrix takes at most
@@ -74,11 +78,12 @@ class QuadConfig:
     (18), the levels whose nodes the continuation walk can hold.
 
     The start level 5 is chosen against 30-digit references of the base
-    integrals.  A leg that converges there costs 391 + 781 nodes (levels 5
-    and 6), and on every curve of the benchmark ladder its differences
+    integrals.  A leg that converges there costs one walk and one kernel
+    pass over the 781 level-6 nodes, whose even-j nodes are level 5's, and
+    on every curve of the benchmark ladder its differences
     J_l - J_j land within 2e-14 of the reference, relative to each form's
-    largest difference.  Starting at level 10 costs about 37k nodes per leg
-    (levels 10 and 11) and is less accurate, off by up to 5e-13 on the
+    largest difference.  Starting at level 10 costs a walk over about 25k
+    nodes per leg (level 11) and is less accurate, off by up to 5e-13 on the
     n >= 4 curves, because rounding builds up over the longer node sums
     and continuation walks.  The two-level agreement gate is the same at
     any start, so a leg that needs more resolution still refines upward.
@@ -180,16 +185,23 @@ def tanh_sinh_level(f, a: float, b: float, level: int):
     return 0.5 * span * np.sum(vals * np.exp(log_weight))
 
 
-def _leg_rows(start: complex, logs0, target: int, R, E):
+def _leg_rows(start: complex, logs0, target: int, R, E, last_level: int):
     """rows_at(level, todo) of the tanh-sinh sums over the straight leg from
     start to the branch point R[target], for the forms E[todo].
 
-    Each level walks the leg once for all forms.  The node log-weight is
-    appended to the continued logs as one more column, and E gets a column
-    of ones, tied to the target's column in the kernel, so the weight and
-    the power of sigma share one exponential: near the singular end a
-    separate weight factor would underflow while the power of sigma
-    overflows.  The gate scale is |I|.
+    Each level walks the leg once for all forms, except that the first
+    call, at a level L below last_level, walks level L + 1 instead: the
+    level-L nodes are its even-j nodes t = j 2**-(L+1), so twice the sum
+    over them is level L's value, which the refinement loop only gates
+    against.  The full level-(L + 1) sums are held and returned by the
+    next call, at level L + 1; later levels are walked one at a time.  A
+    leg that converges at L + 1 thus costs one walk and one kernel pass.
+
+    The node log-weight is appended to the continued logs as one more
+    column, and E gets a column of ones, tied to the target's column in
+    the kernel, so the weight and the power of sigma share one
+    exponential: near the singular end a separate weight factor would
+    underflow while the power of sigma overflows.  The gate scale is |I|.
     """
     logs0 = np.asarray(logs0, dtype=complex)
     n = len(R)
@@ -197,11 +209,12 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
     others = [s for s in range(n) if s != target]
     offsets = np.asarray([complex(start) - complex(R[s]) for s in others])
     E1 = np.hstack([E, np.ones((len(E), 1))])
+    first, held = True, None
 
     def diff_fn(taus):
         return offsets[None, :] + taus[:, None] * D
 
-    def rows_at(level, todo):
+    def sums(level, todo, even):
         sigma, tau, log_sigma, log_weight = _de_nodes(level)
         X = np.empty((len(sigma), n + 1), dtype=complex)
         X[:, target] = logs0[target] + log_sigma
@@ -209,7 +222,23 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
             params = np.concatenate(([0.0], tau))
             X[:, others] = contour.continued_logs_param(diff_fn, params, logs0[others])[1:]
         X[:, n] = log_weight
-        cur, _ = _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n))
+        # node p sits at j = p - len(sigma) // 2, so j is even where p has that parity
+        parity = len(sigma) // 2 % 2 if even else None
+        cur, _, half = _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n), even=parity)
+        return cur, half
+
+    def rows_at(level, todo):
+        nonlocal first, held
+        if first and level < last_level:
+            cur, half = sums(level + 1, todo, even=True)
+            held = todo, cur
+            cur = 2.0 * half
+        elif held is not None:
+            cur = held[1][np.searchsorted(held[0], todo)]
+            held = None
+        else:
+            cur, _ = sums(level, todo, even=False)
+        first = False
         return cur, np.abs(cur)
 
     return rows_at
@@ -242,7 +271,7 @@ def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
         logs = contour.segment_logs(seg, params, R, logs0)
         end = logs[-1]
         velocity = contour.segment_velocity(seg, ts) * weights
-        cur, l1 = _panel_sums(E, todo, logs[1:-1], velocity, magnitudes=True)
+        cur, l1, _ = _panel_sums(E, todo, logs[1:-1], velocity, magnitudes=True)
         return cur, np.maximum(np.abs(cur), 1e-3 * l1)
 
     panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
@@ -282,20 +311,23 @@ def _factored(data: bytes, shape: tuple[int, int], tie: tuple[int, int] | None):
     return split
 
 
-def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
+def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None, even=None):
     """Sums of exp(E[todo] @ X.T) * vw over the nodes, one per open row of
-    E, and with magnitudes also the sums of their magnitudes (else None).
+    E; with magnitudes also the sums of their magnitudes, and with even = 0
+    or 1 also the sums over the nodes at the positions of that parity (each
+    None when not asked for).
 
     The evaluation kernel of both rules: X holds one row of continued logs
     per node and vw the node weights times dw/dt (or one common factor).
     When `_factored` (given tie) splits the exponent columns into groups A
     and B, a term factors as exp(E_A . X_A) exp(E_B . X_B): each group is
     exponentiated only over its distinct rows among the open forms, every
-    form's sum is one entry of the complex product (P_A * vw) @ P_B.T, and
-    its magnitude sum one entry of the real product |P_A * vw| @ |P_B|.T,
-    accumulated over blocks of nodes.  Unsplit, each row is summed over
-    all nodes directly, in blocks of rows.  Every forms x nodes temporary
-    stays under _BLOCK_VALUES.
+    form's sum is one entry of the complex product (P_A * vw) @ P_B.T, its
+    magnitude sum one entry of the real product |P_A * vw| @ |P_B|.T and
+    its sum over one parity of nodes one entry of the product over those
+    node columns, accumulated over blocks of nodes.  Unsplit, each row is
+    summed over all nodes directly, in blocks of rows.  Every forms x nodes
+    temporary stays under _BLOCK_VALUES.
     """
     split = _factored(E.tobytes(), E.shape, tie)
 
@@ -308,17 +340,20 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
         rows = E[todo]
         cur = np.empty(len(rows), dtype=complex)
         l1 = np.empty(len(rows)) if magnitudes else None
+        half = np.empty(len(rows), dtype=complex) if even is not None else None
         step = max(1, _BLOCK_VALUES // len(X))
         for b in range(0, len(rows), step):
             terms = powers(rows[b : b + step], slice(None), slice(None)) * vw
             cur[b : b + step] = terms.sum(axis=1)
             if magnitudes:
                 l1[b : b + step] = np.abs(terms).sum(axis=1)
-        return cur, l1
+            if even is not None:
+                half[b : b + step] = terms[:, even::2].sum(axis=1)
+        return cur, l1, half
     (cols_a, rows_a, at_a), (cols_b, rows_b, at_b) = (
         _open_rows(group, todo) for group in split
     )
-    cur = l1 = 0
+    cur = l1 = half = 0
     step = max(1, _BLOCK_VALUES // max(len(rows_a), len(rows_b)))
     for b in range(0, len(X), step):
         nodes = slice(b, b + step)
@@ -327,7 +362,15 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
         cur = cur + P_a @ P_b.T
         if magnitudes:
             l1 = l1 + np.abs(P_a) @ np.abs(P_b).T
-    return cur[at_a, at_b], (l1[at_a, at_b] if magnitudes else None)
+        if even is not None:
+            # the block starts at node b, so its own positions are offset by b
+            part = slice((even - b) % 2, None, 2)
+            half = half + P_a[:, part] @ P_b[:, part].T
+    return (
+        cur[at_a, at_b],
+        l1[at_a, at_b] if magnitudes else None,
+        half[at_a, at_b] if even is not None else None,
+    )
 
 
 def _open_rows(group, todo):
@@ -391,7 +434,7 @@ def leg_row(
             prefix = Path(segments=tuple(legs[:-1]))
             row, start = integrate_smooth(prefix, state, forms, spec, cfg)
         E = contour.exponent_matrix(forms, spec.k, spec.n)
-        rows_at = _leg_rows(legs[-1].start, start.logs, i - 1, R, E)
+        rows_at = _leg_rows(legs[-1].start, start.logs, i - 1, R, E, cfg.max_level)
         levels = range(cfg.level, cfg.max_level + 1)
         row += _refine(rows_at, levels, len(forms), cfg.rel_tol, "tanh-sinh level")
     except NoConvergence as err:

@@ -9,7 +9,14 @@ from gfcperiods import (
     integrate_smooth,
     validate_spec,
 )
-from gfcperiods.contour import Arc, Line, Path, default_base_point, exponent_matrix
+from gfcperiods.contour import (
+    Arc,
+    Line,
+    Path,
+    clear_leg,
+    default_base_point,
+    exponent_matrix,
+)
 from gfcperiods import quad
 from gfcperiods.errors import NoConvergence
 from gfcperiods.quad import QuadConfig, leg_row, tanh_sinh, tanh_sinh_level
@@ -169,7 +176,7 @@ def test_leg_ladder_converges_across_desk_scale(quad_cfg):
             E = exponent_matrix(sample, spec.k, spec.n)
             every = np.arange(len(sample))
             for i in range(1, n + 1):
-                rows_at = quad._leg_rows(z0, state.logs, i - 1, R, E)
+                rows_at = quad._leg_rows(z0, state.logs, i - 1, R, E, 11)
                 levels = [rows_at(lvl, every)[0] for lvl in range(quad_cfg.level, 12)]
                 for values in np.transpose(levels):
                     diffs = [
@@ -238,14 +245,17 @@ def test_leg_row_over_all_forms_matches_each_form_alone(
 
 
 def _kernel_reference(E, X, vw):
-    """The kernel's sums written out one form at a time."""
+    """The kernel's sums written out one form at a time: over all nodes,
+    their magnitudes, and over the nodes at even and at odd positions."""
     cur = np.empty(len(E), dtype=complex)
     l1 = np.empty(len(E))
+    halves = np.empty((2, len(E)), dtype=complex)
     for f, e in enumerate(E):
         terms = np.exp(e @ X.T) * vw
         cur[f] = terms.sum()
         l1[f] = np.abs(terms).sum()
-    return cur, l1
+        halves[:, f] = terms[0::2].sum(), terms[1::2].sum()
+    return cur, l1, halves
 
 
 # (k, n) -> whether the forms' exponent matrix takes the split kernel: only
@@ -296,10 +306,105 @@ def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeyp
             ]
         every = np.arange(len(E))
         for todo in (every, every[1::3]):
-            cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
-            ref_cur, ref_l1 = _kernel_reference(E[todo], X, vw)
+            ref_cur, ref_l1, ref_halves = _kernel_reference(E[todo], X, vw)
+            cur, l1, none = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
+            assert none is None
             assert np.all(np.abs(cur - ref_cur) <= 1e-14 * ref_l1)
             assert np.all(np.abs(l1 - ref_l1) <= 1e-14 * ref_l1)
-            alone, none = quad._panel_sums(E, todo, X, vw, tie=tie)
+            alone, none, _ = quad._panel_sums(E, todo, X, vw, tie=tie)
             assert none is None
             assert np.array_equal(alone, cur)
+            for even, ref_half in enumerate(ref_halves):
+                full, none, half = quad._panel_sums(E, todo, X, vw, tie=tie, even=even)
+                assert none is None
+                # the full sum is the same arithmetic with or without the half
+                assert np.array_equal(full, cur)
+                assert np.all(np.abs(half - ref_half) <= 1e-14 * ref_l1)
+            if split and block_values is None:
+                # node blocks of three, so that every second block starts at
+                # an odd position
+                width = max(len(quad._open_rows(group, todo)[1]) for group in split)
+                with pytest.MonkeyPatch.context() as blocks:
+                    blocks.setattr(quad, "_BLOCK_VALUES", 3 * width)
+                    for even, ref_half in enumerate(ref_halves):
+                        _, _, half = quad._panel_sums(E, todo, X, vw, tie=tie, even=even)
+                        assert np.all(np.abs(half - ref_half) <= 1e-14 * ref_l1)
+
+
+# an unsplit curve and two split ones (see _KERNEL_CURVES)
+_PAIRED_CURVES = [(3, 3, [-1.5]), (4, 4, [-1.5, 2 + 1j]), (17, 2, [])]
+
+
+def _legs(k, n, lams):
+    """(spec, forms, state, E, legs) of a curve: its forms, the base point's
+    branch state, their exponent matrix, and the legs i whose route from
+    the base point is the straight leg alone."""
+    spec = validate_spec(k, n, lams)
+    forms = enumerate_forms(spec)
+    R = spec.branch_points
+    state = init_branch(default_base_point(R), R)
+    straight = [
+        i
+        for i in range(1, n + 1)
+        if len(clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})) == 1
+    ]
+    assert straight
+    return spec, forms, state, exponent_matrix(forms, k, n), straight
+
+
+@pytest.mark.parametrize("k,n,lams", _PAIRED_CURVES)
+def test_paired_leg_row_is_todays_next_level(k, n, lams, quad_cfg):
+    # every form of these legs converges at level 6, whose value the paired
+    # first call computes with the full sum of a plain level-6 evaluation
+    spec, forms, state, E, straight = _legs(k, n, lams)
+    R = spec.branch_points
+    every = np.arange(len(forms))
+    for i in straight:
+        fresh = quad._leg_rows(state.point, state.logs, i - 1, R, E, quad_cfg.level + 1)
+        plain, _ = fresh(quad_cfg.level + 1, every)
+        assert np.array_equal(leg_row(state, i, forms, spec, quad_cfg), plain)
+
+
+@pytest.mark.parametrize("k,n,lams", _PAIRED_CURVES)
+@pytest.mark.parametrize("level", [3, 5])
+def test_paired_gate_value_is_the_level_value(k, n, lams, level):
+    # level 4 has an odd jmax (97), level 6 an even one (390): the level-L
+    # nodes are picked by even j, not by position
+    spec, forms, state, E, straight = _legs(k, n, lams)
+    R = spec.branch_points
+    every = np.arange(len(forms))
+    for i in straight:
+        paired = quad._leg_rows(state.point, state.logs, i - 1, R, E, level + 1)
+        unpaired = quad._leg_rows(state.point, state.logs, i - 1, R, E, level)
+        gate, _ = paired(level, every)
+        plain, _ = unpaired(level, every)
+        assert np.max(np.abs(gate - plain)) <= 1e-14 * np.max(np.abs(plain))
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    walk = quad.contour.continued_logs_param
+
+    def counted(diff_fn, params, logs0):
+        walks.append(len(params))
+        return walk(diff_fn, params, logs0)
+
+    monkeypatch.setattr(quad.contour, "continued_logs_param", counted)
+    return walks
+
+
+def test_a_leg_converging_at_the_second_level_walks_once(quad_cfg, monkeypatch):
+    spec, forms, state, _, straight = _legs(3, 3, [-1.5])
+    walks = _count_walks(monkeypatch)
+    leg_row(state, straight[0], forms, spec, quad_cfg)
+    nodes = len(quad._de_nodes(quad_cfg.level + 1)[0])
+    assert walks == [nodes + 1]
+
+
+def test_a_capped_leg_walks_its_one_level(monkeypatch):
+    spec, forms, state, _, straight = _legs(3, 3, [-1.5])
+    walks = _count_walks(monkeypatch)
+    cfg = QuadConfig(level=3, max_level=3, rel_tol=1e-15)
+    with pytest.raises(NoConvergence, match=r"base integral i=\d+, alpha=.*level 3$"):
+        leg_row(state, straight[0], forms, spec, cfg)
+    assert walks == [len(quad._de_nodes(3)[0]) + 1]
