@@ -1,7 +1,18 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 
-from gfcperiods import assemble, extract_basis, lattice_rank, real_split, validate_spec
+from gfcperiods import (
+    QuadConfig,
+    assemble,
+    extract_basis,
+    lattice,
+    lattice_rank,
+    real_split,
+    validate_spec,
+)
 from gfcperiods.errors import NotFullRank, ReconstructionFailed
 
 
@@ -56,6 +67,14 @@ def test_extract_basis_names_non_integral_generator():
     spec = validate_spec(3, 2, [])
     vectors = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     with pytest.raises(ReconstructionFailed, match="generator 2:"):
+        extract_basis(vectors, spec)
+
+
+def test_extract_basis_names_generator_past_the_kept_rows():
+    # rows 0 and 2 are kept; of the others, row 4 is the first off the lattice
+    spec = validate_spec(3, 2, [])
+    vectors = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 2.0], [4.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(ReconstructionFailed, match="generator 4:"):
         extract_basis(vectors, spec)
 
 
@@ -131,9 +150,9 @@ REGRESSION_CURVES = [
 
 
 @pytest.mark.parametrize("k,n,lams", REGRESSION_CURVES)
-def test_extract_basis_beyond_desk_set(k, n, lams, quad_cfg):
+def test_extract_basis_beyond_desk_set(k, n, lams):
     spec = validate_spec(k, n, list(lams))
-    v = real_split(assemble(spec, quad_cfg))
+    v = _generators(k, n, lams)
     basis = extract_basis(v, spec)
     scale = np.max(np.abs(v))
     assert np.max(np.abs(basis.coefficients @ basis.basis - v)) < 1e-10 * scale
@@ -141,4 +160,159 @@ def test_extract_basis_beyond_desk_set(k, n, lams, quad_cfg):
     picked = np.argmax(basis.from_generators, axis=1)
     assert np.array_equal(basis.from_generators, np.eye(len(v), dtype=np.int8)[picked])
     assert np.array_equal(v[picked], basis.basis)
+    assert picked.tolist() == _reference_first_independent(v, v.shape[1])
     assert _same_lattice(basis.basis, extract_basis(basis.basis, spec).basis)
+
+
+def _reference_first_independent(v, d):
+    """The row-by-row rule that lattice._first_independent computes in
+    blocks: Gram-Schmidt with a second projection pass, one row at a time."""
+    tol = lattice._RANK_TOL * float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
+    q = np.empty((d, v.shape[1]))
+    kept = []
+    for i, row in enumerate(v):
+        q_kept = q[: len(kept)]
+        r = row - q_kept.T @ (q_kept @ row)
+        r -= q_kept.T @ (q_kept @ r)
+        dist = float(np.linalg.norm(r))
+        if dist > tol:
+            q[len(kept)] = r / dist
+            kept.append(i)
+            if len(kept) == d:
+                break
+    return kept
+
+
+@functools.cache
+def _generators(k, n, lams):
+    return real_split(assemble(validate_spec(k, n, list(lams)), QuadConfig()))
+
+
+# The basis_ladder and verify_oracle curves of the benchmark, seed 0.
+LADDER_CURVES = [
+    (4, 2, ()),
+    (3, 3, (-1.5,)),
+    (2, 4, (-1.5, 2 + 1j)),
+    (12, 2, ()),
+    (2, 5, (-1.5, 2 + 1j, 2)),
+    (17, 2, ()),
+    (2, 3, (-1.5,)),
+    (4, 3, (-1.5,)),
+    (5, 3, (-1.5,)),
+    (3, 4, (-1.5, 2 + 1j)),
+]
+
+
+@pytest.mark.parametrize("k,n,lams", LADDER_CURVES)
+def test_blocked_rows_match_row_loop_on_ladder(k, n, lams):
+    v = _generators(k, n, lams)
+    d = v.shape[1]
+    assert lattice._first_independent(v, d) == _reference_first_independent(v, d)
+
+
+def test_blocked_rows_match_row_loop_on_random_lambda():
+    # 12 seeded curves with branch points anywhere in |Re|, |Im| <= 3
+    kinds = [(2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (3, 4), (5, 3), (2, 6)]
+    rng = random.Random(15)
+    for c in range(12):
+        k, n = kinds[c % len(kinds)]
+        lams = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n - 2)]
+        v = real_split(assemble(validate_spec(k, n, lams), QuadConfig()))
+        d = v.shape[1]
+        got = lattice._first_independent(v, d)
+        assert got == _reference_first_independent(v, d), (k, n, lams)
+        assert len(got) == d
+
+
+@pytest.mark.parametrize("k,n,lams", LADDER_CURVES)
+def test_extract_basis_matches_full_solve(k, n, lams):
+    # solving only for the rows that were not kept changes no bit
+    v = _generators(k, n, lams)
+    result = extract_basis(v, validate_spec(k, n, list(lams)))
+    coords = np.linalg.solve(result.basis.T, v.T).T
+    coeffs = np.rint(coords)
+    assert np.array_equal(result.coefficients, coeffs.astype(np.int64))
+    assert result.residual == float(np.max(np.abs(coeffs @ result.basis - v)))
+
+
+def _unit(i):
+    return np.eye(4)[i]
+
+
+@pytest.mark.parametrize("offset", [0, 70])
+def test_blocked_rows_threshold_either_side(offset):
+    # unit rows make the tolerance exactly _RANK_TOL; row offset + 2 lies
+    # 0.5 tol from the span, row offset + 3 lies 2 tol from it
+    tol = lattice._RANK_TOL
+    lead = np.tile(_unit(0), (offset, 1))
+    rows = [_unit(0), _unit(1), _unit(0) + 0.5 * tol * _unit(2), _unit(1) + 2 * tol * _unit(3)]
+    v = np.vstack([lead.reshape(-1, 4), rows])
+    kept = lattice._first_independent(v, 4)
+    assert kept == [0, offset + 1, offset + 3]
+    assert kept == _reference_first_independent(v, 4)
+
+
+def test_blocked_rows_dependent_row_inside_block():
+    rng = np.random.default_rng(1)
+    fresh = rng.standard_normal((6, 8))
+    v = np.vstack([fresh[:4], fresh[1] + 2 * fresh[3], fresh[4:]])
+    kept = lattice._first_independent(v, 8)
+    assert kept == [0, 1, 2, 3, 5, 6]
+    assert kept == _reference_first_independent(v, 8)
+
+
+def test_blocked_rows_restart_after_late_row():
+    # more survivors than free dimensions: row 1 is 2 * row 0, so the QR of
+    # the three survivors has no diagonal entry for row 2, which is only
+    # found independent by the exact check and restarts the block after it
+    a, b = np.array([1.0, 0.5]), np.array([0.25, 1.0])
+    v = np.vstack([a, 2 * a, b, a + b, a - b])
+    assert lattice._first_independent(v, 2) == [0, 2]
+    # a survivor 0.5 tol from row 0 hides row 2 (2.06 tol from it) from the
+    # QR, and row 3, kept outright, must not count in row 2's distance; no
+    # row is longer than 1, so tol is _RANK_TOL
+    tol = lattice._RANK_TOL
+    v = np.vstack(
+        [_unit(0), _unit(0) + 0.5 * tol * _unit(1)]
+        + [_unit(0) + 2 * tol * _unit(1) + 0.5 * tol * _unit(3)]
+        + [(_unit(1) + 0.1 * _unit(2)) / 2]
+        + [(_unit(i) + _unit(j)) / 2 for i in range(4) for j in range(4)]
+    )
+    kept = lattice._first_independent(v, 4)
+    assert kept == [0, 2, 3, 5]
+    assert kept == _reference_first_independent(v, 4)
+
+
+def test_blocked_rows_span_several_blocks():
+    # 40 fresh rows among integer combinations of the rows before them
+    rng = np.random.default_rng(2)
+    rows = []
+    for i in range(320):
+        if i % 8 == 0:
+            rows.append(rng.standard_normal(40))
+        else:
+            pick = rng.integers(0, len(rows), size=3)
+            rows.append(rng.integers(-3, 4, size=3).astype(float) @ np.asarray(rows)[pick])
+    v = np.asarray(rows)
+    kept = lattice._first_independent(v, 40)
+    assert kept == list(range(0, 320, 8))
+    assert kept == _reference_first_independent(v, 40)
+
+
+def test_blocked_rows_cap_mid_block():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((150, 6))
+    assert lattice._first_independent(v, 6) == list(range(6))
+    w = np.vstack([np.tile(v[:3], (30, 1)), v[3:]])
+    kept = lattice._first_independent(w, 6)
+    assert kept == [0, 1, 2, 90, 91, 92]
+    assert kept == _reference_first_independent(w, 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_basis_non_finite_row(bad):
+    spec = validate_spec(3, 2, [])
+    v = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+    assert lattice._first_independent(v, 2) == []
+    with pytest.raises(NotFullRank):
+        extract_basis(v, spec)
