@@ -50,12 +50,8 @@ class LatticeBasis:
 
 def real_split(pm: PeriodMatrix) -> np.ndarray:
     """Rows of the period matrix as real vectors: all real parts, then all
-    imaginary parts, in column order, gathered from the factor table."""
-    m, g = pm.index.shape
-    v = np.empty((m, 2 * g))
-    v[:, :g] = pm.values.real[pm.index]
-    v[:, g:] = pm.values.imag[pm.index]
-    return v
+    imaginary parts, in column order."""
+    return np.hstack([pm.entries.real, pm.entries.imag])
 
 
 def lattice_rank(vectors, rank_tol: float = 1e-8) -> int:
@@ -120,26 +116,23 @@ def _first_independent(v: np.ndarray, d: int) -> list[int]:
         dist[: tri.shape[0]] = np.abs(np.diagonal(tri))
         sure = dist > tol
         new = surv[sure]
-        if sure.all():
-            new_q = w.T
-        else:
-            # the rest, in the coordinates of w, off the sure rows before each
-            rest = surv[~sure]
-            basis = np.linalg.qr(tri[:, sure])[0]
-            mask = new[None, :] < rest[:, None]
-            res = tri[:, ~sure].T
-            for _ in range(2):
-                res -= ((res @ basis) * mask) @ basis.T
-            dist = np.linalg.norm(res, axis=1)
-            coords = basis.T
-            late = np.flatnonzero(dist > tol)
-            if late.size:
-                j = late[0]
-                before = int(np.count_nonzero(new < rest[j]))
-                new = np.append(new[:before], rest[j])
-                coords = np.vstack([coords[:before], res[j] / dist[j]])
-                stop = start + int(rest[j]) + 1
-            new_q = coords @ w.T
+        # the rest, in the coordinates of w, off the sure rows before each
+        rest = surv[~sure]
+        basis = np.linalg.qr(tri[:, sure])[0]
+        mask = new[None, :] < rest[:, None]
+        res = tri[:, ~sure].T
+        for _ in range(2):
+            res -= ((res @ basis) * mask) @ basis.T
+        dist = np.linalg.norm(res, axis=1)
+        coords = basis.T
+        late = np.flatnonzero(dist > tol)
+        if late.size:
+            j = late[0]
+            before = int(np.count_nonzero(new < rest[j]))
+            new = np.append(new[:before], rest[j])
+            coords = np.vstack([coords[:before], res[j] / dist[j]])
+            stop = start + int(rest[j]) + 1
+        new_q = coords @ w.T
         take = min(new.size, d - len(kept))
         q[len(kept) : len(kept) + take] = new_q[:take]
         kept.extend((start + new[:take]).tolist())

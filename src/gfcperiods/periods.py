@@ -151,7 +151,8 @@ def _factor_table(words, forms, J: np.ndarray, k: int):
     G = np.asarray([w.g for w in comm], dtype=np.int64)
     pair_of = {p: i for i, p in enumerate(pairs)}
     pair = np.asarray([pair_of[w.j - 1, w.l - 1] for w in comm])
-    slot = phase[G @ radix] * np.intp(len(pairs) * len(forms))
+    # widen before the arithmetic: the products outgrow the phase dtype
+    slot = phase[G @ radix].astype(np.intp) * (len(pairs) * len(forms))
     slot += np.arange(len(forms))
     slot += (pair * len(forms))[:, None]
     index[rows] = slot
