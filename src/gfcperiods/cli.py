@@ -35,7 +35,7 @@ from .errors import (
     StepTooCoarse,
 )
 from .homology import Power, enumerate_generators
-from .lattice import extract_basis, real_split
+from .lattice import extract_basis
 from .oracle import crosscheck_report
 from .periods import assemble
 from .quad import _LEVEL_CAP, QuadConfig
@@ -313,7 +313,7 @@ def cmd_periods(args: argparse.Namespace) -> int:
 def cmd_basis(args: argparse.Namespace) -> int:
     spec = validate_spec(args.k, args.n, args.lambdas)
     pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
-    result = extract_basis(real_split(pm), spec)
+    result = extract_basis(pm, spec)
     payload = basis_payload(spec, result)
     text = basis_to_csv(payload) if args.fmt == "csv" else _json_dump(payload) + "\n"
     _emit(text, args.out)

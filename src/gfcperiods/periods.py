@@ -63,6 +63,10 @@ class PeriodMatrix:
     def entries(self) -> np.ndarray:
         return self.values[self.index]
 
+    def identity_rows(self) -> np.ndarray:
+        """The g = 0 row of each pair (j, l); its k**n rows follow in lex g order."""
+        return np.flatnonzero([isinstance(w, ConjComm) and not any(w.g) for w in self.rows])
+
 
 def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
     """J[i-1, c] = integral from z0 to r_i of W dw for the c-th form.

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -330,6 +331,20 @@ def test_basis_failure_exits_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "basis", "-k", "3", "-n", "2")
     assert code == 4
     assert "forced by test" in err
+
+
+def test_basis_with_a_nan_period_exits_4(capsys, monkeypatch):
+    def with_nan(spec, cfg, include_powers=False):
+        pm = assemble(spec, cfg, include_powers=include_powers)
+        values = pm.values.copy()
+        values[pm.index[-1, -1]] = np.nan
+        return dataclasses.replace(pm, values=values)
+
+    monkeypatch.setattr(cli, "assemble", with_nan)
+    code, out, err = run_cli(capsys, "basis", "-k", "3", "-n", "3", "-l", "-1.5")
+    assert code == 4
+    assert out == ""
+    assert "non-finite period" in err
 
 
 def test_verify_passes_and_exits_0(capsys):
@@ -691,8 +706,8 @@ def test_verify_passes_on_near_collinear_lambda(capsys, rho, side):
 @pytest.mark.xfail(
     raises=AssertionError,
     reason=(
-        "ROADMAP item 1, adaptive panels: the oracle's loop runs out of "
-        "Gauss-Legendre panels at 8192 and verify exits 3"
+        "ROADMAP direction 3, clustered and extreme branch sets: the oracle's "
+        "loop runs out of Gauss-Legendre panels at 8192 and verify exits 3"
     ),
 )
 @pytest.mark.parametrize("k,lam", [(2, "1e6"), (3, "1.0001")])

@@ -217,3 +217,26 @@ def test_branch_state_invariant_preserved_along_paths():
     for i in (1, 2, 3):
         moved = _walk(st.logs, loop_path(z0, i, R, +1), R)
         assert _residual(z0, moved, R) < 1e-12
+
+
+def test_loop_path_rejects_bad_orientation():
+    with pytest.raises(ValueError, match="orientation"):
+        loop_path(1j, 1, R2, 0)
+
+
+def test_loop_path_rejects_base_point_on_branch_point():
+    with pytest.raises(BasePointOnBranchPoint):
+        loop_path(R2[1], 2, R2, +1)
+
+
+def test_walk_refinement_stops_at_the_point_budget(monkeypatch):
+    # a factor turning 2.8 pi over the piece: steps of 2.8, 1.4 and 0.7 pi
+    # (2, 3 and 5 points) all fail the pi/2 test, and 9 points pass it
+    def diff_fn(params):
+        return np.exp(2.8j * np.pi * np.asarray(params))[:, None]
+
+    logs = contour.continued_logs_param(diff_fn, [0.0, 1.0], [0j])
+    assert abs(logs[-1, 0] - 2.8j * np.pi) < 1e-12
+    monkeypatch.setattr(contour, "_MAX_WALK_POINTS", 8)
+    with pytest.raises(StepTooCoarse, match="walk point budget"):
+        contour.continued_logs_param(diff_fn, [0.0, 1.0], [0j])

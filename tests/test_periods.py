@@ -267,3 +267,22 @@ def test_factor_table_layout(k, n, lams, include_powers, quad_cfg):
     assert np.array_equal(pm.entries.view(np.uint64), gathered.view(np.uint64))
     if (k, n) == (2, 4):
         assert np.count_nonzero(pm.values == 0) > 1
+
+
+def test_identity_rows_start_each_pairs_block(quad_cfg):
+    spec = validate_spec(3, 3, [-1.5])
+    pm = assemble(spec, quad_cfg, include_powers=True)
+    first = pm.identity_rows()
+    block = spec.k**spec.n
+    assert first.tolist() == [spec.n + p * block for p in range(math.comb(spec.n, 2))]
+    radix = spec.k ** np.arange(spec.n - 1, -1, -1)
+    M = np.asarray([f.m_exponents for f in pm.cols])
+    for row in first:
+        base = pm.rows[row]
+        assert base.g == (0,) * spec.n
+        for s in range(row, row + block):
+            word = pm.rows[s]
+            assert (word.j, word.l) == (base.j, base.l)
+            assert s - row == np.dot(word.g, radix)
+            phase = np.exp(2j * np.pi * (M @ np.asarray(word.g)) / spec.k)
+            assert np.allclose(pm.entries[s], phase * pm.entries[row], rtol=1e-14, atol=0)

@@ -408,3 +408,11 @@ def test_a_capped_leg_walks_its_one_level(monkeypatch):
     with pytest.raises(NoConvergence, match=r"base integral i=\d+, alpha=.*level 3$"):
         leg_row(state, straight[0], forms, spec, cfg)
     assert walks == [len(quad._de_nodes(3)[0]) + 1]
+
+
+def test_integrate_smooth_rejects_a_path_away_from_the_state(quad_cfg):
+    spec = validate_spec(3, 2, [])
+    state = init_branch(default_base_point(spec.branch_points), spec.branch_points)
+    path = Path(segments=(Line(state.point + 1.0, state.point + 2.0),))
+    with pytest.raises(ValueError, match="does not start at the state"):
+        integrate_smooth(path, state, enumerate_forms(spec), spec, quad_cfg)
