@@ -20,14 +20,14 @@ another branch point relative to the leg's length.  The J legs of the quad
 module and the generator loops of `loop_path` (in along the route, cut at
 a small circle around the branch point, the full circle, and the same
 route back out) both follow it, so each loop is homotopic to its leg by
-construction.
+construction.  `loop_pieces` gives a loop's route in and circle alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -279,12 +279,10 @@ def clear_leg(z_from: complex, z_to: complex, R, exclude: set[int]) -> list[Line
     )
 
 
-def loop_path(base_point: complex, i: int, R, orientation: int) -> Path:
-    """Standard loop realizing the i-th fundamental-group generator (or its
-    inverse for orientation -1): in along the J leg's route to r_i, cut at
-    the circle, a full circle around r_i, and the same route back out."""
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
+def loop_pieces(base_point: complex, i: int, R) -> tuple[tuple[Line, ...], Arc]:
+    """The route in and the counterclockwise circle of the standard loop
+    around r_i: along the J leg's route to r_i, cut where it meets the
+    circle of radius `loop_radius(i, R)`, then once around that circle."""
     z0 = complex(base_point)
     r = complex(R[i - 1])
     if z0 == r:
@@ -294,12 +292,22 @@ def loop_path(base_point: complex, i: int, R, orientation: int) -> Path:
     rho = loop_radius(i, R)
     theta0 = cmath.phase(last - r)
     entry = r + rho * cmath.exp(1j * theta0)
-    inbound = legs[:-1] + [Line(last, entry)]
+    inbound = tuple(legs[:-1]) + (Line(last, entry),)
     circle = Arc(
-        center=r,
-        radius=rho,
-        start_angle=theta0,
-        end_angle=theta0 + orientation * 2.0 * math.pi,
+        center=r, radius=rho, start_angle=theta0, end_angle=theta0 + 2.0 * math.pi
     )
-    outbound = [Line(seg.end, seg.start) for seg in reversed(inbound)]
-    return Path(segments=tuple(inbound) + (circle,) + tuple(outbound))
+    return inbound, circle
+
+
+def loop_path(base_point: complex, i: int, R, orientation: int) -> Path:
+    """Standard loop realizing the i-th fundamental-group generator (or its
+    inverse for orientation -1): the route in of `loop_pieces`, a full
+    circle around r_i in the orientation's sense, and the same route back
+    out."""
+    if orientation not in (+1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    inbound, circle = loop_pieces(base_point, i, R)
+    if orientation == -1:
+        circle = replace(circle, end_angle=circle.start_angle - 2.0 * math.pi)
+    outbound = tuple(Line(seg.end, seg.start) for seg in reversed(inbound))
+    return Path(segments=inbound + (circle,) + outbound)

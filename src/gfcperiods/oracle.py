@@ -2,9 +2,12 @@
 
 Three routes that never touch the closed-form entry formula:
 
-* `WordIntegrator` integrates the multivalued integrand along the literal
-  loop concatenation spelled by a homology word, with the branch state
-  carried continuously through every letter;
+* `WordIntegrator` integrates the multivalued integrand along the loop
+  concatenation spelled by a homology word, with the branch state carried
+  continuously through every letter.  Each branch point's route in and
+  circle are integrated once; the way out and the -1 loop follow from the
+  deck-action phase, and the tests keep the literal traversal of
+  `contour.loop_path` as the reference;
 * `beta_closed_form` gives the classical Beta value that the rank-2 base
   integrals must reproduce in magnitude;
 * `agm_elliptic_periods` computes genus-1 period lattices by the
@@ -42,14 +45,16 @@ class WordIntegrator:
     """Contour oracle for one curve: integrates -W/k along word paths.
 
     Each letter of a word traverses the standard loop around one branch
-    point.  A loop's geometric path never changes, and continuing the
-    integrand from a shifted branch state only multiplies it by
-    exp(sum_t e_t * delta_t) with delta the accumulated log offsets, so
-    each (letter, orientation) loop is integrated once from the reference
-    state, for all forms at once, and reused with that exact covariance
-    factor.  A word's values over all forms are then one array expression
-    over its letters.  The tests keep the literal letter-by-letter
-    traversal as the reference.
+    point.  Continuing the integrand from a shifted branch state only
+    multiplies it by exp(sum_t e_t * delta_t), with delta the log offsets
+    (the Z_k^n deck action).  So only the +1 loop's route in and circle
+    are integrated, once per branch point, from the reference state and
+    for all forms at once; the way out (the route in walked backwards) and
+    the -1 loop (the +1 loop walked backwards) take their rows from that
+    phase.  A word's values over all forms are then one array expression
+    over its letters.  Nothing is kept beyond the integrator, and the tests
+    keep the literal traversal of `contour.loop_path`, loop by loop and
+    letter by letter, as the reference.
     """
 
     def __init__(self, spec: CurveSpec, cfg: QuadConfig):
@@ -66,26 +71,40 @@ class WordIntegrator:
 
     def _loop_row(self, i: int, orientation: int):
         """Loop integrals of all forms from the reference state and the
-        loop's log offsets.  A failure is re-raised naming the loop, and a
-        NoConvergence also the form."""
-        key = (i, orientation)
-        if key not in self._loops:
-            name = f"loop i={i}, orientation={orientation:+d}"
+        loop's log offsets.
+
+        Only the +1 loop's route in (I_in) and circle (C, log offsets d)
+        are integrated.  The way out walks the route in backwards from
+        offsets d, which gives -T I_in with T = exp(E d); the -1 loop is
+        the +1 loop walked backwards from offsets -d, which gives -V+/T.
+        Both orientations are stored at once.  A failure is re-raised
+        naming the loop and its piece, and a NoConvergence also the form.
+        """
+        if (i, orientation) not in self._loops:
+            piece = "route in"
             try:
-                path = contour.loop_path(self.base_point, i, self.R, orientation)
-                row, end_state = quad.integrate_smooth(
-                    path, self.state0, self.forms, self.spec, self.cfg
+                inbound, circle = contour.loop_pieces(self.base_point, i, self.R)
+                I_in, entry = quad.integrate_smooth(
+                    contour.Path(inbound), self.state0, self.forms, self.spec, self.cfg
+                )
+                piece = "circle"
+                C, end = quad.integrate_smooth(
+                    contour.Path((circle,)), entry, self.forms, self.spec, self.cfg
                 )
             except NoConvergence as err:
                 alpha = self.forms[err.form].alpha
-                raise NoConvergence(f"{name}, alpha={alpha}: {err}", err.form) from err
+                raise NoConvergence(
+                    f"loop i={i}, {piece}, alpha={alpha}: {err}", err.form
+                ) from err
             except (ClearanceUnachievable, StepTooCoarse) as err:
-                raise type(err)(f"{name}: {err}") from err
-            delta = np.asarray(end_state.logs, dtype=complex) - np.asarray(
-                self.state0.logs, dtype=complex
-            )
-            self._loops[key] = (row, delta)
-        return self._loops[key]
+                raise type(err)(f"loop i={i}, {piece}: {err}") from err
+            d = np.asarray(end.logs, dtype=complex)
+            d -= np.asarray(entry.logs, dtype=complex)
+            T = np.exp(self._E @ d.real + 1j * (self._E @ d.imag))
+            V = I_in + C - T * I_in
+            self._loops[i, +1] = (V, d)
+            self._loops[i, -1] = (-V / T, -d)
+        return self._loops[i, orientation]
 
     def word_row(self, word: HomologyWord) -> np.ndarray:
         """-1/k times the word's integral for every form, in form order:

@@ -134,12 +134,60 @@ def test_word_row_matches_literal_traversal(k, n, lams, words, quad_cfg):
             assert wi.integrate_word(word, form) == row[c]
 
 
+@pytest.mark.parametrize(
+    "k,n,lams,detoured", [(3, 3, [-1.5], set()), (4, 3, [0.115 + 0.842j], {1})]
+)
+def test_loop_row_matches_literal_loop_path(k, n, lams, detoured, quad_cfg):
+    # each loop's route in and circle are integrated once; the way out and
+    # the -1 loop come from the deck-action phase and must agree with the
+    # literal traversal of loop_path
+    spec = validate_spec(k, n, lams)
+    wi = WordIntegrator(spec, quad_cfg)
+    for i in range(1, n + 1):
+        path = contour.loop_path(wi.base_point, i, wi.R, +1)
+        assert len(path.segments) == (5 if i in detoured else 3)
+        for orientation in (+1, -1):
+            row, delta = wi._loop_row(i, orientation)
+            path = contour.loop_path(wi.base_point, i, wi.R, orientation)
+            literal, end = quad.integrate_smooth(
+                path, wi.state0, wi.forms, spec, quad_cfg
+            )
+            offsets = np.asarray(end.logs) - np.asarray(wi.state0.logs)
+            assert np.max(np.abs(row - literal)) <= 1e-12 * np.max(np.abs(row))
+            assert np.max(np.abs(delta - offsets)) <= 1e-12
+        assert np.array_equal(wi._loop_row(i, -1)[1], -wi._loop_row(i, +1)[1])
+
+
+def test_crosscheck_integrates_each_loop_piece_once(quad_cfg, monkeypatch):
+    # one Gauss-Legendre segment for the route in and one for the circle of
+    # each branch point, all from the +1 loop: nothing is integrated for the
+    # way out or for orientation -1
+    spec = validate_spec(3, 3, [-1.5])
+    z0 = contour.default_base_point(spec.branch_points)
+    pieces = set()
+    for i in range(1, spec.n + 1):
+        inbound, circle = contour.loop_pieces(z0, i, spec.branch_points)
+        pieces.update(inbound + (circle,))
+    real = quad._gl_segment
+    segments = []
+
+    def counted(seg, *args, **kwargs):
+        segments.append(seg)
+        return real(seg, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "_gl_segment", counted)
+    report = crosscheck_report(spec, quad_cfg, sample=9, seed=0)
+    assert report.passed
+    assert len(segments) == 2 * spec.n
+    assert set(segments) == pieces
+
+
 def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
     monkeypatch.setattr(quad, "_GL_MAX_PANELS", 4)
     spec = validate_spec(3, 2, [])
     form = enumerate_forms(spec)[0]
     wi = WordIntegrator(spec, quad_cfg)
-    expected = re.escape(f"loop i=2, orientation=+1, alpha={form.alpha}: ")
+    expected = re.escape(f"loop i=2, route in, alpha={form.alpha}: ")
     with pytest.raises(NoConvergence, match=expected):
         wi.integrate_word(Power(2), form)
 
@@ -148,7 +196,7 @@ def test_word_routing_failure_names_the_loop(quad_cfg, monkeypatch):
     # a clearance wider than the branch set leaves no detour for any loop
     monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
     wi = WordIntegrator(validate_spec(2, 3, [2.0]), quad_cfg)
-    expected = re.escape("loop i=1, orientation=+1: no midpoint detour")
+    expected = re.escape("loop i=1, route in: no midpoint detour")
     with pytest.raises(ClearanceUnachievable, match=expected):
         wi.word_row(Power(1))
 
