@@ -6,53 +6,49 @@ Pipeline: validate the curve (curve), enumerate homology generators
 matrix from the closed-form entries (periods), and extract an integer
 lattice basis (lattice).  Independent numerical oracles live in oracle;
 the cli module exposes everything as subcommands.
+
+Importing the package loads none of these modules.  Each public name is
+looked up in its module on first access (PEP 562), and every access returns
+that module's current attribute, so `import gfcperiods.cli` pays for numpy
+only when a subcommand that needs it runs.
 """
 
-from .curve import CurveSpec, FormIndex, enumerate_forms, genus, validate_spec
-from .homology import ConjComm, Power, conjugation_phase, enumerate_generators, expand
-from .contour import BranchState, Path, default_base_point, init_branch, loop_path
-from .quad import QuadConfig, integrate_smooth, tanh_sinh
-from .periods import PeriodMatrix, assemble, base_integrals, period_entry
-from .lattice import LatticeBasis, extract_basis, lattice_rank, real_split
-from .oracle import (
-    CrosscheckReport,
-    WordIntegrator,
-    agm_elliptic_periods,
-    beta_closed_form,
-    crosscheck_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchState",
-    "ConjComm",
-    "CrosscheckReport",
-    "CurveSpec",
-    "FormIndex",
-    "LatticeBasis",
-    "Path",
-    "PeriodMatrix",
-    "Power",
-    "QuadConfig",
-    "WordIntegrator",
-    "agm_elliptic_periods",
-    "assemble",
-    "base_integrals",
-    "beta_closed_form",
-    "conjugation_phase",
-    "crosscheck_report",
-    "default_base_point",
-    "enumerate_forms",
-    "enumerate_generators",
-    "expand",
-    "extract_basis",
-    "genus",
-    "init_branch",
-    "integrate_smooth",
-    "lattice_rank",
-    "loop_path",
-    "period_entry",
-    "real_split",
-    "validate_spec",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "curve": ("CurveSpec", "FormIndex", "enumerate_forms", "genus", "validate_spec"),
+    "homology": ("ConjComm", "Power", "conjugation_phase", "enumerate_generators", "expand"),
+    "contour": ("BranchState", "Path", "default_base_point", "init_branch", "loop_path"),
+    "quad": ("QuadConfig", "integrate_smooth", "tanh_sinh"),
+    "periods": ("PeriodMatrix", "assemble", "base_integrals", "period_entry"),
+    "lattice": ("LatticeBasis", "extract_basis", "lattice_rank", "real_split"),
+    "oracle": (
+        "CrosscheckReport",
+        "WordIntegrator",
+        "agm_elliptic_periods",
+        "beta_closed_form",
+        "crosscheck_report",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the submodules that importing the package used to load, still reachable
+# as attributes of a bare `import gfcperiods`
+_SUBMODULES = frozenset(_EXPORTS) | {"errors"}
+
+# tanh_sinh is a package attribute but, as before, not bound by `import *`
+__all__ = sorted(_HOME.keys() - {"tanh_sinh"})
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

@@ -3,9 +3,15 @@
 Subcommands: info (genus, forms, generator counts), periods (the full
 period matrix), basis (extracted lattice basis), verify (oracle
 cross-check report).  Data goes to stdout or --out; diagnostics go to
-stderr.  Exit codes: 2 invalid input, 3 numerical failure (quadrature
-non-convergence, or a failed branch walk or route), 4 lattice extraction
-failure, 1 failed verification.
+stderr.  Exit codes: 2 invalid input or an --out that cannot be written,
+3 numerical failure (quadrature non-convergence, or a failed branch walk
+or route), 4 lattice extraction failure, 1 failed verification.
+
+Each subcommand imports only the modules it runs.  At module level this
+file loads the standard library, errors, curve and homology, which is all
+that info needs; the commands and renderers that use numpy, quad, periods,
+lattice or oracle import them in their own bodies.  So info never loads
+numpy, periods never loads lattice or oracle, and basis never loads oracle.
 
 All floating-point output uses 17 significant digits, so parsing the
 emitted JSON or CSV reproduces every double bit-exactly.  Each numeric
@@ -23,8 +29,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .curve import validate_spec, enumerate_forms, genus
 from .errors import (
     ClearanceUnachievable,
@@ -35,19 +39,18 @@ from .errors import (
     StepTooCoarse,
 )
 from .homology import Power, enumerate_generators
-from .lattice import extract_basis
-from .oracle import crosscheck_report
-from .periods import assemble
-from .quad import _LEVEL_CAP, QuadConfig
 
 
 def parse_complex(text: str) -> complex:
-    """Accept 'a+bi', 'a+bj', plain reals, or 'a,b'."""
+    """Accept 'a+bi', 'a+bj', plain reals, or 'a,b'.  Only a trailing 'i'
+    is the imaginary unit, so 'inf' and '-inf' parse as reals."""
     s = text.strip().replace(" ", "")
     if "," in s:
         re_s, im_s = s.split(",", 1)
         return complex(float(re_s), float(im_s))
-    return complex(s.replace("i", "j"))
+    if s.endswith("i"):
+        s = s[:-1] + "j"
+    return complex(s)
 
 
 def _fmt(x: float) -> str:
@@ -59,6 +62,8 @@ def _cells(a: np.ndarray) -> tuple[list[str], np.ndarray]:
     index their value range by value - min, with no sort, unless it is wider
     than both a and 2**16; else the table holds the distinct values, floats
     keyed by bit pattern (so -0.0 keeps its sign) in "%.17g", as _fmt."""
+    import numpy as np
+
     if a.dtype.kind in "iu":
         low, high = int(a.min(initial=0)), int(a.max(initial=0))
         if high - low < max(a.size, 1 << 16):
@@ -80,6 +85,8 @@ def _joined(texts: list[str], index: np.ndarray, sep, end, head, tail) -> str:
     followed by sep, or by end when last in its row, and tail for the last
     end.  A row with no cells is one empty text.  One gather from a table
     of each text twice and one join; the document is never sliced."""
+    import numpy as np
+
     if not index.shape[1]:
         texts, index = [""], np.zeros((len(index), 1), dtype=np.intp)
     table = np.array([t + sep for t in texts] + [t + end for t in texts], dtype=object)
@@ -100,25 +107,35 @@ def _json_object(members: dict[str, str]) -> str:
 
 
 def _json_dump(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats.  Plain Python
+    values are rendered before numpy is looked at, so a payload of them
+    never imports it."""
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim != 2 or not obj.size:
-            return _json_dump(obj.tolist())
-        return _joined(*_cells(obj), ", ", "], [", "[[", "]]")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return _json_object({k: _json_dump(v) for k, v in obj.items()})
+    import numpy as np
+
+    if isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _fmt(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or not obj.size:
+            return _json_dump(obj.tolist())
+        return _joined(*_cells(obj), ", ", "], [", "[[", "]]")
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -166,6 +183,8 @@ def periods_to_json(pm) -> str:
 
 def periods_to_csv(pm) -> str:
     """The period table, each row led by its generator's label."""
+    import numpy as np
+
     header = ["generator"]
     for f in pm.cols:
         label = _form_label(f)
@@ -184,6 +203,8 @@ def basis_payload(spec, result) -> dict:
     """The basis as a dict for _json_dump, its matrices kept as arrays.
     |det| can exceed the double range at large genus: abs_det is then None
     (JSON null), and log10_abs_det, from slogdet, still carries its size."""
+    import numpy as np
+
     abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
     if result.basis.size:
         with np.errstate(over="ignore"):
@@ -204,6 +225,8 @@ def basis_payload(spec, result) -> dict:
 
 
 def basis_to_csv(payload: dict) -> str:
+    import numpy as np
+
     width = len(payload["basis"])
     texts, blocks = [], []
     for kind in ("basis", "coefficients"):
@@ -267,28 +290,37 @@ def report_payload(report) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """text to stdout, or to the file out.  A file that cannot be opened or
+    written is a GfcError naming it, so main exits 2 without a traceback."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise GfcError(f"cannot write --out {out}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 
 
 def _quad_config(args: argparse.Namespace) -> QuadConfig:
-    """QuadConfig from the flags, whose defaults are QuadConfig's.  Without
-    --max-level the cap is the default cap, or one above --level when that
-    is higher: refinement accepts a value only when two levels agree.  The
-    raised cap cannot pass the highest level, so a start there is refused
-    naming --level."""
+    """QuadConfig from the flags; an absent --tol or --level takes
+    QuadConfig's default.  Without --max-level the cap is the default cap,
+    or one above --level when that is higher: refinement accepts a value
+    only when two levels agree.  The raised cap cannot pass the highest
+    level, so a start there is refused naming --level."""
+    from .quad import _LEVEL_CAP, QuadConfig
+
+    level = QuadConfig.level if args.level is None else args.level
+    rel_tol = QuadConfig.rel_tol if args.tol is None else args.tol
     max_level = args.max_level
     if max_level is None:
-        max_level = max(QuadConfig.max_level, args.level + 1)
-        if max_level > _LEVEL_CAP >= args.level:
+        max_level = max(QuadConfig.max_level, level + 1)
+        if max_level > _LEVEL_CAP >= level:
             raise ValueError(
                 f"--level must lie in 0..{_LEVEL_CAP - 1} without --max-level, "
-                f"got {args.level}"
+                f"got {level}"
             )
-    return QuadConfig(level=args.level, rel_tol=args.tol, max_level=max_level)
+    return QuadConfig(level=level, rel_tol=rel_tol, max_level=max_level)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -303,6 +335,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_periods(args: argparse.Namespace) -> int:
+    from .periods import assemble
+
     spec = validate_spec(args.k, args.n, args.lambdas)
     pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
     text = periods_to_csv(pm) if args.fmt == "csv" else periods_to_json(pm)
@@ -311,6 +345,9 @@ def cmd_periods(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
+    from .lattice import extract_basis
+    from .periods import assemble
+
     spec = validate_spec(args.k, args.n, args.lambdas)
     pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
     result = extract_basis(pm, spec)
@@ -321,6 +358,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import crosscheck_report
+
     spec = validate_spec(args.k, args.n, args.lambdas)
     report = crosscheck_report(spec, _quad_config(args), seed=args.seed)
     payload = report_payload(report)
@@ -360,15 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="VALUE",
             help="branch value; 'a+bi' or 'a,b'; repeat for each of the n-2 values",
         )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=QuadConfig.rel_tol,
-            help="quadrature relative tolerance",
-        )
-        p.add_argument(
-            "--level", type=int, default=QuadConfig.level, help="tanh-sinh starting level"
-        )
+        p.add_argument("--tol", type=float, help="quadrature relative tolerance")
+        p.add_argument("--level", type=int, help="tanh-sinh starting level")
         p.add_argument(
             "--max-level",
             dest="max_level",

@@ -43,6 +43,11 @@ def _generator_dict(word) -> dict:
         ("2,-1", 2 - 1j),
         ("1e-3+2.5i", 1e-3 + 2.5j),
         (" 0.5 , 0.25 ", 0.5 + 0.25j),
+        ("1i", 1j),
+        ("-1e-6", -1e-6 + 0j),
+        ("2,1", 2 + 1j),
+        ("inf", complex(float("inf"), 0.0)),
+        ("-inf", complex(float("-inf"), 0.0)),
     ],
 )
 def test_parse_complex(text, expected):
@@ -111,7 +116,14 @@ def test_bad_lambda_syntax_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "lam,shown", [("nan", "(nan+0j)"), ("1,nan", "(1+nanj)"), ("1e400", "(inf+0j)")]
+    "lam,shown",
+    [
+        ("nan", "(nan+0j)"),
+        ("1,nan", "(1+nanj)"),
+        ("1e400", "(inf+0j)"),
+        ("inf", "(inf+0j)"),
+        ("-inf", "(-inf+0j)"),
+    ],
 )
 def test_non_finite_lambda_exits_2(capsys, lam, shown):
     code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", lam)
@@ -210,8 +222,19 @@ def test_out_of_range_level_exits_2(capsys, monkeypatch, flag, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["missing/x", "."])
+def test_unwritable_out_exits_2(capsys, tmp_path, target):
+    # a path under a missing directory, and a directory
+    out = tmp_path / target
+    code, stdout, err = run_cli(capsys, "info", "-k", "2", "-n", "2", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write --out {out}: ")
+    assert "Traceback" not in err
+
+
 def test_default_flags_give_the_default_quad_config():
-    # argparse holds the defaults, taken from QuadConfig itself
+    # absent flags take QuadConfig's own defaults, so the parser needs no quad
     args = cli.build_parser().parse_args(["periods", "-k", "3", "-n", "2"])
     assert cli._quad_config(args) == QuadConfig()
 
@@ -299,25 +322,66 @@ def test_basis_include_powers_never_selects_power_rows(capsys):
     assert with_powers["basis"] == plain["basis"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(gfcperiods.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, gfcperiods.cli; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return env
+
+
+def _run_main(*argv) -> str:
+    return f"import gfcperiods.cli\nassert gfcperiods.cli.main({list(argv)!r}) == 0"
+
+
+_NUMERIC = tuple(f"gfcperiods.{m}" for m in ("contour", "quad", "periods", "lattice", "oracle"))
+
+
+@pytest.mark.parametrize(
+    "code,unloaded",
+    [
+        pytest.param(
+            "import gfcperiods",
+            ("gfcperiods.cli", "gfcperiods.curve", "gfcperiods.errors", "gfcperiods.homology")
+            + ("numpy", *_NUMERIC),
+            id="package",
+        ),
+        pytest.param("import gfcperiods.cli", ("numpy", *_NUMERIC), id="import"),
+        pytest.param(_run_main("info", "-k", "3", "-n", "2"), ("numpy", *_NUMERIC), id="info"),
+        pytest.param(
+            _run_main("periods", "-k", "3", "-n", "2"),
+            ("gfcperiods.lattice", "gfcperiods.oracle"),
+            id="periods_json",
+        ),
+        pytest.param(
+            _run_main("periods", "-k", "2", "-n", "3", "-l", "2", "--format", "csv"),
+            ("gfcperiods.lattice", "gfcperiods.oracle"),
+            id="periods_csv",
+        ),
+        pytest.param(_run_main("basis", "-k", "3", "-n", "2"), ("gfcperiods.oracle",), id="basis"),
+    ],
+)
+def test_cli_leaves_unused_modules_unloaded(code, unloaded):
+    # each subcommand imports only what it runs; scipy is a test dependency
+    check = f"import sys\nloaded = sorted({{'scipy', *{unloaded!r}}} & set(sys.modules))"
+    code = f"{code}\n{check}\nassert not loaded, loaded"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_periods_stdout_does_not_depend_on_blas_threads():
     # the split kernel sums over nodes inside a BLAS product
-    src = str(Path(gfcperiods.__file__).resolve().parents[1])
     argv = ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"]
     code = f"import sys, gfcperiods.cli; sys.exit(gfcperiods.cli.main({argv!r}))"
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True, capture_output=True
+            [sys.executable, "-c", code],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+            capture_output=True,
         ).stdout
         digests.add(hashlib.sha256(out).hexdigest())
     assert len(digests) == 1
@@ -327,7 +391,7 @@ def test_basis_failure_exits_4(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NotFullRank("forced by test")
 
-    monkeypatch.setattr(cli, "extract_basis", boom)
+    monkeypatch.setattr("gfcperiods.lattice.extract_basis", boom)
     code, _, err = run_cli(capsys, "basis", "-k", "3", "-n", "2")
     assert code == 4
     assert "forced by test" in err
@@ -340,7 +404,7 @@ def test_basis_with_a_nan_period_exits_4(capsys, monkeypatch):
         values[pm.index[-1, -1]] = np.nan
         return dataclasses.replace(pm, values=values)
 
-    monkeypatch.setattr(cli, "assemble", with_nan)
+    monkeypatch.setattr("gfcperiods.periods.assemble", with_nan)
     code, out, err = run_cli(capsys, "basis", "-k", "3", "-n", "3", "-l", "-1.5")
     assert code == 4
     assert out == ""
@@ -383,7 +447,7 @@ def test_verify_reports_failure_exit(capsys, monkeypatch):
             checks=report.checks + (failed,),
         )
 
-    monkeypatch.setattr(cli, "crosscheck_report", rigged)
+    monkeypatch.setattr(oracle_mod, "crosscheck_report", rigged)
     code, out, err = run_cli(capsys, "verify", "-k", "3", "-n", "2")
     assert code == 1
     assert "FAIL" in err
