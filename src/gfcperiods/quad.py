@@ -10,29 +10,30 @@ halves the t-step per level.  Smooth pieces double a Gauss-Legendre panel
 count instead.
 
 Both rules share one refinement loop (`_refine`) and one evaluation
-kernel (`_panel_sums`).  Each step walks the nodes once, evaluates every
-form still open on them, and a form leaves the loop at the first step
-that agrees with the previous one to the relative tolerance.  Tanh-sinh
-levels nest (the level-L nodes are the even-j nodes of level L + 1), so
-the first two levels of a leg share one walk and one kernel pass: the
-first level, only ever a gate reference, is read off the second level's
-even-j nodes.
+kernel (`_panel_sums`).  Each step evaluates every form still open on its
+nodes, and a form leaves the loop at the first step that agrees with the
+previous one to the relative tolerance.  Tanh-sinh levels nest (the
+level-L nodes are the even-j nodes of level L + 1), so each level after a
+leg's first evaluates only the odd-j nodes it adds and takes the rest of
+its sum from the level before.
 
 A form's term at a node is exp(E . X): E its exponent row, X the node's
 continued logs.  Column 0 of the forms' exponent matrix takes at most
 (n-1)(k-1)-1 values and every other column at most k, so the kernel
 splits the columns into two groups, exponentiates each group only over
-its distinct rows, and takes every form's node sum from one matrix
-product of the two factors.  It stays unsplit where a split would not at
-least halve the exponentials per node.
+its distinct rows, and takes every form's node sum from one product of
+the two factors, summed in a fixed order.  It stays unsplit where a split
+would not at least halve the exponentials per node.
 
 Node positions are handled in terms of the distance fractions to either
 endpoint (sigma toward the singular end, tau toward the start), never as
 absolute coordinates, so evaluation stays stable when nodes approach the
-endpoint to within 1e-290 of the leg length (closer nodes are clipped to
-that distance).  Along the straight leg the singular factor's continued
-log is the start value plus log sigma exactly; the remaining factors are
-continued by the ratio walk from the contour module.
+endpoint to within 1e-290 of the leg length (closer positions are clipped
+to that distance).  Along the straight leg every continued log has a
+closed form: the singular factor's is the start value plus log sigma,
+and every other factor's the start value plus the principal log of its
+ratio to the start.  The Gauss-Legendre pieces (detour prefixes and the
+oracle's loops) are continued by the ratio walk of the contour module.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .errors import ClearanceUnachievable, NoConvergence, StepTooCoarse
 # t-range of the double-exponential substitution; beyond this the node
 # distance to the endpoint drops under the 1e-290 clip.
 _T_MAX = 6.1
-# Distance clip (as a fraction of leg length) for the node nearest the
-# singular endpoint.
+# Distance clip (as a fraction of leg length) for the node positions
+# nearest either endpoint.
 _SIGMA_MIN = 1e-290
 # Gauss-Legendre order per panel and the panel-doubling budget.
 _GL_ORDER = 16
@@ -60,13 +61,9 @@ _GL_MAX_PANELS = 2 ** 13
 # Largest forms x nodes block evaluated at once by the kernel, in complex
 # values (32 MiB).
 _BLOCK_VALUES = 2 ** 21
-# Highest tanh-sinh level whose walk, 2 floor(_T_MAX 2**level) + 1 nodes
-# plus the leg's start, fits the continuation's point budget (18).
-_LEVEL_CAP = max(
-    level
-    for level in range(64)
-    if 2 * math.floor(_T_MAX * 2**level) + 2 <= contour._MAX_WALK_POINTS
-)
+# Highest tanh-sinh level: 2 floor(_T_MAX 2**18) + 1 = 3.2M nodes, of
+# which a leg evaluates the 1.6M new ones in one node table.
+_LEVEL_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -75,21 +72,22 @@ class QuadConfig:
 
     level is the first tanh-sinh level evaluated; refinement may continue
     to max_level before NoConvergence is raised.  Both lie in 0.._LEVEL_CAP
-    (18), the levels whose nodes the continuation walk can hold.
+    (18).
 
-    The start level 5 is chosen against 30-digit references of the base
-    integrals.  A leg that converges there costs one walk and one kernel
-    pass over the 781 level-6 nodes, whose even-j nodes are level 5's, and
-    on every curve of the benchmark ladder its differences
-    J_l - J_j land within 2e-14 of the reference, relative to each form's
-    largest difference.  Starting at level 10 costs a walk over about 25k
-    nodes per leg (level 11) and is less accurate, off by up to 5e-13 on the
-    n >= 4 curves, because rounding builds up over the longer node sums
-    and continuation walks.  The two-level agreement gate is the same at
-    any start, so a leg that needs more resolution still refines upward.
+    Levels nest, so a leg that converges at level M evaluates the nodes of
+    level M once in all, whatever the start: the start level 4 (195 nodes)
+    only lets a leg stop at level 5 (391 nodes).  The start was 5 while the
+    node logs came from the branch walk, which sums one log increment per
+    node: on the (4,4) ladder curve, leg i=2, form (1,3,2,3), the walked
+    logs were off from the exact continued logs by 2.1e-14 at level 6,
+    4.8e-14 at level 7 and 1.0e-13 at level 8, the package's largest J
+    error against 30-digit references (1.45e-14 of each form's largest
+    |J_l - J_j|).  The closed-form logs do not drift.  The two-level
+    agreement gate is the same at any start, so a leg that needs more
+    resolution still refines upward.
     """
 
-    level: int = 5
+    level: int = 4
     rel_tol: float = 1e-10
     max_level: int = 14
 
@@ -105,31 +103,44 @@ class QuadConfig:
 
 
 @lru_cache(maxsize=32)
-def _de_nodes(level: int):
-    """tanh-sinh node table at step h = 2**-level.
+def _de_nodes(level: int, new: bool = False):
+    """tanh-sinh node table at step h = 2**-level: every node, or with new
+    only the odd-j nodes t = j h, the ones that level - 1 lacks.
 
     Returns (sigma, tau, log_sigma, log_weight): distance fractions to the
-    x=+1 and x=-1 ends and the log of the trapezoid weight h * x'(t),
-    ordered by ascending t (the x=-1 end first).
+    x=+1 and x=-1 ends, the log of sigma and the log of the trapezoid
+    weight h * x'(t), ordered by ascending t (the x=-1 end first).
     """
     h = 2.0 ** (-level)
-    jmax = int(math.floor(_T_MAX / h))
-    t = h * np.arange(-jmax, jmax + 1)
+    j = np.arange(-_last_j(level), _last_j(level) + 1)
+    if new:
+        j = j[j % 2 != 0]
+    return _de_table(h * j, h)
+
+
+def _last_j(level: int) -> int:
+    """The node index j of a level's last node, t = j 2**-level <= _T_MAX."""
+    return math.floor(_T_MAX * 2.0**level)
+
+
+def _de_table(t, h: float):
+    """sigma, tau, log_sigma and log_weight (see `_de_nodes`) at the
+    parameters t of a level with step h, sigma and tau clipped at
+    _SIGMA_MIN."""
     u = 0.5 * np.pi * np.sinh(t)
     # (1 - tanh u)/2 and (1 + tanh u)/2 without cancellation
     au = np.abs(u)
     e = np.exp(-2.0 * au)
     near = e / (1.0 + e)
     far = 1.0 / (1.0 + e)
-    sigma = np.where(u >= 0, near, far)
-    tau = np.where(u >= 0, far, near)
-    sigma = np.maximum(sigma, _SIGMA_MIN)
-    tau = np.maximum(tau, _SIGMA_MIN)
+    sigma = np.maximum(np.where(u >= 0, near, far), _SIGMA_MIN)
+    tau = np.maximum(np.where(u >= 0, far, near), _SIGMA_MIN)
+    log_sigma = np.log(sigma)
     log_cosh_u = au + np.log1p(e) - math.log(2.0)
     log_weight = (
         math.log(0.5 * np.pi) + np.log(np.cosh(t)) - 2.0 * log_cosh_u + math.log(h)
     )
-    return sigma, tau, np.log(sigma), log_weight
+    return sigma, tau, log_sigma, log_weight
 
 
 def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
@@ -185,17 +196,43 @@ def tanh_sinh_level(f, a: float, b: float, level: int):
     return 0.5 * span * np.sum(vals * np.exp(log_weight))
 
 
-def _leg_rows(start: complex, logs0, target: int, R, E, last_level: int):
+def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau):
+    """Continued logs at the nodes of the straight piece from start to the
+    branch point R[target], one row per node and one column per factor,
+    given the nodes' log sigma and tau.
+
+    The target's log is logs0[target] + log sigma.  Every other factor's is
+    logs0[s] + Log((w - r_s) / (start - r_s)), the principal log: along a
+    straight piece that ratio moves on a line from 1, which meets the cut
+    only if the piece passes through r_s, so no walk is needed and each
+    node stands on its own.  A node that rounds onto a branch point raises
+    StepTooCoarse.
+    """
+    start = complex(start)
+    n = len(R)
+    X = np.empty((len(tau), n), dtype=complex)
+    X[:, target] = logs0[target] + log_sigma
+    others = [s for s in range(n) if s != target]
+    if others:
+        offsets = np.asarray([start - complex(R[s]) for s in others])
+        diffs = offsets[None, :] + tau[:, None] * (complex(R[target]) - start)
+        if not np.all(diffs):
+            raise StepTooCoarse("continuation point coincides with a branch point")
+        X[:, others] = logs0[others] + np.log(diffs / offsets)
+    return X
+
+
+def _leg_rows(start: complex, logs0, target: int, R, E):
     """rows_at(level, todo) of the tanh-sinh sums over the straight leg from
     start to the branch point R[target], for the forms E[todo].
 
-    Each level walks the leg once for all forms, except that the first
-    call, at a level L below last_level, walks level L + 1 instead: the
-    level-L nodes are its even-j nodes t = j 2**-(L+1), so twice the sum
-    over them is level L's value, which the refinement loop only gates
-    against.  The full level-(L + 1) sums are held and returned by the
-    next call, at level L + 1; later levels are walked one at a time.  A
-    leg that converges at L + 1 thus costs one walk and one kernel pass.
+    Levels nest: the level-L nodes are the even-j nodes t = j 2**-(L+1) of
+    level L + 1, where the weights are halved.  So a call at the level
+    after the previous call's, for a subset of its forms (as `_refine`
+    makes them), evaluates only the new odd-j nodes and adds their sum to
+    half the previous node sum; any other call evaluates its whole level.
+    A leg that converges at level M thus evaluates the nodes of level M
+    once in all.
 
     The node log-weight is appended to the continued logs as one more
     column, and E gets a column of ones, tied to the target's column in
@@ -206,40 +243,25 @@ def _leg_rows(start: complex, logs0, target: int, R, E, last_level: int):
     logs0 = np.asarray(logs0, dtype=complex)
     n = len(R)
     D = complex(R[target]) - complex(start)
-    others = [s for s in range(n) if s != target]
-    offsets = np.asarray([complex(start) - complex(R[s]) for s in others])
     E1 = np.hstack([E, np.ones((len(E), 1))])
-    first, held = True, None
+    last = None
 
-    def diff_fn(taus):
-        return offsets[None, :] + taus[:, None] * D
-
-    def sums(level, todo, even):
-        sigma, tau, log_sigma, log_weight = _de_nodes(level)
-        X = np.empty((len(sigma), n + 1), dtype=complex)
-        X[:, target] = logs0[target] + log_sigma
-        if others:
-            params = np.concatenate(([0.0], tau))
-            X[:, others] = contour.continued_logs_param(diff_fn, params, logs0[others])[1:]
+    def node_sums(level, todo, new):
+        _, tau, log_sigma, log_weight = _de_nodes(level, new)
+        X = np.empty((len(tau), n + 1), dtype=complex)
+        X[:, :n] = _node_logs(start, logs0, target, R, log_sigma, tau)
         X[:, n] = log_weight
-        # node p sits at j = p - len(sigma) // 2, so j is even where p has that parity
-        parity = len(sigma) // 2 % 2 if even else None
-        cur, _, half = _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n), even=parity)
-        return cur, half
+        return _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n))[0]
 
     def rows_at(level, todo):
-        nonlocal first, held
-        if first and level < last_level:
-            cur, half = sums(level + 1, todo, even=True)
-            held = todo, cur
-            cur = 2.0 * half
-        elif held is not None:
-            cur = held[1][np.searchsorted(held[0], todo)]
-            held = None
+        nonlocal last
+        if last is not None and last[0] == level - 1:
+            before = last[2][np.searchsorted(last[1], todo)]
+            sums = 0.5 * before + node_sums(level, todo, new=True)
         else:
-            cur, _ = sums(level, todo, even=False)
-        first = False
-        return cur, np.abs(cur)
+            sums = node_sums(level, todo, new=False)
+        last = level, todo, sums
+        return sums, np.abs(sums)
 
     return rows_at
 
@@ -271,7 +293,7 @@ def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
         logs = contour.segment_logs(seg, params, R, logs0)
         end = logs[-1]
         velocity = contour.segment_velocity(seg, ts) * weights
-        cur, l1, _ = _panel_sums(E, todo, logs[1:-1], velocity, magnitudes=True)
+        cur, l1 = _panel_sums(E, todo, logs[1:-1], velocity, magnitudes=True)
         return cur, np.maximum(np.abs(cur), 1e-3 * l1)
 
     panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
@@ -311,23 +333,23 @@ def _factored(data: bytes, shape: tuple[int, int], tie: tuple[int, int] | None):
     return split
 
 
-def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None, even=None):
+def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
     """Sums of exp(E[todo] @ X.T) * vw over the nodes, one per open row of
-    E; with magnitudes also the sums of their magnitudes, and with even = 0
-    or 1 also the sums over the nodes at the positions of that parity (each
-    None when not asked for).
+    E, and with magnitudes also the sums of their magnitudes (else None).
 
     The evaluation kernel of both rules: X holds one row of continued logs
     per node and vw the node weights times dw/dt (or one common factor).
     When `_factored` (given tie) splits the exponent columns into groups A
     and B, a term factors as exp(E_A . X_A) exp(E_B . X_B): each group is
     exponentiated only over its distinct rows among the open forms, every
-    form's sum is one entry of the complex product (P_A * vw) @ P_B.T, its
-    magnitude sum one entry of the real product |P_A * vw| @ |P_B|.T and
-    its sum over one parity of nodes one entry of the product over those
-    node columns, accumulated over blocks of nodes.  Unsplit, each row is
-    summed over all nodes directly, in blocks of rows.  Every forms x nodes
-    temporary stays under _BLOCK_VALUES.
+    form's sum is one entry of the complex product of P_A * vw and P_B over
+    the nodes, and its magnitude sum one entry of the real product
+    |P_A * vw| @ |P_B|.T, accumulated over blocks of nodes.  The complex
+    product goes through einsum, whose summation order is fixed: a BLAS
+    product sums in an order that depends on the thread count, and J's last
+    bits with it.  Unsplit, each row is summed over all nodes directly, in
+    blocks of rows.  Every forms x nodes temporary stays under
+    _BLOCK_VALUES.
     """
     split = _factored(E.tobytes(), E.shape, tie)
 
@@ -340,37 +362,26 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None, even=None):
         rows = E[todo]
         cur = np.empty(len(rows), dtype=complex)
         l1 = np.empty(len(rows)) if magnitudes else None
-        half = np.empty(len(rows), dtype=complex) if even is not None else None
         step = max(1, _BLOCK_VALUES // len(X))
         for b in range(0, len(rows), step):
             terms = powers(rows[b : b + step], slice(None), slice(None)) * vw
             cur[b : b + step] = terms.sum(axis=1)
             if magnitudes:
                 l1[b : b + step] = np.abs(terms).sum(axis=1)
-            if even is not None:
-                half[b : b + step] = terms[:, even::2].sum(axis=1)
-        return cur, l1, half
+        return cur, l1
     (cols_a, rows_a, at_a), (cols_b, rows_b, at_b) = (
         _open_rows(group, todo) for group in split
     )
-    cur = l1 = half = 0
+    cur = l1 = 0
     step = max(1, _BLOCK_VALUES // max(len(rows_a), len(rows_b)))
     for b in range(0, len(X), step):
         nodes = slice(b, b + step)
         P_a = powers(rows_a, nodes, cols_a) * (vw if np.ndim(vw) == 0 else vw[nodes])
         P_b = powers(rows_b, nodes, cols_b)
-        cur = cur + P_a @ P_b.T
+        cur = cur + np.einsum("an,bn->ab", P_a, P_b)
         if magnitudes:
             l1 = l1 + np.abs(P_a) @ np.abs(P_b).T
-        if even is not None:
-            # the block starts at node b, so its own positions are offset by b
-            part = slice((even - b) % 2, None, 2)
-            half = half + P_a[:, part] @ P_b[:, part].T
-    return (
-        cur[at_a, at_b],
-        l1[at_a, at_b] if magnitudes else None,
-        half[at_a, at_b] if even is not None else None,
-    )
+    return cur[at_a, at_b], l1[at_a, at_b] if magnitudes else None
 
 
 def _open_rows(group, todo):
@@ -418,10 +429,10 @@ def leg_row(
     The leg follows the route of `contour.clear_leg`, which the oracle's
     loop around r_i shares.  Any detour prefix goes through the smooth
     kernel and the singular final piece through the tanh-sinh rows, each
-    once for all forms: every level walks the leg once and evaluates the
+    once for all forms: every level evaluates its new nodes once for the
     forms still open.  A NoConvergence names i and the alpha of the first
     form that did not converge; a routing or continuation failure names
-    only i, because the walk serves every form.
+    only i, because the node logs serve every form.
     """
     R = state.branch_points
     row = np.zeros(len(forms), dtype=complex)
@@ -434,7 +445,7 @@ def leg_row(
             prefix = Path(segments=tuple(legs[:-1]))
             row, start = integrate_smooth(prefix, state, forms, spec, cfg)
         E = contour.exponent_matrix(forms, spec.k, spec.n)
-        rows_at = _leg_rows(legs[-1].start, start.logs, i - 1, R, E, cfg.max_level)
+        rows_at = _leg_rows(legs[-1].start, start.logs, i - 1, R, E)
         levels = range(cfg.level, cfg.max_level + 1)
         row += _refine(rows_at, levels, len(forms), cfg.rel_tol, "tanh-sinh level")
     except NoConvergence as err:

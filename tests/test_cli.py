@@ -372,19 +372,25 @@ def test_cli_leaves_unused_modules_unloaded(code, unloaded):
 
 
 def test_periods_stdout_does_not_depend_on_blas_threads():
-    # the split kernel sums over nodes inside a BLAS product
-    argv = ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"]
-    code = f"import sys, gfcperiods.cli; sys.exit(gfcperiods.cli.main({argv!r}))"
-    digests = set()
-    for threads in ("1", "2"):
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=_child_env(OPENBLAS_NUM_THREADS=threads),
-            check=True,
-            capture_output=True,
-        ).stdout
-        digests.add(hashlib.sha256(out).hexdigest())
-    assert len(digests) == 1
+    # the split kernel sums over nodes in a fixed order, not in a BLAS
+    # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour
+    for argv in (
+        ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
+        ["periods", "-k", "20", "-n", "2"],
+        ["periods", "-k", "40", "-n", "2"],
+        ["periods", "-k", "4", "-n", "3", "-l", "0.115+0.842i"],
+    ):
+        code = f"import sys, gfcperiods.cli; sys.exit(gfcperiods.cli.main({argv!r}))"
+        digests = set()
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                check=True,
+                capture_output=True,
+            ).stdout
+            digests.add(hashlib.sha256(out).hexdigest())
+        assert len(digests) == 1, argv
 
 
 def test_basis_failure_exits_4(capsys, monkeypatch):

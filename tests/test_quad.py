@@ -176,7 +176,7 @@ def test_leg_ladder_converges_across_desk_scale(quad_cfg):
             E = exponent_matrix(sample, spec.k, spec.n)
             every = np.arange(len(sample))
             for i in range(1, n + 1):
-                rows_at = quad._leg_rows(z0, state.logs, i - 1, R, E, 11)
+                rows_at = quad._leg_rows(z0, state.logs, i - 1, R, E)
                 levels = [rows_at(lvl, every)[0] for lvl in range(quad_cfg.level, 12)]
                 for values in np.transpose(levels):
                     diffs = [
@@ -245,17 +245,15 @@ def test_leg_row_over_all_forms_matches_each_form_alone(
 
 
 def _kernel_reference(E, X, vw):
-    """The kernel's sums written out one form at a time: over all nodes,
-    their magnitudes, and over the nodes at even and at odd positions."""
+    """The kernel's sums written out one form at a time: over all nodes and
+    over their magnitudes."""
     cur = np.empty(len(E), dtype=complex)
     l1 = np.empty(len(E))
-    halves = np.empty((2, len(E)), dtype=complex)
     for f, e in enumerate(E):
         terms = np.exp(e @ X.T) * vw
         cur[f] = terms.sum()
         l1[f] = np.abs(terms).sum()
-        halves[:, f] = terms[0::2].sum(), terms[1::2].sum()
-    return cur, l1, halves
+    return cur, l1
 
 
 # (k, n) -> whether the forms' exponent matrix takes the split kernel: only
@@ -306,33 +304,17 @@ def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeyp
             ]
         every = np.arange(len(E))
         for todo in (every, every[1::3]):
-            ref_cur, ref_l1, ref_halves = _kernel_reference(E[todo], X, vw)
-            cur, l1, none = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
-            assert none is None
+            ref_cur, ref_l1 = _kernel_reference(E[todo], X, vw)
+            cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
             assert np.all(np.abs(cur - ref_cur) <= 1e-14 * ref_l1)
             assert np.all(np.abs(l1 - ref_l1) <= 1e-14 * ref_l1)
-            alone, none, _ = quad._panel_sums(E, todo, X, vw, tie=tie)
+            alone, none = quad._panel_sums(E, todo, X, vw, tie=tie)
             assert none is None
             assert np.array_equal(alone, cur)
-            for even, ref_half in enumerate(ref_halves):
-                full, none, half = quad._panel_sums(E, todo, X, vw, tie=tie, even=even)
-                assert none is None
-                # the full sum is the same arithmetic with or without the half
-                assert np.array_equal(full, cur)
-                assert np.all(np.abs(half - ref_half) <= 1e-14 * ref_l1)
-            if split and block_values is None:
-                # node blocks of three, so that every second block starts at
-                # an odd position
-                width = max(len(quad._open_rows(group, todo)[1]) for group in split)
-                with pytest.MonkeyPatch.context() as blocks:
-                    blocks.setattr(quad, "_BLOCK_VALUES", 3 * width)
-                    for even, ref_half in enumerate(ref_halves):
-                        _, _, half = quad._panel_sums(E, todo, X, vw, tie=tie, even=even)
-                        assert np.all(np.abs(half - ref_half) <= 1e-14 * ref_l1)
 
 
 # an unsplit curve and two split ones (see _KERNEL_CURVES)
-_PAIRED_CURVES = [(3, 3, [-1.5]), (4, 4, [-1.5, 2 + 1j]), (17, 2, [])]
+_LEG_CURVES = [(3, 3, [-1.5]), (4, 4, [-1.5, 2 + 1j]), (17, 2, [])]
 
 
 def _legs(k, n, lams):
@@ -352,62 +334,105 @@ def _legs(k, n, lams):
     return spec, forms, state, exponent_matrix(forms, k, n), straight
 
 
-@pytest.mark.parametrize("k,n,lams", _PAIRED_CURVES)
-def test_paired_leg_row_is_todays_next_level(k, n, lams, quad_cfg):
-    # every form of these legs converges at level 6, whose value the paired
-    # first call computes with the full sum of a plain level-6 evaluation
-    spec, forms, state, E, straight = _legs(k, n, lams)
-    R = spec.branch_points
-    every = np.arange(len(forms))
-    for i in straight:
-        fresh = quad._leg_rows(state.point, state.logs, i - 1, R, E, quad_cfg.level + 1)
-        plain, _ = fresh(quad_cfg.level + 1, every)
-        assert np.array_equal(leg_row(state, i, forms, spec, quad_cfg), plain)
+def _count_nodes(monkeypatch):
+    """The tanh-sinh nodes of each kernel call (the ones with a tied log
+    weight column) and the walks, as lists of their lengths."""
+    nodes, walks = [], []
+    kernel, walk = quad._panel_sums, quad.contour.continued_logs_param
 
+    def counted_kernel(E, todo, X, vw, magnitudes=False, tie=None):
+        if tie is not None:
+            nodes.append(len(X))
+        return kernel(E, todo, X, vw, magnitudes=magnitudes, tie=tie)
 
-@pytest.mark.parametrize("k,n,lams", _PAIRED_CURVES)
-@pytest.mark.parametrize("level", [3, 5])
-def test_paired_gate_value_is_the_level_value(k, n, lams, level):
-    # level 4 has an odd jmax (97), level 6 an even one (390): the level-L
-    # nodes are picked by even j, not by position
-    spec, forms, state, E, straight = _legs(k, n, lams)
-    R = spec.branch_points
-    every = np.arange(len(forms))
-    for i in straight:
-        paired = quad._leg_rows(state.point, state.logs, i - 1, R, E, level + 1)
-        unpaired = quad._leg_rows(state.point, state.logs, i - 1, R, E, level)
-        gate, _ = paired(level, every)
-        plain, _ = unpaired(level, every)
-        assert np.max(np.abs(gate - plain)) <= 1e-14 * np.max(np.abs(plain))
-
-
-def _count_walks(monkeypatch):
-    walks = []
-    walk = quad.contour.continued_logs_param
-
-    def counted(diff_fn, params, logs0):
+    def counted_walk(diff_fn, params, logs0):
         walks.append(len(params))
         return walk(diff_fn, params, logs0)
 
-    monkeypatch.setattr(quad.contour, "continued_logs_param", counted)
-    return walks
+    monkeypatch.setattr(quad, "_panel_sums", counted_kernel)
+    monkeypatch.setattr(quad.contour, "continued_logs_param", counted_walk)
+    return nodes, walks
 
 
-def test_a_leg_converging_at_the_second_level_walks_once(quad_cfg, monkeypatch):
+def _node_count(level):
+    return len(quad._de_nodes(level)[0])
+
+
+@pytest.mark.parametrize("k,n,lams", _LEG_CURVES)
+@pytest.mark.parametrize("level", [3, 5])
+def test_next_level_from_new_nodes_is_the_full_level(k, n, lams, level, monkeypatch):
+    # level 4 has an odd last j (97), level 6 an even one (390): the new
+    # nodes are picked by odd j, not by position
+    spec, forms, state, E, straight = _legs(k, n, lams)
+    R = spec.branch_points
+    every = np.arange(len(forms))
+    nodes, _ = _count_nodes(monkeypatch)
+    for i in straight:
+        nodes.clear()
+        stepped = quad._leg_rows(state.point, state.logs, i - 1, R, E)
+        stepped(level, every)
+        following, _ = stepped(level + 1, every)
+        fresh, _ = quad._leg_rows(state.point, state.logs, i - 1, R, E)(level + 1, every)
+        assert nodes == [
+            _node_count(level),
+            _node_count(level + 1) - _node_count(level),
+            _node_count(level + 1),
+        ]
+        assert np.max(np.abs(following - fresh)) <= 1e-14 * np.max(np.abs(fresh))
+
+
+def test_a_leg_converging_at_the_second_level_evaluates_its_nodes_once(
+    quad_cfg, monkeypatch
+):
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
-    walks = _count_walks(monkeypatch)
+    nodes, walks = _count_nodes(monkeypatch)
     leg_row(state, straight[0], forms, spec, quad_cfg)
-    nodes = len(quad._de_nodes(quad_cfg.level + 1)[0])
-    assert walks == [nodes + 1]
+    assert sum(nodes) == _node_count(quad_cfg.level + 1) == 391
+    assert len(nodes) == 2
+    assert walks == []
 
 
-def test_a_capped_leg_walks_its_one_level(monkeypatch):
+def test_a_capped_leg_evaluates_its_one_level(monkeypatch):
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
-    walks = _count_walks(monkeypatch)
+    nodes, walks = _count_nodes(monkeypatch)
     cfg = QuadConfig(level=3, max_level=3, rel_tol=1e-15)
     with pytest.raises(NoConvergence, match=r"base integral i=\d+, alpha=.*level 3$"):
         leg_row(state, straight[0], forms, spec, cfg)
-    assert walks == [len(quad._de_nodes(3)[0]) + 1]
+    assert nodes == [_node_count(3)]
+    assert walks == []
+
+
+@pytest.mark.parametrize("k,n,lams", _LEG_CURVES)
+def test_closed_form_logs_match_a_continued_log(k, n, lams):
+    # the reference continues each log in 30 digits by small steps through
+    # the level-4 node positions, from the start's logs; the closed form
+    # agrees to within 1e-15 of max(1, |log|) at every node
+    mpmath = pytest.importorskip("mpmath")
+    spec, _, state, _, straight = _legs(k, n, lams)
+    R = spec.branch_points
+    _, tau, log_sigma, _ = quad._de_nodes(4)
+    with mpmath.workdps(30):
+        start = mpmath.mpc(state.point)
+        for i in straight:
+            X = quad._node_logs(state.point, np.asarray(state.logs), i - 1, R, log_sigma, tau)
+            D = mpmath.mpc(complex(R[i - 1])) - start
+            for s in range(n):
+                r = mpmath.mpc(complex(R[s]))
+                log, prev = mpmath.mpc(state.logs[s]), start - r
+                for p, t in enumerate(tau):
+                    if s == i - 1:
+                        # distance fraction to the endpoint, as the node table has it
+                        here = -D * mpmath.exp(mpmath.mpf(log_sigma[p]))
+                    else:
+                        here = start + mpmath.mpf(t) * D - r
+                    for part in range(1, 5):
+                        step = prev + (here - prev) * part / 4
+                        rise = mpmath.log(step / (prev + (here - prev) * (part - 1) / 4))
+                        assert abs(rise.imag) < math.pi / 2
+                        log += rise
+                    prev = here
+                    # log sigma reaches -674, where one rounding is 1e-13
+                    assert abs(complex(log) - X[p, s]) <= 1e-15 * max(1.0, abs(log)), (i, s, p)
 
 
 def test_integrate_smooth_rejects_a_path_away_from_the_state(quad_cfg):
