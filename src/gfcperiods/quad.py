@@ -29,11 +29,13 @@ Node positions are handled in terms of the distance fractions to either
 endpoint (sigma toward the singular end, tau toward the start), never as
 absolute coordinates, so evaluation stays stable when nodes approach the
 endpoint to within 1e-290 of the leg length (closer positions are clipped
-to that distance).  Along the straight leg every continued log has a
-closed form: the singular factor's is the start value plus log sigma,
-and every other factor's the start value plus the principal log of its
-ratio to the start.  The Gauss-Legendre pieces (detour prefixes and the
-oracle's loops) are continued by the ratio walk of the contour module.
+to that distance; log sigma is exact).  Along the straight leg every
+continued log has a closed form: the singular factor's is the start value
+plus log sigma, and every other factor's the start value plus the
+principal log of its ratio to the start.  The integral beyond a level's
+last node, which the sum leaves out, is added in closed form too.  The
+Gauss-Legendre pieces (detour prefixes and the oracle's loops) are
+continued by the ratio walk of the contour module.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def _last_j(level: int) -> int:
 
 def _de_table(t, h: float):
     """sigma, tau, log_sigma and log_weight (see `_de_nodes`) at the
-    parameters t of a level with step h, sigma and tau clipped at
-    _SIGMA_MIN."""
+    parameters t of a level with step h.  The positions sigma and tau are
+    clipped at _SIGMA_MIN; log_sigma is exact."""
     u = 0.5 * np.pi * np.sinh(t)
     # (1 - tanh u)/2 and (1 + tanh u)/2 without cancellation
     au = np.abs(u)
@@ -135,7 +137,7 @@ def _de_table(t, h: float):
     far = 1.0 / (1.0 + e)
     sigma = np.maximum(np.where(u >= 0, near, far), _SIGMA_MIN)
     tau = np.maximum(np.where(u >= 0, far, near), _SIGMA_MIN)
-    log_sigma = np.log(sigma)
+    log_sigma = -np.log1p(e) - np.where(u >= 0, 2.0 * au, 0.0)
     log_cosh_u = au + np.log1p(e) - math.log(2.0)
     log_weight = (
         math.log(0.5 * np.pi) + np.log(np.cosh(t)) - 2.0 * log_cosh_u + math.log(h)
@@ -238,12 +240,21 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
     column, and E gets a column of ones, tied to the target's column in
     the kernel, so the weight and the power of sigma share one
     exponential: near the singular end a separate weight factor would
-    underflow while the power of sigma overflows.  The gate scale is |I|.
+    underflow while the power of sigma overflows.
+
+    Each returned value adds the integral beyond the level's last node J,
+    which its sum leaves out.  There W is sigma**e_t (e_t the target
+    exponent) times factors constant to double precision, so that integral
+    is W(w_J) D sigma_J / (1 + e_t); the sum already holds half of node J's
+    term for it (Euler-Maclaurin at the truncation), which is taken back.
+    For e_t near -1 (large k) the piece is significant: it is about
+    sigma_J**(1 + e_t) of the integral.  The gate scale is |I|.
     """
     logs0 = np.asarray(logs0, dtype=complex)
     n = len(R)
     D = complex(R[target]) - complex(start)
     E1 = np.hstack([E, np.ones((len(E), 1))])
+    rise = 1.0 / (1.0 + E[:, target])
     last = None
 
     def node_sums(level, todo, new):
@@ -253,6 +264,15 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
         X[:, n] = log_weight
         return _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n))[0]
 
+    def tail(level, todo):
+        h = 2.0 ** (-level)
+        _, tau, log_sigma, log_weight = _de_table(np.array([h * _last_j(level)]), h)
+        x = _node_logs(start, logs0, target, R, log_sigma, tau)[0]
+        # W(w_J) sigma_J; node J's term is W(w_J) weight_J D / 2
+        scaled = np.exp(E[todo] @ x.real + log_sigma[0] + 1j * (E[todo] @ x.imag))
+        half_term = 0.25 * math.exp(log_weight[0] - log_sigma[0])
+        return scaled * D * (rise[todo] - half_term)
+
     def rows_at(level, todo):
         nonlocal last
         if last is not None and last[0] == level - 1:
@@ -261,7 +281,8 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
         else:
             sums = node_sums(level, todo, new=False)
         last = level, todo, sums
-        return sums, np.abs(sums)
+        cur = sums + tail(level, todo)
+        return cur, np.abs(cur)
 
     return rows_at
 

@@ -434,6 +434,14 @@ def test_verify_genus_zero_passes(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_passes_at_k_40(capsys):
+    # the strongest exponent is -39/40, so the integral beyond the last
+    # tanh-sinh node is about 1e-7 of a base integral and must be counted
+    code, out, err = run_cli(capsys, "verify", "-k", "40", "-n", "2")
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_reports_failure_exit(capsys, monkeypatch):
     import gfcperiods.oracle as oracle_mod
 

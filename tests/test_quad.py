@@ -19,6 +19,7 @@ from gfcperiods.contour import (
 )
 from gfcperiods import quad
 from gfcperiods.errors import NoConvergence
+from gfcperiods.periods import base_integrals
 from gfcperiods.quad import QuadConfig, leg_row, tanh_sinh, tanh_sinh_level
 
 
@@ -433,6 +434,20 @@ def test_closed_form_logs_match_a_continued_log(k, n, lams):
                     prev = here
                     # log sigma reaches -674, where one rounding is 1e-13
                     assert abs(complex(log) - X[p, s]) <= 1e-15 * max(1.0, abs(log)), (i, s, p)
+
+
+@pytest.mark.parametrize("k", [30, 40, 60])
+def test_high_k_legs_reproduce_the_beta_integral(k, quad_cfg):
+    # |J_2 - J_1| = B((alpha_1+1)/k, 1 - alpha_2/k); at alpha_2 = k-1 the
+    # singular factor's exponent is -(k-1)/k, and the integral beyond the
+    # last node is about (1e-290)**(1/k) of the whole, which the sum must
+    # not drop
+    spec = validate_spec(k, 2, [])
+    forms = enumerate_forms(spec)
+    J = base_integrals(spec, quad_cfg)
+    for c, form in enumerate(forms):
+        exact = _beta_oracle((form.alpha[0] + 1) / k, 1 - form.alpha[1] / k)
+        assert abs(abs(J[1, c] - J[0, c]) - exact) <= 1e-10 * exact, form.alpha
 
 
 def test_integrate_smooth_rejects_a_path_away_from_the_state(quad_cfg):
