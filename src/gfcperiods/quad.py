@@ -63,6 +63,8 @@ _GL_MAX_PANELS = 2 ** 13
 # Largest forms x nodes block evaluated at once by the kernel, in complex
 # values (32 MiB).
 _BLOCK_VALUES = 2 ** 21
+# Nodes per BLAS product in the split kernel's node sum (`_node_product`).
+_CHUNK_NODES = 64
 # Highest tanh-sinh level: 2 floor(_T_MAX 2**18) + 1 = 3.2M nodes, of
 # which a leg evaluates the 1.6M new ones in one node table.
 _LEVEL_CAP = 18
@@ -123,6 +125,15 @@ def _de_nodes(level: int, new: bool = False):
 def _last_j(level: int) -> int:
     """The node index j of a level's last node, t = j 2**-level <= _T_MAX."""
     return math.floor(_T_MAX * 2.0**level)
+
+
+@lru_cache(maxsize=32)
+def _last_node(level: int):
+    """tau and log_sigma of a level's last node, as one-node arrays, and
+    its weight over its sigma."""
+    h = 2.0 ** (-level)
+    _, tau, log_sigma, log_weight = _de_table(np.array([h * _last_j(level)]), h)
+    return tau, log_sigma, math.exp(log_weight[0] - log_sigma[0])
 
 
 def _de_table(t, h: float):
@@ -265,13 +276,12 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
         return _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n))[0]
 
     def tail(level, todo):
-        h = 2.0 ** (-level)
-        _, tau, log_sigma, log_weight = _de_table(np.array([h * _last_j(level)]), h)
+        tau, log_sigma, ratio = _last_node(level)
         x = _node_logs(start, logs0, target, R, log_sigma, tau)[0]
-        # W(w_J) sigma_J; node J's term is W(w_J) weight_J D / 2
-        scaled = np.exp(E[todo] @ x.real + log_sigma[0] + 1j * (E[todo] @ x.imag))
-        half_term = 0.25 * math.exp(log_weight[0] - log_sigma[0])
-        return scaled * D * (rise[todo] - half_term)
+        # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
+        Et = E[todo]
+        scaled = np.exp(Et @ x.real + log_sigma[0] + 1j * (Et @ x.imag))
+        return scaled * D * (rise[todo] - 0.25 * ratio)
 
     def rows_at(level, todo):
         nonlocal last
@@ -366,11 +376,9 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
     form's sum is one entry of the complex product of P_A * vw and P_B over
     the nodes, and its magnitude sum one entry of the real product
     |P_A * vw| @ |P_B|.T, accumulated over blocks of nodes.  The complex
-    product goes through einsum, whose summation order is fixed: a BLAS
-    product sums in an order that depends on the thread count, and J's last
-    bits with it.  Unsplit, each row is summed over all nodes directly, in
-    blocks of rows.  Every forms x nodes temporary stays under
-    _BLOCK_VALUES.
+    product sums over the nodes in a fixed order (`_node_product`).
+    Unsplit, each row is summed over all nodes directly, in blocks of rows.
+    Every forms x nodes temporary stays under _BLOCK_VALUES.
     """
     split = _factored(E.tobytes(), E.shape, tie)
 
@@ -399,10 +407,30 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
         nodes = slice(b, b + step)
         P_a = powers(rows_a, nodes, cols_a) * (vw if np.ndim(vw) == 0 else vw[nodes])
         P_b = powers(rows_b, nodes, cols_b)
-        cur = cur + np.einsum("an,bn->ab", P_a, P_b)
+        cur = cur + _node_product(P_a, P_b)
         if magnitudes:
             l1 = l1 + np.abs(P_a) @ np.abs(P_b).T
     return cur[at_a, at_b], l1[at_a, at_b] if magnitudes else None
+
+
+def _node_product(P_a, P_b):
+    """P_a @ P_b.T, summed over the nodes (the columns) in a fixed order:
+    one BLAS product per chunk of _CHUNK_NODES nodes, added in chunk order.
+
+    A single product over all nodes sums them in an order that depends on
+    the BLAS thread count, and J's last bits with it: OpenBLAS cuts a long
+    inner dimension into blocks, and its one-thread and threaded drivers
+    place the cuts differently (seen at 195 and 781 nodes, never at 64 or
+    128).  A chunk is shorter than any such block, so each chunk's sum, and
+    the output, is the same on any thread count.  np.einsum has a fixed
+    order too but ran 5-10x slower on these shapes.
+    """
+    full = P_a.shape[1] // _CHUNK_NODES * _CHUNK_NODES
+    chunks = np.matmul(
+        P_a[:, :full].reshape(len(P_a), -1, _CHUNK_NODES).transpose(1, 0, 2),
+        P_b[:, :full].reshape(len(P_b), -1, _CHUNK_NODES).transpose(1, 2, 0),
+    )
+    return chunks.sum(axis=0) + P_a[:, full:] @ P_b[:, full:].T
 
 
 def _open_rows(group, todo):

@@ -314,6 +314,18 @@ def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeyp
             assert np.array_equal(alone, cur)
 
 
+@pytest.mark.parametrize("nodes", [1, 63, 64, 65, 391])
+def test_node_product_matches_the_matrix_product(nodes):
+    # whole chunks of _CHUNK_NODES nodes, a remainder, or both
+    rng = np.random.default_rng(nodes)
+    P_a = rng.normal(size=(7, nodes)) + 1j * rng.normal(size=(7, nodes))
+    P_b = rng.normal(size=(5, nodes)) + 1j * rng.normal(size=(5, nodes))
+    scale = np.abs(P_a) @ np.abs(P_b).T
+    got = quad._node_product(P_a, P_b)
+    assert got.shape == (7, 5)
+    assert np.all(np.abs(got - np.einsum("an,bn->ab", P_a, P_b)) <= 1e-14 * scale)
+
+
 # an unsplit curve and two split ones (see _KERNEL_CURVES)
 _LEG_CURVES = [(3, 3, [-1.5]), (4, 4, [-1.5, 2 + 1j]), (17, 2, [])]
 
