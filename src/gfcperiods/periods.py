@@ -72,7 +72,7 @@ def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
     """J[i-1, c] = integral from z0 to r_i of W dw for the c-th form.
 
     All legs start from the default base point with the same principal
-    branch state; the per-leg continuation tables are shared across forms.
+    branch state; each leg's node logs are shared across forms.
     """
     R = spec.branch_points
     state0 = contour.init_branch(contour.default_base_point(R), R)
