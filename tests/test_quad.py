@@ -373,9 +373,11 @@ def _node_count(level):
 
 @pytest.mark.parametrize("k,n,lams", _LEG_CURVES)
 @pytest.mark.parametrize("level", [3, 5])
-def test_next_level_from_new_nodes_is_the_full_level(k, n, lams, level, monkeypatch):
-    # level 4 has an odd last j (97), level 6 an even one (390): the new
-    # nodes are picked by odd j, not by position
+def test_paired_gate_value_is_the_level_value(k, n, lams, level, monkeypatch):
+    # the call at level L + 1 paired with the previous call at level L
+    # evaluates only the new odd-j nodes; the value it hands the gate is the
+    # full level-(L + 1) value.  Level 4 has an odd last j (97), level 6 an
+    # even one (390): the new nodes are picked by odd j, not by position
     spec, forms, state, E, straight = _legs(k, n, lams)
     R = spec.branch_points
     every = np.arange(len(forms))
