@@ -224,10 +224,10 @@ def exponent_matrix(forms, k: int, n: int) -> np.ndarray:
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
     ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
+    if ab == 0:
         return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / denom
+    # complex division scales its operands, where abs(ab) ** 2 overflows
+    t = ((p - a) / ab).real
     t = min(1.0, max(0.0, t))
     return abs(p - (a + t * ab))
 

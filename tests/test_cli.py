@@ -491,6 +491,23 @@ def test_periods_step_too_coarse_names_the_leg(capsys):
     assert "alpha" not in err
 
 
+@pytest.mark.parametrize("command", ["periods", "verify"])
+@pytest.mark.parametrize("lam", ["1e160", "1e200", "-1e300", "1e300+1e300i"])
+def test_huge_lambda_exits_3_with_one_error_line(command, lam):
+    # the leg clearance test must not square a leg length, which overflows
+    # past |lambda| ~ 1.3e154; such a leg fails like the one of -l 1e20
+    argv = [command, "-k", "2", "-n", "3", "-l", lam]
+    code = f"import sys, gfcperiods.cli\nsys.exit(gfcperiods.cli.main({argv!r}))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: branch continuation failed: base integral i=1: ")
+
+
 def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
     # a clearance wider than the branch set leaves no detour for any leg
     monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
