@@ -4,8 +4,8 @@ Subcommands: info (genus, forms, generator counts), periods (the full
 period matrix), basis (extracted lattice basis), verify (oracle
 cross-check report).  Data goes to stdout or --out; diagnostics go to
 stderr.  Exit codes: 2 invalid input or an --out that cannot be written,
-3 numerical failure (quadrature non-convergence, or a failed branch walk
-or route), 4 lattice extraction failure, 1 failed verification.
+3 numerical failure (no quadrature convergence, a path through a branch
+point, or no route), 4 lattice extraction failure, 1 failed verification.
 
 Each subcommand imports only the modules it runs.  At module level this
 file loads the standard library, errors, curve and homology, which is all

@@ -8,10 +8,9 @@ The integrand attached to a form with exponents alpha is
 a multivalued function on C minus the branch set R.  Rather than picking
 global cuts, a BranchState carries one continued value of log(-w) and of
 each log(w - r_t); continuing the state along a path and exponentiating
-recovers the correct sheet of W everywhere.  Continuation accumulates
-principal logs of successive point ratios (w' - r)/(w - r), which is exact
-as long as no single increment swings the argument by pi or more; the
-engine enforces a pi/2 safety threshold and subdivides until it holds.
+recovers the correct sheet of W everywhere.  `segment_logs` gives the
+continued logs at any nodes of a line or an arc in closed form, each node
+on its own, and raises StepTooCoarse for a segment through a branch point.
 
 Paths are chains of line segments and circular arcs.  `clear_leg` is the
 one routing decision: the straight line from the base point to a branch
@@ -37,11 +36,6 @@ from .errors import (
     StepTooCoarse,
 )
 
-# Continuation increments must keep |arg| strictly below this.
-ARG_LIMIT = math.pi / 2
-# Caps on walk refinement before giving up on a continuation.
-_MAX_REFINE = 24
-_MAX_WALK_POINTS = 1 << 22
 # A branch point is an obstacle to a leg when it lies closer to the leg
 # than this fraction of the leg's length or of its distance to the target.
 _LEG_CLEARANCE = 3e-3
@@ -167,50 +161,54 @@ def init_branch(base_point: complex, R) -> BranchState:
     return BranchState(point=z0, logs=tuple(logs), branch_points=pts)
 
 
-def continued_logs_param(diff_fn, params, logs0) -> np.ndarray:
-    """Continued logs at the given ascending parameters of one smooth piece.
+def _line_logs(start: complex, end: complex, ts, anchors, logs0) -> np.ndarray:
+    """Continued logs of w - r, one column per anchor r, at the parameters
+    ts of the line w = start + t (end - start): logs0 + Log((w - r)/(start - r)).
 
-    diff_fn maps a parameter array to the (m, n_factors) matrix of
-    differences w(param) - anchor (one column per tracked factor); logs0
-    holds the log values at params[0].  Midpoints are inserted, globally
-    doubling the walk, until every ratio increment passes the pi/2
-    threshold; the returned array covers only the requested parameters.
+    The ratio moves on a line from 1, so it meets the principal cut only
+    if the line passes through r: at a node, where a difference is 0, or
+    between nodes, where the ratio at the line's end is a non-positive
+    real.  Either raises StepTooCoarse.
     """
-    base = np.asarray(logs0, dtype=complex)
-    t_ref = np.asarray(params, dtype=float)
-    stride = 1
-    for _ in range(_MAX_REFINE):
-        diffs = diff_fn(t_ref)
-        if not np.all(diffs):
-            raise StepTooCoarse("continuation point coincides with a branch point")
-        incs = np.log(diffs[1:] / diffs[:-1])
-        if incs.size == 0 or np.max(np.abs(incs.imag)) < ARG_LIMIT:
-            out = np.empty((len(t_ref), base.size), dtype=complex)
-            out[0] = base
-            np.cumsum(incs, axis=0, out=out[1:])
-            out[1:] += base
-            return out[::stride]
-        if 2 * len(t_ref) - 1 > _MAX_WALK_POINTS:
-            raise StepTooCoarse(
-                "continuation refinement exceeded the walk point budget"
-            )
-        mids = 0.5 * (t_ref[:-1] + t_ref[1:])
-        merged = np.empty(2 * len(t_ref) - 1, dtype=float)
-        merged[::2] = t_ref
-        merged[1::2] = mids
-        t_ref = merged
-        stride *= 2
-    raise StepTooCoarse("continuation failed to refine below the pi/2 threshold")
+    offsets = start - anchors
+    diffs = offsets[None, :] + ts[:, None] * (end - start)
+    if offsets.all() and diffs.all():
+        last = (end - anchors) / offsets
+        if not ((last.imag == 0) & (last.real <= 0)).any():
+            return logs0 + np.log(diffs / offsets)
+    raise StepTooCoarse("continuation point coincides with a branch point")
+
+
+def _arc_logs(seg: Arc, ts, anchors, logs0) -> np.ndarray:
+    """Continued logs of w - r, one column per anchor r, at the parameters
+    ts of the arc w = c + v, v = rho e^(i theta).
+
+    With u = r - c, w - r is v (1 - u/v) for |u| < rho and -u (1 - v/u)
+    for |u| > rho.  Either Log argument has a positive real part, so the
+    continued log is i theta + Log(1 - u/v), or Log(1 - v/u), less its
+    value at the start angle, plus logs0.  |u| = rho raises StepTooCoarse.
+    """
+    u = anchors - seg.center
+    inside = np.abs(u) < seg.radius
+    sweep = np.concatenate(([0.0], ts)) * (seg.end_angle - seg.start_angle)
+    v = seg.radius * np.exp(1j * (seg.start_angle + sweep))[:, None]
+    ratio = np.empty((len(sweep), len(u)), dtype=complex)
+    ratio[:, inside] = u[inside] / v
+    ratio[:, ~inside] = v / u[~inside]
+    rest = 1.0 - ratio
+    if np.any(np.abs(u) == seg.radius) or not np.all(rest):
+        raise StepTooCoarse("continuation point coincides with a branch point")
+    logs = np.log(rest)
+    logs[:, inside] += 1j * sweep[:, None]
+    return logs0 + (logs[1:] - logs[0])
 
 
 def segment_logs(seg: Segment, ts: np.ndarray, R, logs0) -> np.ndarray:
     """Continued logs over all branch factors at parameters ts of one segment."""
-    anchors = np.asarray([complex(r) for r in R], dtype=complex)
-
-    def diff_fn(params):
-        return segment_points(seg, params)[:, None] - anchors[None, :]
-
-    return continued_logs_param(diff_fn, ts, logs0)
+    anchors = np.asarray(R, dtype=complex)
+    if isinstance(seg, Line):
+        return _line_logs(seg.start, seg.end, ts, anchors, logs0)
+    return _arc_logs(seg, ts, anchors, logs0)
 
 
 def exponent_matrix(forms, k: int, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ class BasePointOnBranchPoint(GfcError, ValueError):
 
 
 class StepTooCoarse(GfcError):
-    """A branch-continuation increment had argument magnitude >= pi/2."""
+    """A path segment runs through a branch point."""
 
 
 class ClearanceUnachievable(GfcError):

@@ -29,13 +29,12 @@ Node positions are handled in terms of the distance fractions to either
 endpoint (sigma toward the singular end, tau toward the start), never as
 absolute coordinates, so evaluation stays stable when nodes approach the
 endpoint to within 1e-290 of the leg length (closer positions are clipped
-to that distance; log sigma is exact).  Along the straight leg every
-continued log has a closed form: the singular factor's is the start value
-plus log sigma, and every other factor's the start value plus the
-principal log of its ratio to the start.  The integral beyond a level's
-last node, which the sum leaves out, is added in closed form too.  The
-Gauss-Legendre pieces (detour prefixes and the oracle's loops) are
-continued by the ratio walk of the contour module.
+to that distance; log sigma is exact).  Every continued log has a closed
+form: along the straight leg the singular factor's is the start value
+plus log sigma, and every other factor's comes from the line rule of the
+contour module, which the Gauss-Legendre pieces (detour prefixes and the
+oracle's loops) share with its arc rule.  The integral beyond a level's
+last node, which the sum leaves out, is added in closed form too.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class QuadConfig:
     Levels nest, so a leg that converges at level M evaluates the nodes of
     level M once in all, whatever the start: the start level 4 (195 nodes)
     only lets a leg stop at level 5 (391 nodes).  The start was 5 while the
-    node logs came from the branch walk, which sums one log increment per
+    node logs came from a branch walk, which summed one log increment per
     node: on the (4,4) ladder curve, leg i=2, form (1,3,2,3), the walked
     logs were off from the exact continued logs by 2.1e-14 at level 6,
     4.8e-14 at level 7 and 1.0e-13 at level 8, the package's largest J
@@ -217,23 +216,18 @@ def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau):
     given the nodes' log sigma and tau.
 
     The target's log is logs0[target] + log sigma.  Every other factor's is
-    logs0[s] + Log((w - r_s) / (start - r_s)), the principal log: along a
-    straight piece that ratio moves on a line from 1, which meets the cut
-    only if the piece passes through r_s, so no walk is needed and each
-    node stands on its own.  A node that rounds onto a branch point raises
-    StepTooCoarse.
+    logs0[s] + Log((w - r_s) / (start - r_s)), by `contour._line_logs`,
+    which raises StepTooCoarse when the piece runs through r_s.
     """
-    start = complex(start)
+    anchors = np.asarray(R, dtype=complex)
     n = len(R)
     X = np.empty((len(tau), n), dtype=complex)
     X[:, target] = logs0[target] + log_sigma
     others = [s for s in range(n) if s != target]
     if others:
-        offsets = np.asarray([start - complex(R[s]) for s in others])
-        diffs = offsets[None, :] + tau[:, None] * (complex(R[target]) - start)
-        if not np.all(diffs):
-            raise StepTooCoarse("continuation point coincides with a branch point")
-        X[:, others] = logs0[others] + np.log(diffs / offsets)
+        X[:, others] = contour._line_logs(
+            complex(start), anchors[target], tau, anchors[others], logs0[others]
+        )
     return X
 
 
@@ -309,10 +303,11 @@ def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
     """Integrate W for every form (the rows of the exponent matrix E) over
     one smooth segment with panel-doubled Gauss-Legendre.
 
-    The branch walk depends only on the nodes, so each panel count walks
-    the segment once and evaluates the open forms there.  A form is gated
-    against max(|I|, 1e-3 * L1) so that closed-loop cancellations still
-    settle.  Returns (row of integrals, logs at the segment end).
+    The continued logs depend only on the nodes, so each panel count takes
+    them once, at the parameters [0, nodes..., 1], and evaluates the open
+    forms there.  A form is gated against max(|I|, 1e-3 * L1) so that
+    closed-loop cancellations still settle.  Returns (row of integrals,
+    logs at the segment end).
     """
     gx, gw = _gl_rule(_GL_ORDER)
     end = None

@@ -487,7 +487,7 @@ def test_periods_step_too_coarse_names_the_leg(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: branch continuation failed: base integral i=1: ")
-    # the walk serves every form of the leg, so no form is named
+    # the node logs serve every form of the leg, so no form is named
     assert "alpha" not in err
 
 

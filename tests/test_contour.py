@@ -1,10 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gfcperiods import contour, enumerate_forms, init_branch, loop_path, validate_spec
+from gfcperiods import contour, enumerate_forms, init_branch, loop_path, quad, validate_spec
 from gfcperiods.contour import (
     Arc,
     Line,
@@ -229,14 +230,83 @@ def test_loop_path_rejects_base_point_on_branch_point():
         loop_path(R2[1], 2, R2, +1)
 
 
-def test_walk_refinement_stops_at_the_point_budget(monkeypatch):
-    # a factor turning 2.8 pi over the piece: steps of 2.8, 1.4 and 0.7 pi
-    # (2, 3 and 5 points) all fail the pi/2 test, and 9 points pass it
-    def diff_fn(params):
-        return np.exp(2.8j * np.pi * np.asarray(params))[:, None]
+def test_arc_logs_match_a_fine_step_continuation():
+    # one arc around r_3, with r_1 = 0 inside it off-centre and r_2 = 1
+    # outside, swept 3 turns either way; the reference continues each log
+    # in 30 digits by steps of at most 6 pi / 512, from the start's logs
+    mpmath = pytest.importorskip("mpmath")
+    R = (0j, 1 + 0j, 0.2 + 0.1j)
+    ts = np.linspace(0.0, 1.0, 129)
+    for turns in (+3, -3):
+        arc = Arc(R[2], 0.5, start_angle=0.3, end_angle=0.3 + turns * 2 * math.pi)
+        logs0 = init_branch(contour.segment_start(arc), R).logs
+        got = segment_logs(arc, ts, R, logs0)
+        with mpmath.workdps(30):
+            a0, a1 = mpmath.mpf(arc.start_angle), mpmath.mpf(arc.end_angle)
 
-    logs = contour.continued_logs_param(diff_fn, [0.0, 1.0], [0j])
-    assert abs(logs[-1, 0] - 2.8j * np.pi) < 1e-12
-    monkeypatch.setattr(contour, "_MAX_WALK_POINTS", 8)
-    with pytest.raises(StepTooCoarse, match="walk point budget"):
-        contour.continued_logs_param(diff_fn, [0.0, 1.0], [0j])
+            def diff(t, r):
+                theta = a0 + mpmath.mpf(t) * (a1 - a0)
+                return mpmath.mpc(arc.center) + arc.radius * mpmath.expj(theta) - r
+
+            for s, r in enumerate(R):
+                r = mpmath.mpc(r)
+                log = mpmath.mpc(logs0[s])
+                for p in range(1, len(ts)):
+                    for part in range(1, 5):
+                        t0 = ts[p - 1] + (ts[p] - ts[p - 1]) * (part - 1) / 4
+                        t1 = ts[p - 1] + (ts[p] - ts[p - 1]) * part / 4
+                        rise = mpmath.log(diff(t1, r) / diff(t0, r))
+                        assert abs(rise.imag) < math.pi / 2
+                        log += rise
+                    err = abs(complex(log) - got[p, s])
+                    assert err <= 1e-15 * max(1.0, abs(log)), (turns, s, p)
+        assert got[0].tolist() == list(logs0)
+
+
+@pytest.mark.parametrize(
+    "k,n,lams", [(2, 3, [2.0]), (3, 4, [-1.5, 2 + 1j]), (2, 4, [1e-3, 3.0])]
+)
+def test_loop_circles_close_on_the_deck_offset(k, n, lams):
+    # at the largest Gauss-Legendre node count, each loop circle ends at its
+    # start logs plus 2 pi i in its centre's column and nothing elsewhere
+    R = validate_spec(k, n, lams).branch_points
+    z0 = default_base_point(R)
+    gx, _ = quad._gl_rule(quad._GL_ORDER)
+    panels = quad._GL_MAX_PANELS
+    starts = np.arange(panels) / panels
+    ts = (starts[:, None] + (gx[None, :] + 1.0) / (2.0 * panels)).ravel()
+    params = np.concatenate(([0.0], ts, [1.0]))
+    assert len(params) == 131074
+    for i in range(1, n + 1):
+        _, circle = contour.loop_pieces(z0, i, R)
+        logs0 = np.asarray(init_branch(contour.segment_start(circle), R).logs)
+        moved = segment_logs(circle, params, R, logs0)[-1] - logs0
+        expected = np.zeros(n, dtype=complex)
+        expected[i - 1] = 2j * math.pi
+        assert np.max(np.abs(moved - expected)) <= 1e-15, i
+
+
+def _leg_node_logs(start, logs0, target, R):
+    """The node logs of the level-2 tanh-sinh leg from start to R[target]."""
+    _, tau, log_sigma, _ = quad._de_nodes(2)
+    return quad._node_logs(start, logs0, target, R, log_sigma, tau)
+
+
+@pytest.mark.parametrize(
+    "logs",
+    [
+        # the line from -0.5 to 0.5 passes 0 between its nodes -1/6 and 1/6
+        lambda logs0: segment_logs(Line(-0.5 + 0j, 0.5 + 0j), np.linspace(0, 1, 4), R2, logs0),
+        # so do the nodes of the J leg from -0.5 to 1
+        lambda logs0: _leg_node_logs(-0.5 + 0j, logs0, 1, R2),
+        # the circle of radius 1/2 about 1/2 runs through both branch points
+        lambda logs0: segment_logs(Arc(0.5 + 0j, 0.5, math.pi, 3 * math.pi), SEED, R2, logs0),
+    ],
+    ids=["line", "leg", "arc"],
+)
+def test_a_path_through_a_branch_point_raises(logs):
+    logs0 = np.asarray(init_branch(-0.5 + 0j, R2).logs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooCoarse, match="coincides with a branch point"):
+            logs(logs0)

@@ -39,7 +39,7 @@ def test_quad_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive finite"):
             QuadConfig(rel_tol=bad)
-    # levels must lie where the continuation walk can hold the nodes
+    # the levels run from 0 to the cap of 18
     assert quad._LEVEL_CAP == 18
     QuadConfig(level=18, max_level=18)
     for field, kwargs in [
@@ -349,22 +349,17 @@ def _legs(k, n, lams):
 
 def _count_nodes(monkeypatch):
     """The tanh-sinh nodes of each kernel call (the ones with a tied log
-    weight column) and the walks, as lists of their lengths."""
-    nodes, walks = [], []
-    kernel, walk = quad._panel_sums, quad.contour.continued_logs_param
+    weight column), as a list of their lengths."""
+    nodes = []
+    kernel = quad._panel_sums
 
     def counted_kernel(E, todo, X, vw, magnitudes=False, tie=None):
         if tie is not None:
             nodes.append(len(X))
         return kernel(E, todo, X, vw, magnitudes=magnitudes, tie=tie)
 
-    def counted_walk(diff_fn, params, logs0):
-        walks.append(len(params))
-        return walk(diff_fn, params, logs0)
-
     monkeypatch.setattr(quad, "_panel_sums", counted_kernel)
-    monkeypatch.setattr(quad.contour, "continued_logs_param", counted_walk)
-    return nodes, walks
+    return nodes
 
 
 def _node_count(level):
@@ -381,7 +376,7 @@ def test_paired_gate_value_is_the_level_value(k, n, lams, level, monkeypatch):
     spec, forms, state, E, straight = _legs(k, n, lams)
     R = spec.branch_points
     every = np.arange(len(forms))
-    nodes, _ = _count_nodes(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     for i in straight:
         nodes.clear()
         stepped = quad._leg_rows(state.point, state.logs, i - 1, R, E)
@@ -400,21 +395,19 @@ def test_a_leg_converging_at_the_second_level_evaluates_its_nodes_once(
     quad_cfg, monkeypatch
 ):
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
-    nodes, walks = _count_nodes(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     leg_row(state, straight[0], forms, spec, quad_cfg)
     assert sum(nodes) == _node_count(quad_cfg.level + 1) == 391
     assert len(nodes) == 2
-    assert walks == []
 
 
 def test_a_capped_leg_evaluates_its_one_level(monkeypatch):
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
-    nodes, walks = _count_nodes(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     cfg = QuadConfig(level=3, max_level=3, rel_tol=1e-15)
     with pytest.raises(NoConvergence, match=r"base integral i=\d+, alpha=.*level 3$"):
         leg_row(state, straight[0], forms, spec, cfg)
     assert nodes == [_node_count(3)]
-    assert walks == []
 
 
 @pytest.mark.parametrize("k,n,lams", _LEG_CURVES)
