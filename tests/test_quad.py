@@ -39,7 +39,7 @@ def test_quad_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive finite"):
             QuadConfig(rel_tol=bad)
-    # the levels run from 0 to the cap of 18
+    # the cap bounds one leg's node table: 3.2M nodes at level 18
     assert quad._LEVEL_CAP == 18
     QuadConfig(level=18, max_level=18)
     for field, kwargs in [
