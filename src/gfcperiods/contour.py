@@ -8,9 +8,11 @@ The integrand attached to a form with exponents alpha is
 a multivalued function on C minus the branch set R.  Rather than picking
 global cuts, a BranchState carries one continued value of log(-w) and of
 each log(w - r_t); continuing the state along a path and exponentiating
-recovers the correct sheet of W everywhere.  `segment_logs` gives the
-continued logs at any nodes of a line or an arc in closed form, each node
-on its own, and raises StepTooCoarse for a segment through a branch point.
+recovers the correct sheet of W everywhere.  `_kind_logs` gives the
+continued logs at any nodes of several lines, or of several arcs, in
+closed form, each node on its own, and raises StepTooCoarse naming a
+segment that runs through a branch point; `segment_logs` is its one-segment
+form and `chain_logs` carries the logs from segment to segment.
 
 Paths are chains of line segments and circular arcs.  `clear_leg` is the
 one routing decision: the straight line from the base point to a branch
@@ -85,15 +87,6 @@ def segment_points(seg: Segment, t: np.ndarray) -> np.ndarray:
     return seg.center + seg.radius * np.exp(1j * ang)
 
 
-def segment_velocity(seg: Segment, t: np.ndarray) -> np.ndarray:
-    """dw/dt at parameters t (constant for lines)."""
-    if isinstance(seg, Line):
-        return np.full_like(t, seg.end - seg.start, dtype=complex)
-    sweep = seg.end_angle - seg.start_angle
-    ang = seg.start_angle + t * sweep
-    return 1j * sweep * seg.radius * np.exp(1j * ang)
-
-
 @dataclass(frozen=True)
 class Path:
     """Chain of segments with matching endpoints."""
@@ -161,54 +154,98 @@ def init_branch(base_point: complex, R) -> BranchState:
     return BranchState(point=z0, logs=tuple(logs), branch_points=pts)
 
 
-def _line_logs(start: complex, end: complex, ts, anchors, logs0) -> np.ndarray:
+def _line_logs(lines, ts, anchors, logs0) -> np.ndarray:
     """Continued logs of w - r, one column per anchor r, at the parameters
-    ts of the line w = start + t (end - start): logs0 + Log((w - r)/(start - r)).
+    ts of each line w = start + t (end - start) of lines, from that line's
+    row of logs0: logs0 + Log((w - r)/(start - r)), one block of rows per
+    line.
 
     The ratio moves on a line from 1, so it meets the principal cut only
     if the line passes through r: at a node, where a difference is 0, or
     between nodes, where the ratio at the line's end is a non-positive
-    real.  Either raises StepTooCoarse.
+    real.  Either raises StepTooCoarse naming the first such line.
     """
-    offsets = start - anchors
-    diffs = offsets[None, :] + ts[:, None] * (end - start)
-    if offsets.all() and diffs.all():
-        last = (end - anchors) / offsets
-        if not ((last.imag == 0) & (last.real <= 0)).any():
-            return logs0 + np.log(diffs / offsets)
-    raise StepTooCoarse("continuation point coincides with a branch point")
+    starts = np.array([seg.start for seg in lines], dtype=complex)
+    ends = np.array([seg.end for seg in lines], dtype=complex)
+    offsets = starts[:, None] - anchors
+    diffs = offsets[:, None, :] + ts[None, :, None] * (ends - starts)[:, None, None]
+    ok = offsets.all(axis=1) & diffs.all(axis=(1, 2))
+    if ok.all():
+        last = (ends[:, None] - anchors) / offsets
+        ok = ~((last.imag == 0) & (last.real <= 0)).any(axis=1)
+        if ok.all():
+            return logs0[:, None, :] + np.log(diffs / offsets[:, None, :])
+    raise StepTooCoarse(
+        "continuation point coincides with a branch point", piece=int(np.argmin(ok))
+    )
 
 
-def _arc_logs(seg: Arc, ts, anchors, logs0) -> np.ndarray:
+def _arc_logs(arcs, ts, anchors, logs0) -> np.ndarray:
     """Continued logs of w - r, one column per anchor r, at the parameters
-    ts of the arc w = c + v, v = rho e^(i theta).
+    ts of each arc w = c + v, v = rho e^(i theta), of arcs, from that arc's
+    row of logs0, one block of rows per arc.
 
     With u = r - c, w - r is v (1 - u/v) for |u| < rho and -u (1 - v/u)
     for |u| > rho.  Either Log argument has a positive real part, so the
     continued log is i theta + Log(1 - u/v), or Log(1 - v/u), less its
-    value at the start angle, plus logs0.  |u| = rho raises StepTooCoarse.
+    value at the start angle, plus logs0.  |u| = rho raises StepTooCoarse
+    naming the first such arc.
     """
-    u = anchors - seg.center
-    inside = np.abs(u) < seg.radius
-    sweep = np.concatenate(([0.0], ts)) * (seg.end_angle - seg.start_angle)
-    v = seg.radius * np.exp(1j * (seg.start_angle + sweep))[:, None]
-    ratio = np.empty((len(sweep), len(u)), dtype=complex)
-    ratio[:, inside] = u[inside] / v
-    ratio[:, ~inside] = v / u[~inside]
-    rest = 1.0 - ratio
-    if np.any(np.abs(u) == seg.radius) or not np.all(rest):
-        raise StepTooCoarse("continuation point coincides with a branch point")
+    centers = np.array([seg.center for seg in arcs], dtype=complex)
+    radii = np.array([seg.radius for seg in arcs])[:, None]
+    angles = np.array([seg.start_angle for seg in arcs])[:, None]
+    sweeps = np.array([seg.end_angle - seg.start_angle for seg in arcs])[:, None]
+    u = anchors - centers[:, None]
+    inside = np.abs(u) < radii
+    sweep = np.concatenate(([0.0], ts))[None, :] * sweeps
+    v = (radii * np.exp(1j * (angles + sweep)))[:, :, None]
+    outer = np.where(inside, 1.0, u)[:, None, :]
+    rest = 1.0 - np.where(inside[:, None, :], u[:, None, :] / v, v / outer)
+    ok = ~(np.abs(u) == radii).any(axis=1) & rest.all(axis=(1, 2))
+    if not ok.all():
+        raise StepTooCoarse(
+            "continuation point coincides with a branch point", piece=int(np.argmin(ok))
+        )
     logs = np.log(rest)
-    logs[:, inside] += 1j * sweep[:, None]
-    return logs0 + (logs[1:] - logs[0])
+    np.add(logs, 1j * sweep[:, :, None], out=logs, where=inside[:, None, :])
+    return logs0[:, None, :] + (logs[:, 1:] - logs[:, :1])
+
+
+def _kind_logs(segs, ts, anchors, logs0) -> np.ndarray:
+    """Continued logs over the anchors at parameters ts of segments of one
+    kind, each from its row of logs0: one block of rows per segment."""
+    if isinstance(segs[0], Line):
+        return _line_logs(segs, ts, anchors, logs0)
+    return _arc_logs(segs, ts, anchors, logs0)
+
+
+def _kind_velocity(segs, ts) -> np.ndarray:
+    """dw/dt at parameters ts of segments of one kind, one row per segment
+    (a single column for lines, whose velocity is constant)."""
+    if isinstance(segs[0], Line):
+        return np.array([seg.end - seg.start for seg in segs], dtype=complex)[:, None]
+    coef = np.array([1j * (seg.end_angle - seg.start_angle) * seg.radius for seg in segs])
+    angles = np.array([seg.start_angle for seg in segs])[:, None]
+    sweeps = np.array([seg.end_angle - seg.start_angle for seg in segs])[:, None]
+    return coef[:, None] * np.exp(1j * (angles + ts * sweeps))
 
 
 def segment_logs(seg: Segment, ts: np.ndarray, R, logs0) -> np.ndarray:
     """Continued logs over all branch factors at parameters ts of one segment."""
     anchors = np.asarray(R, dtype=complex)
-    if isinstance(seg, Line):
-        return _line_logs(seg.start, seg.end, ts, anchors, logs0)
-    return _arc_logs(seg, ts, anchors, logs0)
+    logs0 = np.asarray(logs0, dtype=complex)[None]
+    return _kind_logs([seg], np.asarray(ts, dtype=float), anchors, logs0)[0]
+
+
+def chain_logs(segments, R, logs0) -> list[np.ndarray]:
+    """Continued logs at the start of each segment of a chain, then at its
+    end.  Each segment's logs at parameter 1 start the next; they are the
+    same whatever other parameters the segment is evaluated at."""
+    anchors = np.asarray(R, dtype=complex)
+    logs = [np.asarray(logs0, dtype=complex)]
+    for seg in segments:
+        logs.append(_kind_logs([seg], np.ones(1), anchors, logs[-1][None])[0, 0])
+    return logs
 
 
 def exponent_matrix(forms, k: int, n: int) -> np.ndarray:

@@ -19,7 +19,15 @@ class BasePointOnBranchPoint(GfcError, ValueError):
 
 
 class StepTooCoarse(GfcError):
-    """A path segment runs through a branch point."""
+    """A path segment runs through a branch point.
+
+    piece, when set, is the position of that segment among the segments
+    the caller handed over together.
+    """
+
+    def __init__(self, message: str, piece: int | None = None):
+        super().__init__(message)
+        self.piece = piece
 
 
 class ClearanceUnachievable(GfcError):
@@ -30,12 +38,14 @@ class NoConvergence(GfcError):
     """Quadrature failed to meet the relative tolerance within the level budget.
 
     form, when set, is the position in the caller's form list of the first
-    form that did not converge.
+    form that did not converge, and piece, when set, the position of its
+    segment among the segments the caller handed over together.
     """
 
-    def __init__(self, message: str, form: int | None = None):
+    def __init__(self, message: str, form: int | None = None, piece: int | None = None):
         super().__init__(message)
         self.form = form
+        self.piece = piece
 
 
 class NotFullRank(GfcError):

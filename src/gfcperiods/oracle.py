@@ -5,8 +5,10 @@ Three routes that never touch the closed-form entry formula:
 * `WordIntegrator` integrates the multivalued integrand along the loop
   concatenation spelled by a homology word, with the branch state carried
   continuously through every letter.  Each branch point's route in and
-  circle are integrated once; the way out and the -1 loop follow from the
-  deck-action phase, and the tests keep the literal traversal of
+  circle are integrated once, and all the pieces a request needs go to
+  the quadrature in one batch; the way out and the -1 loop follow from the
+  deck-action phase, all the request's word rows come from one array
+  expression, and the tests keep the literal traversal of
   `contour.loop_path` as the reference;
 * `beta_closed_form` gives the classical Beta value that the rank-2 base
   integrals must reproduce in magnitude;
@@ -51,8 +53,10 @@ class WordIntegrator:
     are integrated, once per branch point, from the reference state and
     for all forms at once; the way out (the route in walked backwards) and
     the -1 loop (the +1 loop walked backwards) take their rows from that
-    phase.  A word's values over all forms are then one array expression
-    over its letters.  Nothing is kept beyond the integrator, and the tests
+    phase.  `word_rows` takes many words in one request: the pieces of
+    every loop they need are integrated in one batch, and their values
+    over all forms are one array expression over all their letters.
+    Nothing is kept beyond the integrator, and the tests
     keep the literal traversal of `contour.loop_path`, loop by loop and
     letter by letter, as the reference.
     """
@@ -69,59 +73,97 @@ class WordIntegrator:
         self._loops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[HomologyWord, np.ndarray] = {}
 
-    def _loop_row(self, i: int, orientation: int):
-        """Loop integrals of all forms from the reference state and the
-        loop's log offsets.
+    def _integrate_loops(self, loops) -> None:
+        """Integrate the loops around the branch points in loops, in one
+        `quad._gl_batch` call, and store each loop's integrals of all forms
+        from the reference state and its log offsets, in both orientations.
 
         Only the +1 loop's route in (I_in) and circle (C, log offsets d)
-        are integrated.  The way out walks the route in backwards from
-        offsets d, which gives -T I_in with T = exp(E d); the -1 loop is
-        the +1 loop walked backwards from offsets -d, which gives -V+/T.
-        Both orientations are stored at once.  A failure is re-raised
-        naming the loop and its piece, and a NoConvergence also the form.
+        are integrated; their start logs are chained up front in closed
+        form.  The way out walks the route in backwards from offsets d,
+        which gives -T I_in with T = exp(E d); the -1 loop is the +1 loop
+        walked backwards from offsets -d, which gives -V+/T.  A failure is
+        re-raised naming the loop and its piece, and a NoConvergence also
+        the form.
         """
-        if (i, orientation) not in self._loops:
+        segments, starts, owners, spans = [], [], [], []
+        for i in loops:
             piece = "route in"
             try:
                 inbound, circle = contour.loop_pieces(self.base_point, i, self.R)
-                I_in, entry = quad.integrate_smooth(
-                    contour.Path(inbound), self.state0, self.forms, self.spec, self.cfg
-                )
+                logs = contour.chain_logs(inbound, self.R, self.state0.logs)
                 piece = "circle"
-                C, end = quad.integrate_smooth(
-                    contour.Path((circle,)), entry, self.forms, self.spec, self.cfg
-                )
-            except NoConvergence as err:
-                alpha = self.forms[err.form].alpha
-                raise NoConvergence(
-                    f"loop i={i}, {piece}, alpha={alpha}: {err}", err.form
-                ) from err
+                end = contour.chain_logs((circle,), self.R, logs[-1])[-1]
             except (ClearanceUnachievable, StepTooCoarse) as err:
                 raise type(err)(f"loop i={i}, {piece}: {err}") from err
-            d = np.asarray(end.logs, dtype=complex)
-            d -= np.asarray(entry.logs, dtype=complex)
+            spans.append((i, len(segments), len(inbound), end - logs[-1]))
+            segments += inbound + (circle,)
+            starts += logs
+            owners += [(i, "route in")] * len(inbound) + [(i, "circle")]
+        try:
+            rows = quad._gl_batch(segments, starts, self.R, self._E, self.cfg)
+        except NoConvergence as err:
+            i, piece = owners[err.piece]
+            alpha = self.forms[err.form].alpha
+            raise NoConvergence(
+                f"loop i={i}, {piece}, alpha={alpha}: {err}", err.form
+            ) from err
+        except StepTooCoarse as err:
+            i, piece = owners[err.piece]
+            raise StepTooCoarse(f"loop i={i}, {piece}: {err}") from err
+        for i, first, count, d in spans:
+            I_in = np.zeros(len(self.forms), dtype=complex)
+            for row in rows[first : first + count]:
+                I_in += row
             T = np.exp(self._E @ d.real + 1j * (self._E @ d.imag))
-            V = I_in + C - T * I_in
+            V = I_in + rows[first + count] - T * I_in
             self._loops[i, +1] = (V, d)
             self._loops[i, -1] = (-V / T, -d)
+
+    def _loop_row(self, i: int, orientation: int):
+        """Loop integrals of all forms from the reference state and the
+        loop's log offsets (`_integrate_loops`)."""
+        if (i, orientation) not in self._loops:
+            self._integrate_loops([i])
         return self._loops[i, orientation]
 
+    def word_rows(self, words) -> np.ndarray:
+        """word_row of each word, one row per word.
+
+        The loops the words need that are not integrated yet are integrated
+        in one batch, lowest branch point first.  The rows not computed yet
+        come from one array expression over all their letters:
+        -sum_s exp(E acc_s) V_s / k over each word's letters s, with V_s the
+        loop row of letter s and acc_s the summed log offsets of the letters
+        before it in its word (summed on a word x letter grid).
+        """
+        new = [word for word in dict.fromkeys(words) if word not in self._rows]
+        if new:
+            spelled = [expand(word, self.spec.k) for word in new]
+            needed = {i for letters in spelled for i, _ in letters}
+            self._integrate_loops(sorted(needed - {i for i, _ in self._loops}))
+            at = {key: s for s, key in enumerate(self._loops)}
+            V = np.array([row for row, _ in self._loops.values()])
+            D = np.array([delta for _, delta in self._loops.values()])
+            lengths = np.array([len(letters) for letters in spelled])
+            grid = np.zeros((len(new), lengths.max()), dtype=np.intp)
+            for w, letters in enumerate(spelled):
+                grid[w, : len(letters)] = [at[letter] for letter in letters]
+            acc = np.zeros((*grid.shape, self.spec.n), dtype=complex)
+            np.cumsum(D[grid[:, :-1]], axis=1, out=acc[:, 1:])
+            used = np.arange(grid.shape[1]) < lengths[:, None]
+            acc, Et = acc[used], self._E.T
+            terms = np.exp(acc.real @ Et + 1j * (acc.imag @ Et)) * V[grid[used]]
+            firsts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+            rows = -np.add.reduceat(terms, firsts, axis=0) / self.spec.k
+            self._rows.update(zip(new, rows))
+        return np.array([self._rows[word] for word in words]).reshape(
+            len(words), len(self.forms)
+        )
+
     def word_row(self, word: HomologyWord) -> np.ndarray:
-        """-1/k times the word's integral for every form, in form order:
-        -sum_s exp(E acc_s) V_s / k over the letters s, with V_s the loop
-        row and acc_s the summed log offsets of the letters before s."""
-        if word not in self._rows:
-            letters = expand(word, self.spec.k)
-            loops = [self._loop_row(i, sign) for i, sign in letters]
-            V = np.asarray([row for row, _ in loops])
-            V = V.reshape(len(loops), len(self.forms))
-            D = np.asarray([delta for _, delta in loops])
-            acc = np.zeros_like(D)
-            np.cumsum(D[:-1], axis=0, out=acc[1:])
-            Et = self._E.T
-            phase = np.exp(acc.real @ Et + 1j * (acc.imag @ Et))
-            self._rows[word] = -(phase * V).sum(axis=0) / self.spec.k
-        return self._rows[word]
+        """-1/k times the word's integral for every form, in form order."""
+        return self.word_rows([word])[0]
 
     def integrate_word(self, word: HomologyWord, form: FormIndex) -> complex:
         """-1/k times the word's integral of one form: its entry of word_row."""
@@ -241,29 +283,36 @@ def crosscheck_report(
     wi = WordIntegrator(spec, cfg)
     checks: list[CheckResult] = []
 
+    # every word the checks need, in one request
+    n, k = spec.n, spec.k
+    words = _sample_words(spec, sample, seed)
+    powers = [Power(i) for i in range(1, n + 1)]
+    bare = [ConjComm(g=(0,) * n, j=word.j, l=word.l) for word in words]
+    power_rows, sampled_rows, bare_rows = np.split(
+        wi.word_rows(powers + words + bare), [n, n + len(words)]
+    )
+    G = np.asarray([word.g for word in words], dtype=np.int64).reshape(len(words), n)
+
     # (a) power-word vanishing, scaled per form by the largest base integral
-    worst = 0.0
-    for i in range(1, spec.n + 1):
-        row = wi.word_row(Power(i))
-        worst = max(worst, float(np.max(np.abs(row) / J_max, initial=0.0)))
+    worst = float(np.max(np.abs(power_rows) / J_max, initial=0.0))
     checks.append(
         CheckResult(
             name="power_word_vanishing",
             passed=bool(worst <= 1e-8),
             max_deviation=float(worst),
             tolerance=1e-8,
-            detail=f"{spec.n} power words x {len(forms)} forms",
+            detail=f"{n} power words x {len(forms)} forms",
         )
     )
 
-    # (b) sampled commutator words vs the closed-form entries
-    words = _sample_words(spec, sample, seed)
-    entry_row = {word: s for s, word in enumerate(pm.rows)}
-    worst = 0.0
-    for word in words:
-        rhs = pm.entries[entry_row[word]]
-        dev = np.abs(wi.word_row(word) - rhs) / np.maximum(1e-8 * np.abs(rhs), 1e-10)
-        worst = max(worst, float(np.max(dev, initial=0.0)))
+    # (b) sampled commutator words vs the closed-form entries; pm.rows runs
+    # over the pairs (j, l) in lex order, each over g in Z_k**n in lex order
+    j = np.asarray([word.j for word in words], dtype=np.int64)
+    l = np.asarray([word.l for word in words], dtype=np.int64)
+    pair = (j - 1) * (2 * n - j) // 2 + l - j - 1
+    rhs = pm.values[pm.index[pair * k**n + G @ k ** np.arange(n - 1, -1, -1)]]
+    dev = np.abs(sampled_rows - rhs) / np.maximum(1e-8 * np.abs(rhs), 1e-10)
+    worst = float(np.max(dev, initial=0.0))
     checks.append(
         CheckResult(
             name="closed_form_vs_contour",
@@ -278,16 +327,12 @@ def crosscheck_report(
     )
 
     # (c) conjugation covariance of the sampled words
-    zeta = np.asarray([zeta_power(spec.k, e) for e in range(spec.k)])
+    zeta = np.asarray([zeta_power(k, e) for e in range(k)])
     M = np.asarray([form.m_exponents for form in forms], dtype=np.int64)
-    M = M.reshape(len(forms), spec.n)
-    worst = 0.0
-    for word in words:
-        base = wi.word_row(ConjComm(g=(0,) * spec.n, j=word.j, l=word.l))
-        rhs = zeta[(M @ np.asarray(word.g)) % spec.k] * base
-        scale = np.maximum(np.abs(rhs), 1e-2 * J_max)
-        dev = np.abs(wi.word_row(word) - rhs) / scale
-        worst = max(worst, float(np.max(dev, initial=0.0)))
+    M = M.reshape(len(forms), n)
+    rhs = zeta[(G @ M.T) % k] * bare_rows
+    scale = np.maximum(np.abs(rhs), 1e-2 * J_max)
+    worst = float(np.max(np.abs(sampled_rows - rhs) / scale, initial=0.0))
     checks.append(
         CheckResult(
             name="conjugation_covariance",

@@ -17,6 +17,14 @@ level-L nodes are the even-j nodes of level L + 1), so each level after a
 leg's first evaluates only the odd-j nodes it adds and takes the rest of
 its sum from the level before.
 
+Smooth pieces all go through one batch, `_gl_batch`: a caller hands over
+every segment it needs at once (a detour prefix, a literal loop path, or
+all the loop pieces of an oracle request), each with its start logs
+chained up front in closed form.  One refinement loop gates every
+(segment, form) pair, and each panel count makes one kernel call per set
+of open forms, with a piece axis; the kernel gives every piece the same
+bits as a call of its own.
+
 A form's term at a node is exp(E . X): E its exponent row, X the node's
 continued logs.  Column 0 of the forms' exponent matrix takes at most
 (n-1)(k-1)-1 values and every other column at most k, so the kernel
@@ -225,9 +233,10 @@ def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau):
     X[:, target] = logs0[target] + log_sigma
     others = [s for s in range(n) if s != target]
     if others:
+        leg = contour.Line(complex(start), anchors[target])
         X[:, others] = contour._line_logs(
-            complex(start), anchors[target], tau, anchors[others], logs0[others]
-        )
+            [leg], tau, anchors[others], logs0[None, others]
+        )[0]
     return X
 
 
@@ -269,7 +278,7 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
         X = np.empty((len(tau), n + 1), dtype=complex)
         X[:, :n] = _node_logs(start, logs0, target, R, log_sigma, tau)
         X[:, n] = log_weight
-        return _panel_sums(E1, todo, X, 0.5 * D, tie=(target, n))[0]
+        return _panel_sums(E1, todo, X[None], 0.5 * D, tie=(target, n))[0][0]
 
     def tail(level, todo):
         tau, log_sigma, ratio = _last_node(level)
@@ -299,34 +308,73 @@ def _gl_rule(order: int):
     return x, w
 
 
-def _gl_segment(seg, R, logs0, E, cfg: QuadConfig):
-    """Integrate W for every form (the rows of the exponent matrix E) over
-    one smooth segment with panel-doubled Gauss-Legendre.
+def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
+    """Integrals of W dw for every form (the rows of the exponent matrix E)
+    over each smooth segment, from that segment's start logs (the rows of
+    starts), with panel-doubled Gauss-Legendre: one row per segment.
 
-    The continued logs depend only on the nodes, so each panel count takes
-    them once, at the parameters [0, nodes..., 1], and evaluates the open
-    forms there.  A form is gated against max(|I|, 1e-3 * L1) so that
-    closed-loop cancellations still settle.  Returns (row of integrals,
-    logs at the segment end).
+    Every (segment, form) pair is a row of one `_refine`.  Each panel count
+    takes the continued logs of the open segments, one `contour` call per
+    segment kind, and evaluates them in one kernel call per set of open
+    forms, with a piece axis: pieces whose open forms match share the
+    call, and each piece's sums come out as they would alone.  A pair is
+    gated against max(|I|, 1e-3 * L1) so that closed-loop cancellations
+    still settle.  A NoConvergence or a StepTooCoarse carries the position
+    of its segment as `piece` (and a NoConvergence its form as `form`).
     """
     gx, gw = _gl_rule(_GL_ORDER)
-    end = None
+    anchors = np.asarray(R, dtype=complex)
+    starts = np.asarray(starts, dtype=complex).reshape(len(segments), len(R))
+    is_arc = np.array([isinstance(seg, contour.Arc) for seg in segments])
+    size = len(E)
+
+    def evaluate(pieces, forms, ts, weights):
+        X = np.empty((len(pieces), len(ts), len(R)), dtype=complex)
+        vw = np.empty((len(pieces), len(ts)), dtype=complex)
+        for arc in (False, True):
+            slot = np.flatnonzero(is_arc[pieces] == arc)
+            if not slot.size:
+                continue
+            segs = [segments[p] for p in pieces[slot]]
+            try:
+                X[slot] = contour._kind_logs(segs, ts, anchors, starts[pieces[slot]])
+            except StepTooCoarse as err:
+                err.piece = int(pieces[slot[err.piece]])
+                raise
+            vw[slot] = contour._kind_velocity(segs, ts) * weights
+        return _panel_sums(E, forms, X, vw, magnitudes=True)
 
     def rows_at(panels, todo):
-        nonlocal end
-        starts = np.arange(panels) / panels
-        ts = (starts[:, None] + (gx[None, :] + 1.0) / (2.0 * panels)).ravel()
+        offsets = np.arange(panels) / panels
+        ts = (offsets[:, None] + (gx[None, :] + 1.0) / (2.0 * panels)).ravel()
         weights = np.tile(gw / (2.0 * panels), panels)
-        params = np.concatenate(([0.0], ts, [1.0]))
-        logs = contour.segment_logs(seg, params, R, logs0)
-        end = logs[-1]
-        velocity = contour.segment_velocity(seg, ts) * weights
-        cur, l1 = _panel_sums(E, todo, logs[1:-1], velocity, magnitudes=True)
-        return cur, np.maximum(np.abs(cur), 1e-3 * l1)
+        piece, form = np.divmod(todo, size)
+        first = np.flatnonzero(np.diff(piece, prepend=-1))
+        # pieces whose open forms match, with the position of their first row
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for at, forms in zip(first, np.split(form, first[1:])):
+            groups.setdefault(forms.tobytes(), (forms, []))[1].append(at)
+        cur = np.empty(len(todo), dtype=complex)
+        scale = np.empty(len(todo))
+        fit = max(1, _BLOCK_VALUES // (len(ts) * len(R)))
+        for forms, ats in groups.values():
+            for b in range(0, len(ats), fit):
+                at = np.asarray(ats[b : b + fit])
+                rows, l1 = evaluate(piece[at], forms, ts, weights)
+                where = at[:, None] + np.arange(len(forms))
+                cur[where] = rows
+                scale[where] = np.maximum(np.abs(rows), 1e-3 * l1)
+        return cur, scale
 
     panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
-    row = _refine(rows_at, panels, len(E), cfg.rel_tol, "Gauss-Legendre panels")
-    return row, end
+    try:
+        row = _refine(
+            rows_at, panels, len(segments) * size, cfg.rel_tol, "Gauss-Legendre panels"
+        )
+    except NoConvergence as err:
+        err.piece, err.form = divmod(err.form, size)
+        raise
+    return row.reshape(len(segments), size)
 
 
 @lru_cache(maxsize=32)
@@ -362,57 +410,75 @@ def _factored(data: bytes, shape: tuple[int, int], tie: tuple[int, int] | None):
 
 
 def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
-    """Sums of exp(E[todo] @ X.T) * vw over the nodes, one per open row of
-    E, and with magnitudes also the sums of their magnitudes (else None).
+    """Sums of exp(E[todo] @ X[p].T) * vw[p] over the nodes, one row per
+    piece p and one column per open row of E, and with magnitudes also the
+    sums of their magnitudes (else None).
 
-    The evaluation kernel of both rules: X holds one row of continued logs
-    per node and vw the node weights times dw/dt (or one common factor).
-    When `_factored` (given tie) splits the exponent columns into groups A
-    and B, a term factors as exp(E_A . X_A) exp(E_B . X_B): each group is
-    exponentiated only over its distinct rows among the open forms, every
-    form's sum is one entry of the complex product of P_A * vw and P_B over
-    the nodes, and its magnitude sum one entry of the real product
-    |P_A * vw| @ |P_B|.T, accumulated over blocks of nodes.  The complex
-    product sums over the nodes in a fixed order (`_node_product`).
-    Unsplit, each row is summed over all nodes directly, in blocks of rows.
-    Every forms x nodes temporary stays under _BLOCK_VALUES.
+    The evaluation kernel of both rules: X holds, per piece, one row of
+    continued logs per node, and vw the node weights times dw/dt (pieces x
+    nodes, or one common factor).  When `_factored` (given tie) splits the
+    exponent columns into groups A and B, a term factors as
+    exp(E_A . X_A) exp(E_B . X_B): each group is exponentiated only over
+    its distinct rows among the open forms, every form's sum is one entry
+    of the complex product of P_A * vw and P_B over the nodes, and its
+    magnitude sum one entry of the real product |P_A * vw| @ |P_B|.T,
+    accumulated over blocks of nodes.  The complex product sums over the
+    nodes in a fixed order (`_node_product`).  Unsplit, each row is summed
+    over all nodes directly, in blocks of rows.
+
+    Every temporary stays under _BLOCK_VALUES.  A block is sized for one
+    piece as if it were alone, and pieces whose blocks fit together are
+    taken together, so each piece's sums have the same bits as alone.
     """
     split = _factored(E.tobytes(), E.shape, tie)
+    pieces, nodes = X.shape[:2]
 
-    def powers(rows, nodes, cols):
-        Xs = X[nodes, cols]
+    def powers(rows, ps, ns, cols):
+        Xs = X[ps, ns, cols].transpose(0, 2, 1)
         # Real products: np.exp right after a complex matmul ran ~8x slower (OpenBLAS).
-        return np.exp(rows @ Xs.real.T + 1j * (rows @ Xs.imag.T))
+        return np.exp(rows @ Xs.real + 1j * (rows @ Xs.imag))
+
+    def weights(ps, ns):
+        return vw if np.ndim(vw) == 0 else vw[ps, None, ns]
 
     if split is None:
         rows = E[todo]
-        cur = np.empty(len(rows), dtype=complex)
-        l1 = np.empty(len(rows)) if magnitudes else None
-        step = max(1, _BLOCK_VALUES // len(X))
-        for b in range(0, len(rows), step):
-            terms = powers(rows[b : b + step], slice(None), slice(None)) * vw
-            cur[b : b + step] = terms.sum(axis=1)
-            if magnitudes:
-                l1[b : b + step] = np.abs(terms).sum(axis=1)
+        cur = np.empty((pieces, len(rows)), dtype=complex)
+        l1 = np.empty((pieces, len(rows))) if magnitudes else None
+        step = max(1, _BLOCK_VALUES // nodes)
+        group = max(1, step // max(1, len(rows)))
+        for p in range(0, pieces, group):
+            ps = slice(p, p + group)
+            for b in range(0, len(rows), step):
+                block = slice(b, b + step)
+                terms = powers(rows[block], ps, slice(None), slice(None)) * weights(ps, slice(None))
+                cur[ps, block] = terms.sum(axis=2)
+                if magnitudes:
+                    l1[ps, block] = np.abs(terms).sum(axis=2)
         return cur, l1
     (cols_a, rows_a, at_a), (cols_b, rows_b, at_b) = (
         _open_rows(group, todo) for group in split
     )
-    cur = l1 = 0
+    cur = np.zeros((pieces, len(rows_a), len(rows_b)), dtype=complex)
+    l1 = np.zeros(cur.shape) if magnitudes else None
     step = max(1, _BLOCK_VALUES // max(len(rows_a), len(rows_b)))
-    for b in range(0, len(X), step):
-        nodes = slice(b, b + step)
-        P_a = powers(rows_a, nodes, cols_a) * (vw if np.ndim(vw) == 0 else vw[nodes])
-        P_b = powers(rows_b, nodes, cols_b)
-        cur = cur + _node_product(P_a, P_b)
-        if magnitudes:
-            l1 = l1 + np.abs(P_a) @ np.abs(P_b).T
-    return cur[at_a, at_b], l1[at_a, at_b] if magnitudes else None
+    group = max(1, step // nodes)
+    for p in range(0, pieces, group):
+        ps = slice(p, p + group)
+        for b in range(0, nodes, step):
+            ns = slice(b, b + step)
+            P_a = powers(rows_a, ps, ns, cols_a) * weights(ps, ns)
+            P_b = powers(rows_b, ps, ns, cols_b)
+            cur[ps] += _node_product(P_a, P_b)
+            if magnitudes:
+                l1[ps] += np.abs(P_a) @ np.abs(P_b).transpose(0, 2, 1)
+    return cur[:, at_a, at_b], l1[:, at_a, at_b] if magnitudes else None
 
 
 def _node_product(P_a, P_b):
-    """P_a @ P_b.T, summed over the nodes (the columns) in a fixed order:
-    one BLAS product per chunk of _CHUNK_NODES nodes, added in chunk order.
+    """P_a @ P_b.T per piece, summed over the nodes (the last axis) in a
+    fixed order: one BLAS product per chunk of _CHUNK_NODES nodes, added in
+    chunk order.
 
     A single product over all nodes sums them in an order that depends on
     the BLAS thread count, and J's last bits with it: OpenBLAS cuts a long
@@ -422,12 +488,14 @@ def _node_product(P_a, P_b):
     the output, is the same on any thread count.  np.einsum has a fixed
     order too but ran 5-10x slower on these shapes.
     """
-    full = P_a.shape[1] // _CHUNK_NODES * _CHUNK_NODES
+    pieces, a, nodes = P_a.shape
+    b = P_b.shape[1]
+    full = nodes // _CHUNK_NODES * _CHUNK_NODES
     chunks = np.matmul(
-        P_a[:, :full].reshape(len(P_a), -1, _CHUNK_NODES).transpose(1, 0, 2),
-        P_b[:, :full].reshape(len(P_b), -1, _CHUNK_NODES).transpose(1, 2, 0),
+        P_a[..., :full].reshape(pieces, a, -1, _CHUNK_NODES).transpose(0, 2, 1, 3),
+        P_b[..., :full].reshape(pieces, b, -1, _CHUNK_NODES).transpose(0, 2, 3, 1),
     )
-    return chunks.sum(axis=0) + P_a[:, full:] @ P_b[:, full:].T
+    return chunks.sum(axis=1) + P_a[..., full:] @ P_b[..., full:].transpose(0, 2, 1)
 
 
 def _open_rows(group, todo):
@@ -457,13 +525,12 @@ def integrate_smooth(
         raise ValueError("path does not start at the state's current point")
     E = contour.exponent_matrix(forms, spec.k, spec.n)
     R = state.branch_points
-    logs = np.asarray(state.logs, dtype=complex)
+    logs = contour.chain_logs(path.segments, R, state.logs)
     row = np.zeros(len(forms), dtype=complex)
-    for seg in path.segments:
-        values, logs = _gl_segment(seg, R, logs, E, cfg)
+    for values in _gl_batch(path.segments, logs[:-1], R, E, cfg):
         row += values
     end = path.end if path.segments else state.point
-    return row, BranchState(point=end, logs=tuple(logs), branch_points=R)
+    return row, BranchState(point=end, logs=tuple(logs[-1]), branch_points=R)
 
 
 def leg_row(

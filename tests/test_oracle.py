@@ -159,27 +159,42 @@ def test_loop_row_matches_literal_loop_path(k, n, lams, detoured, quad_cfg):
 
 
 def test_crosscheck_integrates_each_loop_piece_once(quad_cfg, monkeypatch):
-    # one Gauss-Legendre segment for the route in and one for the circle of
-    # each branch point, all from the +1 loop: nothing is integrated for the
-    # way out or for orientation -1
+    # the route in and the circle of each branch point, all from the +1
+    # loop, each handed to the batch once: nothing is integrated for the way
+    # out or for orientation -1
     spec = validate_spec(3, 3, [-1.5])
     z0 = contour.default_base_point(spec.branch_points)
-    pieces = set()
+    pieces = []
     for i in range(1, spec.n + 1):
         inbound, circle = contour.loop_pieces(z0, i, spec.branch_points)
-        pieces.update(inbound + (circle,))
-    real = quad._gl_segment
+        pieces += inbound + (circle,)
+    real = quad._gl_batch
     segments = []
 
-    def counted(seg, *args, **kwargs):
-        segments.append(seg)
-        return real(seg, *args, **kwargs)
+    def counted(segs, *args, **kwargs):
+        segments.extend(segs)
+        return real(segs, *args, **kwargs)
 
-    monkeypatch.setattr(quad, "_gl_segment", counted)
+    monkeypatch.setattr(quad, "_gl_batch", counted)
     report = crosscheck_report(spec, quad_cfg, sample=9, seed=0)
     assert report.passed
-    assert len(segments) == 2 * spec.n
-    assert set(segments) == pieces
+    assert len(segments) == len(pieces) == 2 * spec.n
+    assert set(segments) == set(pieces)
+
+
+def test_word_rows_match_each_word_alone(quad_cfg):
+    # one request for many words, with letters of every loop and padding
+    # for the shorter words, against one fresh request per word
+    spec = validate_spec(3, 4, [-1.5, 2.0 + 1.0j])
+    words = [Power(2), ConjComm(g=(2, 0, 1, 2), j=1, l=4), Power(4)]
+    words += [ConjComm(g=(0, 0, 0, 0), j=2, l=3), ConjComm(g=(1, 1, 0, 0), j=3, l=4)]
+    rows = WordIntegrator(spec, quad_cfg).word_rows(words + words[:2])
+    assert rows.shape == (len(words) + 2, len(enumerate_forms(spec)))
+    assert np.array_equal(rows[-2:], rows[:2])
+    scale = np.max(np.abs(rows))
+    for word, row in zip(words, rows):
+        alone = WordIntegrator(spec, quad_cfg).word_row(word)
+        assert np.max(np.abs(row - alone)) <= 1e-15 * scale
 
 
 def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
@@ -190,6 +205,22 @@ def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
     expected = re.escape(f"loop i=2, route in, alpha={form.alpha}: ")
     with pytest.raises(NoConvergence, match=expected):
         wi.integrate_word(Power(2), form)
+
+
+def test_batch_no_convergence_names_the_lower_loop(quad_cfg, monkeypatch):
+    # lambda = 1.05 lies next to r_2 = 1: the routes in of loops 2 and 3
+    # need 64 panels and every other piece 8, so at 32 both loops fail; one
+    # request for both names loop 2, as a request for loop 2 alone does
+    spec = validate_spec(3, 3, [1.05])
+    monkeypatch.setattr(quad, "_GL_MAX_PANELS", 32)
+    with pytest.raises(NoConvergence) as alone:
+        WordIntegrator(spec, quad_cfg).word_row(Power(2))
+    with pytest.raises(NoConvergence) as both:
+        WordIntegrator(spec, quad_cfg).word_rows([Power(3), Power(2)])
+    alpha = enumerate_forms(spec)[both.value.form].alpha
+    assert str(both.value).startswith(f"loop i=2, route in, alpha={alpha}: ")
+    assert str(both.value).endswith("by Gauss-Legendre panels 32")
+    assert str(both.value) == str(alone.value)
 
 
 def test_word_routing_failure_names_the_loop(quad_cfg, monkeypatch):

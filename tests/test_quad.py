@@ -304,14 +304,36 @@ def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeyp
                 tie[1] in cols for cols, _, _ in split
             ]
         every = np.arange(len(E))
+        vw = vw[None] if np.ndim(vw) else vw
         for todo in (every, every[1::3]):
             ref_cur, ref_l1 = _kernel_reference(E[todo], X, vw)
-            cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
+            (cur,), (l1,) = quad._panel_sums(E, todo, X[None], vw, magnitudes=True, tie=tie)
             assert np.all(np.abs(cur - ref_cur) <= 1e-14 * ref_l1)
             assert np.all(np.abs(l1 - ref_l1) <= 1e-14 * ref_l1)
-            alone, none = quad._panel_sums(E, todo, X, vw, tie=tie)
+            (alone,), none = quad._panel_sums(E, todo, X[None], vw, tie=tie)
             assert none is None
             assert np.array_equal(alone, cur)
+
+
+@pytest.mark.parametrize("k,n", list(_KERNEL_CURVES))
+@pytest.mark.parametrize("block_values", [None, 1, 200])
+def test_panel_sums_over_pieces_keep_each_piece_bits(k, n, block_values, monkeypatch):
+    # three pieces in one call give each piece's sums bit for bit as alone,
+    # whether they share a block, take one each, or split into node blocks
+    if block_values is not None:
+        monkeypatch.setattr(quad, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(11 * k + n)
+    for E, tie, X, vw in _kernel_cases(k, n, rng):
+        X = np.stack([X, X[::-1], 0.5 * X])
+        if tie is None:
+            vw = np.stack([vw, vw[::-1], 2.0 * vw])
+        todo = np.arange(len(E))[::2]
+        cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
+        for p in range(3):
+            one = vw if tie else vw[p : p + 1]
+            alone, alone_l1 = quad._panel_sums(E, todo, X[p : p + 1], one, magnitudes=True, tie=tie)
+            assert np.array_equal(cur[p], alone[0])
+            assert np.array_equal(l1[p], alone_l1[0])
 
 
 @pytest.mark.parametrize("nodes", [1, 63, 64, 65, 391])
@@ -321,7 +343,7 @@ def test_node_product_matches_the_matrix_product(nodes):
     P_a = rng.normal(size=(7, nodes)) + 1j * rng.normal(size=(7, nodes))
     P_b = rng.normal(size=(5, nodes)) + 1j * rng.normal(size=(5, nodes))
     scale = np.abs(P_a) @ np.abs(P_b).T
-    got = quad._node_product(P_a, P_b)
+    (got,) = quad._node_product(P_a[None], P_b[None])
     assert got.shape == (7, 5)
     assert np.all(np.abs(got - np.einsum("an,bn->ab", P_a, P_b)) <= 1e-14 * scale)
 
@@ -355,7 +377,7 @@ def _count_nodes(monkeypatch):
 
     def counted_kernel(E, todo, X, vw, magnitudes=False, tie=None):
         if tie is not None:
-            nodes.append(len(X))
+            nodes.append(X.shape[1])
         return kernel(E, todo, X, vw, magnitudes=magnitudes, tie=tie)
 
     monkeypatch.setattr(quad, "_panel_sums", counted_kernel)
