@@ -79,14 +79,6 @@ def segment_end(seg: Segment) -> complex:
     return seg.center + seg.radius * cmath.exp(1j * seg.end_angle)
 
 
-def segment_points(seg: Segment, t: np.ndarray) -> np.ndarray:
-    """Points at parameters t in [0, 1] along the segment."""
-    if isinstance(seg, Line):
-        return seg.start + t * (seg.end - seg.start)
-    ang = seg.start_angle + t * (seg.end_angle - seg.start_angle)
-    return seg.center + seg.radius * np.exp(1j * ang)
-
-
 @dataclass(frozen=True)
 class Path:
     """Chain of segments with matching endpoints."""
@@ -154,24 +146,34 @@ def init_branch(base_point: complex, R) -> BranchState:
     return BranchState(point=z0, logs=tuple(logs), branch_points=pts)
 
 
-def _line_logs(lines, ts, anchors, logs0) -> np.ndarray:
-    """Continued logs of w - r, one column per anchor r, at the parameters
-    ts of each line w = start + t (end - start) of lines, from that line's
-    row of logs0: logs0 + Log((w - r)/(start - r)), one block of rows per
-    line.
+def _line_logs(lines, tau, sigma, anchors, logs0) -> np.ndarray:
+    """Continued logs of w - r, one column per anchor r, at the nodes of
+    each line of lines, from that line's row of logs0: logs0 +
+    Log((w - r)/(start - r)), one block of rows per line.
 
-    The ratio moves on a line from 1, so it meets the principal cut only
-    if the line passes through r: at a node, where a difference is 0, or
-    between nodes, where the ratio at the line's end is a non-positive
-    real.  Either raises StepTooCoarse naming the first such line.
+    A node is given by its distance fractions tau from the start and sigma
+    from the end, and each difference is taken from the nearer endpoint:
+    w - r = (start - r) + tau (end - start), or (end - r) - sigma (end -
+    start) where sigma < tau.  So a difference that is small near either
+    end keeps its relative precision.  The ratio moves on a line from 1,
+    so it meets the principal cut only if the line passes through r: at a
+    node, where a difference is 0, or between nodes, where the ratio at
+    the line's end is a non-positive real.  Either raises StepTooCoarse
+    naming the first such line.
     """
     starts = np.array([seg.start for seg in lines], dtype=complex)
     ends = np.array([seg.end for seg in lines], dtype=complex)
     offsets = starts[:, None] - anchors
-    diffs = offsets[:, None, :] + ts[None, :, None] * (ends - starts)[:, None, None]
+    rests = ends[:, None] - anchors
+    span = (ends - starts)[:, None, None]
+    diffs = np.where(
+        (sigma < tau)[None, :, None],
+        rests[:, None, :] - sigma[None, :, None] * span,
+        offsets[:, None, :] + tau[None, :, None] * span,
+    )
     ok = offsets.all(axis=1) & diffs.all(axis=(1, 2))
     if ok.all():
-        last = (ends[:, None] - anchors) / offsets
+        last = rests / offsets
         ok = ~((last.imag == 0) & (last.real <= 0)).any(axis=1)
         if ok.all():
             return logs0[:, None, :] + np.log(diffs / offsets[:, None, :])
@@ -215,7 +217,7 @@ def _kind_logs(segs, ts, anchors, logs0) -> np.ndarray:
     """Continued logs over the anchors at parameters ts of segments of one
     kind, each from its row of logs0: one block of rows per segment."""
     if isinstance(segs[0], Line):
-        return _line_logs(segs, ts, anchors, logs0)
+        return _line_logs(segs, ts, 1.0 - ts, anchors, logs0)
     return _arc_logs(segs, ts, anchors, logs0)
 
 

@@ -138,11 +138,11 @@ def _last_j(level: int) -> int:
 
 @lru_cache(maxsize=32)
 def _last_node(level: int):
-    """tau and log_sigma of a level's last node, as one-node arrays, and
-    its weight over its sigma."""
+    """sigma, tau and log_sigma of a level's last node, as one-node arrays,
+    and its weight over its sigma."""
     h = 2.0 ** (-level)
-    _, tau, log_sigma, log_weight = _de_table(np.array([h * _last_j(level)]), h)
-    return tau, log_sigma, math.exp(log_weight[0] - log_sigma[0])
+    sigma, tau, log_sigma, log_weight = _de_table(np.array([h * _last_j(level)]), h)
+    return sigma, tau, log_sigma, math.exp(log_weight[0] - log_sigma[0])
 
 
 def _de_table(t, h: float):
@@ -218,14 +218,15 @@ def tanh_sinh_level(f, a: float, b: float, level: int):
     return 0.5 * span * np.sum(vals * np.exp(log_weight))
 
 
-def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau):
+def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau, sigma):
     """Continued logs at the nodes of the straight piece from start to the
     branch point R[target], one row per node and one column per factor,
-    given the nodes' log sigma and tau.
+    given the nodes' log sigma, tau and sigma.
 
     The target's log is logs0[target] + log sigma.  Every other factor's is
     logs0[s] + Log((w - r_s) / (start - r_s)), by `contour._line_logs`,
-    which raises StepTooCoarse when the piece runs through r_s.
+    which takes w - r_s from the nearer end of the piece and raises
+    StepTooCoarse when the piece runs through r_s.
     """
     anchors = np.asarray(R, dtype=complex)
     n = len(R)
@@ -235,7 +236,7 @@ def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau):
     if others:
         leg = contour.Line(complex(start), anchors[target])
         X[:, others] = contour._line_logs(
-            [leg], tau, anchors[others], logs0[None, others]
+            [leg], tau, sigma, anchors[others], logs0[None, others]
         )[0]
     return X
 
@@ -274,15 +275,15 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
     last = None
 
     def node_sums(level, todo, new):
-        _, tau, log_sigma, log_weight = _de_nodes(level, new)
+        sigma, tau, log_sigma, log_weight = _de_nodes(level, new)
         X = np.empty((len(tau), n + 1), dtype=complex)
-        X[:, :n] = _node_logs(start, logs0, target, R, log_sigma, tau)
+        X[:, :n] = _node_logs(start, logs0, target, R, log_sigma, tau, sigma)
         X[:, n] = log_weight
         return _panel_sums(E1, todo, X[None], 0.5 * D, tie=(target, n))[0][0]
 
     def tail(level, todo):
-        tau, log_sigma, ratio = _last_node(level)
-        x = _node_logs(start, logs0, target, R, log_sigma, tau)[0]
+        sigma, tau, log_sigma, ratio = _last_node(level)
+        x = _node_logs(start, logs0, target, R, log_sigma, tau, sigma)[0]
         # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
         Et = E[todo]
         scaled = np.exp(Et @ x.real + log_sigma[0] + 1j * (Et @ x.imag))

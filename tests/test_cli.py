@@ -15,7 +15,7 @@ import pytest
 import gfcperiods
 import gfcperiods.cli as cli
 from gfcperiods import assemble, contour, extract_basis, genus, quad, real_split, validate_spec
-from gfcperiods.errors import NotFullRank
+from gfcperiods.errors import NotFullRank, StepTooCoarse
 from gfcperiods.homology import ConjComm, Power, enumerate_generators
 from gfcperiods.quad import QuadConfig
 
@@ -480,10 +480,20 @@ def test_word_label_round_trip():
     assert cli._word_label(word) == "conj_comm:j=1;l=3;g=0.2.1"
 
 
-def test_periods_step_too_coarse_names_the_leg(capsys):
-    # with a base point about 2e20 away, the leg nodes near r_1 = 0 round
-    # onto a branch point; the error names the base integral
-    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "1e20")
+def test_periods_step_too_coarse_names_the_leg(capsys, monkeypatch):
+    # a leg whose continuation fails names its base integral.  Each leg takes
+    # its differences from the nearer end, so no valid curve now runs a leg
+    # through a branch point (-l 1e20 used to, on the leg to r_1 = 0): the
+    # failure is forced on that leg
+    line_logs = contour._line_logs
+
+    def through_r1(lines, *args):
+        if lines[0].end == 0:
+            raise StepTooCoarse("continuation point coincides with a branch point")
+        return line_logs(lines, *args)
+
+    monkeypatch.setattr(contour, "_line_logs", through_r1)
+    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "2")
     assert code == 3
     assert out == ""
     assert err.startswith("error: branch continuation failed: base integral i=1: ")
@@ -491,11 +501,29 @@ def test_periods_step_too_coarse_names_the_leg(capsys):
     assert "alpha" not in err
 
 
+@pytest.mark.parametrize("lam", ["1e10", "1e-9", "1e-12i"])
+def test_periods_with_a_close_or_far_branch_point_exits_0(capsys, lam):
+    # differences from the nearer end of each leg: these ran out of tanh-sinh
+    # levels when they were taken from the start
+    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "3", "-l", lam)
+    assert code == 0, err
+    assert json.loads(out)["periods"]
+
+
+def test_periods_with_lambda_1e20_refuses_the_route_to_r2(capsys):
+    # the leg to r_1 = 0 now integrates; at this scale the clearance test of
+    # the leg to r_2 = 1 rounds every detour onto a branch point
+    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "1e20")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: branch continuation failed: base integral i=2: no midpoint")
+
+
 @pytest.mark.parametrize("command", ["periods", "verify"])
 @pytest.mark.parametrize("lam", ["1e160", "1e200", "-1e300", "1e300+1e300i"])
 def test_huge_lambda_exits_3_with_one_error_line(command, lam):
     # the leg clearance test must not square a leg length, which overflows
-    # past |lambda| ~ 1.3e154; such a leg fails like the one of -l 1e20
+    # past |lambda| ~ 1.3e154; such a route fails like the one of -l 1e20
     argv = [command, "-k", "2", "-n", "3", "-l", lam]
     code = f"import sys, gfcperiods.cli\nsys.exit(gfcperiods.cli.main({argv!r}))"
     run = subprocess.run(
@@ -505,7 +533,7 @@ def test_huge_lambda_exits_3_with_one_error_line(command, lam):
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     (line,) = run.stderr.splitlines()
-    assert line.startswith("error: branch continuation failed: base integral i=1: ")
+    assert line.startswith("error: branch continuation failed: base integral i=2: no midpoint")
 
 
 def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):

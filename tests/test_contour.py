@@ -15,7 +15,6 @@ from gfcperiods.contour import (
     exponent_matrix,
     loop_radius,
     segment_logs,
-    segment_points,
 )
 from gfcperiods.curve import FormIndex
 from gfcperiods.errors import (
@@ -28,6 +27,13 @@ R2 = (0j, 1 + 0j)
 # Walk parameters per segment: interior samples, so that a closed arc is
 # not read as zero winding.
 SEED = np.linspace(0.0, 1.0, 33)
+
+
+def _points(seg, t):
+    """Points at parameters t in [0, 1] along a line or an arc."""
+    if isinstance(seg, Line):
+        return seg.start + t * (seg.end - seg.start)
+    return seg.center + seg.radius * np.exp(1j * (seg.start_angle + t * (seg.end_angle - seg.start_angle)))
 
 
 def _walk(logs, path, R):
@@ -110,7 +116,7 @@ def test_path_reversal_restores_logs():
         assert len(fwd) == len(back) == nseg
         for a, b in zip(fwd, reversed(back)):
             assert type(a) is type(b)
-            gap = segment_points(a, SEED) - segment_points(b, SEED[::-1])
+            gap = _points(a, SEED) - _points(b, SEED[::-1])
             assert np.max(np.abs(gap)) < 1e-12
         st = init_branch(z0, R)
         roundtrip = _walk(_walk(st.logs, Path(fwd), R), Path(back), R)
@@ -173,7 +179,7 @@ def test_clear_leg_detours_around_interior_point():
     clearance = contour._LEG_CLEARANCE * min(abs(z0), abs(r3))
     for seg in legs:
         # each piece stays clear of r_3
-        dist = np.min(np.abs(segment_points(seg, np.linspace(0, 1, 1001)) - r3))
+        dist = np.min(np.abs(_points(seg, np.linspace(0, 1, 1001)) - r3))
         assert dist >= clearance
     # the loop around r_1 follows the same route, cut at its circle
     path = loop_path(z0, 1, R, +1)
@@ -288,8 +294,8 @@ def test_loop_circles_close_on_the_deck_offset(k, n, lams):
 
 def _leg_node_logs(start, logs0, target, R):
     """The node logs of the level-2 tanh-sinh leg from start to R[target]."""
-    _, tau, log_sigma, _ = quad._de_nodes(2)
-    return quad._node_logs(start, logs0, target, R, log_sigma, tau)
+    sigma, tau, log_sigma, _ = quad._de_nodes(2)
+    return quad._node_logs(start, logs0, target, R, log_sigma, tau, sigma)
 
 
 @pytest.mark.parametrize(

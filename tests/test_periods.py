@@ -214,6 +214,34 @@ def test_default_level_matches_high_precision_reference(curve):
         assert err <= 1e-13, (form.alpha, err)
 
 
+# 30-digit J of every form of (3, 3) with lambda next to r_1 = 0 or far out,
+# computed once by perfbench/reference.py (`reference.compute`).
+_FAR_AND_CLOSE = json.loads(
+    (Path(__file__).resolve().parent / "data" / "reference_j_33.json").read_text()
+)
+
+
+@pytest.mark.parametrize("lam", list(_FAR_AND_CLOSE))
+def test_legs_near_a_close_or_far_branch_point_match_the_reference(lam):
+    # each leg takes every difference w - r_s from its nearer end, so the
+    # last nodes keep their precision when r_s lies next to the target or
+    # the base point lies far away: J is within 1e-13 of each form's
+    # largest |J_l - J_j| (taking the differences from the start left
+    # 1.0e-12 at 1e-5 and 3.5e-10 at 1e8, and 1e-9 and 1e10 did not converge)
+    spec = validate_spec(3, 3, [complex(lam)])
+    J = base_integrals(spec, QuadConfig())
+    reference = _FAR_AND_CLOSE[lam]
+    forms = enumerate_forms(spec)
+    assert sorted(".".join(map(str, f.alpha)) for f in forms) == sorted(reference)
+    for c, form in enumerate(forms):
+        ref = np.asarray(
+            [complex(float(re), float(im)) for re, im in reference[".".join(map(str, form.alpha))]]
+        )
+        scale = np.max(np.abs(ref[:, None] - ref[None, :]))
+        err = np.max(np.abs(J[:, c] - ref)) / scale
+        assert err <= 1e-13, (form.alpha, err)
+
+
 def _entry_loop(pm) -> np.ndarray:
     """The matrix built one period_entry call at a time."""
     out = np.zeros(pm.entries.shape, dtype=complex)

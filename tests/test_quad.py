@@ -440,12 +440,15 @@ def test_closed_form_logs_match_a_continued_log(k, n, lams):
     mpmath = pytest.importorskip("mpmath")
     spec, _, state, _, straight = _legs(k, n, lams)
     R = spec.branch_points
-    _, tau, log_sigma, _ = quad._de_nodes(4)
+    sigma, tau, log_sigma, _ = quad._de_nodes(4)
     with mpmath.workdps(30):
         start = mpmath.mpc(state.point)
         for i in straight:
-            X = quad._node_logs(state.point, np.asarray(state.logs), i - 1, R, log_sigma, tau)
-            D = mpmath.mpc(complex(R[i - 1])) - start
+            X = quad._node_logs(
+                state.point, np.asarray(state.logs), i - 1, R, log_sigma, tau, sigma
+            )
+            end = mpmath.mpc(complex(R[i - 1]))
+            D = end - start
             for s in range(n):
                 r = mpmath.mpc(complex(R[s]))
                 log, prev = mpmath.mpc(state.logs[s]), start - r
@@ -453,6 +456,9 @@ def test_closed_form_logs_match_a_continued_log(k, n, lams):
                     if s == i - 1:
                         # distance fraction to the endpoint, as the node table has it
                         here = -D * mpmath.exp(mpmath.mpf(log_sigma[p]))
+                    elif sigma[p] < t:
+                        # the node as placed from the nearer end
+                        here = end - mpmath.mpf(sigma[p]) * D - r
                     else:
                         here = start + mpmath.mpf(t) * D - r
                     for part in range(1, 5):
