@@ -359,11 +359,16 @@ _NUMERIC = tuple(f"gfcperiods.{m}" for m in ("contour", "quad", "periods", "latt
             id="periods_csv",
         ),
         pytest.param(_run_main("basis", "-k", "3", "-n", "2"), ("gfcperiods.oracle",), id="basis"),
+        pytest.param(_run_main("verify", "-k", "3", "-n", "3", "-l", "-1.5"), (), id="verify"),
     ],
 )
 def test_cli_leaves_unused_modules_unloaded(code, unloaded):
-    # each subcommand imports only what it runs; scipy is a test dependency
-    check = f"import sys\nloaded = sorted({{'scipy', *{unloaded!r}}} & set(sys.modules))"
+    # each subcommand imports only what it runs; scipy is a test dependency,
+    # and numpy.ma (about 1.4 MB) loads with a bare np.unique
+    check = (
+        "import sys\n"
+        f"loaded = sorted({{'scipy', 'numpy.ma', *{unloaded!r}}} & set(sys.modules))"
+    )
     code = f"{code}\n{check}\nassert not loaded, loaded"
     run = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
@@ -373,12 +378,15 @@ def test_cli_leaves_unused_modules_unloaded(code, unloaded):
 
 def test_periods_stdout_does_not_depend_on_blas_threads():
     # the split kernel sums over nodes in a fixed order, not in a BLAS
-    # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour
+    # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour;
+    # verify (3,4) and (5,3) take every loop piece through the batched kernel
     for argv in (
         ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
         ["periods", "-k", "20", "-n", "2"],
         ["periods", "-k", "40", "-n", "2"],
         ["periods", "-k", "4", "-n", "3", "-l", "0.115+0.842i"],
+        ["verify", "-k", "3", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
+        ["verify", "-k", "5", "-n", "3", "-l", "-1.5"],
     ):
         code = f"import sys, gfcperiods.cli; sys.exit(gfcperiods.cli.main({argv!r}))"
         digests = set()
@@ -853,7 +861,7 @@ def test_verify_stdout_is_identical_across_calls(capsys):
 @pytest.mark.xfail(
     raises=AssertionError,
     reason=(
-        "ROADMAP direction 3, clustered and extreme branch sets: the route in "
+        "ROADMAP direction 1, clustered and extreme branch sets: the route in "
         "of the oracle's loop 1 (k = 2) or loop 2 (k = 3) runs out of "
         "Gauss-Legendre panels at 8192 and verify exits 3"
     ),
