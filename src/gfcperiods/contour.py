@@ -171,14 +171,16 @@ def _line_logs(lines, tau, sigma, anchors, logs0) -> np.ndarray:
         rests[:, None, :] - sigma[None, :, None] * span,
         offsets[:, None, :] + tau[None, :, None] * span,
     )
-    ok = offsets.all(axis=1) & diffs.all(axis=(1, 2))
-    if ok.all():
+    if offsets.all() and diffs.all():
         last = rests / offsets
-        ok = ~((last.imag == 0) & (last.real <= 0)).any(axis=1)
-        if ok.all():
+        if not ((last.imag == 0) & (last.real <= 0)).any():
             return logs0[:, None, :] + np.log(diffs / offsets[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        last = rests / offsets
+    crossed = ((last.imag == 0) & (last.real <= 0)).any(axis=1)
+    bad = crossed | ~offsets.all(axis=1) | ~diffs.all(axis=(1, 2))
     raise StepTooCoarse(
-        "continuation point coincides with a branch point", piece=int(np.argmin(ok))
+        "continuation point coincides with a branch point", piece=int(np.argmax(bad))
     )
 
 

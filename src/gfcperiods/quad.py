@@ -274,30 +274,31 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
     rise = 1.0 / (1.0 + E[:, target])
     last = None
 
-    def node_sums(level, todo, new):
-        sigma, tau, log_sigma, log_weight = _de_nodes(level, new)
-        X = np.empty((len(tau), n + 1), dtype=complex)
-        X[:, :n] = _node_logs(start, logs0, target, R, log_sigma, tau, sigma)
-        X[:, n] = log_weight
-        return _panel_sums(E1, todo, X[None], 0.5 * D, tie=(target, n))[0][0]
-
-    def tail(level, todo):
-        sigma, tau, log_sigma, ratio = _last_node(level)
-        x = _node_logs(start, logs0, target, R, log_sigma, tau, sigma)[0]
-        # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
-        Et = E[todo]
-        scaled = np.exp(Et @ x.real + log_sigma[0] + 1j * (Et @ x.imag))
-        return scaled * D * (rise[todo] - 0.25 * ratio)
-
     def rows_at(level, todo):
         nonlocal last
-        if last is not None and last[0] == level - 1:
-            before = last[2][np.searchsorted(last[1], todo)]
-            sums = 0.5 * before + node_sums(level, todo, new=True)
-        else:
-            sums = node_sums(level, todo, new=False)
+        new = last is not None and last[0] == level - 1
+        sigma, tau, log_sigma, log_weight = _de_nodes(level, new)
+        # one more row for the level's last node J, for the tail beyond it
+        j_sigma, j_tau, j_log_sigma, ratio = _last_node(level)
+        X = np.empty((len(tau) + 1, n + 1), dtype=complex)
+        X[:, :n] = _node_logs(
+            start,
+            logs0,
+            target,
+            R,
+            np.append(log_sigma, j_log_sigma),
+            np.append(tau, j_tau),
+            np.append(sigma, j_sigma),
+        )
+        X[:-1, n] = log_weight
+        sums = _panel_sums(E1, todo, X[None, :-1], 0.5 * D, tie=(target, n))[0][0]
+        if new:
+            sums = 0.5 * last[2][np.searchsorted(last[1], todo)] + sums
         last = level, todo, sums
-        cur = sums + tail(level, todo)
+        # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
+        x, Et = X[-1, :n], E[todo]
+        scaled = np.exp(Et @ x.real + j_log_sigma[0] + 1j * (Et @ x.imag))
+        cur = sums + scaled * D * (rise[todo] - 0.25 * ratio)
         return cur, np.abs(cur)
 
     return rows_at
