@@ -217,7 +217,8 @@ def _arc_logs(arcs, ts, anchors, logs0) -> np.ndarray:
 
 def _kind_logs(segs, ts, anchors, logs0) -> np.ndarray:
     """Continued logs over the anchors at parameters ts of segments of one
-    kind, each from its row of logs0: one block of rows per segment."""
+    kind, each from its row of logs0: one block of rows per segment.  A
+    line's node at t lies a fraction 1 - t of the line from its end."""
     if isinstance(segs[0], Line):
         return _line_logs(segs, ts, 1.0 - ts, anchors, logs0)
     return _arc_logs(segs, ts, anchors, logs0)

@@ -358,7 +358,9 @@ def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
             groups.setdefault(forms.tobytes(), (forms, []))[1].append(at)
         cur = np.empty(len(todo), dtype=complex)
         scale = np.empty(len(todo))
-        fit = max(1, _BLOCK_VALUES // (len(ts) * len(R)))
+        # the pieces taken at once: their logs and the line rule's
+        # temporaries, about four arrays of that size, stay within one block
+        fit = max(1, _BLOCK_VALUES // (4 * len(ts) * len(R)))
         for forms, ats in groups.values():
             for b in range(0, len(ats), fit):
                 at = np.asarray(ats[b : b + fit])
@@ -444,7 +446,7 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
         return vw if np.ndim(vw) == 0 else vw[ps, None, ns]
 
     if split is None:
-        rows = E[todo]
+        rows, every = E[todo], slice(None)
         cur = np.empty((pieces, len(rows)), dtype=complex)
         l1 = np.empty((pieces, len(rows))) if magnitudes else None
         step = max(1, _BLOCK_VALUES // nodes)
@@ -453,7 +455,7 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
             ps = slice(p, p + group)
             for b in range(0, len(rows), step):
                 block = slice(b, b + step)
-                terms = powers(rows[block], ps, slice(None), slice(None)) * weights(ps, slice(None))
+                terms = powers(rows[block], ps, every, every) * weights(ps, every)
                 cur[ps, block] = terms.sum(axis=2)
                 if magnitudes:
                     l1[ps, block] = np.abs(terms).sum(axis=2)
@@ -516,7 +518,7 @@ def integrate_smooth(
     cfg: QuadConfig,
 ) -> tuple[np.ndarray, BranchState]:
     """Integrals of W dw along a smooth path, one per form, plus the
-    continued end state.
+    continued end state.  The path's segments go to `_gl_batch` together.
 
     A NoConvergence carries in `form` the position in forms of the first
     form that did not converge.

@@ -33,7 +33,8 @@ def _points(seg, t):
     """Points at parameters t in [0, 1] along a line or an arc."""
     if isinstance(seg, Line):
         return seg.start + t * (seg.end - seg.start)
-    return seg.center + seg.radius * np.exp(1j * (seg.start_angle + t * (seg.end_angle - seg.start_angle)))
+    angle = seg.start_angle + t * (seg.end_angle - seg.start_angle)
+    return seg.center + seg.radius * np.exp(1j * angle)
 
 
 def _walk(logs, path, R):

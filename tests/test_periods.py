@@ -234,9 +234,8 @@ def test_legs_near_a_close_or_far_branch_point_match_the_reference(lam):
     forms = enumerate_forms(spec)
     assert sorted(".".join(map(str, f.alpha)) for f in forms) == sorted(reference)
     for c, form in enumerate(forms):
-        ref = np.asarray(
-            [complex(float(re), float(im)) for re, im in reference[".".join(map(str, form.alpha))]]
-        )
+        values = reference[".".join(map(str, form.alpha))]
+        ref = np.asarray([complex(float(re), float(im)) for re, im in values])
         scale = np.max(np.abs(ref[:, None] - ref[None, :]))
         err = np.max(np.abs(J[:, c] - ref)) / scale
         assert err <= 1e-13, (form.alpha, err)

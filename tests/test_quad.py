@@ -331,7 +331,9 @@ def test_panel_sums_over_pieces_keep_each_piece_bits(k, n, block_values, monkeyp
         cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
         for p in range(3):
             one = vw if tie else vw[p : p + 1]
-            alone, alone_l1 = quad._panel_sums(E, todo, X[p : p + 1], one, magnitudes=True, tie=tie)
+            alone, alone_l1 = quad._panel_sums(
+                E, todo, X[p : p + 1], one, magnitudes=True, tie=tie
+            )
             assert np.array_equal(cur[p], alone[0])
             assert np.array_equal(l1[p], alone_l1[0])
 
