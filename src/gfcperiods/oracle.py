@@ -301,7 +301,7 @@ def crosscheck_report(
             passed=bool(worst <= 1e-8),
             max_deviation=float(worst),
             tolerance=1e-8,
-            detail=f"{n} power words x {len(forms)} forms",
+            detail=f"{spec.n} power words x {len(forms)} forms",
         )
     )
 
@@ -327,9 +327,9 @@ def crosscheck_report(
     )
 
     # (c) conjugation covariance of the sampled words
-    zeta = np.asarray([zeta_power(k, e) for e in range(k)])
+    zeta = np.asarray([zeta_power(spec.k, e) for e in range(spec.k)])
     M = np.asarray([form.m_exponents for form in forms], dtype=np.int64)
-    M = M.reshape(len(forms), n)
+    M = M.reshape(len(forms), spec.n)
     rhs = zeta[(G @ M.T) % k] * bare_rows
     scale = np.maximum(np.abs(rhs), 1e-2 * J_max)
     worst = float(np.max(np.abs(sampled_rows - rhs) / scale, initial=0.0))
