@@ -43,6 +43,12 @@ from .periods import assemble
 from .quad import QuadConfig
 
 
+# Largest letters x forms block of the word-row expression, in complex
+# values (1 MiB).  One block of all the words of verify (6,4) raised its
+# peak RSS from 1292 to 1314 MB; every benchmark curve fits one block.
+_WORD_BLOCK_VALUES = 2**16
+
+
 class WordIntegrator:
     """Contour oracle for one curve: integrates -W/k along word paths.
 
@@ -132,10 +138,11 @@ class WordIntegrator:
 
         The loops the words need that are not integrated yet are integrated
         in one batch, lowest branch point first.  The rows not computed yet
-        come from one array expression over all their letters:
-        -sum_s exp(E acc_s) V_s / k over each word's letters s, with V_s the
-        loop row of letter s and acc_s the summed log offsets of the letters
-        before it in its word (summed on a word x letter grid).
+        come from one array expression over all their letters, in blocks of
+        words of at most _WORD_BLOCK_VALUES terms: -sum_s exp(E acc_s) V_s / k
+        over each word's letters s, with V_s the loop row of letter s and
+        acc_s the summed log offsets of the letters before it in its word
+        (summed on a word x letter grid).
         """
         new = [word for word in dict.fromkeys(words) if word not in self._rows]
         if new:
@@ -152,11 +159,16 @@ class WordIntegrator:
             acc = np.zeros((*grid.shape, self.spec.n), dtype=complex)
             np.cumsum(D[grid[:, :-1]], axis=1, out=acc[:, 1:])
             used = np.arange(grid.shape[1]) < lengths[:, None]
-            acc, Et = acc[used], self._E.T
-            terms = np.exp(acc.real @ Et + 1j * (acc.imag @ Et)) * V[grid[used]]
-            firsts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-            rows = -np.add.reduceat(terms, firsts, axis=0) / self.spec.k
-            self._rows.update(zip(new, rows))
+            Et = self._E.T
+            step = max(1, _WORD_BLOCK_VALUES // max(1, grid.shape[1] * len(self.forms)))
+            for b in range(0, len(new), step):
+                block = slice(b, b + step)
+                mask = used[block]
+                a = acc[block][mask]
+                terms = np.exp(a.real @ Et + 1j * (a.imag @ Et)) * V[grid[block][mask]]
+                firsts = np.concatenate(([0], np.cumsum(lengths[block][:-1])))
+                rows = -np.add.reduceat(terms, firsts, axis=0) / self.spec.k
+                self._rows.update(zip(new[block], rows))
         return np.array([self._rows[word] for word in words]).reshape(
             len(words), len(self.forms)
         )

@@ -25,6 +25,7 @@ from gfcperiods.errors import (
     NoConvergence,
 )
 from gfcperiods.homology import ConjComm, Power, expand
+from gfcperiods import oracle
 from gfcperiods.oracle import WordIntegrator, _optimal_agm
 from gfcperiods.periods import zeta_power
 
@@ -182,9 +183,10 @@ def test_crosscheck_integrates_each_loop_piece_once(quad_cfg, monkeypatch):
     assert set(segments) == set(pieces)
 
 
-def test_word_rows_match_each_word_alone(quad_cfg):
+def test_word_rows_match_each_word_alone(quad_cfg, monkeypatch):
     # one request for many words, with letters of every loop and padding
-    # for the shorter words, against one fresh request per word
+    # for the shorter words, against one fresh request per word, and
+    # against the same request taken one word per block
     spec = validate_spec(3, 4, [-1.5, 2.0 + 1.0j])
     words = [Power(2), ConjComm(g=(2, 0, 1, 2), j=1, l=4), Power(4)]
     words += [ConjComm(g=(0, 0, 0, 0), j=2, l=3), ConjComm(g=(1, 1, 0, 0), j=3, l=4)]
@@ -195,6 +197,8 @@ def test_word_rows_match_each_word_alone(quad_cfg):
     for word, row in zip(words, rows):
         alone = WordIntegrator(spec, quad_cfg).word_row(word)
         assert np.max(np.abs(row - alone)) <= 1e-15 * scale
+    monkeypatch.setattr(oracle, "_WORD_BLOCK_VALUES", 1)
+    assert np.array_equal(WordIntegrator(spec, quad_cfg).word_rows(words), rows[:-2])
 
 
 def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
