@@ -11,8 +11,8 @@ each log(w - r_t); continuing the state along a path and exponentiating
 recovers the correct sheet of W everywhere.  `_kind_logs` gives the
 continued logs at any nodes of several lines, or of several arcs, in
 closed form, each node on its own, and raises StepTooCoarse naming a
-segment that runs through a branch point; `segment_logs` is its one-segment
-form and `chain_logs` carries the logs from segment to segment.
+segment that runs through a branch point; `chain_logs` carries the logs
+from segment to segment.
 
 Paths are chains of line segments and circular arcs.  `clear_leg` is the
 one routing decision: the straight line from the base point to a branch
@@ -233,13 +233,6 @@ def _kind_velocity(segs, ts) -> np.ndarray:
     angles = np.array([seg.start_angle for seg in segs])[:, None]
     sweeps = np.array([seg.end_angle - seg.start_angle for seg in segs])[:, None]
     return coef[:, None] * np.exp(1j * (angles + ts * sweeps))
-
-
-def segment_logs(seg: Segment, ts: np.ndarray, R, logs0) -> np.ndarray:
-    """Continued logs over all branch factors at parameters ts of one segment."""
-    anchors = np.asarray(R, dtype=complex)
-    logs0 = np.asarray(logs0, dtype=complex)[None]
-    return _kind_logs([seg], np.asarray(ts, dtype=float), anchors, logs0)[0]
 
 
 def chain_logs(segments, R, logs0) -> list[np.ndarray]:

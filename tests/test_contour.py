@@ -14,7 +14,6 @@ from gfcperiods.contour import (
     default_base_point,
     exponent_matrix,
     loop_radius,
-    segment_logs,
 )
 from gfcperiods.curve import FormIndex
 from gfcperiods.errors import (
@@ -37,11 +36,15 @@ def _points(seg, t):
     return seg.center + seg.radius * np.exp(1j * angle)
 
 
+def _segment_logs(seg, ts, R, logs0):
+    """Continued logs over all branch factors at parameters ts of one segment."""
+    anchors = np.asarray(R, dtype=complex)
+    return contour._kind_logs([seg], ts, anchors, np.asarray(logs0, dtype=complex)[None])[0]
+
+
 def _walk(logs, path, R):
-    """Logs continued segment by segment along the path."""
-    for seg in path.segments:
-        logs = segment_logs(seg, SEED, R, logs)[-1]
-    return logs
+    """Logs continued segment by segment along the path, to its end."""
+    return contour.chain_logs(path.segments, R, logs)[-1]
 
 
 def _W(logs, form, k):
@@ -97,7 +100,7 @@ def test_empty_path_is_identity():
     # a walk over a single parameter moves nowhere and returns the start logs
     st = init_branch(1j, R2)
     seg = Line(1j, 2 + 1j)
-    out = segment_logs(seg, np.zeros(1), R2, st.logs)
+    out = _segment_logs(seg, np.zeros(1), R2, st.logs)
     assert out.shape == (1, 2)
     assert tuple(out[0]) == st.logs
 
@@ -128,7 +131,7 @@ def test_step_too_coarse_raises():
     # the segment passes exactly through the branch point 0
     st = init_branch(-0.5 + 0j, R2)
     with pytest.raises(StepTooCoarse):
-        segment_logs(Line(-0.5 + 0j, 0.5 + 0j), SEED, R2, st.logs)
+        _segment_logs(Line(-0.5 + 0j, 0.5 + 0j), SEED, R2, st.logs)
 
 
 def test_eval_w_principal_value():
@@ -247,7 +250,7 @@ def test_arc_logs_match_a_fine_step_continuation():
     for turns in (+3, -3):
         arc = Arc(R[2], 0.5, start_angle=0.3, end_angle=0.3 + turns * 2 * math.pi)
         logs0 = init_branch(contour.segment_start(arc), R).logs
-        got = segment_logs(arc, ts, R, logs0)
+        got = _segment_logs(arc, ts, R, logs0)
         with mpmath.workdps(30):
             a0, a1 = mpmath.mpf(arc.start_angle), mpmath.mpf(arc.end_angle)
 
@@ -287,7 +290,7 @@ def test_loop_circles_close_on_the_deck_offset(k, n, lams):
     for i in range(1, n + 1):
         _, circle = contour.loop_pieces(z0, i, R)
         logs0 = np.asarray(init_branch(contour.segment_start(circle), R).logs)
-        moved = segment_logs(circle, params, R, logs0)[-1] - logs0
+        moved = _segment_logs(circle, params, R, logs0)[-1] - logs0
         expected = np.zeros(n, dtype=complex)
         expected[i - 1] = 2j * math.pi
         assert np.max(np.abs(moved - expected)) <= 1e-15, i
@@ -303,11 +306,11 @@ def _leg_node_logs(start, logs0, target, R):
     "logs",
     [
         # the line from -0.5 to 0.5 passes 0 between its nodes -1/6 and 1/6
-        lambda logs0: segment_logs(Line(-0.5 + 0j, 0.5 + 0j), np.linspace(0, 1, 4), R2, logs0),
+        lambda logs0: _segment_logs(Line(-0.5 + 0j, 0.5 + 0j), np.linspace(0, 1, 4), R2, logs0),
         # so do the nodes of the J leg from -0.5 to 1
         lambda logs0: _leg_node_logs(-0.5 + 0j, logs0, 1, R2),
         # the circle of radius 1/2 about 1/2 runs through both branch points
-        lambda logs0: segment_logs(Arc(0.5 + 0j, 0.5, math.pi, 3 * math.pi), SEED, R2, logs0),
+        lambda logs0: _segment_logs(Arc(0.5 + 0j, 0.5, math.pi, 3 * math.pi), SEED, R2, logs0),
     ],
     ids=["line", "leg", "arc"],
 )
