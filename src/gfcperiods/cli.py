@@ -17,9 +17,11 @@ All floating-point output uses 17 significant digits, so parsing the
 emitted JSON or CSV reproduces every double bit-exactly.  Each numeric
 matrix is one gather from a table of cell texts, each formatted once, and
 one join: the periods from the PeriodMatrix value table (one entry per
-phase, pair and form) by its index, the basis from its distinct values, and
-the integer matrices from their value range, unsorted.  The text is the
-same as formatting every element on its own.
+phase, pair and form) by its index, the basis from the real and imaginary
+parts of that table by the index rows of its kept generators, and the
+coefficients from their value range, unsorted.  Each from_generators row
+is written from its kept generator alone.  The text is the same as
+formatting every element on its own.
 """
 
 from __future__ import annotations
@@ -58,26 +60,19 @@ def _fmt(x: float) -> str:
 
 
 def _cells(a: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """A table of cell texts and an index of a's shape into it.  Integers
-    index their value range by value - min, with no sort, unless it is wider
-    than both a and 2**16; else the table holds the distinct values, floats
-    keyed by bit pattern (so -0.0 keeps its sign) in "%.17g", as _fmt."""
+    """A table of the texts of an integer array's values and an index of
+    a's shape into it: by value - min, with no sort, unless the range is
+    wider than both a and 2**16; else the table holds the distinct values."""
     import numpy as np
 
-    if a.dtype.kind in "iu":
-        low, high = int(a.min(initial=0)), int(a.max(initial=0))
-        if high - low < max(a.size, 1 << 16):
-            return [str(v) for v in range(low, high + 1)], a - low
-        keys, inverse = np.unique(a, return_inverse=True)
-        table = [str(v) for v in keys.tolist()]
-    elif a.dtype.kind == "f":
-        bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-        keys, inverse = np.unique(bits, return_inverse=True)
-        table = ["%.17g" % x for x in keys.view(np.float64).tolist()]
-    else:
-        raise TypeError(f"cannot serialize an array of {a.dtype}")
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"cannot tabulate an array of {a.dtype}")
+    low, high = int(a.min(initial=0)), int(a.max(initial=0))
+    if high - low < max(a.size, 1 << 16):
+        return [str(v) for v in range(low, high + 1)], a - low
+    keys, inverse = np.unique(a, return_inverse=True)
     # before numpy 2 the inverse is flat; since then it has the input's shape
-    return table, inverse.reshape(a.shape)
+    return [str(v) for v in keys.tolist()], inverse.reshape(a.shape)
 
 
 def _joined(texts: list[str], index: np.ndarray, sep, end, head, tail) -> str:
@@ -107,9 +102,8 @@ def _json_object(members: dict[str, str]) -> str:
 
 
 def _json_dump(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats.  Plain Python
-    values are rendered before numpy is looked at, so a payload of them
-    never imports it."""
+    """Deterministic JSON of plain Python values, floats with 17
+    significant digits."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -124,18 +118,6 @@ def _json_dump(obj) -> str:
         return "[" + ", ".join(_json_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return _json_object({k: _json_dump(v) for k, v in obj.items()})
-    import numpy as np
-
-    if isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _fmt(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim != 2 or not obj.size:
-            return _json_dump(obj.tolist())
-        return _joined(*_cells(obj), ", ", "], [", "[[", "]]")
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -199,10 +181,14 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def basis_payload(spec, result) -> dict:
-    """The basis as a dict for _json_dump, its matrices kept as arrays.
-    |det| can exceed the double range at large genus: abs_det is then None
-    (JSON null), and log10_abs_det, from slogdet, still carries its size."""
+def basis_payload(pm, result) -> dict:
+    """The fields of the basis document of result, a LatticeBasis of
+    real_split(pm): plain values, each matrix as a table of cell texts and
+    an index into it, and from_generators as the kept generators.  Basis
+    row i holds the real, then the imaginary parts of pm.values at
+    pm.index[kept[i]].  |det| can exceed the double range at large genus:
+    abs_det is then None (JSON null), and log10_abs_det, from slogdet,
+    still carries its size."""
     import numpy as np
 
     abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
@@ -210,27 +196,46 @@ def basis_payload(spec, result) -> dict:
         with np.errstate(over="ignore"):
             abs_det = abs(float(np.linalg.det(result.basis)))
         log10_abs_det = float(np.linalg.slogdet(result.basis)[1]) / math.log(10)
+    parts = pm.values.real.tolist() + pm.values.imag.tolist()
+    kept = pm.index[result.kept]
     return {
-        "k": spec.k,
-        "n": spec.n,
-        "lambdas": [_pair(v) for v in spec.lambdas],
-        "genus": genus(spec),
-        "basis": result.basis,
-        "coefficients": result.coefficients,
-        "from_generators": result.from_generators,
+        "k": pm.spec.k,
+        "n": pm.spec.n,
+        "lambdas": [_pair(v) for v in pm.spec.lambdas],
+        "genus": genus(pm.spec),
+        "basis": (["%.17g" % x for x in parts], np.hstack([kept, kept + pm.values.size])),
+        "coefficients": _cells(result.coefficients),
+        "from_generators": result.kept.tolist(),
         "residual": float(result.residual),
         "abs_det": _finite_or_none(abs_det),
         "log10_abs_det": _finite_or_none(log10_abs_det),
     }
 
 
+def basis_to_json(payload: dict) -> str:
+    """The basis document.  Each row of from_generators is written as a run
+    of zeros, the 1 at its kept generator and a run of zeros."""
+    m = len(payload["coefficients"][1])
+    members = {}
+    for key, value in payload.items():
+        if key == "from_generators":
+            rows = ["[" + "0, " * j + "1" + ", 0" * (m - 1 - j) + "]" for j in value]
+            members[key] = "[" + ", ".join(rows) + "]"
+        elif isinstance(value, tuple):
+            texts, index = value
+            members[key] = _joined(texts, index, ", ", "], [", "[[", "]]") if len(index) else "[]"
+        else:
+            members[key] = _json_dump(value)
+    return _json_object(members) + "\n"
+
+
 def basis_to_csv(payload: dict) -> str:
     import numpy as np
 
-    width = len(payload["basis"])
+    width = len(payload["basis"][1])
     texts, blocks = [], []
     for kind in ("basis", "coefficients"):
-        table, index = _cells(payload[kind])
+        table, index = payload[kind]
         # a row with no cells keeps the comma after its index
         leads = [f"{kind},{i}" + "," * (not width) for i in range(len(index))]
         lead = np.arange(len(leads)) + len(texts) + len(table)
@@ -350,9 +355,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
     spec = validate_spec(args.k, args.n, args.lambdas)
     pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
-    result = extract_basis(pm, spec)
-    payload = basis_payload(spec, result)
-    text = basis_to_csv(payload) if args.fmt == "csv" else _json_dump(payload) + "\n"
+    payload = basis_payload(pm, extract_basis(pm, spec))
+    text = basis_to_csv(payload) if args.fmt == "csv" else basis_to_json(payload)
     _emit(text, args.out)
     return 0
 
@@ -379,6 +383,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gfcperiods",
         description="Period lattice generators of generalized Fermat curves.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("-k", type=int, required=True, help="cover degree (>= 2)")
+    shared.add_argument("-n", type=int, required=True, help="curve rank (>= 2)")
+    shared.add_argument(
+        "-l", "--lambda", dest="lambdas", action="append", default=[], metavar="VALUE",
+        help="branch value; 'a+bi' or 'a,b'; repeat for each of the n-2 values",
+    )
+    shared.add_argument("--tol", type=float, help="quadrature relative tolerance")
+    shared.add_argument("--level", type=int, help="tanh-sinh starting level")
+    shared.add_argument(
+        "--max-level", type=int, help="tanh-sinh refinement cap before NoConvergence"
+    )
+    shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    shared.add_argument("--out", help="output path (default stdout)")
+    shared.add_argument(
+        "--include-powers", action="store_true",
+        help="include the power words (zero rows) among the generators",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, help_text in [
         ("info", cmd_info, "genus, form list, and generator counts"),
@@ -386,36 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("basis", cmd_basis, "extract an integer lattice basis"),
         ("verify", cmd_verify, "run the oracle cross-check report"),
     ]:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[shared])
         p.set_defaults(run=run)
-        p.add_argument("-k", type=int, required=True, help="cover degree (>= 2)")
-        p.add_argument("-n", type=int, required=True, help="curve rank (>= 2)")
-        p.add_argument(
-            "-l",
-            "--lambda",
-            dest="lambdas",
-            action="append",
-            default=[],
-            metavar="VALUE",
-            help="branch value; 'a+bi' or 'a,b'; repeat for each of the n-2 values",
-        )
-        p.add_argument("--tol", type=float, help="quadrature relative tolerance")
-        p.add_argument("--level", type=int, help="tanh-sinh starting level")
-        p.add_argument(
-            "--max-level",
-            dest="max_level",
-            type=int,
-            default=None,
-            help="tanh-sinh refinement cap before NoConvergence",
-        )
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="verify sampler seed")
-        p.add_argument(
-            "--include-powers",
-            action="store_true",
-            help="include the power words (zero rows) among the generators",
-        )
+        if run is cmd_verify:
+            p.add_argument("--seed", type=int, default=0, help="verify sampler seed")
     return parser
 
 

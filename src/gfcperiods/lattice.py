@@ -18,6 +18,7 @@ Discrete Math. 139, 1995).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,15 +36,22 @@ _RECON_TOL = 1e-7
 class LatticeBasis:
     """2g independent vectors spanning the generators' Z-span.
 
-    coefficients expresses every input generator as an integer combination
-    of the basis rows, and from_generators every basis row as one of the
-    input generators.  residual is the largest absolute error of
-    coefficients @ basis against the input."""
+    basis row i is input row kept[i].  coefficients expresses every input
+    generator as an integer combination of the basis rows.  residual is
+    the largest absolute error of coefficients @ basis against the input.
+    from_generators, every basis row as a 0/1 combination of the input
+    generators, is built from kept on first access."""
 
     basis: np.ndarray
     coefficients: np.ndarray
     residual: float
-    from_generators: np.ndarray
+    kept: np.ndarray
+
+    @functools.cached_property
+    def from_generators(self) -> np.ndarray:
+        selection = np.zeros((len(self.kept), len(self.coefficients)), dtype=np.int64)
+        selection[np.arange(len(self.kept)), self.kept] = 1
+        return selection
 
 
 def real_split(pm: PeriodMatrix) -> np.ndarray:
@@ -142,6 +150,7 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     """Z-basis of the lattice generated by the input row vectors, or by
     real_split(pm) for a PeriodMatrix pm of spec: the first 2g linearly
     independent rows, a Z-basis in generator order (as assemble gives it).
+    The result keeps their indices; no selection matrix is built.
 
     A period matrix's rows come from its characters, and a rank shortfall
     names the character.  A kept row's coordinates are its unit row; the
@@ -180,11 +189,9 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     coefficients = np.zeros((m, d), dtype=np.int64)
     coefficients[kept, np.arange(d)] = 1
     coefficients[rest] = rounded
-    from_generators = np.zeros((d, m), dtype=np.int64)
-    from_generators[np.arange(d), kept] = 1
     return LatticeBasis(
         basis=basis,
         coefficients=coefficients,
         residual=float(np.max(np.abs(rounded @ basis - v[rest]), initial=0.0)),
-        from_generators=from_generators,
+        kept=kept,
     )

@@ -286,24 +286,52 @@ def test_basis_classical_curve(capsys):
 def test_basis_payload_with_overflowing_det_is_valid_json():
     import warnings
 
-    from gfcperiods.lattice import LatticeBasis
-
-    spec = validate_spec(3, 2, [])
-    result = LatticeBasis(
-        basis=np.diag([1e100, 1e100, 1e100, 1e100]),
-        coefficients=np.eye(4, dtype=np.int64),
-        residual=0.0,
-        from_generators=np.eye(4, dtype=np.int64),
-    )
+    pm, result = _hand_set_basis()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        payload = cli.basis_payload(spec, result)
-        parsed = json.loads(cli._json_dump(payload))
+        payload = cli.basis_payload(pm, result)
+        parsed = json.loads(cli.basis_to_json(payload))
         lines = cli.basis_to_csv(payload).splitlines()
     assert parsed["abs_det"] is None
-    assert abs(parsed["log10_abs_det"] - 400.0) < 1e-12
+    assert abs(parsed["log10_abs_det"] - 600.0) < 1e-12
     assert "abs_det,0," in lines
-    assert any(line.startswith("log10_abs_det,0,400") for line in lines)
+    (log10,) = [line for line in lines if line.startswith("log10_abs_det,0,")]
+    assert float(log10.split(",")[2]) == parsed["log10_abs_det"]
+
+
+@pytest.mark.parametrize("command", ["info", "periods", "basis"])
+def test_seed_is_an_option_of_verify_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "-k", "3", "-n", "2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["verify", "-k", "3", "-n", "2", "--seed", "5"])
+    assert args.seed == 5
+
+
+def test_basis_and_verify_never_build_the_selection_matrix(capsys, monkeypatch):
+    import gfcperiods.lattice as lattice
+    import gfcperiods.oracle as oracle
+
+    extract, results = lattice.extract_basis, []
+
+    def recorded(*args):
+        results.append(extract(*args))
+        return results[-1]
+
+    monkeypatch.setattr(lattice, "extract_basis", recorded)
+    monkeypatch.setattr(oracle, "extract_basis", recorded)
+    assert cli.main(["basis", "-k", "4", "-n", "2"]) == 0
+    capsys.readouterr()
+    oracle.crosscheck_report(validate_spec(3, 2, []), QuadConfig(), sample=3)
+    assert len(results) == 2
+    assert not any("from_generators" in vars(result) for result in results)
+    # on first access it is the 0/1 int64 selection of the kept generators
+    result = results[0]
+    selection = result.from_generators
+    assert selection.dtype == np.int64
+    assert np.array_equal(selection, np.eye(len(result.coefficients), dtype=np.int64)[result.kept])
+    assert selection is result.from_generators
 
 
 def test_basis_include_powers_never_selects_power_rows(capsys):
@@ -680,21 +708,15 @@ def test_periods_to_csv_matches_element_rendering(case, fragments):
 
 def test_periods_rendering_needs_no_sort(monkeypatch):
     # the period text is gathered from the (phase, pair, form) table, so
-    # rendering never sorts the matrix; the basis's integer matrices index
-    # the table of their value range, so they are never sorted either
+    # rendering never sorts the matrix; the basis cells are gathered from
+    # the same table's real and imaginary parts, and the basis's integer
+    # matrices index the table of their value range, so no basis matrix is
+    # sorted either
     pm = assemble(validate_spec(4, 4, [-1.5, 2 + 1j]), QuadConfig())
-    result = extract_basis(real_split(pm), pm.spec)
-    payload = cli.basis_payload(pm.spec, result)
-    unique = np.unique
+    result = extract_basis(pm, pm.spec)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called while rendering periods")
-
-    def refuse_integers(a, *args, **kwargs):
-        # the float cells are keyed by their uint64 bit patterns
-        if np.asarray(a).dtype.kind == "i":
-            raise AssertionError("np.unique called on integers while rendering a basis")
-        return unique(a, *args, **kwargs)
+        raise AssertionError("np.unique called while rendering")
 
     monkeypatch.setattr(np, "unique", refuse)
     text_json, text_csv = cli.periods_to_json(pm), cli.periods_to_csv(pm)
@@ -703,38 +725,59 @@ def test_periods_rendering_needs_no_sort(monkeypatch):
     cells = [line.split(",")[1:] for line in text_csv.splitlines()[1:]]
     assert np.array_equal(np.asarray(cells, dtype=float).view(complex), pm.entries)
 
-    monkeypatch.setattr(np, "unique", refuse_integers)
-    basis_json, basis_csv = json.loads(cli._json_dump(payload)), cli.basis_to_csv(payload)
-    for kind in ("coefficients", "from_generators"):
+    payload = cli.basis_payload(pm, result)
+    basis_json, basis_csv = json.loads(cli.basis_to_json(payload)), cli.basis_to_csv(payload)
+    for kind in ("basis", "coefficients", "from_generators"):
         assert np.array_equal(basis_json[kind], getattr(result, kind))
-    rows = [line.split(",")[2:] for line in basis_csv.splitlines() if line.startswith("coef")]
-    assert np.array_equal(np.asarray(rows, dtype=np.int64), result.coefficients)
+    for kind, dtype in (("basis", float), ("coefficients", np.int64)):
+        rows = [line.split(",")[2:] for line in basis_csv.splitlines() if line.startswith(kind)]
+        assert np.array_equal(np.asarray(rows, dtype=dtype), getattr(result, kind))
 
 
 def _hand_set_basis():
-    """A 4 x 4 basis with a 1e100 diagonal (|det| overflows), -0.0, a
-    17-digit double and repeated values.  The coefficients are negative
-    down to -25507, with gaps in their range; one entry of from_generators
-    is 10**6, a range wider than 2**16 and than the matrix."""
+    """A (4, 2) period matrix and a basis of six of its rows: a 1e100
+    diagonal (|det| overflows), -0.0, a 17-digit double and repeated
+    values.  The matrix stores its entries in reverse order, so the basis
+    cells are gathered through an index that is not the identity.  The
+    coefficients are negative down to -25507, with gaps in their range,
+    and one is 10**6, a range wider than 2**16 and than the matrix."""
+    from gfcperiods import PeriodMatrix, enumerate_forms, enumerate_generators
     from gfcperiods.lattice import LatticeBasis
 
-    basis = np.diag([1e100, 1e100, 1e100, 1e100])
+    spec = validate_spec(4, 2, [])
+    rows = tuple(enumerate_generators(spec))
+    cols = tuple(enumerate_forms(spec))
+    kept = np.array([0, 2, 3, 7, 8, 13])
+    basis = np.diag([1e100] * 6)
     basis[0, 1] = -0.0
     basis[0, 2] = basis[1, 2] = 5.2441151085842401
-    basis[3, 0] = basis[3, 1] = -1 / 3
-    coefficients = np.array(
-        [[1, 0, -2, 0], [0, -1, 0, 3], [-5, -5, 1, 1], [0, 0, 0, -25507], [2, 0, 0, 0]],
-        dtype=np.int64,
+    basis[3, 0] = basis[3, 4] = -1 / 3
+    entries = np.full((len(rows), len(cols)), 0.25 - 0.5j)
+    # through the parts, so that -0.0 keeps its sign
+    entries.real[kept], entries.imag[kept] = basis[:, :3], basis[:, 3:]
+    pm = PeriodMatrix(
+        rows=rows,
+        cols=cols,
+        values=entries.ravel()[::-1].copy(),
+        index=np.arange(entries.size)[::-1].reshape(entries.shape),
+        base_integrals=np.zeros((2, len(cols)), dtype=complex),
+        base_point=0.5 + 2.25j,
+        spec=spec,
     )
-    from_generators = np.zeros((4, 5), dtype=np.int64)
-    from_generators[[0, 1, 2, 3], [0, 1, 3, 4]] = [1, -1, -1, 10**6]
-    spec = validate_spec(3, 2, [])
-    return spec, LatticeBasis(
-        basis=basis,
-        coefficients=coefficients,
-        residual=2.5e-16,
-        from_generators=from_generators,
+    coefficients = np.zeros((len(rows), 6), dtype=np.int64)
+    coefficients[kept, np.arange(6)] = 1
+    coefficients[[1, 4, 5, 6, 9]] = [
+        [1, 0, -2, 0, 0, 0],
+        [0, -1, 0, 3, 0, 0],
+        [-5, -5, 1, 1, 0, 0],
+        [0, 0, 0, -25507, 0, 0],
+        [2, 0, 0, 0, 0, 10**6],
+    ]
+    result = LatticeBasis(
+        basis=real_split(pm)[kept], coefficients=coefficients, residual=2.5e-16, kept=kept
     )
+    assert np.array_equal(result.basis.view(np.uint64), basis.view(np.uint64))
+    return pm, result
 
 
 def _element_basis_csv(payload: dict, result) -> str:
@@ -754,27 +797,35 @@ def _element_basis_csv(payload: dict, result) -> str:
 @pytest.mark.parametrize("case", ["hand_set", "k4n3", "k2n4", "genus0", "k3n2", "k3n2_powers"])
 def test_basis_rendering_matches_element_rendering(case):
     if case == "hand_set":
-        spec, result = _hand_set_basis()
+        pm, result = _hand_set_basis()
     else:
         pm = _render_matrix(case)
-        spec, result = pm.spec, extract_basis(real_split(pm), pm.spec)
-    payload = cli.basis_payload(spec, result)
+        result = extract_basis(real_split(pm), pm.spec)
+    payload = cli.basis_payload(pm, result)
     reference = dict(
         payload,
         basis=result.basis.tolist(),
         coefficients=result.coefficients.tolist(),
         from_generators=result.from_generators.tolist(),
     )
-    text = cli._json_dump(payload)
-    assert text == _element_json(reference)
+    text = cli.basis_to_json(payload)
+    assert text == _element_json(reference) + "\n"
     assert cli.basis_to_csv(payload) == _element_basis_csv(payload, result)
     if case == "hand_set":
-        assert "[1e+100, -0, 5.2441151085842401, 0]" in text
-        assert '"coefficients": [[1, 0, -2, 0], [0, -1, 0, 3], ' in text
-        assert "[0, 0, 0, -25507], [2, 0, 0, 0]]" in text
-        assert "[0, 0, 0, 0, 1000000]]" in text
+        assert "[[1e+100, -0, 5.2441151085842401, 0, 0, 0], " in text
+        assert "[-0.33333333333333331, 0, 0, 1e+100, -0.33333333333333331, 0]" in text
+        assert '"coefficients": [[1, 0, 0, 0, 0, 0], [1, 0, -2, 0, 0, 0], ' in text
+        assert "[0, 0, 0, -25507, 0, 0], [0, 0, 0, 1, 0, 0]" in text
+        assert "[2, 0, 0, 0, 0, 1000000]" in text
+        assert '"from_generators": [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], ' in text
+        assert "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]], " in text
         # so wide a range is tabled by its distinct values, not by every value in it
-        assert len(cli._cells(result.from_generators)[0]) == 4
+        assert len(cli._cells(result.coefficients)[0]) == 9
+        # the payload is plain Python where it is not a table
+        with pytest.raises(TypeError):
+            cli._json_dump(result.basis)
+        with pytest.raises(TypeError):
+            cli._cells(result.basis)
     if case == "genus0":
         assert '"basis": [], "coefficients": [[], [], [], []], "from_generators": []' in text
 
