@@ -40,7 +40,7 @@ from .errors import (
     ReconstructionFailed,
     StepTooCoarse,
 )
-from .homology import Power, enumerate_generators
+from .homology import enumerate_generators
 
 
 def parse_complex(text: str) -> complex:
@@ -126,19 +126,13 @@ def _pair(z: complex) -> list[float]:
 
 
 def _generators_json(words, n: int) -> str:
-    """The words as a JSON list of {"type": "power", "i": ...} and
-    {"type": "conj_comm", "g": [...], "j": ..., "l": ...} objects, through
-    one template per word kind."""
-    power = '{"type": "power", "i": %d}'
+    """The words as a JSON list of {"type": "conj_comm", "g": [...], "j": ...,
+    "l": ...} objects, through one template."""
     conj = '{"type": "conj_comm", "g": [' + ", ".join(["%d"] * n) + '], "j": %d, "l": %d}'
-    return "[" + ", ".join(
-        power % w.i if isinstance(w, Power) else conj % (*w.g, w.j, w.l) for w in words
-    ) + "]"
+    return "[" + ", ".join(conj % (*w.g, w.j, w.l) for w in words) + "]"
 
 
 def _word_label(word) -> str:
-    if isinstance(word, Power):
-        return f"power:i={word.i}"
     gs = ".".join(str(v) for v in word.g)
     return f"conj_comm:j={word.j};l={word.l};g={gs}"
 
@@ -188,14 +182,18 @@ def basis_payload(pm, result) -> dict:
     row i holds the real, then the imaginary parts of pm.values at
     pm.index[kept[i]].  |det| can exceed the double range at large genus:
     abs_det is then None (JSON null), and log10_abs_det, from slogdet,
-    still carries its size."""
+    still carries its size.  Both come from one slogdet: numpy's det is
+    the C exp of that log too, which math.exp matches bit for bit."""
     import numpy as np
 
     abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
     if result.basis.size:
-        with np.errstate(over="ignore"):
-            abs_det = abs(float(np.linalg.det(result.basis)))
-        log10_abs_det = float(np.linalg.slogdet(result.basis)[1]) / math.log(10)
+        log_abs_det = float(np.linalg.slogdet(result.basis)[1])
+        try:
+            abs_det = math.exp(log_abs_det)
+        except OverflowError:
+            abs_det = math.inf
+        log10_abs_det = log_abs_det / math.log(10)
     parts = pm.values.real.tolist() + pm.values.imag.tolist()
     kept = pm.index[result.kept]
     return {
@@ -259,9 +257,9 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def info_payload(spec, include_powers: bool) -> dict:
+def info_payload(spec) -> dict:
     forms = enumerate_forms(spec)
-    gens = enumerate_generators(spec, include_powers=include_powers)
+    gens = enumerate_generators(spec)
     return {
         "k": spec.k,
         "n": spec.n,
@@ -330,7 +328,7 @@ def _quad_config(args: argparse.Namespace) -> QuadConfig:
 
 def cmd_info(args: argparse.Namespace) -> int:
     spec = validate_spec(args.k, args.n, args.lambdas)
-    payload = info_payload(spec, args.include_powers)
+    payload = info_payload(spec)
     if args.fmt == "csv":
         lines = [f"{key},{_csv_cell(_json_dump(val))}" for key, val in payload.items()]
         _emit("\n".join(lines) + "\n", args.out)
@@ -343,7 +341,7 @@ def cmd_periods(args: argparse.Namespace) -> int:
     from .periods import assemble
 
     spec = validate_spec(args.k, args.n, args.lambdas)
-    pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
+    pm = assemble(spec, _quad_config(args))
     text = periods_to_csv(pm) if args.fmt == "csv" else periods_to_json(pm)
     _emit(text, args.out)
     return 0
@@ -354,7 +352,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     from .periods import assemble
 
     spec = validate_spec(args.k, args.n, args.lambdas)
-    pm = assemble(spec, _quad_config(args), include_powers=args.include_powers)
+    pm = assemble(spec, _quad_config(args))
     payload = basis_payload(pm, extract_basis(pm, spec))
     text = basis_to_csv(payload) if args.fmt == "csv" else basis_to_json(payload)
     _emit(text, args.out)
@@ -383,32 +381,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gfcperiods",
         description="Period lattice generators of generalized Fermat curves.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("-k", type=int, required=True, help="cover degree (>= 2)")
-    shared.add_argument("-n", type=int, required=True, help="curve rank (>= 2)")
-    shared.add_argument(
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("-k", type=int, required=True, help="cover degree (>= 2)")
+    curve.add_argument("-n", type=int, required=True, help="curve rank (>= 2)")
+    curve.add_argument(
         "-l", "--lambda", dest="lambdas", action="append", default=[], metavar="VALUE",
         help="branch value; 'a+bi' or 'a,b'; repeat for each of the n-2 values",
     )
-    shared.add_argument("--tol", type=float, help="quadrature relative tolerance")
-    shared.add_argument("--level", type=int, help="tanh-sinh starting level")
-    shared.add_argument(
+    curve.add_argument("--out", help="output path (default stdout)")
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--tol", type=float, help="quadrature relative tolerance")
+    quadrature.add_argument("--level", type=int, help="tanh-sinh starting level")
+    quadrature.add_argument(
         "--max-level", type=int, help="tanh-sinh refinement cap before NoConvergence"
     )
-    shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    shared.add_argument("--out", help="output path (default stdout)")
-    shared.add_argument(
-        "--include-powers", action="store_true",
-        help="include the power words (zero rows) among the generators",
-    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, help_text in [
-        ("info", cmd_info, "genus, form list, and generator counts"),
-        ("periods", cmd_periods, "compute the period matrix"),
-        ("basis", cmd_basis, "extract an integer lattice basis"),
-        ("verify", cmd_verify, "run the oracle cross-check report"),
+    # each subcommand registers only the options it reads
+    for name, run, parents, help_text in [
+        ("info", cmd_info, [curve, fmt], "genus, form list, and generator counts"),
+        ("periods", cmd_periods, [curve, quadrature, fmt], "compute the period matrix"),
+        ("basis", cmd_basis, [curve, quadrature, fmt], "extract an integer lattice basis"),
+        ("verify", cmd_verify, [curve, quadrature], "run the oracle cross-check report"),
     ]:
-        p = sub.add_parser(name, help=help_text, parents=[shared])
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(run=run)
         if run is cmd_verify:
             p.add_argument("--seed", type=int, default=0, help="verify sampler seed")

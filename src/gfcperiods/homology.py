@@ -1,11 +1,12 @@
 """Symbolic generating set of the first homology group.
 
 The generators are words in the free generators phi_1, ..., phi_n of the
-fundamental group of the punctured plane: the k-th powers phi_i**k (whose
-homology classes on the closed curve are null) and the conjugated
-commutators rho [phi_j, phi_l] rho**-1 with rho = prod_d phi_d**g_d,
-0 <= g_d <= k-1.  Words are kept unreduced; the contour oracle integrates
-their literal letter-by-letter spelling.
+fundamental group of the punctured plane: the conjugated commutators
+rho [phi_j, phi_l] rho**-1 with rho = prod_d phi_d**g_d, 0 <= g_d <= k-1.
+The k-th powers phi_i**k are words too: their homology classes on the
+closed curve are null, so they are no generators, and the contour oracle
+integrates them to check that they vanish.  Words are kept unreduced; the
+oracle integrates their literal letter-by-letter spelling.
 """
 
 from __future__ import annotations
@@ -36,20 +37,15 @@ class ConjComm:
 HomologyWord = Power | ConjComm
 
 
-def enumerate_generators(spec: CurveSpec, include_powers: bool = False) -> list[HomologyWord]:
-    """All ConjComm(g, j, l) in lexicographic (j, l, g) order, count C(n,2)*k**n.
-
-    With include_powers, Power(1..n) are prepended.
-    """
+def enumerate_generators(spec: CurveSpec) -> list[ConjComm]:
+    """All ConjComm(g, j, l) in lexicographic (j, l, g) order, count C(n,2)*k**n:
+    word p * k**n + g . (k**(n-1), ..., k, 1) has the p-th pair (j, l)."""
     k, n = spec.k, spec.n
-    words: list[HomologyWord] = []
-    if include_powers:
-        words.extend(Power(i) for i in range(1, n + 1))
-    for j in range(1, n + 1):
-        for l in range(j + 1, n + 1):
-            for g in itertools.product(range(k), repeat=n):
-                words.append(ConjComm(g=g, j=j, l=l))
-    return words
+    return [
+        ConjComm(g=g, j=j, l=l)
+        for j, l in itertools.combinations(range(1, n + 1), 2)
+        for g in itertools.product(range(k), repeat=n)
+    ]
 
 
 def expand(word: HomologyWord, k: int) -> tuple[tuple[int, int], ...]:

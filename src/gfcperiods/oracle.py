@@ -246,10 +246,14 @@ def _mutual_integer_expressible(
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     max_deviation: float
     tolerance: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """A NaN deviation fails."""
+        return bool(self.max_deviation <= self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,6 @@ def crosscheck_report(
     checks.append(
         CheckResult(
             name="power_word_vanishing",
-            passed=bool(worst <= 1e-8),
             max_deviation=float(worst),
             tolerance=1e-8,
             detail=f"{spec.n} power words x {len(forms)} forms",
@@ -328,7 +331,6 @@ def crosscheck_report(
     checks.append(
         CheckResult(
             name="closed_form_vs_contour",
-            passed=bool(worst <= 1.0),
             max_deviation=float(worst),
             tolerance=1.0,
             detail=(
@@ -348,7 +350,6 @@ def crosscheck_report(
     checks.append(
         CheckResult(
             name="conjugation_covariance",
-            passed=bool(worst <= 1e-8),
             max_deviation=float(worst),
             tolerance=1e-8,
             detail="sampled words vs phase x unconjugated word",
@@ -364,7 +365,6 @@ def crosscheck_report(
         checks.append(
             CheckResult(
                 name="beta_magnitude",
-                passed=bool(worst <= 1e-9),
                 max_deviation=float(worst),
                 tolerance=1e-9,
                 detail=f"|J_2 - J_1| vs Beta for {len(forms)} forms",
@@ -379,7 +379,6 @@ def crosscheck_report(
         checks.append(
             CheckResult(
                 name="lattice_double_inclusion",
-                passed=bool(worst <= 1e-10),
                 max_deviation=worst,
                 tolerance=1e-10,
                 detail=(
@@ -397,11 +396,10 @@ def crosscheck_report(
         rot = np.asarray(
             [[(1j * w1).real, (1j * w1).imag], [(1j * w2).real, (1j * w2).imag]]
         )
-        ok, worst = _mutual_integer_expressible(basis.basis, rot, 1e-6)
+        _, worst = _mutual_integer_expressible(basis.basis, rot, 1e-6)
         checks.append(
             CheckResult(
                 name="agm_lattice_equality",
-                passed=bool(ok),
                 max_deviation=float(worst),
                 tolerance=1e-6,
                 detail="extracted basis vs i-rotated AGM periods",

@@ -11,9 +11,8 @@ The entry for rho [phi_j, phi_l] rho**-1 with rho = prod phi_d**g_d is
     zeta**(sum_d g_d M_d) * (1 - zeta**M_j)(1 - zeta**M_l)/k * (J_l - J_j),
 
 with zeta = exp(2 pi i / k); J_l - J_j realizes the integral from r_j to
-r_l routed through the base point.  Rows for the power words phi_i**k are
-exactly zero (their homology classes are null); the contour oracle
-re-derives that numerically.
+r_l routed through the base point.  The power words phi_i**k are null in
+homology and take no rows; the contour oracle re-derives that numerically.
 
 The conjugator enters only through the phase exponent mod k, so the
 k**n * C(n,2) commutator rows take at most k * C(n,2) * g distinct values.
@@ -25,19 +24,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms
-from .homology import (
-    ConjComm,
-    HomologyWord,
-    conjugation_phase,
-    enumerate_generators,
-    zeta_power,
-)
+from .homology import ConjComm, conjugation_phase, enumerate_generators, zeta_power
 from .quad import QuadConfig
 
 
@@ -51,7 +45,7 @@ class PeriodMatrix:
     first access.
     """
 
-    rows: tuple[HomologyWord, ...]
+    rows: tuple[ConjComm, ...]
     cols: tuple[FormIndex, ...]
     values: np.ndarray
     index: np.ndarray
@@ -64,8 +58,9 @@ class PeriodMatrix:
         return self.values[self.index]
 
     def identity_rows(self) -> np.ndarray:
-        """The g = 0 row of each pair (j, l); its k**n rows follow in lex g order."""
-        return np.flatnonzero([isinstance(w, ConjComm) and not any(w.g) for w in self.rows])
+        """The g = 0 row of each pair (j, l), p * k**n for the p-th pair; its
+        k**n rows follow in lex g order."""
+        return np.arange(math.comb(self.spec.n, 2)) * self.spec.k**self.spec.n
 
 
 def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
@@ -99,17 +94,17 @@ def period_entry(word: ConjComm, form: FormIndex, J_col, k: int) -> complex:
     return phase * pref * (complex(J_col[word.l - 1]) - complex(J_col[word.j - 1]))
 
 
-def _factor_table(words, forms, J: np.ndarray, k: int):
+def _factor_table(forms, J: np.ndarray, k: int):
     """The factorisation (values, index) of period_entry over every
-    (word, form) pair, each cell values[index] bit-identical to the scalar
-    routine.
+    (generator, form) pair, each cell values[index] bit-identical to the
+    scalar routine.
 
     values holds one entry per (phase e in Z_k, pair (j, l), form), at
     (e * P + pair) * g + form for the C(n,2) = P pairs in lexicographic
-    order and the g forms, then one exact zero for the power rows.  Slots
-    whose M_j or M_l is 0 mod k are exact zeros.  index[s, c] points a
-    commutator row at its phase e = (g . M_c) mod k, read from a table of
-    the phases of all k**n conjugators.
+    order and the g forms.  Slots whose M_j or M_l is 0 mod k are exact
+    zeros.  index has the rows of enumerate_generators: row
+    p * k**n + g . (k**(n-1), ..., k, 1) is the p-th pair's conjugator g,
+    and its cell c points at the phase e = (g . M_c) mod k.
 
     The phase and the prefactor come from tables of Python complex values
     indexed by exponents mod k.  The two complex products are written out
@@ -133,11 +128,10 @@ def _factor_table(words, forms, J: np.ndarray, k: int):
     ab_im = zeta.real * b.imag + zeta.imag * b.real
     d_re = J.real[ll] - J.real[jj]
     d_im = J.imag[ll] - J.imag[jj]
-    values = np.zeros(k * len(pairs) * len(forms) + 1, dtype=complex)
-    block = values[:-1].reshape(ab_re.shape)
-    block.real = ab_re * d_re - ab_im * d_im
-    block.imag = ab_re * d_im + ab_im * d_re
-    block[:, (Mj == 0) | (Ml == 0)] = 0j
+    values = np.empty(ab_re.shape, dtype=complex)
+    values.real = ab_re * d_re - ab_im * d_im
+    values.imag = ab_re * d_im + ab_im * d_re
+    values[:, (Mj == 0) | (Ml == 0)] = 0j
 
     # the phase exponent (g . M_c) mod k of every conjugator g in Z_k**n, at
     # row g . radix, summed one coordinate at a time in the narrowest dtype
@@ -148,31 +142,19 @@ def _factor_table(words, forms, J: np.ndarray, k: int):
     for d in range(1, n):
         phase = (phase[:, None, :] + steps[:, :, d]).reshape(len(phase) * k, len(forms))
         phase -= (phase >= k) * small(k)
-    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    index = np.full((len(words), len(forms)), values.size - 1, dtype=np.intp)
-    rows = [s for s, word in enumerate(words) if isinstance(word, ConjComm)]
-    comm = [words[s] for s in rows]
-    G = np.asarray([w.g for w in comm], dtype=np.int64)
-    pair_of = {p: i for i, p in enumerate(pairs)}
-    pair = np.asarray([pair_of[w.j - 1, w.l - 1] for w in comm])
     # widen before the arithmetic: the products outgrow the phase dtype
-    slot = phase[G @ radix].astype(np.intp) * (len(pairs) * len(forms))
-    slot += np.arange(len(forms))
-    slot += (pair * len(forms))[:, None]
-    index[rows] = slot
-    return values, index
+    slot = np.arange(len(pairs))[:, None, None] * len(forms) + np.arange(len(forms))
+    index = phase.astype(np.intp) * (len(pairs) * len(forms)) + slot
+    return values.ravel(), index.reshape(len(pairs) * k**n, len(forms))
 
 
-def assemble(
-    spec: CurveSpec, cfg: QuadConfig, include_powers: bool = False
-) -> PeriodMatrix:
+def assemble(spec: CurveSpec, cfg: QuadConfig) -> PeriodMatrix:
     """Full period matrix over the generating set, deterministic ordering."""
     forms = tuple(enumerate_forms(spec))
-    words = tuple(enumerate_generators(spec, include_powers=include_powers))
     J = base_integrals(spec, cfg)
-    values, index = _factor_table(words, forms, J, spec.k)
+    values, index = _factor_table(forms, J, spec.k)
     return PeriodMatrix(
-        rows=words,
+        rows=tuple(enumerate_generators(spec)),
         cols=forms,
         values=values,
         index=index,

@@ -88,15 +88,9 @@ class QuadConfig:
 
     Levels nest, so a leg that converges at level M evaluates the nodes of
     level M once in all, whatever the start: the start level 4 (195 nodes)
-    only lets a leg stop at level 5 (391 nodes).  The start was 5 while the
-    node logs came from a branch walk, which summed one log increment per
-    node: on the (4,4) ladder curve, leg i=2, form (1,3,2,3), the walked
-    logs were off from the exact continued logs by 2.1e-14 at level 6,
-    4.8e-14 at level 7 and 1.0e-13 at level 8, the package's largest J
-    error against 30-digit references (1.45e-14 of each form's largest
-    |J_l - J_j|).  The closed-form logs do not drift; that error is now
-    9.1e-16.  The two-level agreement gate is the same at any start, so a
-    leg that needs more resolution still refines upward.
+    only lets a leg stop at level 5 (391 nodes).  The two-level agreement
+    gate is the same at any start, so a leg that needs more resolution
+    still refines upward.
     """
 
     level: int = 4

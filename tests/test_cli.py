@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import gfcperiods
 import gfcperiods.cli as cli
 from gfcperiods import assemble, contour, extract_basis, genus, quad, real_split, validate_spec
 from gfcperiods.errors import NotFullRank, StepTooCoarse
-from gfcperiods.homology import ConjComm, Power, enumerate_generators
+from gfcperiods.homology import ConjComm
 from gfcperiods.quad import QuadConfig
 
 
@@ -28,8 +29,6 @@ def run_cli(capsys, *argv):
 
 def _generator_dict(word) -> dict:
     """A generator as its JSON object in the period document."""
-    if isinstance(word, Power):
-        return {"type": "power", "i": word.i}
     return {"type": "conj_comm", "g": list(word.g), "j": word.j, "l": word.l}
 
 
@@ -183,18 +182,6 @@ def test_periods_deterministic_output(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_periods_include_powers(capsys, tmp_path):
-    out_path = tmp_path / "p.json"
-    run_cli(
-        capsys,
-        "periods", "-k", "3", "-n", "2", "--include-powers", "--out", str(out_path),
-    )
-    payload = json.loads(out_path.read_text())
-    assert payload["generators"][0] == {"type": "power", "i": 1}
-    assert payload["periods"][0] == [[0, 0]]
-    assert len(payload["generators"]) == 11
-
-
 def test_periods_no_convergence_exits_3(capsys):
     code, out, err = run_cli(
         capsys,
@@ -299,6 +286,24 @@ def test_basis_payload_with_overflowing_det_is_valid_json():
     assert float(log10.split(",")[2]) == parsed["log10_abs_det"]
 
 
+@pytest.mark.parametrize("case", ["k3n2", "k4n3", "k2n4"])
+def test_abs_det_is_the_det_of_the_basis_bit_for_bit(case):
+    # abs_det is math.exp of the slogdet that log10_abs_det comes from; the
+    # other bases have random entries of scale 0.1 to 10, |det| in range
+    pm = _render_matrix(case)
+    result = extract_basis(pm, pm.spec)
+    rng = np.random.default_rng(len(result.basis))
+    bases = [result.basis] + [
+        rng.standard_normal((size, size)) * scale
+        for size in (1, 2, 7, 64, 150)
+        for scale in (0.1, 1.0, 10.0)
+    ]
+    for basis in bases:
+        payload = cli.basis_payload(pm, dataclasses.replace(result, basis=basis))
+        assert 0 < payload["abs_det"] < math.inf
+        assert payload["abs_det"].hex() == abs(float(np.linalg.det(basis))).hex()
+
+
 @pytest.mark.parametrize("command", ["info", "periods", "basis"])
 def test_seed_is_an_option_of_verify_only(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -334,20 +339,25 @@ def test_basis_and_verify_never_build_the_selection_matrix(capsys, monkeypatch):
     assert selection is result.from_generators
 
 
-def test_basis_include_powers_never_selects_power_rows(capsys):
-    _, out, _ = run_cli(capsys, "basis", "-k", "4", "-n", "2")
-    code, out_powers, _ = run_cli(
-        capsys, "basis", "-k", "4", "-n", "2", "--include-powers"
-    )
-    assert code == 0
-    plain, with_powers = json.loads(out), json.loads(out_powers)
-    gens = enumerate_generators(validate_spec(4, 2, []), include_powers=True)
-    powers = [i for i, w in enumerate(gens) if isinstance(w, Power)]
-    assert len(powers) == 2
-    selection = np.asarray(with_powers["from_generators"])
-    assert not selection[:, powers].any()
-    assert not np.asarray(with_powers["coefficients"])[powers].any()
-    assert with_powers["basis"] == plain["basis"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the power words are null in homology and take no rows
+        *([command, "--include-powers"] for command in ("info", "periods", "basis", "verify")),
+        ["verify", "--format", "csv"],
+        ["verify", "--format", "json"],
+        ["info", "--tol", "5"],
+        ["info", "--level", "3"],
+        ["info", "--max-level", "2"],
+        ["info", "--tol", "5", "--level", "3", "--max-level", "2"],
+    ],
+    ids=lambda argv: "_".join(a.strip("-") for a in argv),
+)
+def test_subcommand_refuses_an_option_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "-k", "3", "-n", "2", *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def _child_env(**extra) -> dict:
@@ -440,8 +450,8 @@ def test_basis_failure_exits_4(capsys, monkeypatch):
 
 
 def test_basis_with_a_nan_period_exits_4(capsys, monkeypatch):
-    def with_nan(spec, cfg, include_powers=False):
-        pm = assemble(spec, cfg, include_powers=include_powers)
+    def with_nan(spec, cfg):
+        pm = assemble(spec, cfg)
         values = pm.values.copy()
         values[pm.index[-1, -1]] = np.nan
         return dataclasses.replace(pm, values=values)
@@ -485,9 +495,7 @@ def test_verify_reports_failure_exit(capsys, monkeypatch):
 
     def rigged(spec, cfg, sample=25, seed=0):
         report = real(spec, cfg, sample=3, seed=seed)
-        failed = oracle_mod.CheckResult(
-            name="forced_failure", passed=False, max_deviation=1.0, tolerance=0.0
-        )
+        failed = oracle_mod.CheckResult(name="forced_failure", max_deviation=1.0, tolerance=0.0)
         return oracle_mod.CrosscheckReport(
             k=report.k,
             n=report.n,
@@ -500,18 +508,18 @@ def test_verify_reports_failure_exit(capsys, monkeypatch):
     monkeypatch.setattr(oracle_mod, "crosscheck_report", rigged)
     code, out, err = run_cli(capsys, "verify", "-k", "3", "-n", "2")
     assert code == 1
-    assert "FAIL" in err
+    assert "FAIL forced_failure" in err
+    assert json.loads(out)["checks"][-1]["passed"] is False
+    # a check passes when its deviation is within its tolerance, so NaN fails
+    assert not oracle_mod.CheckResult(name="nan", max_deviation=math.nan, tolerance=1.0).passed
 
 
 def test_float_formatting_round_trips():
-    import math
-
     for x in [math.pi, -1.5e-13, 0.1, 3.0, 5.2441151085842401]:
         assert float(cli._fmt(x)) == x
 
 
 def test_word_label_round_trip():
-    assert cli._word_label(Power(2)) == "power:i=2"
     word = ConjComm(g=(0, 2, 1), j=1, l=3)
     assert cli._word_label(word) == "conj_comm:j=1;l=3;g=0.2.1"
 
@@ -582,17 +590,17 @@ def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
 
 
 def _hand_set_matrix():
-    """A (3, 2) period matrix with power rows, a -0.0 entry and values
-    that need all 17 significant digits."""
+    """A (3, 2) period matrix with a zero row, a -0.0 entry, values that
+    need all 17 significant digits and one at the edge of the double range."""
     from gfcperiods import PeriodMatrix, enumerate_forms, enumerate_generators
 
     spec = validate_spec(3, 2, [])
-    rows = tuple(enumerate_generators(spec, include_powers=True))
+    rows = tuple(enumerate_generators(spec))
     cols = tuple(enumerate_forms(spec))
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
-    entries[2:, 0] = np.linspace(-1.0, 1.0, len(rows) - 2) * (0.1 + 1j / 3)
-    entries[3, 0] = complex(-0.0, 5.2441151085842401)
-    entries[4, 0] = complex(1e-300, -1.7976931348623157e308)
+    entries[:, 0] = np.linspace(-1.0, 1.0, len(rows)) * (0.1 + 1j / 3)
+    entries[1, 0] = complex(-0.0, 5.2441151085842401)
+    entries[2, 0] = complex(1e-300, -1.7976931348623157e308)
     return PeriodMatrix(
         rows=rows,
         cols=cols,
@@ -626,14 +634,13 @@ def _element_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-# Curves rendered against the reference: (k, n, lambdas, include_powers).
+# Curves rendered against the reference: (k, n, lambdas).
 _RENDER_CURVES = {
-    "k4n3": (4, 3, [-1.5], False),
-    "k2n4": (2, 4, [-1.5, 2 + 1j], False),
-    "genus0": (2, 2, [], False),
-    "k3n2": (3, 2, [], False),
-    "k3n2_powers": (3, 2, [], True),
-    "k5n3_powers": (5, 3, [-1.5], True),
+    "k4n3": (4, 3, [-1.5]),
+    "k2n4": (2, 4, [-1.5, 2 + 1j]),
+    "genus0": (2, 2, []),
+    "k3n2": (3, 2, []),
+    "k5n3": (5, 3, [-1.5]),
 }
 
 
@@ -641,8 +648,8 @@ _RENDER_CURVES = {
 def _render_matrix(case: str):
     if case == "hand_set":
         return _hand_set_matrix()
-    k, n, lams, powers = _RENDER_CURVES[case]
-    return assemble(validate_spec(k, n, lams), QuadConfig(), include_powers=powers)
+    k, n, lams = _RENDER_CURVES[case]
+    return assemble(validate_spec(k, n, lams), QuadConfig())
 
 
 @pytest.mark.parametrize(
@@ -652,11 +659,8 @@ def _render_matrix(case: str):
         pytest.param("k4n3", [], id="k4n3"),
         pytest.param("k2n4", [], id="k2n4"),
         pytest.param("genus0", ['"forms": []', '"periods": [[], [], [], []]'], id="genus0"),
-        pytest.param("k3n2", ["]], [["], id="k3n2"),
-        pytest.param(
-            "k3n2_powers", ['"generators": [{"type": "power", "i": 1}, '], id="k3n2_powers"
-        ),
-        pytest.param("k5n3_powers", ['"periods": [[[0, 0], [0, 0], '], id="k5n3_powers"),
+        pytest.param("k3n2", ["]], [[", '"generators": [{"type": "conj_comm", '], id="k3n2"),
+        pytest.param("k5n3", [], id="k5n3"),
     ],
 )
 def test_periods_to_json_matches_element_rendering(case, fragments):
@@ -685,8 +689,7 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
         pytest.param("k2n4", [], id="k2n4"),
         pytest.param("genus0", ["\nconj_comm:j=1;l=2;g=0.0\n"], id="genus0"),
         pytest.param("k3n2", ["\nconj_comm:j=1;l=2;g=0.0,"], id="k3n2"),
-        pytest.param("k3n2_powers", ["\npower:i=1,0,0\n"], id="k3n2_powers"),
-        pytest.param("k5n3_powers", ["\npower:i=3,0,0,0,0,"], id="k5n3_powers"),
+        pytest.param("k5n3", [], id="k5n3"),
     ],
 )
 def test_periods_to_csv_matches_element_rendering(case, fragments):
@@ -794,7 +797,7 @@ def _element_basis_csv(payload: dict, result) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("case", ["hand_set", "k4n3", "k2n4", "genus0", "k3n2", "k3n2_powers"])
+@pytest.mark.parametrize("case", ["hand_set", "k4n3", "k2n4", "genus0", "k3n2"])
 def test_basis_rendering_matches_element_rendering(case):
     if case == "hand_set":
         pm, result = _hand_set_basis()

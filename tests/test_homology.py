@@ -26,9 +26,9 @@ def test_generator_list_k2_n2():
 
 def test_generator_counts():
     assert len(enumerate_generators(validate_spec(2, 3, [2.0]))) == 24
-    words = enumerate_generators(validate_spec(3, 2, []), include_powers=True)
-    assert len(words) == 11
-    assert words[0] == Power(1) and words[1] == Power(2)
+    words = enumerate_generators(validate_spec(3, 2, []))
+    assert len(words) == 9
+    assert all(isinstance(word, ConjComm) for word in words)
 
 
 def test_generator_count_formula():

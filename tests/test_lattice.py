@@ -187,8 +187,8 @@ def _reference_first_independent(v, d):
 
 
 @functools.cache
-def _period_matrix(k, n, lams, include_powers=False):
-    return assemble(validate_spec(k, n, list(lams)), QuadConfig(), include_powers)
+def _period_matrix(k, n, lams):
+    return assemble(validate_spec(k, n, list(lams)), QuadConfig())
 
 
 @functools.cache
@@ -345,17 +345,6 @@ def test_character_kept_set_matches_row_loop(k, n, lams):
     assert _kept_by_characters(_period_matrix(k, n, lams)) == ref
 
 
-@pytest.mark.parametrize("k,n,lams", [(4, 2, ()), (3, 3, (-1.5,)), (2, 4, (-1.5, 2 + 1j))])
-def test_character_kept_set_matches_row_loop_with_powers(k, n, lams):
-    pm = _period_matrix(k, n, lams, include_powers=True)
-    v = real_split(pm)
-    ref = _reference_first_independent(v, v.shape[1])
-    assert _kept_by_characters(pm) == ref
-    # the power rows come first and are never kept
-    assert ref[0] >= n
-    assert [i - n for i in ref] == _kept_by_characters(_period_matrix(k, n, lams))
-
-
 def _greedy_monomials(points, k, n):
     """Exponents g, in lex order, whose x**g on the points zeta**chi is
     independent of the lex-smaller ones, by rank."""
@@ -448,7 +437,7 @@ def test_period_matrix_shortfall_names_the_character():
     # its conjugate (3, 2) at rank 0
     pm = _period_matrix(4, 2, ())
     values = pm.values.copy()
-    values[:-1].reshape(-1, len(pm.cols))[:, 0] = 0
+    values.reshape(-1, len(pm.cols))[:, 0] = 0
     bad = dataclasses.replace(pm, values=values)
     with pytest.raises(NotFullRank) as err:
         extract_basis(bad, pm.spec)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -13,7 +14,7 @@ from gfcperiods import (
     period_entry,
     validate_spec,
 )
-from gfcperiods.homology import ConjComm, Power
+from gfcperiods.homology import ConjComm, enumerate_generators
 from gfcperiods.lattice import lattice_rank, real_split
 from gfcperiods.periods import zeta_power
 from gfcperiods.quad import QuadConfig
@@ -84,13 +85,6 @@ def test_assemble_shapes(k, n, lams, shape, quad_cfg):
 def test_assemble_2_3_rank(quad_cfg):
     pm = assemble(validate_spec(2, 3, [2.0]), quad_cfg)
     assert lattice_rank(real_split(pm)) == 2
-
-
-def test_power_rows_are_exact_zero(quad_cfg):
-    pm = assemble(validate_spec(3, 2, []), quad_cfg, include_powers=True)
-    assert isinstance(pm.rows[0], Power) and isinstance(pm.rows[1], Power)
-    assert np.all(pm.entries[:2] == 0)
-    assert np.all(pm.entries[2:] != 0)
 
 
 def test_base_integral_beta_magnitude(quad_cfg):
@@ -245,51 +239,46 @@ def _entry_loop(pm) -> np.ndarray:
     """The matrix built one period_entry call at a time."""
     out = np.zeros(pm.entries.shape, dtype=complex)
     for s, word in enumerate(pm.rows):
-        if isinstance(word, Power):
-            continue
         for c, form in enumerate(pm.cols):
             out[s, c] = period_entry(word, form, pm.base_integrals[:, c], pm.spec.k)
     return out
 
 
 @pytest.mark.parametrize(
-    "k,n,lams,include_powers",
-    [
-        (3, 2, (), True),
-        (2, 4, (2.0, 2.0 + 1.0j), False),
-        (4, 3, (-1.5,), False),
-        (7, 2, (), False),
-    ],
+    "k,n,lams",
+    [(3, 2, ()), (2, 4, (2.0, 2.0 + 1.0j)), (4, 3, (-1.5,)), (7, 2, ())],
 )
-def test_assemble_is_bit_identical_to_entry_loop(k, n, lams, include_powers, quad_cfg):
-    pm = assemble(validate_spec(k, n, lams), quad_cfg, include_powers=include_powers)
+def test_assemble_is_bit_identical_to_entry_loop(k, n, lams, quad_cfg):
+    pm = assemble(validate_spec(k, n, lams), quad_cfg)
     expected = _entry_loop(pm)
     assert np.array_equal(pm.entries.view(np.uint64), expected.view(np.uint64))
     if (k, n) == (2, 4):
         assert np.count_nonzero(pm.entries == 0) > 0
 
 
-@pytest.mark.parametrize(
-    "k,n,lams,include_powers",
-    [
-        (3, 2, (), True),
-        (2, 4, (2.0, 2.0 + 1.0j), False),
-        (2, 2, (), False),
-    ],
-)
-def test_factor_table_layout(k, n, lams, include_powers, quad_cfg):
+# (k, n, lambdas) of the curves whose layout is checked word by word
+_LAYOUT_CURVES = [(3, 2, ()), (2, 4, (2.0, 2.0 + 1.0j)), (2, 2, ()), (3, 3, (-1.5,))]
+
+
+@pytest.mark.parametrize("k,n,lams", _LAYOUT_CURVES)
+def test_factor_table_layout(k, n, lams, quad_cfg):
+    # row s is the s-th word of enumerate_generators, and cell (s, c) reads
+    # the slot of its phase e = (g . M_c) mod k, its pair and form c
     spec = validate_spec(k, n, lams)
-    pm = assemble(spec, quad_cfg, include_powers=include_powers)
-    g = len(pm.cols)
-    assert pm.values.shape == (k * math.comb(n, 2) * g + 1,)
-    assert pm.index.shape == (len(pm.rows), g)
-    assert pm.index.min(initial=0) >= 0
-    assert pm.index.max(initial=0) < pm.values.size
-    # power rows point at the final slot, an exact zero
-    assert pm.values[-1] == 0j
-    powers = [s for s, word in enumerate(pm.rows) if isinstance(word, Power)]
-    assert len(powers) == (n if include_powers else 0)
-    assert np.all(pm.index[powers] == pm.values.size - 1)
+    pm = assemble(spec, quad_cfg)
+    words = enumerate_generators(spec)
+    g, P = len(pm.cols), math.comb(n, 2)
+    assert pm.rows == tuple(words)
+    assert pm.values.shape == (k * P * g,)
+    assert pm.index.shape == (len(words), g)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    radix = k ** np.arange(n - 1, -1, -1)
+    M = np.asarray([f.m_exponents for f in pm.cols]).reshape(g, n)
+    for s, word in enumerate(words):
+        p = pairs.index((word.j, word.l))
+        assert s == p * k**n + np.dot(word.g, radix)
+        e = (M @ np.asarray(word.g)) % k
+        assert pm.index[s].tolist() == ((e * P + p) * g + np.arange(g)).tolist()
     gathered = pm.values[pm.index]
     assert np.array_equal(pm.entries.view(np.uint64), gathered.view(np.uint64))
     if (k, n) == (2, 4):
@@ -297,19 +286,21 @@ def test_factor_table_layout(k, n, lams, include_powers, quad_cfg):
 
 
 def test_identity_rows_start_each_pairs_block(quad_cfg):
-    spec = validate_spec(3, 3, [-1.5])
-    pm = assemble(spec, quad_cfg, include_powers=True)
-    first = pm.identity_rows()
-    block = spec.k**spec.n
-    assert first.tolist() == [spec.n + p * block for p in range(math.comb(spec.n, 2))]
-    radix = spec.k ** np.arange(spec.n - 1, -1, -1)
-    M = np.asarray([f.m_exponents for f in pm.cols])
-    for row in first:
-        base = pm.rows[row]
-        assert base.g == (0,) * spec.n
-        for s in range(row, row + block):
-            word = pm.rows[s]
-            assert (word.j, word.l) == (base.j, base.l)
-            assert s - row == np.dot(word.g, radix)
-            phase = np.exp(2j * np.pi * (M @ np.asarray(word.g)) / spec.k)
-            assert np.allclose(pm.entries[s], phase * pm.entries[row], rtol=1e-14, atol=0)
+    for k, n, lams in _LAYOUT_CURVES:
+        spec = validate_spec(k, n, lams)
+        pm = assemble(spec, quad_cfg)
+        first = pm.identity_rows()
+        block = k**n
+        assert first.tolist() == [p * block for p in range(math.comb(n, 2))]
+        radix = k ** np.arange(n - 1, -1, -1)
+        M = np.asarray([f.m_exponents for f in pm.cols]).reshape(len(pm.cols), n)
+        words = enumerate_generators(spec)
+        for row in first:
+            base = words[row]
+            assert base.g == (0,) * n
+            for s in range(row, row + block):
+                word = words[s]
+                assert (word.j, word.l) == (base.j, base.l)
+                assert s - row == np.dot(word.g, radix)
+                phase = np.exp(2j * np.pi * (M @ np.asarray(word.g)) / k)
+                assert np.allclose(pm.entries[s], phase * pm.entries[row], rtol=1e-14, atol=0)
