@@ -5,13 +5,16 @@ period matrix), basis (extracted lattice basis), verify (oracle
 cross-check report).  Data goes to stdout or --out; diagnostics go to
 stderr.  Exit codes: 2 invalid input or an --out that cannot be written,
 3 numerical failure (no quadrature convergence, a path through a branch
-point, or no route), 4 lattice extraction failure, 1 failed verification.
+point, no route, or a base integral that underflows to 0), 4 lattice
+extraction failure, 1 failed verification.
 
 Each subcommand imports only the modules it runs.  At module level this
-file loads the standard library, errors, curve and homology, which is all
-that info needs; the commands and renderers that use numpy, quad, periods,
-lattice or oracle import them in their own bodies.  So info never loads
-numpy, periods never loads lattice or oracle, and basis never loads oracle.
+file loads the standard library, errors and curve, which is all that info
+needs (it counts the generators, C(n,2) * k**n, without listing them); the
+commands and renderers that use numpy, homology, quad, periods, lattice or
+oracle import them in their own bodies, or through those modules.  So info
+never loads numpy, periods never loads lattice or oracle, and basis never
+loads oracle.
 
 All floating-point output uses 17 significant digits, so parsing the
 emitted JSON or CSV reproduces every double bit-exactly.  Each numeric
@@ -20,13 +23,17 @@ one join: the periods from the PeriodMatrix value table (one entry per
 phase, pair and form) by its index, the basis from the real and imaginary
 parts of that table by the index rows of its kept generators, and the
 coefficients from their value range, unsorted.  Each from_generators row
-is written from its kept generator alone.  The text is the same as
-formatting every element on its own.
+is written from its kept generator alone.  The generator words of the
+period document are written from their layout, with no word object: the
+texts of the conjugators g in Z_k**n are formatted once, in lex order, and
+each pair (j, l) repeats them between its own head and tail.  The text is
+the same as formatting every element on its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -35,12 +42,12 @@ from .curve import validate_spec, enumerate_forms, genus
 from .errors import (
     ClearanceUnachievable,
     GfcError,
+    IntegralUnderflow,
     NoConvergence,
     NotFullRank,
     ReconstructionFailed,
     StepTooCoarse,
 )
-from .homology import enumerate_generators
 
 
 def parse_complex(text: str) -> complex:
@@ -125,16 +132,30 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _generators_json(words, n: int) -> str:
-    """The words as a JSON list of {"type": "conj_comm", "g": [...], "j": ...,
-    "l": ...} objects, through one template."""
-    conj = '{"type": "conj_comm", "g": [' + ", ".join(["%d"] * n) + '], "j": %d, "l": %d}'
-    return "[" + ", ".join(conj % (*w.g, w.j, w.l) for w in words) + "]"
+def _conjugator_texts(k: int, n: int, sep: str) -> list[str]:
+    """The conjugators g in Z_k**n in lex order, each as its digits joined
+    by sep."""
+    digits = [str(d) for d in range(k)]
+    return [sep.join(g) for g in itertools.product(digits, repeat=n)]
 
 
-def _word_label(word) -> str:
-    gs = ".".join(str(v) for v in word.g)
-    return f"conj_comm:j={word.j};l={word.l};g={gs}"
+def _generators_json(k: int, n: int) -> str:
+    """The generators in the PeriodMatrix row layout as a JSON list of
+    {"type": "conj_comm", "g": [...], "j": ..., "l": ...} objects: per
+    pair, one join of the conjugator texts between its tail and the head."""
+    head = '{"type": "conj_comm", "g": ['
+    g_texts = _conjugator_texts(k, n, ", ")
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    tails = [f'], "j": {j}, "l": {l}}}' for j, l in pairs]
+    return "[" + ", ".join(head + (t + ", " + head).join(g_texts) + t for t in tails) + "]"
+
+
+def _generator_labels(k: int, n: int) -> list[str]:
+    """The CSV label conj_comm:j=...;l=...;g=... of every generator, in the
+    PeriodMatrix row layout."""
+    g_texts = _conjugator_texts(k, n, ".")
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return [f"conj_comm:j={j};l={l};g={g}" for j, l in pairs for g in g_texts]
 
 
 def _form_label(form) -> str:
@@ -148,8 +169,8 @@ def periods_to_json(pm) -> str:
         "n": _json_dump(pm.spec.n),
         "lambdas": _json_dump([_pair(v) for v in pm.spec.lambdas]),
         "genus": _json_dump(genus(pm.spec)),
-        "forms": _json_dump([list(f.alpha) for f in pm.cols]),
-        "generators": _generators_json(pm.rows, pm.spec.n),
+        "forms": json.dumps([list(f.alpha) for f in pm.cols]),
+        "generators": _generators_json(pm.spec.k, pm.spec.n),
     })
     tail = ']], "base_point": ' + _json_dump(_pair(pm.base_point)) + "}\n"
     values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
@@ -166,7 +187,7 @@ def periods_to_csv(pm) -> str:
         label = _form_label(f)
         header.extend([f"re_{label}", f"im_{label}"])
     values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
-    texts = ["%.17g,%.17g" % z for z in values] + [_word_label(w) for w in pm.rows]
+    texts = ["%.17g,%.17g" % z for z in values] + _generator_labels(pm.spec.k, pm.spec.n)
     index = np.column_stack((np.arange(pm.values.size, len(texts)), pm.index))
     return _joined(texts, index, ",", "\n", ",".join(header) + "\n", "\n")
 
@@ -259,7 +280,6 @@ def _csv_cell(text: str) -> str:
 
 def info_payload(spec) -> dict:
     forms = enumerate_forms(spec)
-    gens = enumerate_generators(spec)
     return {
         "k": spec.k,
         "n": spec.n,
@@ -267,7 +287,7 @@ def info_payload(spec) -> dict:
         "genus": genus(spec),
         "num_forms": len(forms),
         "forms": [list(f.alpha) for f in forms],
-        "num_generators": len(gens),
+        "num_generators": math.comb(spec.n, 2) * spec.k**spec.n,
     }
 
 
@@ -442,6 +462,9 @@ def main(argv=None) -> int:
         return 3
     except (StepTooCoarse, ClearanceUnachievable) as err:
         print(f"error: branch continuation failed: {err}", file=sys.stderr)
+        return 3
+    except IntegralUnderflow as err:
+        print(f"error: quadrature underflowed: {err}", file=sys.stderr)
         return 3
     except GfcError as err:
         print(f"error: {err}", file=sys.stderr)

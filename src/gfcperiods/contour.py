@@ -261,8 +261,14 @@ def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
         return abs(p - a)
     # complex division scales its operands, where abs(ab) ** 2 overflows
     t = ((p - a) / ab).real
+    if t > 0.5:
+        # measured from b, with the fraction taken from b: from a, p - a and
+        # 1 - t lose p - b when |a| >> |p - b| / eps, and a far leg to b
+        # reads as touching a p near b
+        a, ab = b, -ab
+        t = ((p - a) / ab).real
     t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
+    return abs((p - a) - t * ab)
 
 
 def _line_clear(a: complex, b: complex, pts, clearances: dict[int, float]) -> bool:

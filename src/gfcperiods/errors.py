@@ -48,6 +48,11 @@ class NoConvergence(GfcError):
         self.piece = piece
 
 
+class IntegralUnderflow(GfcError):
+    """A base integral rounded to exactly 0: the curve's periods lie below
+    the double range."""
+
+
 class NotFullRank(GfcError):
     """Generator vectors do not span a rank-2g lattice."""
 

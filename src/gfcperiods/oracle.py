@@ -320,8 +320,9 @@ def crosscheck_report(
         )
     )
 
-    # (b) sampled commutator words vs the closed-form entries; pm.rows runs
-    # over the pairs (j, l) in lex order, each over g in Z_k**n in lex order
+    # (b) sampled commutator words vs the closed-form entries; the rows of
+    # pm.index run over the pairs (j, l) in lex order, each over g in Z_k**n
+    # in lex order
     j = np.asarray([word.j for word in words], dtype=np.int64)
     l = np.asarray([word.l for word in words], dtype=np.int64)
     pair = (j - 1) * (2 * n - j) // 2 + l - j - 1
@@ -382,7 +383,7 @@ def crosscheck_report(
                 max_deviation=worst,
                 tolerance=1e-10,
                 detail=(
-                    f"{len(pm.rows)} generators vs integer combinations of the "
+                    f"{len(pm.index)} generators vs integer combinations of the "
                     f"{2 * len(pm.cols)} basis rows, relative to max |generator entry|"
                 ),
             )

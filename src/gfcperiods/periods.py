@@ -17,7 +17,9 @@ homology and take no rows; the contour oracle re-derives that numerically.
 The conjugator enters only through the phase exponent mod k, so the
 k**n * C(n,2) commutator rows take at most k * C(n,2) * g distinct values.
 assemble computes each of them once and stores the matrix as that table
-and an index array of the same shape as the matrix.
+and an index array of the same shape as the matrix.  The rows follow the
+arithmetic layout of the generating set (see PeriodMatrix), so no word
+object is built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 
 from . import contour, quad
 from .curve import CurveSpec, FormIndex, enumerate_forms
-from .homology import ConjComm, conjugation_phase, enumerate_generators, zeta_power
+from .errors import IntegralUnderflow
+from .homology import ConjComm, conjugation_phase, zeta_power
 from .quad import QuadConfig
 
 
@@ -42,10 +45,11 @@ class PeriodMatrix:
     The matrix is stored factored: values is a 1-D complex table and index
     (rows x cols integers) places its entries, so the period of form c over
     word s is values[index[s, c]].  entries is that matrix, gathered on
-    first access.
+    first access.  Row s = p * k**n + g . (k**(n-1), ..., k, 1) is the
+    conjugated commutator of the p-th pair (j, l) in lexicographic order
+    and the conjugator g; enumerate_generators(spec)[s] spells it out.
     """
 
-    rows: tuple[ConjComm, ...]
     cols: tuple[FormIndex, ...]
     values: np.ndarray
     index: np.ndarray
@@ -67,7 +71,9 @@ def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
     """J[i-1, c] = integral from z0 to r_i of W dw for the c-th form.
 
     All legs start from the default base point with the same principal
-    branch state; each leg's node logs are shared across forms.
+    branch state; each leg's node logs are shared across forms.  A J that
+    is exactly 0 has underflowed, and raises IntegralUnderflow naming its
+    leg and form.
     """
     R = spec.branch_points
     state0 = contour.init_branch(contour.default_base_point(R), R)
@@ -75,6 +81,10 @@ def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
     J = np.zeros((spec.n, len(forms)), dtype=complex)
     for i in range(1, spec.n + 1):
         J[i - 1] = quad.leg_row(state0, i, forms, spec, cfg)
+        zero = np.flatnonzero(J[i - 1] == 0)
+        if zero.size:
+            alpha = forms[zero[0]].alpha
+            raise IntegralUnderflow(f"base integral i={i}, alpha={alpha} is exactly 0")
     return J
 
 
@@ -102,26 +112,25 @@ def _factor_table(forms, J: np.ndarray, k: int):
     values holds one entry per (phase e in Z_k, pair (j, l), form), at
     (e * P + pair) * g + form for the C(n,2) = P pairs in lexicographic
     order and the g forms.  Slots whose M_j or M_l is 0 mod k are exact
-    zeros.  index has the rows of enumerate_generators: row
-    p * k**n + g . (k**(n-1), ..., k, 1) is the p-th pair's conjugator g,
-    and its cell c points at the phase e = (g . M_c) mod k.
+    zeros.  index has one row per generator in the layout of PeriodMatrix:
+    row p * k**n + g . (k**(n-1), ..., k, 1) is the p-th pair's conjugator
+    g, and its cell c points at the phase e = (g . M_c) mod k.
 
     The phase and the prefactor come from tables of Python complex values
-    indexed by exponents mod k.  The two complex products are written out
-    in real arithmetic in the scalar routine's order, (phase * pref) * diff,
-    because numpy's complex multiply may fuse a multiply and an add and
-    round the last bit differently.
+    indexed by exponents mod k, built from the k values zeta_power(k, e).
+    The two complex products are written out in real arithmetic in the
+    scalar routine's order, (phase * pref) * diff, because numpy's complex
+    multiply may fuse a multiply and an add and round the last bit
+    differently.
     """
     n = J.shape[0]
     pairs = list(itertools.combinations(range(n), 2))
     jj = np.asarray([j for j, _ in pairs], dtype=np.intp)
     ll = np.asarray([l for _, l in pairs], dtype=np.intp)
     M = np.asarray([f.m_exponents for f in forms], dtype=np.int64).reshape(len(forms), n) % k
-    zeta = np.asarray([zeta_power(k, e) for e in range(k)])[:, None, None]
-    pref = np.asarray(
-        [[(1 - zeta_power(k, a)) * (1 - zeta_power(k, b)) / k for b in range(k)]
-         for a in range(k)]
-    )
+    powers = [zeta_power(k, e) for e in range(k)]
+    zeta = np.asarray(powers)[:, None, None]
+    pref = np.asarray([[(1 - a) * (1 - b) / k for b in powers] for a in powers])
     Mj, Ml = M[:, jj].T, M[:, ll].T
     b = pref[Mj, Ml]
     ab_re = zeta.real * b.real - zeta.imag * b.imag
@@ -154,7 +163,6 @@ def assemble(spec: CurveSpec, cfg: QuadConfig) -> PeriodMatrix:
     J = base_integrals(spec, cfg)
     values, index = _factor_table(forms, J, spec.k)
     return PeriodMatrix(
-        rows=tuple(enumerate_generators(spec)),
         cols=forms,
         values=values,
         index=index,

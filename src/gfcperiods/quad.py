@@ -498,8 +498,11 @@ def _node_product(P_a, P_b):
 
 def _open_rows(group, todo):
     """A group's columns, its distinct rows among the open forms todo, and
-    each open form's index into those rows."""
+    each open form's index into those rows; the group itself when every
+    form is open, since its rows are the distinct rows of all forms."""
     cols, rows, index = group
+    if len(todo) == len(index):
+        return group
     present, inverse = np.unique(index[todo], return_inverse=True)
     return cols, rows[present], inverse.reshape(-1)
 

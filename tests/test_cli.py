@@ -17,7 +17,7 @@ import gfcperiods
 import gfcperiods.cli as cli
 from gfcperiods import assemble, contour, extract_basis, genus, quad, real_split, validate_spec
 from gfcperiods.errors import NotFullRank, StepTooCoarse
-from gfcperiods.homology import ConjComm
+from gfcperiods.homology import ConjComm, enumerate_generators
 from gfcperiods.quad import QuadConfig
 
 
@@ -30,6 +30,12 @@ def run_cli(capsys, *argv):
 def _generator_dict(word) -> dict:
     """A generator as its JSON object in the period document."""
     return {"type": "conj_comm", "g": list(word.g), "j": word.j, "l": word.l}
+
+
+def _word_label(word) -> str:
+    """A generator as its label in the period table."""
+    gs = ".".join(str(v) for v in word.g)
+    return f"conj_comm:j={word.j};l={word.l};g={gs}"
 
 
 @pytest.mark.parametrize(
@@ -83,6 +89,25 @@ def test_info_csv_rows_read_back_as_the_json_values(capsys):
     for row in rows:
         assert len(row) == 2, row
         assert json.loads(row[1]) == payload[row[0]]
+
+
+def _refuse_words(monkeypatch):
+    """Make listing or building any generator word raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator word was built")
+
+    monkeypatch.setattr(gfcperiods.homology, "enumerate_generators", refuse)
+    monkeypatch.setattr(ConjComm, "__init__", refuse)
+
+
+def test_info_counts_generators_without_words(capsys, monkeypatch):
+    # C(6, 2) * 7**6 = 1,764,735 words, counted, not listed
+    _refuse_words(monkeypatch)
+    argv = ["info", "-k", "7", "-n", "6", "-l", "2", "-l", "3", "-l", "4", "-l", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["num_generators"] == 1_764_735
 
 
 @pytest.mark.parametrize("flag", ["-l", "--lambda"])
@@ -150,7 +175,7 @@ def test_periods_json_round_trip(capsys, tmp_path):
     assert raw["k"] == 3 and raw["n"] == 2
     assert raw["genus"] == 1
     assert raw["forms"] == [list(f.alpha) for f in pm.cols]
-    assert raw["generators"] == [_generator_dict(w) for w in pm.rows]
+    assert raw["generators"] == [_generator_dict(w) for w in enumerate_generators(pm.spec)]
     # [re, im] pairs of doubles viewed as complex, bit for bit
     entries = np.asarray(raw["periods"], dtype=float).view(complex)[..., 0]
     assert np.array_equal(entries, pm.entries)
@@ -170,7 +195,7 @@ def test_periods_csv_round_trip(capsys, tmp_path):
     assert [f.alpha for f in pm.cols] == [(0, 1, 1)]
     assert header == "generator,re_0.1.1,im_0.1.1"
     cells = [line.split(",") for line in lines]
-    assert [row[0] for row in cells] == [cli._word_label(w) for w in pm.rows]
+    assert [row[0] for row in cells] == [_word_label(w) for w in enumerate_generators(pm.spec)]
     entries = np.asarray([row[1:] for row in cells], dtype=float).view(complex)
     assert np.array_equal(entries, pm.entries)
 
@@ -384,8 +409,14 @@ _NUMERIC = tuple(f"gfcperiods.{m}" for m in ("contour", "quad", "periods", "latt
             + ("numpy", *_NUMERIC),
             id="package",
         ),
-        pytest.param("import gfcperiods.cli", ("numpy", *_NUMERIC), id="import"),
-        pytest.param(_run_main("info", "-k", "3", "-n", "2"), ("numpy", *_NUMERIC), id="info"),
+        pytest.param(
+            "import gfcperiods.cli", ("gfcperiods.homology", "numpy", *_NUMERIC), id="import"
+        ),
+        pytest.param(
+            _run_main("info", "-k", "3", "-n", "2"),
+            ("gfcperiods.homology", "numpy", *_NUMERIC),
+            id="info",
+        ),
         pytest.param(
             _run_main("periods", "-k", "3", "-n", "2"),
             ("gfcperiods.lattice", "gfcperiods.oracle"),
@@ -520,8 +551,11 @@ def test_float_formatting_round_trips():
 
 
 def test_word_label_round_trip():
+    # the word's row: pair (1, 3) is the second of (1,2), (1,3), (2,3), and
+    # g = (0, 2, 1) is 0*9 + 2*3 + 1 in the lex order of Z_3**3
     word = ConjComm(g=(0, 2, 1), j=1, l=3)
-    assert cli._word_label(word) == "conj_comm:j=1;l=3;g=0.2.1"
+    labels = cli._generator_labels(3, 3)
+    assert labels[27 + 7] == _word_label(word) == "conj_comm:j=1;l=3;g=0.2.1"
 
 
 def test_periods_step_too_coarse_names_the_leg(capsys, monkeypatch):
@@ -554,30 +588,67 @@ def test_periods_with_a_close_or_far_branch_point_exits_0(capsys, lam):
     assert json.loads(out)["periods"]
 
 
-def test_periods_with_lambda_1e20_refuses_the_route_to_r2(capsys):
-    # the leg to r_1 = 0 now integrates; at this scale the clearance test of
-    # the leg to r_2 = 1 rounds every detour onto a branch point
-    code, out, err = run_cli(capsys, "periods", "-k", "2", "-n", "3", "-l", "1e20")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: branch continuation failed: base integral i=2: no midpoint")
+def test_basis_with_lambda_1e20_matches_the_agm_lattice(capsys):
+    # with the base point about 2e20 away, the leg to r_2 = 1 passes r_1 = 0
+    # closer than one ulp of its start; the clearance test measures that
+    # distance from the nearer end, so the route clears r_1 and the basis
+    # is the i-rotated AGM lattice of the curve
+    code, out, err = run_cli(capsys, "basis", "-k", "2", "-n", "3", "-l", "1e20")
+    assert code == 0, err
+    basis = np.asarray(json.loads(out)["basis"])
+    w1, w2 = gfcperiods.agm_elliptic_periods(1e20)
+    rot = np.asarray([[(1j * w).real, (1j * w).imag] for w in (w1, w2)])
+    same, worst = gfcperiods.oracle._mutual_integer_expressible(basis, rot, 1e-6)
+    assert same and worst < 1e-13, worst
 
 
-@pytest.mark.parametrize("command", ["periods", "verify"])
-@pytest.mark.parametrize("lam", ["1e160", "1e200", "-1e300", "1e300+1e300i"])
-def test_huge_lambda_exits_3_with_one_error_line(command, lam):
-    # the leg clearance test must not square a leg length, which overflows
-    # past |lambda| ~ 1.3e154; such a route fails like the one of -l 1e20
-    argv = [command, "-k", "2", "-n", "3", "-l", lam]
+def _run_child(argv):
     code = f"import sys, gfcperiods.cli\nsys.exit(gfcperiods.cli.main({argv!r}))"
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
     )
+
+
+@pytest.mark.parametrize("lam", ["1e160", "1e200"])
+def test_periods_with_huge_lambda_exits_0(lam):
+    # the leg clearance test must not square a leg length, which overflows
+    # past |lambda| ~ 1.3e154; the periods shrink like |lambda|**-1/2
+    run = _run_child(["periods", "-k", "2", "-n", "3", "-l", lam])
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    periods = np.asarray(json.loads(run.stdout)["periods"])
+    assert np.all(np.isfinite(periods)) and np.all(periods != 0)
+
+
+_UNDERFLOW = "error: quadrature underflowed: base integral i=1, alpha=(0, 1, 1) is exactly 0"
+_ROUTE_IN = "error: quadrature did not converge: loop i=1, route in, alpha=(0, 1, 1): "
+
+
+@pytest.mark.parametrize(
+    "command,lam,message",
+    [
+        # J underflows to exactly 0: refused before any lattice or oracle
+        # step divides by it
+        *(
+            pytest.param(command, lam, _UNDERFLOW, id=f"{lam}-{command}")
+            for lam in ("-1e300", "1e300+1e300i")
+            for command in ("periods", "basis", "verify")
+        ),
+        # the periods exist, but uniform Gauss-Legendre panels run out on the
+        # oracle's route in to r_1 (ROADMAP direction 1, a graded mesh)
+        *(
+            pytest.param("verify", lam, _ROUTE_IN, id=f"{lam}-verify")
+            for lam in ("1e160", "1e200")
+        ),
+    ],
+)
+def test_huge_lambda_exits_3_with_one_error_line(command, lam, message):
+    run = _run_child([command, "-k", "2", "-n", "3", "-l", lam])
     assert run.returncode == 3, run.stderr
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     (line,) = run.stderr.splitlines()
-    assert line.startswith("error: branch continuation failed: base integral i=2: no midpoint")
+    assert line.startswith(message)
 
 
 def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
@@ -592,17 +663,15 @@ def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
 def _hand_set_matrix():
     """A (3, 2) period matrix with a zero row, a -0.0 entry, values that
     need all 17 significant digits and one at the edge of the double range."""
-    from gfcperiods import PeriodMatrix, enumerate_forms, enumerate_generators
+    from gfcperiods import PeriodMatrix, enumerate_forms
 
     spec = validate_spec(3, 2, [])
-    rows = tuple(enumerate_generators(spec))
     cols = tuple(enumerate_forms(spec))
-    entries = np.zeros((len(rows), len(cols)), dtype=complex)
-    entries[:, 0] = np.linspace(-1.0, 1.0, len(rows)) * (0.1 + 1j / 3)
+    entries = np.zeros((3**2, len(cols)), dtype=complex)
+    entries[:, 0] = np.linspace(-1.0, 1.0, len(entries)) * (0.1 + 1j / 3)
     entries[1, 0] = complex(-0.0, 5.2441151085842401)
     entries[2, 0] = complex(1e-300, -1.7976931348623157e308)
     return PeriodMatrix(
-        rows=rows,
         cols=cols,
         values=entries.ravel(),
         index=np.arange(entries.size).reshape(entries.shape),
@@ -671,7 +740,7 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
         "lambdas": [[float(z.real), float(z.imag)] for z in pm.spec.lambdas],
         "genus": genus(pm.spec),
         "forms": [list(f.alpha) for f in pm.cols],
-        "generators": [_generator_dict(w) for w in pm.rows],
+        "generators": [_generator_dict(w) for w in enumerate_generators(pm.spec)],
         "periods": np.stack((pm.entries.real, pm.entries.imag), axis=-1).tolist(),
         "base_point": [float(pm.base_point.real), float(pm.base_point.imag)],
     }
@@ -698,8 +767,8 @@ def test_periods_to_csv_matches_element_rendering(case, fragments):
     for f in pm.cols:
         header.extend(["re_" + cli._form_label(f), "im_" + cli._form_label(f)])
     lines = [",".join(header)]
-    for word, row in zip(pm.rows, pm.entries.tolist()):
-        cells = [cli._word_label(word)]
+    for word, row in zip(enumerate_generators(pm.spec), pm.entries.tolist(), strict=True):
+        cells = [_word_label(word)]
         for z in row:
             cells.extend([format(z.real, ".17g"), format(z.imag, ".17g")])
         lines.append(",".join(cells))
@@ -707,6 +776,32 @@ def test_periods_to_csv_matches_element_rendering(case, fragments):
     assert text == "\n".join(lines) + "\n"
     for fragment in fragments:
         assert fragment in text
+
+
+# (k, n) of the curves whose generator texts are checked word by word
+_WORD_CURVES = [(2, 2), (3, 2), (7, 2), (2, 5), (4, 4)]
+
+
+@pytest.mark.parametrize("k,n", _WORD_CURVES)
+def test_generator_texts_match_the_words(k, n):
+    # the template rendering of each pair's words against one word at a time
+    words = enumerate_generators(validate_spec(k, n, [-1.5, 2 + 1j, 2][: n - 2]))
+    assert json.loads(cli._generators_json(k, n)) == [_generator_dict(w) for w in words]
+    assert cli._generator_labels(k, n) == [_word_label(w) for w in words]
+
+
+def test_periods_path_builds_no_words(monkeypatch):
+    # assemble and both renderers work from the row layout alone; the
+    # documents still list every word, in enumerate_generators order
+    spec = validate_spec(3, 3, [-1.5])
+    words = enumerate_generators(spec)
+    _refuse_words(monkeypatch)
+    pm = assemble(spec, QuadConfig())
+    doc = json.loads(cli.periods_to_json(pm))
+    labels = [line.split(",", 1)[0] for line in cli.periods_to_csv(pm).splitlines()[1:]]
+    monkeypatch.undo()
+    assert doc["generators"] == [_generator_dict(w) for w in words]
+    assert labels == [_word_label(w) for w in words]
 
 
 def test_periods_rendering_needs_no_sort(monkeypatch):
@@ -744,22 +839,21 @@ def _hand_set_basis():
     cells are gathered through an index that is not the identity.  The
     coefficients are negative down to -25507, with gaps in their range,
     and one is 10**6, a range wider than 2**16 and than the matrix."""
-    from gfcperiods import PeriodMatrix, enumerate_forms, enumerate_generators
+    from gfcperiods import PeriodMatrix, enumerate_forms
     from gfcperiods.lattice import LatticeBasis
 
     spec = validate_spec(4, 2, [])
-    rows = tuple(enumerate_generators(spec))
+    rows = 4**2
     cols = tuple(enumerate_forms(spec))
     kept = np.array([0, 2, 3, 7, 8, 13])
     basis = np.diag([1e100] * 6)
     basis[0, 1] = -0.0
     basis[0, 2] = basis[1, 2] = 5.2441151085842401
     basis[3, 0] = basis[3, 4] = -1 / 3
-    entries = np.full((len(rows), len(cols)), 0.25 - 0.5j)
+    entries = np.full((rows, len(cols)), 0.25 - 0.5j)
     # through the parts, so that -0.0 keeps its sign
     entries.real[kept], entries.imag[kept] = basis[:, :3], basis[:, 3:]
     pm = PeriodMatrix(
-        rows=rows,
         cols=cols,
         values=entries.ravel()[::-1].copy(),
         index=np.arange(entries.size)[::-1].reshape(entries.shape),
@@ -767,7 +861,7 @@ def _hand_set_basis():
         base_point=0.5 + 2.25j,
         spec=spec,
     )
-    coefficients = np.zeros((len(rows), 6), dtype=np.int64)
+    coefficients = np.zeros((rows, 6), dtype=np.int64)
     coefficients[kept, np.arange(6)] = 1
     coefficients[[1, 4, 5, 6, 9]] = [
         [1, 0, -2, 0, 0, 0],

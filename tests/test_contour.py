@@ -195,6 +195,30 @@ def test_clear_leg_detours_around_interior_point():
     assert abs(cmath.phase(inbound.end) - cmath.phase(legs[1].start)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "p,a,b,distance",
+    [
+        # the leg to r_2 = 1 from the base point of -l 1e20 and -l -1e20, and
+        # r_1 = 0, closer than one ulp of the start to the leg's end
+        (0j, 3.333333333333333e19 + 2e20j, 1 + 0j, 1.0),
+        (0j, -3.333333333333333e19 + 2e20j, 1 + 0j, 0.98639392383214375),
+        # a far leg along the real axis runs past 0.5 at about 5e-21
+        (0.5 + 0j, -1e20 + 1j, 1 + 0j, 5e-21),
+        # the same legs reversed, measured from their start
+        (0j, 1 + 0j, 3.333333333333333e19 + 2e20j, 1.0),
+        (0.5 + 0j, 1 + 0j, -1e20 + 1j, 5e-21),
+        # ordinary legs: interior, and beyond either end
+        (1j, -1 + 0j, 1 + 0j, 1.0),
+        (3 + 4j, -1 + 0j, 0j, 5.0),
+        (-4 + 3j, 0j, 1 + 0j, 5.0),
+    ],
+)
+def test_point_segment_distance_from_the_nearer_end(p, a, b, distance):
+    # from the far end, p - (a + t (b - a)) rounds onto 0 and a leg passing
+    # at distance 1 reads as touching p
+    assert contour._point_segment_distance(p, a, b) == pytest.approx(distance, rel=1e-12)
+
+
 def test_clear_leg_unachievable_for_degenerate_leg():
     with pytest.raises(ClearanceUnachievable):
         clear_leg(1e-9 + 0j, 1e-9 + 0j, R2, exclude=set())

@@ -315,6 +315,24 @@ def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeyp
             assert np.array_equal(alone, cur)
 
 
+@pytest.mark.parametrize("k,n", [kn for kn, split in _KERNEL_CURVES.items() if split])
+def test_open_rows_of_every_form_are_the_group(k, n):
+    # a group's rows are the distinct rows of all forms, so with every form
+    # open the group is returned as it is, as the unique pass would give it
+    rng = np.random.default_rng(7 * k + n)
+    for E, tie, _, _ in _kernel_cases(k, n, rng):
+        for group in quad._factored(E.tobytes(), E.shape, tie):
+            cols, rows, index = group
+            every = np.arange(len(E))
+            assert quad._open_rows(group, every) is group
+            present, inverse = np.unique(index, return_inverse=True)
+            assert np.array_equal(rows[present], rows)
+            assert np.array_equal(inverse.reshape(-1), index)
+            # a proper subset still keeps only its own rows
+            _, some, at = quad._open_rows(group, every[1:])
+            assert np.array_equal(some[at], rows[index[1:]])
+
+
 @pytest.mark.parametrize("k,n", list(_KERNEL_CURVES))
 @pytest.mark.parametrize("block_values", [None, 1, 200])
 def test_panel_sums_over_pieces_keep_each_piece_bits(k, n, block_values, monkeypatch):
