@@ -348,12 +348,17 @@ def _quad_config(args: argparse.Namespace) -> QuadConfig:
 
 def cmd_info(args: argparse.Namespace) -> int:
     spec = validate_spec(args.k, args.n, args.lambdas)
-    payload = info_payload(spec)
+    # the forms list holds integers only, which json.dumps renders with the
+    # same bytes as _json_dump, and in a fraction of the time
+    texts = {
+        key: json.dumps(val) if key == "forms" else _json_dump(val)
+        for key, val in info_payload(spec).items()
+    }
     if args.fmt == "csv":
-        lines = [f"{key},{_csv_cell(_json_dump(val))}" for key, val in payload.items()]
+        lines = [f"{key},{_csv_cell(text)}" for key, text in texts.items()]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_dump(payload) + "\n", args.out)
+        _emit(_json_object(texts) + "\n", args.out)
     return 0
 
 

@@ -146,10 +146,26 @@ def init_branch(base_point: complex, R) -> BranchState:
     return BranchState(point=z0, logs=tuple(logs), branch_points=pts)
 
 
+def _log(z) -> np.ndarray:
+    """The principal Log of z in real arithmetic: log|z| + i atan2(Im z, Re z).
+
+    numpy's complex log costs about ten times as much.  Near |z| = 1 this
+    keeps only absolute accuracy (a few ulp of max(1, |Log z|)), which is
+    all the continued logs need: they enter the integrand only through
+    exp(E . X).  On the negative real axis the sign of Im z picks +-pi, as
+    in np.log.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
 def _line_logs(lines, tau, sigma, anchors, logs0) -> np.ndarray:
     """Continued logs of w - r, one column per anchor r, at the nodes of
     each line of lines, from that line's row of logs0: logs0 +
-    Log((w - r)/(start - r)), one block of rows per line.
+    Log((w - r)/(start - r)), one block of rows per line.  anchors is one
+    row of anchors for every line, or one row per line.
 
     A node is given by its distance fractions tau from the start and sigma
     from the end, and each difference is taken from the nearer endpoint:
@@ -174,7 +190,7 @@ def _line_logs(lines, tau, sigma, anchors, logs0) -> np.ndarray:
     if offsets.all() and diffs.all():
         last = rests / offsets
         if not ((last.imag == 0) & (last.real <= 0)).any():
-            return logs0[:, None, :] + np.log(diffs / offsets[:, None, :])
+            return logs0[:, None, :] + _log(diffs / offsets[:, None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         last = rests / offsets
     crossed = ((last.imag == 0) & (last.real <= 0)).any(axis=1)
@@ -210,7 +226,7 @@ def _arc_logs(arcs, ts, anchors, logs0) -> np.ndarray:
         raise StepTooCoarse(
             "continuation point coincides with a branch point", piece=int(np.argmin(ok))
         )
-    logs = np.log(rest)
+    logs = _log(rest)
     np.add(logs, 1j * sweep[:, :, None], out=logs, where=inside[:, None, :])
     return logs0[:, None, :] + (logs[:, 1:] - logs[:, :1])
 

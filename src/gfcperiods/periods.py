@@ -71,20 +71,20 @@ def base_integrals(spec: CurveSpec, cfg: QuadConfig) -> np.ndarray:
     """J[i-1, c] = integral from z0 to r_i of W dw for the c-th form.
 
     All legs start from the default base point with the same principal
-    branch state; each leg's node logs are shared across forms.  A J that
-    is exactly 0 has underflowed, and raises IntegralUnderflow naming its
-    leg and form.
+    branch state, and go through one `quad.leg_rows` batch.  A J that is
+    exactly 0 has underflowed, and raises IntegralUnderflow naming its leg
+    and form.
     """
     R = spec.branch_points
     state0 = contour.init_branch(contour.default_base_point(R), R)
     forms = enumerate_forms(spec)
-    J = np.zeros((spec.n, len(forms)), dtype=complex)
-    for i in range(1, spec.n + 1):
-        J[i - 1] = quad.leg_row(state0, i, forms, spec, cfg)
-        zero = np.flatnonzero(J[i - 1] == 0)
-        if zero.size:
-            alpha = forms[zero[0]].alpha
-            raise IntegralUnderflow(f"base integral i={i}, alpha={alpha} is exactly 0")
+    J = quad.leg_rows(state0, range(1, spec.n + 1), forms, spec, cfg)
+    zero = np.argwhere(J == 0)
+    if zero.size:
+        i, c = zero[0]
+        raise IntegralUnderflow(
+            f"base integral i={i + 1}, alpha={forms[c].alpha} is exactly 0"
+        )
     return J
 
 

@@ -17,6 +17,13 @@ level-L nodes are the even-j nodes of level L + 1), so each level after a
 leg's first evaluates only the odd-j nodes it adds and takes the rest of
 its sum from the level before.
 
+The legs of a curve go through one batch, `leg_rows`: one `_refine` gates
+every (leg, form) pair, each level takes the continued logs of all the
+open legs in one call, and legs whose open forms match and whose targets
+lie on the same side of the kernel's column split (below) share one
+kernel call.  Each leg's values have the same bits as in a batch of its
+own.
+
 Smooth pieces all go through one batch, `_gl_batch`: a caller hands over
 every segment it needs at once (a detour prefix, a literal loop path, or
 all the loop pieces of an oracle request), each with its start logs
@@ -41,8 +48,11 @@ to that distance; log sigma is exact).  Every continued log has a closed
 form: along the straight leg the singular factor's is the start value
 plus log sigma, and every other factor's comes from the line rule of the
 contour module, which the Gauss-Legendre pieces (detour prefixes and the
-oracle's loops) share with its arc rule.  The integral beyond a level's
-last node, which the sum leaves out, is added in closed form too.
+oracle's loops) share with its arc rule.  Both rules take the principal
+Log in real arithmetic, as log|z| + i arg z: near |z| = 1 that is
+accurate in absolute terms only, which is all a log that is only
+exponentiated needs.  The integral beyond a level's last node, which the
+sum leaves out, is added in closed form too.
 """
 
 from __future__ import annotations
@@ -132,11 +142,11 @@ def _last_j(level: int) -> int:
 
 @lru_cache(maxsize=32)
 def _last_node(level: int):
-    """sigma, tau and log_sigma of a level's last node, as one-node arrays,
-    and its weight over its sigma."""
+    """A level's last node as a one-node table (see `_de_nodes`), and its
+    weight over its sigma."""
     h = 2.0 ** (-level)
-    sigma, tau, log_sigma, log_weight = _de_table(np.array([h * _last_j(level)]), h)
-    return sigma, tau, log_sigma, math.exp(log_weight[0] - log_sigma[0])
+    table = _de_table(np.array([h * _last_j(level)]), h)
+    return table, math.exp(table[3][0] - table[2][0])
 
 
 def _de_table(t, h: float):
@@ -212,46 +222,60 @@ def tanh_sinh_level(f, a: float, b: float, level: int):
     return 0.5 * span * np.sum(vals * np.exp(log_weight))
 
 
-def _node_logs(start: complex, logs0, target: int, R, log_sigma, tau, sigma):
-    """Continued logs at the nodes of the straight piece from start to the
-    branch point R[target], one row per node and one column per factor,
-    given the nodes' log sigma, tau and sigma.
+def _leg_logs(lines, targets, R, logs0, nodes):
+    """Continued logs at the tanh-sinh nodes of straight legs, one block of
+    rows per leg and one column per factor, then the nodes' log weight as
+    one more column.
 
-    The target's log is logs0[target] + log sigma.  Every other factor's is
-    logs0[s] + Log((w - r_s) / (start - r_s)), by `contour._line_logs`,
-    which takes w - r_s from the nearer end of the piece and raises
-    StepTooCoarse when the piece runs through r_s.
+    Leg m runs along lines[m] to the branch point R[targets[m]], from the
+    start logs logs0[m]; nodes is a node table as `_de_nodes` gives it.
+    The target's log is its start log plus log sigma.  Every other factor's
+    comes from one `contour._line_logs` call for all the legs, each with its
+    own anchors: the line rule raises StepTooCoarse on an anchor at a
+    line's end, so each leg leaves out its target.  A StepTooCoarse names
+    its leg's position as `piece`.
     """
+    sigma, tau, log_sigma, log_weight = nodes
     anchors = np.asarray(R, dtype=complex)
     n = len(R)
-    X = np.empty((len(tau), n), dtype=complex)
-    X[:, target] = logs0[target] + log_sigma
-    others = [s for s in range(n) if s != target]
-    if others:
-        leg = contour.Line(complex(start), anchors[target])
-        X[:, others] = contour._line_logs(
-            [leg], tau, sigma, anchors[others], logs0[None, others]
-        )[0]
+    legs = np.arange(len(lines))
+    logs0 = np.asarray(logs0, dtype=complex).reshape(len(lines), n)
+    others = np.array([[s for s in range(n) if s != t] for t in targets], dtype=np.intp)
+    logs = contour._line_logs(
+        lines, tau, sigma, anchors[others], logs0[legs[:, None], others]
+    )
+    # allocated after the line rule, whose temporaries are larger
+    X = np.empty((len(lines), len(tau), n + 1), dtype=complex)
+    np.put_along_axis(X, others[:, None, :], logs, axis=2)
+    del logs
+    X[legs, :, targets] = logs0[legs, targets][:, None] + log_sigma
+    X[:, :, n] = log_weight
     return X
 
 
-def _leg_rows(start: complex, logs0, target: int, R, E):
-    """rows_at(level, todo) of the tanh-sinh sums over the straight leg from
-    start to the branch point R[target], for the forms E[todo].
+def _leg_rows(lines, targets, R, logs0, E):
+    """rows_at(level, todo) of the tanh-sinh sums over straight legs (as in
+    `_leg_logs`) for the (leg, form) rows todo: row m * len(E) + f is leg
+    m's sum for the form E[f].
 
     Levels nest: the level-L nodes are the even-j nodes t = j 2**-(L+1) of
     level L + 1, where the weights are halved.  So a call at the level
-    after the previous call's, for a subset of its forms (as `_refine`
+    after the previous call's, for a subset of its rows (as `_refine`
     makes them), evaluates only the new odd-j nodes and adds their sum to
     half the previous node sum; any other call evaluates its whole level.
     A leg that converges at level M thus evaluates the nodes of level M
     once in all.
 
-    The node log-weight is appended to the continued logs as one more
-    column, and E gets a column of ones, tied to the target's column in
-    the kernel, so the weight and the power of sigma share one
-    exponential: near the singular end a separate weight factor would
-    underflow while the power of sigma overflows.
+    Each call takes the open legs in blocks that stay within
+    _BLOCK_VALUES, with one `_leg_logs` call per block.  The node
+    log-weight is the logs' last column, and E gets a column of ones, tied
+    to the target's column in the kernel, so the weight and the power of
+    sigma share one exponential: near the singular end a separate weight
+    factor would underflow while the power of sigma overflows.  The tie
+    moves no cut of `_factored`, so the legs of a block whose targets lie
+    on the same side of it, and whose open forms match, share one kernel
+    call, each with its own D / 2 as its weight; its sums have the same
+    bits as alone.
 
     Each returned value adds the integral beyond the level's last node J,
     which its sum leaves out.  There W is sigma**e_t (e_t the target
@@ -261,38 +285,63 @@ def _leg_rows(start: complex, logs0, target: int, R, E):
     For e_t near -1 (large k) the piece is significant: it is about
     sigma_J**(1 + e_t) of the integral.  The gate scale is |I|.
     """
-    logs0 = np.asarray(logs0, dtype=complex)
-    n = len(R)
-    D = complex(R[target]) - complex(start)
-    E1 = np.hstack([E, np.ones((len(E), 1))])
-    rise = 1.0 / (1.0 + E[:, target])
+    n, size = len(R), len(E)
+    targets = np.asarray(targets, dtype=np.intp)
+    logs0 = np.asarray(logs0, dtype=complex).reshape(len(lines), n)
+    D = np.array([line.end - line.start for line in lines], dtype=complex)
+    E1 = np.hstack([E, np.ones((size, 1))])
+    rise = 1.0 / (1.0 + E[:, targets])
+    ties = [(int(t), n) for t in targets]
+    # each leg's tie class: the side of the cut its target lies on
+    sides = []
+    for tie in ties:
+        split = _factored(E1.tobytes(), E1.shape, tie)
+        sides.append(split is None or tie[0] in split[0][0])
     last = None
 
     def rows_at(level, todo):
         nonlocal last
         new = last is not None and last[0] == level - 1
-        sigma, tau, log_sigma, log_weight = _de_nodes(level, new)
-        # one more row for the level's last node J, for the tail beyond it
-        j_sigma, j_tau, j_log_sigma, ratio = _last_node(level)
-        X = np.empty((len(tau) + 1, n + 1), dtype=complex)
-        X[:, :n] = _node_logs(
-            start,
-            logs0,
-            target,
-            R,
-            np.append(log_sigma, j_log_sigma),
-            np.append(tau, j_tau),
-            np.append(sigma, j_sigma),
-        )
-        X[:-1, n] = log_weight
-        sums = _panel_sums(E1, todo, X[None, :-1], 0.5 * D, tie=(target, n))[0][0]
+        # one more node, the level's last node J, for the tail beyond it
+        j_table, ratio = _last_node(level)
+        nodes = [np.append(a, b) for a, b in zip(_de_nodes(level, new), j_table)]
+        leg, form = np.divmod(todo, size)
+        first = np.flatnonzero(np.diff(leg, prepend=-1))
+        forms_of = np.split(form, first[1:])
+        sums = np.empty(len(todo), dtype=complex)
+        at_j = np.empty((len(lines), n), dtype=complex)
+        # a block's logs and the line rule's temporaries, about four arrays
+        # of that size, stay within _BLOCK_VALUES
+        fit = max(1, _BLOCK_VALUES // (4 * len(nodes[0]) * (n + 1)))
+        for b in range(0, len(first), fit):
+            ats = first[b : b + fit]
+            legs = leg[ats]
+            try:
+                X = _leg_logs([lines[m] for m in legs], targets[legs], R, logs0[legs], nodes)
+            except StepTooCoarse as err:
+                err.piece = int(legs[err.piece])
+                raise
+            at_j[legs] = X[:, -1, :n]
+            groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+            for p, at in enumerate(ats):
+                forms = forms_of[b + p]
+                groups.setdefault((sides[leg[at]], forms.tobytes()), (forms, []))[1].append(p)
+            for forms, ps in groups.values():
+                # a view of the block's logs where the group is a run of legs
+                run = slice(ps[0], ps[-1] + 1) if ps[-1] - ps[0] == len(ps) - 1 else ps
+                vw = np.broadcast_to(0.5 * D[legs[run], None], (len(ps), len(nodes[0]) - 1))
+                cur = _panel_sums(E1, forms, X[run, :-1], vw, tie=ties[legs[ps[0]]])[0]
+                sums[ats[ps, None] + np.arange(len(forms))] = cur
+            del X  # before the next block's logs are made
         if new:
-            sums = 0.5 * last[2][np.searchsorted(last[1], todo)] + sums
+            sums += 0.5 * last[2][np.searchsorted(last[1], todo)]
         last = level, todo, sums
         # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
-        x, Et = X[-1, :n], E[todo]
-        scaled = np.exp(Et @ x.real + j_log_sigma[0] + 1j * (Et @ x.imag))
-        cur = sums + scaled * D * (rise[todo] - 0.25 * ratio)
+        x, Et = at_j[leg], E[form]
+        scaled = np.exp(
+            (Et * x.real).sum(axis=1) + j_table[2][0] + 1j * (Et * x.imag).sum(axis=1)
+        )
+        cur = sums + scaled * D[leg] * (rise[form, leg] - 0.25 * ratio)
         return cur, np.abs(cur)
 
     return rows_at
@@ -433,8 +482,13 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
 
     def powers(rows, ps, ns, cols):
         Xs = X[ps, ns, cols].transpose(0, 2, 1)
-        # Real products: np.exp right after a complex matmul ran ~8x slower (OpenBLAS).
-        return np.exp(rows @ Xs.real + 1j * (rows @ Xs.imag))
+        # Real products: np.exp right after a complex matmul ran ~8x slower
+        # (OpenBLAS).  They fill one complex array, exponentiated in place,
+        # where a + 1j * b would build two complex temporaries.
+        out = np.empty((Xs.shape[0], len(rows), Xs.shape[2]), dtype=complex)
+        out.real = rows @ Xs.real
+        out.imag = rows @ Xs.imag
+        return np.exp(out, out=out)
 
     def weights(ps, ns):
         return vw if np.ndim(vw) == 0 else vw[ps, None, ns]
@@ -534,37 +588,74 @@ def integrate_smooth(
     return row, BranchState(point=end, logs=tuple(logs[-1]), branch_points=R)
 
 
+def leg_rows(
+    state: BranchState, legs, forms: list[FormIndex], spec: CurveSpec, cfg: QuadConfig
+) -> np.ndarray:
+    """Integrals of W dw from the state's point to each branch point r_i, i
+    in legs: one row per leg and one column per form.
+
+    Each leg follows the route of `contour.clear_leg`, which the oracle's
+    loop around r_i shares.  The detour prefixes of all the legs go through
+    one `_gl_batch` call, and the singular final pieces through one
+    `_refine` over (leg, form) rows, so each level evaluates its new nodes
+    once for every leg and form still open (`_leg_rows`).  Each row has the
+    same bits as the leg's own call.  A NoConvergence names i and the
+    alpha of the first form that did not converge; a routing or
+    continuation failure names only i, because the node logs serve every
+    form.
+    """
+    R = state.branch_points
+    routes, chains = [], []
+    for i in legs:
+        try:
+            route = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
+            chains.append(contour.chain_logs(route[:-1], R, state.logs))
+        except (ClearanceUnachievable, StepTooCoarse) as err:
+            raise type(err)(f"base integral i={i}: {err}") from err
+        routes.append(route)
+    rows = np.zeros((len(routes), len(forms)), dtype=complex)
+    if not forms:
+        return rows
+    E = contour.exponent_matrix(forms, spec.k, spec.n)
+    try:
+        # the leg of each detour prefix segment, every route piece but the last
+        owner = [m for m, route in enumerate(routes) for _ in route[1:]]
+        if owner:
+            prefixes = [seg for route in routes for seg in route[:-1]]
+            starts = [logs for chain in chains for logs in chain[:-1]]
+            try:
+                prefix_rows = _gl_batch(prefixes, starts, R, E, cfg)
+            except (NoConvergence, StepTooCoarse) as err:
+                err.piece = owner[err.piece]
+                raise
+            for m, values in zip(owner, prefix_rows):
+                rows[m] += values
+        rows_at = _leg_rows(
+            [route[-1] for route in routes],
+            [i - 1 for i in legs],
+            R,
+            [chain[-1] for chain in chains],
+            E,
+        )
+        levels = range(cfg.level, cfg.max_level + 1)
+        try:
+            rows += _refine(
+                rows_at, levels, rows.size, cfg.rel_tol, "tanh-sinh level"
+            ).reshape(rows.shape)
+        except NoConvergence as err:
+            err.piece, err.form = divmod(err.form, len(forms))
+            raise
+    except NoConvergence as err:
+        i, alpha = legs[err.piece], forms[err.form].alpha
+        raise NoConvergence(f"base integral i={i}, alpha={alpha}: {err}", err.form) from err
+    except StepTooCoarse as err:
+        raise StepTooCoarse(f"base integral i={legs[err.piece]}: {err}") from err
+    return rows
+
+
 def leg_row(
     state: BranchState, i: int, forms: list[FormIndex], spec: CurveSpec, cfg: QuadConfig
 ) -> np.ndarray:
     """Integrals of W dw from the state's point to branch point r_i, one
-    per form.
-
-    The leg follows the route of `contour.clear_leg`, which the oracle's
-    loop around r_i shares.  Any detour prefix goes through the smooth
-    kernel and the singular final piece through the tanh-sinh rows, each
-    once for all forms: every level evaluates its new nodes once for the
-    forms still open.  A NoConvergence names i and the alpha of the first
-    form that did not converge; a routing or continuation failure names
-    only i, because the node logs serve every form.
-    """
-    R = state.branch_points
-    row = np.zeros(len(forms), dtype=complex)
-    try:
-        legs = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
-        if not forms:
-            return row
-        start = state
-        if len(legs) > 1:
-            prefix = Path(segments=tuple(legs[:-1]))
-            row, start = integrate_smooth(prefix, state, forms, spec, cfg)
-        E = contour.exponent_matrix(forms, spec.k, spec.n)
-        rows_at = _leg_rows(legs[-1].start, start.logs, i - 1, R, E)
-        levels = range(cfg.level, cfg.max_level + 1)
-        row += _refine(rows_at, levels, len(forms), cfg.rel_tol, "tanh-sinh level")
-    except NoConvergence as err:
-        alpha = forms[err.form].alpha
-        raise NoConvergence(f"base integral i={i}, alpha={alpha}: {err}", err.form) from err
-    except (ClearanceUnachievable, StepTooCoarse) as err:
-        raise type(err)(f"base integral i={i}: {err}") from err
-    return row
+    per form: `leg_rows` with one leg."""
+    return leg_rows(state, [i], forms, spec, cfg)[0]

@@ -91,6 +91,21 @@ def test_info_csv_rows_read_back_as_the_json_values(capsys):
         assert json.loads(row[1]) == payload[row[0]]
 
 
+@pytest.mark.parametrize(
+    "k,n,lams", [(4, 2, []), (2, 4, ["-1.5", "2+1i"]), (3, 3, ["-1.5"])]
+)
+def test_info_matches_element_rendering(capsys, k, n, lams):
+    argv = ["info", "-k", str(k), "-n", str(n), *(f"--lambda={lam}" for lam in lams)]
+    _, out_json, _ = run_cli(capsys, *argv)
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = cli.info_payload(validate_spec(k, n, [cli.parse_complex(x) for x in lams]))
+    assert out_json == _element_json(payload) + "\n"
+    cells = [_element_json(value) for value in payload.values()]
+    cells = [f'"{c}"' if "," in c else c for c in cells]
+    assert out_csv == "".join(f"{key},{c}\n" for key, c in zip(payload, cells))
+
+
 def _refuse_words(monkeypatch):
     """Make listing or building any generator word raise."""
 
@@ -562,12 +577,16 @@ def test_periods_step_too_coarse_names_the_leg(capsys, monkeypatch):
     # a leg whose continuation fails names its base integral.  Each leg takes
     # its differences from the nearer end, so no valid curve now runs a leg
     # through a branch point (-l 1e20 used to, on the leg to r_1 = 0): the
-    # failure is forced on that leg
+    # failure is forced on that leg, named by its position among the lines
+    # of the call as the line rule names it
     line_logs = contour._line_logs
 
     def through_r1(lines, *args):
-        if lines[0].end == 0:
-            raise StepTooCoarse("continuation point coincides with a branch point")
+        ends = [line.end for line in lines]
+        if 0 in ends:
+            raise StepTooCoarse(
+                "continuation point coincides with a branch point", piece=ends.index(0)
+            )
         return line_logs(lines, *args)
 
     monkeypatch.setattr(contour, "_line_logs", through_r1)

@@ -321,9 +321,10 @@ def test_loop_circles_close_on_the_deck_offset(k, n, lams):
 
 
 def _leg_node_logs(start, logs0, target, R):
-    """The node logs of the level-2 tanh-sinh leg from start to R[target]."""
-    sigma, tau, log_sigma, _ = quad._de_nodes(2)
-    return quad._node_logs(start, logs0, target, R, log_sigma, tau, sigma)
+    """The node logs of the level-2 tanh-sinh leg from start to R[target],
+    as a batch of one leg."""
+    line = Line(start, complex(R[target]))
+    return quad._leg_logs([line], [target], R, [logs0], quad._de_nodes(2))[0]
 
 
 @pytest.mark.parametrize(
@@ -344,3 +345,29 @@ def test_a_path_through_a_branch_point_raises(logs):
         warnings.simplefilter("error")
         with pytest.raises(StepTooCoarse, match="coincides with a branch point"):
             logs(logs0)
+
+
+def test_real_log_matches_np_log_in_absolute_terms():
+    # the continued logs enter J only through exp(E . X), so only the
+    # absolute error of Log counts: a few ulp of max(1, |Log z|), over the
+    # double range and within 1e-12 of |z| = 1
+    rng = np.random.default_rng(0)
+    moduli = np.concatenate(
+        [10.0 ** np.linspace(-300, 300, 1201), 1.0 + np.linspace(-1e-12, 1e-12, 401)]
+    )
+    z = moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, moduli.size))
+    z = np.concatenate([z, moduli + 0j, 1j * moduli, -1j * moduli])
+    exact = np.log(z)
+    err = np.abs(contour._log(z) - exact)
+    assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(exact)))
+    # on the negative real axis the sign of the imaginary zero picks the side
+    # of the cut, +pi or -pi, as in np.log
+    for zero, arg in ((0.0, math.pi), (-0.0, -math.pi)):
+        axis = np.empty(7, dtype=complex)
+        axis.real = [-1e-300, -1e-5, -0.5, -1.0, -1.0 - 1e-13, -3.0, -1e300]
+        axis.imag = zero
+        logs = contour._log(axis)
+        assert np.all(logs.imag == arg)
+        assert np.array_equal(logs.imag, np.log(axis).imag)
+        err = np.abs(logs.real - np.log(axis).real)
+        assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(logs.real)))

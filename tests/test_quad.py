@@ -23,6 +23,14 @@ from gfcperiods.periods import base_integrals
 from gfcperiods.quad import QuadConfig, leg_row, tanh_sinh, tanh_sinh_level
 
 
+def _one_leg_rows(state, i, E):
+    """The tanh-sinh rows_at of the straight leg from the state's point to
+    r_i alone: its rows are the forms."""
+    R = state.branch_points
+    line = Line(state.point, complex(R[i - 1]))
+    return quad._leg_rows([line], [i - 1], R, [state.logs], E)
+
+
 def _beta_oracle(a, b):
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
@@ -177,7 +185,7 @@ def test_leg_ladder_converges_across_desk_scale(quad_cfg):
             E = exponent_matrix(sample, spec.k, spec.n)
             every = np.arange(len(sample))
             for i in range(1, n + 1):
-                rows_at = quad._leg_rows(z0, state.logs, i - 1, R, E)
+                rows_at = _one_leg_rows(state, i, E)
                 levels = [rows_at(lvl, every)[0] for lvl in range(quad_cfg.level, 12)]
                 for values in np.transpose(levels):
                     diffs = [
@@ -243,6 +251,62 @@ def test_leg_row_over_all_forms_matches_each_form_alone(
         for c, form in enumerate(forms):
             (alone,) = leg_row(state, i, [form], spec, quad_cfg)
             assert abs(alone - whole[c]) <= 1e-14 * scale
+
+
+# (k, n, lambdas) of curves whose legs batch in different ways
+_BATCH_CURVES = {
+    # leg 1 takes a midpoint detour, and refines to level 11
+    "detour": (4, 3, [0.115 + 0.842j]),
+    # one leg refines to level 7, the others stop earlier
+    "deep": (2, 5, [-1.5, 2 + 1j, 2.0]),
+    # split kernel, with targets on both sides of the cut
+    "split": (4, 4, [-1.5, 2 + 1j]),
+    # unsplit kernel
+    "unsplit": (3, 3, [-1.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CURVES))
+@pytest.mark.parametrize("block_values", [None, 1])
+def test_batched_legs_match_each_leg_alone(case, block_values, quad_cfg, monkeypatch):
+    # J from one batch over the curve's legs has the bits of each leg's own
+    # batch, whether its legs share kernel calls or, in blocks of one value,
+    # go through the kernel one at a time
+    k, n, lams = _BATCH_CURVES[case]
+    spec = validate_spec(k, n, lams)
+    forms = enumerate_forms(spec)
+    R = spec.branch_points
+    state = init_branch(default_base_point(R), R)
+    routes = [clear_leg(state.point, complex(R[i]), R, exclude={i}) for i in range(n)]
+    E = exponent_matrix(forms, k, n)
+    E1 = np.hstack([E, np.ones((len(E), 1))])
+    splits = [quad._factored(E1.tobytes(), E1.shape, (t, n)) for t in range(n)]
+    sides = {split is not None and t in split[0][0] for t, split in enumerate(splits)}
+    assert (max(map(len, routes)) == 2) == (case == "detour")
+    assert (None in splits) == (case != "split")
+    assert len(sides) == (2 if case == "split" else 1)
+    if block_values is not None:
+        monkeypatch.setattr(quad, "_BLOCK_VALUES", block_values)
+    pieces, levels = [], []
+    kernel, last_node = quad._panel_sums, quad._last_node
+
+    def counted_kernel(E, todo, X, vw, magnitudes=False, tie=None):
+        if tie is not None:
+            pieces.append(X.shape[0])
+        return kernel(E, todo, X, vw, magnitudes=magnitudes, tie=tie)
+
+    def counted_last_node(level):
+        levels.append(level)
+        return last_node(level)
+
+    monkeypatch.setattr(quad, "_panel_sums", counted_kernel)
+    monkeypatch.setattr(quad, "_last_node", counted_last_node)
+    J = base_integrals(spec, quad_cfg)
+    # one kernel call per tie class at the first level, or one per leg
+    assert max(pieces) == (1 if block_values else n // len(sides))
+    assert max(levels) == {"detour": 11, "deep": 7}.get(case, 5)
+    for i in range(1, n + 1):
+        assert np.array_equal(J[i - 1], leg_row(state, i, forms, spec, quad_cfg)), i
 
 
 def _kernel_reference(E, X, vw):
@@ -421,10 +485,10 @@ def test_paired_gate_value_is_the_level_value(k, n, lams, level, monkeypatch):
     nodes = _count_nodes(monkeypatch)
     for i in straight:
         nodes.clear()
-        stepped = quad._leg_rows(state.point, state.logs, i - 1, R, E)
+        stepped = _one_leg_rows(state, i, E)
         stepped(level, every)
         following, _ = stepped(level + 1, every)
-        fresh, _ = quad._leg_rows(state.point, state.logs, i - 1, R, E)(level + 1, every)
+        fresh, _ = _one_leg_rows(state, i, E)(level + 1, every)
         assert nodes == [
             _node_count(level),
             _node_count(level + 1) - _node_count(level),
@@ -464,9 +528,8 @@ def test_closed_form_logs_match_a_continued_log(k, n, lams):
     with mpmath.workdps(30):
         start = mpmath.mpc(state.point)
         for i in straight:
-            X = quad._node_logs(
-                state.point, np.asarray(state.logs), i - 1, R, log_sigma, tau, sigma
-            )
+            line = Line(state.point, complex(R[i - 1]))
+            X = quad._leg_logs([line], [i - 1], R, [state.logs], quad._de_nodes(4))[0]
             end = mpmath.mpc(complex(R[i - 1]))
             D = end - start
             for s in range(n):
