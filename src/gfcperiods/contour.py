@@ -12,7 +12,7 @@ recovers the correct sheet of W everywhere.  `_kind_logs` gives the
 continued logs at any nodes of several lines, or of several arcs, in
 closed form, each node on its own, and raises StepTooCoarse naming a
 segment that runs through a branch point; `chain_logs` carries the logs
-from segment to segment.
+from segment to segment, for many chains at once.
 
 Paths are chains of line segments and circular arcs.  `clear_leg` is the
 one routing decision: the straight line from the base point to a branch
@@ -251,15 +251,47 @@ def _kind_velocity(segs, ts) -> np.ndarray:
     return coef[:, None] * np.exp(1j * (angles + ts * sweeps))
 
 
-def chain_logs(segments, R, logs0) -> list[np.ndarray]:
-    """Continued logs at the start of each segment of a chain, then at its
-    end.  Each segment's logs at parameter 1 start the next; they are the
-    same whatever other parameters the segment is evaluated at."""
+def chain_logs(chains, R, logs0) -> list[np.ndarray]:
+    """Continued logs at the start of each segment of each chain, then at
+    its end: one array of len(chain) + 1 rows per chain, from the chain's
+    row of logs0.
+
+    A segment's log increment from its start to its end (parameter 1) is
+    the same whatever other parameters it is evaluated at.  Every
+    segment's comes from one `_kind_logs` call per segment kind, and each
+    chain adds its increments in segment order, so its logs have the bits
+    of a chain of its own.  A StepTooCoarse names as piece the position of
+    the first failing segment among all the chains' segments, in order.
+    """
     anchors = np.asarray(R, dtype=complex)
-    logs = [np.asarray(logs0, dtype=complex)]
-    for seg in segments:
-        logs.append(_kind_logs([seg], np.ones(1), anchors, logs[-1][None])[0, 0])
-    return logs
+    logs0 = np.asarray(logs0, dtype=complex).reshape(len(chains), len(anchors))
+    segs = [seg for chain in chains for seg in chain]
+    rises = np.zeros((len(segs), len(anchors)), dtype=complex)
+    is_arc = np.array([isinstance(seg, Arc) for seg in segs], dtype=bool)
+    failed = []
+    for arc in (False, True):
+        slot = np.flatnonzero(is_arc == arc)
+        if not slot.size:
+            continue
+        try:
+            rises[slot] = _kind_logs(
+                [segs[s] for s in slot], np.ones(1), anchors, rises[slot]
+            )[:, 0]
+        except StepTooCoarse as err:
+            err.piece = int(slot[err.piece])
+            failed.append(err)
+    if failed:
+        raise min(failed, key=lambda err: err.piece)
+    # each chain's start and rises in a row of its own, padded at the end
+    lengths = [len(chain) for chain in chains]
+    rows = np.zeros((len(chains), max(lengths, default=0) + 1, len(anchors)), dtype=complex)
+    rows[:, 0] = logs0
+    at = 0
+    for c, length in enumerate(lengths):
+        rows[c, 1 : length + 1] = rises[at : at + length]
+        at += length
+    logs = np.cumsum(rows, axis=1)
+    return [logs[c, : length + 1] for c, length in enumerate(lengths)]
 
 
 def exponent_matrix(forms, k: int, n: int) -> np.ndarray:

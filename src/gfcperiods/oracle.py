@@ -86,26 +86,40 @@ class WordIntegrator:
 
         Only the +1 loop's route in (I_in) and circle (C, log offsets d)
         are integrated; their start logs are chained up front in closed
-        form.  The way out walks the route in backwards from offsets d,
-        which gives -T I_in with T = exp(E d); the -1 loop is the +1 loop
-        walked backwards from offsets -d, which gives -V+/T.  A failure is
+        form, for all the loops in one `contour.chain_logs` call.  The way
+        out walks the route in backwards from offsets d, which gives
+        -T I_in with T = exp(E d); the -1 loop is the +1 loop walked
+        backwards from offsets -d, which gives -V+/T.  A failure is
         re-raised naming the loop and its piece, and a NoConvergence also
         the form.
         """
-        segments, starts, owners, spans = [], [], [], []
+        routes, failure = [], None
         for i in loops:
-            piece = "route in"
             try:
-                inbound, circle = contour.loop_pieces(self.base_point, i, self.R)
-                logs = contour.chain_logs(inbound, self.R, self.state0.logs)
-                piece = "circle"
-                end = contour.chain_logs((circle,), self.R, logs[-1])[-1]
-            except (ClearanceUnachievable, StepTooCoarse) as err:
-                raise type(err)(f"loop i={i}, {piece}: {err}") from err
-            spans.append((i, len(segments), len(inbound), end - logs[-1]))
-            segments += inbound + (circle,)
-            starts += logs
-            owners += [(i, "route in")] * len(inbound) + [(i, "circle")]
+                routes.append(contour.loop_pieces(self.base_point, i, self.R))
+            except ClearanceUnachievable as err:
+                failure = err
+                break
+        segments = [seg for inbound, circle in routes for seg in inbound + (circle,)]
+        owners = [
+            (i, piece)
+            for i, (inbound, _) in zip(loops, routes)
+            for piece in ["route in"] * len(inbound) + ["circle"]
+        ]
+        try:
+            chains = contour.chain_logs(
+                [inbound + (circle,) for inbound, circle in routes],
+                self.R,
+                [self.state0.logs] * len(routes),
+            )
+        except StepTooCoarse as err:
+            i, piece = owners[err.piece]
+            raise StepTooCoarse(f"loop i={i}, {piece}: {err}") from err
+        # a routing failure comes after the continuation of the loops before it
+        if failure is not None:
+            i = loops[len(routes)]
+            raise ClearanceUnachievable(f"loop i={i}, route in: {failure}") from failure
+        starts = [logs for chain in chains for logs in chain[:-1]]
         try:
             rows = quad._gl_batch(segments, starts, self.R, self._E, self.cfg)
         except NoConvergence as err:
@@ -117,14 +131,18 @@ class WordIntegrator:
         except StepTooCoarse as err:
             i, piece = owners[err.piece]
             raise StepTooCoarse(f"loop i={i}, {piece}: {err}") from err
-        for i, first, count, d in spans:
+        first = 0
+        for i, (inbound, _), chain in zip(loops, routes, chains):
+            count = len(inbound)
             I_in = np.zeros(len(self.forms), dtype=complex)
             for row in rows[first : first + count]:
                 I_in += row
+            d = chain[-1] - chain[-2]
             T = np.exp(self._E @ d.real + 1j * (self._E @ d.imag))
             V = I_in + rows[first + count] - T * I_in
             self._loops[i, +1] = (V, d)
             self._loops[i, -1] = (-V / T, -d)
+            first += count + 1
 
     def _loop_row(self, i: int, orientation: int):
         """Loop integrals of all forms from the reference state and the

@@ -15,22 +15,29 @@ nodes, and a form leaves the loop at the first step that agrees with the
 previous one to the relative tolerance.  Tanh-sinh levels nest (the
 level-L nodes are the even-j nodes of level L + 1), so each level after a
 leg's first evaluates only the odd-j nodes it adds and takes the rest of
-its sum from the level before.
+its sum from the level before.  No form can leave before the second
+step, so the first pass takes the first two steps at once where one leg
+or piece of both fits the kernel's block budget: one node table holds
+both steps' nodes (the start level's and the next level's new ones, or
+the 4- and 8-panel meshes), and the kernel returns a sum per step's node
+range, each with the bits of a pass of its own.  Every later pass takes
+one step.
 
 The legs of a curve go through one batch, `leg_rows`: one `_refine` gates
-every (leg, form) pair, each level takes the continued logs of all the
+every (leg, form) pair, each pass takes the continued logs of all the
 open legs in one call, and legs whose open forms match and whose targets
 lie on the same side of the kernel's column split (below) share one
 kernel call.  Each leg's values have the same bits as in a batch of its
 own.
 
 Smooth pieces all go through one batch, `_gl_batch`: a caller hands over
-every segment it needs at once (a detour prefix, a literal loop path, or
-all the loop pieces of an oracle request), each with its start logs
-chained up front in closed form.  One refinement loop gates every
-(segment, form) pair, and each panel count makes one kernel call per set
-of open forms, with a piece axis; the kernel gives every piece the same
-bits as a call of its own.
+every segment it needs at once (all the detour prefixes of the legs, a
+literal loop path, or all the loop pieces of an oracle request), each
+with its start logs chained up front in closed form, for all its chains
+in one `contour.chain_logs` call.  One refinement loop gates every
+(segment, form) pair, and each pass makes one kernel call per set of open
+forms, with a piece axis; the kernel gives every piece the same bits as a
+call of its own.
 
 A form's term at a node is exp(E . X): E its exponent row, X the node's
 continued logs.  Column 0 of the forms' exponent matrix takes at most
@@ -84,7 +91,7 @@ _BLOCK_VALUES = 2 ** 21
 _CHUNK_NODES = 64
 # Highest tanh-sinh level, 2 floor(_T_MAX 2**18) + 1 = 3.2M nodes.  A leg
 # that starts there holds them all in one node table: `periods -k 3 -n 2
-# --level 18 --max-level 18` peaks at 472 MB.
+# --level 18 --max-level 18` peaks at 499 MB (numpy 2.4, Linux x86-64).
 _LEVEL_CAP = 18
 
 
@@ -140,6 +147,12 @@ def _last_j(level: int) -> int:
     return math.floor(_T_MAX * 2.0**level)
 
 
+def _level_size(level: int, new: bool = False) -> int:
+    """The node count of `_de_nodes(level, new)`, without building it."""
+    last = _last_j(level)
+    return 2 * ((last + 1) // 2) if new else 2 * last + 1
+
+
 @lru_cache(maxsize=32)
 def _last_node(level: int):
     """A level's last node as a one-node table (see `_de_nodes`), and its
@@ -172,26 +185,31 @@ def _de_table(t, h: float):
 def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
     """The one refinement loop of both kernels.
 
-    rows_at(step, todo) returns the values of the rows todo at one step
-    and the scale each is gated against.  A row is taken at the first step
-    where it agrees with the previous step to rel_tol times its scale, and
-    only the rows still open are evaluated at the next step.  Returns all
-    size values, or raises NoConvergence naming the first open row and
-    the last step, described as unit.
+    rows_at(steps, todo) evaluates the rows todo at the first of steps, or
+    at more of them in one pass, and returns one (values, scale) per step
+    it took, in order.  A row is taken at the first step where it agrees
+    with the previous step to rel_tol times its scale, and only the rows
+    still open are evaluated at the next step.  No row can be taken before
+    the second step, so the first pass is asked for the first two steps and
+    every later pass for one.  Returns all size values, or raises
+    NoConvergence naming the first open row and the last step, described as
+    unit.
     """
+    steps = list(steps)
     todo = np.arange(size)
     row = prev = None
-    for step in steps:
-        cur, scale = rows_at(step, todo)
-        if row is None:
-            row = np.zeros_like(cur)
-        if prev is not None:
-            done = np.abs(cur - prev) <= rel_tol * scale
-            row[todo[done]] = cur[done]
-            todo, cur = todo[~done], cur[~done]
-        if not todo.size:
-            return row
-        prev = cur
+    while steps:
+        for cur, scale in rows_at(steps[: 2 if prev is None else 1], todo):
+            step = steps.pop(0)
+            if row is None:
+                row = np.zeros_like(cur)
+            if prev is not None:
+                done = np.abs(cur - prev) <= rel_tol * scale
+                row[todo[done]] = cur[done]
+                todo, cur = todo[~done], cur[~done]
+            if not todo.size:
+                return row
+            prev = cur
     raise NoConvergence(
         f"did not reach rel_tol={rel_tol} by {unit} {step}", form=int(todo[0])
     )
@@ -205,9 +223,9 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
     written in terms of those distances.
     """
 
-    def rows_at(level, todo):
-        value = np.atleast_1d(tanh_sinh_level(f, a, b, level))
-        return value, np.abs(value)
+    def rows_at(levels, todo):
+        values = [np.atleast_1d(tanh_sinh_level(f, a, b, level)) for level in levels]
+        return [(value, np.abs(value)) for value in values]
 
     levels = range(cfg.level, cfg.max_level + 1)
     return _refine(rows_at, levels, 1, cfg.rel_tol, "tanh-sinh level")[0]
@@ -254,19 +272,30 @@ def _leg_logs(lines, targets, R, logs0, nodes):
 
 
 def _leg_rows(lines, targets, R, logs0, E):
-    """rows_at(level, todo) of the tanh-sinh sums over straight legs (as in
+    """rows_at(levels, todo) of the tanh-sinh sums over straight legs (as in
     `_leg_logs`) for the (leg, form) rows todo: row m * len(E) + f is leg
     m's sum for the form E[f].
 
     Levels nest: the level-L nodes are the even-j nodes t = j 2**-(L+1) of
-    level L + 1, where the weights are halved.  So a call at the level
-    after the previous call's, for a subset of its rows (as `_refine`
-    makes them), evaluates only the new odd-j nodes and adds their sum to
-    half the previous node sum; any other call evaluates its whole level.
-    A leg that converges at level M thus evaluates the nodes of level M
-    once in all.
+    level L + 1, where the weights are halved.  So a level that follows
+    one summed for a superset of its rows, earlier in the same pass or at
+    the end of the previous pass (as `_refine` makes them), evaluates only
+    its new odd-j nodes and adds their sum to half the previous node sum;
+    any other level evaluates its whole table.  A leg that converges at
+    level M thus evaluates the nodes of level M once in all.
 
-    Each call takes the open legs in blocks that stay within
+    A pass takes the first of levels, and the second too (as `_refine`'s
+    first pass asks) where one leg's logs for both stay within
+    _BLOCK_VALUES.  Its node table lines up each level's nodes, each
+    followed by that level's last node J: the first pass holds the level-L
+    table and the new nodes of level L + 1, and one `_leg_logs` call per
+    block of legs and one kernel call per group cover both, the kernel
+    returning a sum per level's node range, S_(L+1) = S_L / 2 + S_new.  So
+    each level has the bits of a pass of its own.  From a start at level
+    13 (12 for n >= 5) the two levels overfill the block, and each pass
+    takes one level.
+
+    Each pass takes the open legs in blocks that stay within
     _BLOCK_VALUES, with one `_leg_logs` call per block.  The node
     log-weight is the logs' last column, and E gets a column of ones, tied
     to the target's column in the kernel, so the weight and the power of
@@ -299,19 +328,29 @@ def _leg_rows(lines, targets, R, logs0, E):
         sides.append(split is None or tie[0] in split[0][0])
     last = None
 
-    def rows_at(level, todo):
+    def rows_at(levels, todo):
         nonlocal last
-        new = last is not None and last[0] == level - 1
-        # one more node, the level's last node J, for the tail beyond it
-        j_table, ratio = _last_node(level)
-        nodes = [np.append(a, b) for a, b in zip(_de_nodes(level, new), j_table)]
+        new = last is not None and last[0] == levels[0] - 1
+        steps = [(levels[0], new)] + [(level, True) for level in levels[1:]]
+        # each level's nodes and its last node J, for the tail beyond it
+        sizes = [_level_size(level, only_new) + 1 for level, only_new in steps]
+        # a block's logs and the line rule's temporaries, about four arrays
+        # of that size, stay within _BLOCK_VALUES; two levels share a pass
+        # only where they fit with one leg
+        if 4 * sum(sizes) * (n + 1) > _BLOCK_VALUES:
+            steps, sizes = steps[:1], sizes[:1]
+        tails = [_last_node(level) for level, _ in steps]
+        parts = []
+        for (level, only_new), (j_table, _) in zip(steps, tails):
+            parts += [_de_nodes(level, only_new), j_table]
+        nodes = [np.concatenate(cols) for cols in zip(*parts)]
+        stops = np.cumsum(sizes)
+        ranges = [(stop - count, stop - 1) for count, stop in zip(sizes, stops)]
         leg, form = np.divmod(todo, size)
         first = np.flatnonzero(np.diff(leg, prepend=-1))
         forms_of = np.split(form, first[1:])
-        sums = np.empty(len(todo), dtype=complex)
-        at_j = np.empty((len(lines), n), dtype=complex)
-        # a block's logs and the line rule's temporaries, about four arrays
-        # of that size, stay within _BLOCK_VALUES
+        sums = np.empty((len(steps), len(todo)), dtype=complex)
+        at_j = np.empty((len(steps), len(lines), n), dtype=complex)
         fit = max(1, _BLOCK_VALUES // (4 * len(nodes[0]) * (n + 1)))
         for b in range(0, len(first), fit):
             ats = first[b : b + fit]
@@ -321,7 +360,7 @@ def _leg_rows(lines, targets, R, logs0, E):
             except StepTooCoarse as err:
                 err.piece = int(legs[err.piece])
                 raise
-            at_j[legs] = X[:, -1, :n]
+            at_j[:, legs] = X[:, stops - 1, :n].transpose(1, 0, 2)
             groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
             for p, at in enumerate(ats):
                 forms = forms_of[b + p]
@@ -329,20 +368,26 @@ def _leg_rows(lines, targets, R, logs0, E):
             for forms, ps in groups.values():
                 # a view of the block's logs where the group is a run of legs
                 run = slice(ps[0], ps[-1] + 1) if ps[-1] - ps[0] == len(ps) - 1 else ps
-                vw = np.broadcast_to(0.5 * D[legs[run], None], (len(ps), len(nodes[0]) - 1))
-                cur = _panel_sums(E1, forms, X[run, :-1], vw, tie=ties[legs[ps[0]]])[0]
-                sums[ats[ps, None] + np.arange(len(forms))] = cur
+                vw = np.broadcast_to(0.5 * D[legs[run], None], (len(ps), len(nodes[0])))
+                cur = _panel_sums(E1, forms, X[run], vw, ranges, tie=ties[legs[ps[0]]])[0]
+                sums[:, ats[ps, None] + np.arange(len(forms))] = cur
             del X  # before the next block's logs are made
-        if new:
-            sums += 0.5 * last[2][np.searchsorted(last[1], todo)]
-        last = level, todo, sums
-        # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
-        x, Et = at_j[leg], E[form]
-        scaled = np.exp(
-            (Et * x.real).sum(axis=1) + j_table[2][0] + 1j * (Et * x.imag).sum(axis=1)
-        )
-        cur = sums + scaled * D[leg] * (rise[form, leg] - 0.25 * ratio)
-        return cur, np.abs(cur)
+        prev = last[2][np.searchsorted(last[1], todo)] if new else None
+        values = []
+        Et = E[form]
+        for s, (j_table, ratio) in enumerate(tails):
+            if s or new:
+                sums[s] += 0.5 * prev
+            prev = sums[s]
+            # W(w_J) sigma_J; node J's term is W(w_J) sigma_J ratio D / 2
+            x = at_j[s, leg]
+            scaled = np.exp(
+                (Et * x.real).sum(axis=1) + j_table[2][0] + 1j * (Et * x.imag).sum(axis=1)
+            )
+            cur = sums[s] + scaled * D[leg] * (rise[form, leg] - 0.25 * ratio)
+            values.append((cur, np.abs(cur)))
+        last = steps[-1][0], todo, prev
+        return values
 
     return rows_at
 
@@ -353,27 +398,39 @@ def _gl_rule(order: int):
     return x, w
 
 
+def _gl_mesh(panels: int):
+    """Parameters in [0, 1] and weights of the Gauss-Legendre rule on panels
+    equal panels."""
+    gx, gw = _gl_rule(_GL_ORDER)
+    offsets = np.arange(panels) / panels
+    ts = (offsets[:, None] + (gx[None, :] + 1.0) / (2.0 * panels)).ravel()
+    return ts, np.tile(gw / (2.0 * panels), panels)
+
+
 def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
     """Integrals of W dw for every form (the rows of the exponent matrix E)
     over each smooth segment, from that segment's start logs (the rows of
     starts), with panel-doubled Gauss-Legendre: one row per segment.
 
-    Every (segment, form) pair is a row of one `_refine`.  Each panel count
-    takes the continued logs of the open segments, one `contour` call per
-    segment kind, and evaluates them in one kernel call per set of open
-    forms, with a piece axis: pieces whose open forms match share the
-    call, and each piece's sums come out as they would alone.  A pair is
-    gated against max(|I|, 1e-3 * L1) so that closed-loop cancellations
-    still settle.  A NoConvergence or a StepTooCoarse carries the position
-    of its segment as `piece` (and a NoConvergence its form as `form`).
+    Every (segment, form) pair is a row of one `_refine`.  A pass takes the
+    continued logs of the open segments at its panel counts' nodes, one
+    `contour` call per segment kind, and evaluates them in one kernel call
+    per set of open forms, with a piece axis: pieces whose open forms match
+    share the call, and each piece's sums come out as they would alone.
+    The first pass takes the 4- and 8-panel meshes together where one
+    piece's logs for both stay within _BLOCK_VALUES, and the kernel returns
+    a sum per mesh's node range, each with the bits of a pass of its own;
+    every later pass takes one panel count.  A pair is gated against
+    max(|I|, 1e-3 * L1) so that closed-loop cancellations still settle.  A
+    NoConvergence or a StepTooCoarse carries the position of its segment as
+    `piece` (and a NoConvergence its form as `form`).
     """
-    gx, gw = _gl_rule(_GL_ORDER)
     anchors = np.asarray(R, dtype=complex)
     starts = np.asarray(starts, dtype=complex).reshape(len(segments), len(R))
     is_arc = np.array([isinstance(seg, contour.Arc) for seg in segments])
     size = len(E)
 
-    def evaluate(pieces, forms, ts, weights):
+    def evaluate(pieces, forms, ts, weights, ranges):
         X = np.empty((len(pieces), len(ts), len(R)), dtype=complex)
         vw = np.empty((len(pieces), len(ts)), dtype=complex)
         for arc in (False, True):
@@ -387,31 +444,36 @@ def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
                 err.piece = int(pieces[slot[err.piece]])
                 raise
             vw[slot] = contour._kind_velocity(segs, ts) * weights
-        return _panel_sums(E, forms, X, vw, magnitudes=True)
+        return _panel_sums(E, forms, X, vw, ranges, magnitudes=True)
 
-    def rows_at(panels, todo):
-        offsets = np.arange(panels) / panels
-        ts = (offsets[:, None] + (gx[None, :] + 1.0) / (2.0 * panels)).ravel()
-        weights = np.tile(gw / (2.0 * panels), panels)
+    def rows_at(steps, todo):
+        sizes = [_GL_ORDER * panels for panels in steps]
+        # the pieces taken at once: their logs and the line rule's
+        # temporaries, about four arrays of that size, stay within one
+        # block; two panel counts share a pass only where they fit with one
+        # piece
+        if 4 * sum(sizes) * len(R) > _BLOCK_VALUES:
+            steps, sizes = steps[:1], sizes[:1]
+        ts, weights = (np.concatenate(cols) for cols in zip(*map(_gl_mesh, steps)))
+        stops = np.cumsum(sizes)
+        ranges = [(stop - count, stop) for count, stop in zip(sizes, stops)]
         piece, form = np.divmod(todo, size)
         first = np.flatnonzero(np.diff(piece, prepend=-1))
         # pieces whose open forms match, with the position of their first row
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for at, forms in zip(first, np.split(form, first[1:])):
             groups.setdefault(forms.tobytes(), (forms, []))[1].append(at)
-        cur = np.empty(len(todo), dtype=complex)
-        scale = np.empty(len(todo))
-        # the pieces taken at once: their logs and the line rule's
-        # temporaries, about four arrays of that size, stay within one block
+        cur = np.empty((len(steps), len(todo)), dtype=complex)
+        scale = np.empty(cur.shape)
         fit = max(1, _BLOCK_VALUES // (4 * len(ts) * len(R)))
         for forms, ats in groups.values():
             for b in range(0, len(ats), fit):
                 at = np.asarray(ats[b : b + fit])
-                rows, l1 = evaluate(piece[at], forms, ts, weights)
+                rows, l1 = evaluate(piece[at], forms, ts, weights, ranges)
                 where = at[:, None] + np.arange(len(forms))
-                cur[where] = rows
-                scale[where] = np.maximum(np.abs(rows), 1e-3 * l1)
-        return cur, scale
+                cur[:, where] = rows
+                scale[:, where] = np.maximum(np.abs(rows), 1e-3 * l1)
+        return list(zip(cur, scale))
 
     panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
     try:
@@ -456,10 +518,11 @@ def _factored(data: bytes, shape: tuple[int, int], tie: tuple[int, int] | None):
     return split
 
 
-def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
-    """Sums of exp(E[todo] @ X[p].T) * vw[p] over the nodes, one row per
-    piece p and one column per open row of E, and with magnitudes also the
-    sums of their magnitudes (else None).
+def _panel_sums(E, todo, X, vw, ranges=None, magnitudes: bool = False, tie=None):
+    """Sums of exp(E[todo] @ X[p].T) * vw[p] over the nodes of each range
+    (start, stop) of ranges (by default all nodes), with one axis for the
+    ranges, one row per piece p and one column per open row of E; and with
+    magnitudes also the sums of their magnitudes (else None).
 
     The evaluation kernel of both rules: X holds, per piece, one row of
     continued logs per node, and vw the node weights times dw/dt (pieces x
@@ -473,12 +536,16 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
     nodes in a fixed order (`_node_product`).  Unsplit, each row is summed
     over all nodes directly, in blocks of rows.
 
-    Every temporary stays under _BLOCK_VALUES.  A block is sized for one
-    piece as if it were alone, and pieces whose blocks fit together are
-    taken together, so each piece's sums have the same bits as alone.
+    Each range is taken in blocks as a call over its nodes alone would take
+    them, so one call over the node ranges of several refinement steps
+    gives each step's sums the bits of a call of its own.  Every temporary
+    stays under _BLOCK_VALUES.  A block is sized for one piece as if it
+    were alone, and pieces whose blocks fit together are taken together, so
+    each piece's sums have the same bits as alone.
     """
     split = _factored(E.tobytes(), E.shape, tie)
-    pieces, nodes = X.shape[:2]
+    pieces = X.shape[0]
+    ranges = [(0, X.shape[1])] if ranges is None else ranges
 
     def powers(rows, ps, ns, cols):
         Xs = X[ps, ns, cols].transpose(0, 2, 1)
@@ -495,36 +562,41 @@ def _panel_sums(E, todo, X, vw, magnitudes: bool = False, tie=None):
 
     if split is None:
         rows, every = E[todo], slice(None)
-        cur = np.empty((pieces, len(rows)), dtype=complex)
-        l1 = np.empty((pieces, len(rows))) if magnitudes else None
-        step = max(1, _BLOCK_VALUES // nodes)
-        group = max(1, step // max(1, len(rows)))
-        for p in range(0, pieces, group):
-            ps = slice(p, p + group)
-            for b in range(0, len(rows), step):
-                block = slice(b, b + step)
-                terms = powers(rows[block], ps, every, every) * weights(ps, every)
-                cur[ps, block] = terms.sum(axis=2)
-                if magnitudes:
-                    l1[ps, block] = np.abs(terms).sum(axis=2)
+        cur = np.empty((len(ranges), pieces, len(rows)), dtype=complex)
+        l1 = np.empty(cur.shape) if magnitudes else None
+        for r, (start, stop) in enumerate(ranges):
+            ns = slice(start, stop)
+            step = max(1, _BLOCK_VALUES // (stop - start))
+            group = max(1, step // max(1, len(rows)))
+            for p in range(0, pieces, group):
+                ps = slice(p, p + group)
+                for b in range(0, len(rows), step):
+                    block = slice(b, b + step)
+                    terms = powers(rows[block], ps, ns, every) * weights(ps, ns)
+                    cur[r, ps, block] = terms.sum(axis=2)
+                    if magnitudes:
+                        l1[r, ps, block] = np.abs(terms).sum(axis=2)
+                    del terms  # before the next block's are made
         return cur, l1
     (cols_a, rows_a, at_a), (cols_b, rows_b, at_b) = (
         _open_rows(group, todo) for group in split
     )
-    cur = np.zeros((pieces, len(rows_a), len(rows_b)), dtype=complex)
+    cur = np.zeros((len(ranges), pieces, len(rows_a), len(rows_b)), dtype=complex)
     l1 = np.zeros(cur.shape) if magnitudes else None
     step = max(1, _BLOCK_VALUES // max(len(rows_a), len(rows_b)))
-    group = max(1, step // nodes)
-    for p in range(0, pieces, group):
-        ps = slice(p, p + group)
-        for b in range(0, nodes, step):
-            ns = slice(b, b + step)
-            P_a = powers(rows_a, ps, ns, cols_a) * weights(ps, ns)
-            P_b = powers(rows_b, ps, ns, cols_b)
-            cur[ps] += _node_product(P_a, P_b)
-            if magnitudes:
-                l1[ps] += np.abs(P_a) @ np.abs(P_b).transpose(0, 2, 1)
-    return cur[:, at_a, at_b], l1[:, at_a, at_b] if magnitudes else None
+    for r, (start, stop) in enumerate(ranges):
+        group = max(1, step // (stop - start))
+        for p in range(0, pieces, group):
+            ps = slice(p, p + group)
+            for b in range(start, stop, step):
+                ns = slice(b, min(b + step, stop))
+                P_a = powers(rows_a, ps, ns, cols_a) * weights(ps, ns)
+                P_b = powers(rows_b, ps, ns, cols_b)
+                cur[r, ps] += _node_product(P_a, P_b)
+                if magnitudes:
+                    l1[r, ps] += np.abs(P_a) @ np.abs(P_b).transpose(0, 2, 1)
+                del P_a, P_b  # before the next block's are made
+    return cur[..., at_a, at_b], l1[..., at_a, at_b] if magnitudes else None
 
 
 def _node_product(P_a, P_b):
@@ -580,7 +652,7 @@ def integrate_smooth(
         raise ValueError("path does not start at the state's current point")
     E = contour.exponent_matrix(forms, spec.k, spec.n)
     R = state.branch_points
-    logs = contour.chain_logs(path.segments, R, state.logs)
+    (logs,) = contour.chain_logs([path.segments], R, [state.logs])
     row = np.zeros(len(forms), dtype=complex)
     for values in _gl_batch(path.segments, logs[:-1], R, E, cfg):
         row += values
@@ -605,21 +677,28 @@ def leg_rows(
     form.
     """
     R = state.branch_points
-    routes, chains = [], []
+    routes, failure = [], None
     for i in legs:
         try:
-            route = contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1})
-            chains.append(contour.chain_logs(route[:-1], R, state.logs))
-        except (ClearanceUnachievable, StepTooCoarse) as err:
-            raise type(err)(f"base integral i={i}: {err}") from err
-        routes.append(route)
+            routes.append(contour.clear_leg(state.point, complex(R[i - 1]), R, exclude={i - 1}))
+        except ClearanceUnachievable as err:
+            failure = err
+            break
+    # the leg of each detour prefix segment, every route piece but the last
+    owner = [m for m, route in enumerate(routes) for _ in route[1:]]
+    try:
+        chains = contour.chain_logs([route[:-1] for route in routes], R, [state.logs] * len(routes))
+    except StepTooCoarse as err:
+        raise StepTooCoarse(f"base integral i={legs[owner[err.piece]]}: {err}") from err
+    # a routing failure comes after the continuation of the legs before it
+    if failure is not None:
+        i = legs[len(routes)]
+        raise ClearanceUnachievable(f"base integral i={i}: {failure}") from failure
     rows = np.zeros((len(routes), len(forms)), dtype=complex)
     if not forms:
         return rows
     E = contour.exponent_matrix(forms, spec.k, spec.n)
     try:
-        # the leg of each detour prefix segment, every route piece but the last
-        owner = [m for m, route in enumerate(routes) for _ in route[1:]]
         if owner:
             prefixes = [seg for route in routes for seg in route[:-1]]
             starts = [logs for chain in chains for logs in chain[:-1]]

@@ -598,6 +598,61 @@ def test_periods_step_too_coarse_names_the_leg(capsys, monkeypatch):
     assert "alpha" not in err
 
 
+_NO_CONVERGENCE = "error: quadrature did not converge: "
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the route in of loop 1 runs out of panels
+        (
+            ("verify", "-k", "2", "-n", "3", "-l", "1e6"),
+            "loop i=1, route in, alpha=(0, 1, 1): "
+            "did not reach rel_tol=1e-10 by Gauss-Legendre panels 8192",
+        ),
+        # the first pass takes both levels and fails
+        (
+            ("periods", "-k", "3", "-n", "2", "--level", "0", "--max-level", "1"),
+            "base integral i=1, alpha=(0, 2): did not reach rel_tol=1e-10 by tanh-sinh level 1",
+        ),
+        # the cap leaves the first pass one level
+        (
+            ("verify", "-k", "3", "-n", "3", "-l", "2", "--max-level", "4"),
+            "base integral i=1, alpha=(0, 0, 2): did not reach rel_tol=1e-10 by tanh-sinh level 4",
+        ),
+    ],
+)
+def test_no_convergence_names_the_piece_form_and_last_step(capsys, argv, message):
+    # whether the first pass takes one step or two, the error line names
+    # the same piece, form and last step
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"{_NO_CONVERGENCE}{message}\n")
+
+
+@pytest.mark.parametrize("nodes", ["chained", "panel"])
+def test_verify_step_too_coarse_names_the_circle(capsys, monkeypatch, nodes):
+    # a continuation failure on the circle around r_2, forced where the
+    # circles' start logs are chained (one parameter per arc) or at the
+    # Gauss-Legendre nodes, names loop 2 and its circle
+    arc_logs = contour._arc_logs
+
+    def through_r2(arcs, ts, *args):
+        centers = [arc.center for arc in arcs]
+        if 1 in centers and (len(ts) == 1) == (nodes == "chained"):
+            raise StepTooCoarse(
+                "continuation point coincides with a branch point", piece=centers.index(1)
+            )
+        return arc_logs(arcs, ts, *args)
+
+    monkeypatch.setattr(contour, "_arc_logs", through_r2)
+    code, out, err = run_cli(capsys, "verify", "-k", "3", "-n", "3", "-l", "-1.5")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: branch continuation failed: loop i=2, circle: "
+        "continuation point coincides with a branch point\n"
+    )
+
+
 @pytest.mark.parametrize("lam", ["1e10", "1e-9", "1e-12i"])
 def test_periods_with_a_close_or_far_branch_point_exits_0(capsys, lam):
     # differences from the nearer end of each leg: these ran out of tanh-sinh

@@ -44,7 +44,7 @@ def _segment_logs(seg, ts, R, logs0):
 
 def _walk(logs, path, R):
     """Logs continued segment by segment along the path, to its end."""
-    return contour.chain_logs(path.segments, R, logs)[-1]
+    return contour.chain_logs([path.segments], R, [logs])[0][-1]
 
 
 def _W(logs, form, k):
@@ -371,3 +371,53 @@ def test_real_log_matches_np_log_in_absolute_terms():
         assert np.array_equal(logs.imag, np.log(axis).imag)
         err = np.abs(logs.real - np.log(axis).real)
         assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(logs.real)))
+
+
+@pytest.mark.parametrize(
+    "k,n,lams", [(3, 4, [-1.5, 2 + 1j]), (4, 3, [0.115 + 0.842j]), (2, 5, [-1.5, 2 + 1j, 2.0])]
+)
+def test_chain_logs_over_many_chains_keep_each_chains_bits(k, n, lams):
+    # the loops' routes in and circles, the legs' detour prefixes (some of
+    # them empty) and a -1 loop from another start, in one call: each
+    # chain's logs have the bits of a call of its own, and equal the logs
+    # carried one segment at a time
+    R = validate_spec(k, n, lams).branch_points
+    z0 = default_base_point(R)
+    st = init_branch(z0, R)
+    chains = [
+        inbound + (circle,)
+        for inbound, circle in (contour.loop_pieces(z0, i, R) for i in range(1, n + 1))
+    ]
+    chains += [tuple(clear_leg(z0, R[i], R, exclude={i})[:-1]) for i in range(n)]
+    chains.append(loop_path(z0 + 1.0, 1, R, -1).segments)
+    starts = [st.logs] * (len(chains) - 1) + [init_branch(z0 + 1.0, R).logs]
+    assert any(len(chain) > 1 for chain in chains) and () in chains
+    together = contour.chain_logs(chains, R, starts)
+    anchors = np.asarray(R, dtype=complex)
+    for chain, start, logs in zip(chains, starts, together):
+        (alone,) = contour.chain_logs([chain], R, [start])
+        assert alone.tobytes() == logs.tobytes()
+        carried = [np.asarray(start, dtype=complex)]
+        for seg in chain:
+            carried.append(contour._kind_logs([seg], np.ones(1), anchors, carried[-1][None])[0, 0])
+        assert np.array_equal(np.array(carried), logs)
+
+
+def test_chain_logs_names_the_first_failing_segment_in_chain_order():
+    # lines are taken before arcs, but the arc through both branch points
+    # comes first in chain order
+    good = Line(2j, 3j)
+    through_line = Line(-0.5 + 0j, 0.5 + 0j)
+    through_arc = Arc(0.5 + 0j, 0.5, math.pi, 3 * math.pi)
+    logs0 = init_branch(2j, R2).logs
+    for chains, piece in [
+        ([(good, through_arc), (through_line,)], 1),
+        ([(through_line,), (good, through_arc)], 0),
+        ([(), (good,), (good, through_line)], 2),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepTooCoarse, match="coincides with a branch point") as err:
+                contour.chain_logs(chains, R2, [logs0] * len(chains))
+        assert err.value.piece == piece
+    assert contour.chain_logs([], R2, []) == []

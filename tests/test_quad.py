@@ -17,7 +17,7 @@ from gfcperiods.contour import (
     default_base_point,
     exponent_matrix,
 )
-from gfcperiods import quad
+from gfcperiods import cli, contour, quad
 from gfcperiods.errors import NoConvergence
 from gfcperiods.periods import base_integrals
 from gfcperiods.quad import QuadConfig, leg_row, tanh_sinh, tanh_sinh_level
@@ -186,7 +186,7 @@ def test_leg_ladder_converges_across_desk_scale(quad_cfg):
             every = np.arange(len(sample))
             for i in range(1, n + 1):
                 rows_at = _one_leg_rows(state, i, E)
-                levels = [rows_at(lvl, every)[0] for lvl in range(quad_cfg.level, 12)]
+                levels = [rows_at([lvl], every)[0][0] for lvl in range(quad_cfg.level, 12)]
                 for values in np.transpose(levels):
                     diffs = [
                         abs(v2 - v1) / abs(v2) for v1, v2 in zip(values, values[1:])
@@ -290,10 +290,10 @@ def test_batched_legs_match_each_leg_alone(case, block_values, quad_cfg, monkeyp
     pieces, levels = [], []
     kernel, last_node = quad._panel_sums, quad._last_node
 
-    def counted_kernel(E, todo, X, vw, magnitudes=False, tie=None):
+    def counted_kernel(E, todo, X, vw, ranges=None, magnitudes=False, tie=None):
         if tie is not None:
             pieces.append(X.shape[0])
-        return kernel(E, todo, X, vw, magnitudes=magnitudes, tie=tie)
+        return kernel(E, todo, X, vw, ranges, magnitudes=magnitudes, tie=tie)
 
     def counted_last_node(level):
         levels.append(level)
@@ -371,10 +371,10 @@ def test_panel_sums_match_the_form_by_form_reference(k, n, block_values, monkeyp
         vw = vw[None] if np.ndim(vw) else vw
         for todo in (every, every[1::3]):
             ref_cur, ref_l1 = _kernel_reference(E[todo], X, vw)
-            (cur,), (l1,) = quad._panel_sums(E, todo, X[None], vw, magnitudes=True, tie=tie)
+            ((cur,),), ((l1,),) = quad._panel_sums(E, todo, X[None], vw, magnitudes=True, tie=tie)
             assert np.all(np.abs(cur - ref_cur) <= 1e-14 * ref_l1)
             assert np.all(np.abs(l1 - ref_l1) <= 1e-14 * ref_l1)
-            (alone,), none = quad._panel_sums(E, todo, X[None], vw, tie=tie)
+            ((alone,),), none = quad._panel_sums(E, todo, X[None], vw, tie=tie)
             assert none is None
             assert np.array_equal(alone, cur)
 
@@ -410,10 +410,10 @@ def test_panel_sums_over_pieces_keep_each_piece_bits(k, n, block_values, monkeyp
         if tie is None:
             vw = np.stack([vw, vw[::-1], 2.0 * vw])
         todo = np.arange(len(E))[::2]
-        cur, l1 = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
+        (cur,), (l1,) = quad._panel_sums(E, todo, X, vw, magnitudes=True, tie=tie)
         for p in range(3):
             one = vw if tie else vw[p : p + 1]
-            alone, alone_l1 = quad._panel_sums(
+            (alone,), (alone_l1,) = quad._panel_sums(
                 E, todo, X[p : p + 1], one, magnitudes=True, tie=tie
             )
             assert np.array_equal(cur[p], alone[0])
@@ -454,15 +454,16 @@ def _legs(k, n, lams):
 
 
 def _count_nodes(monkeypatch):
-    """The tanh-sinh nodes of each kernel call (the ones with a tied log
-    weight column), as a list of their lengths."""
+    """The tanh-sinh nodes summed by each kernel call (the ones with a tied
+    log weight column), as a list of their counts: the nodes of all the
+    call's ranges, one range per level."""
     nodes = []
     kernel = quad._panel_sums
 
-    def counted_kernel(E, todo, X, vw, magnitudes=False, tie=None):
+    def counted_kernel(E, todo, X, vw, ranges=None, magnitudes=False, tie=None):
         if tie is not None:
-            nodes.append(X.shape[1])
-        return kernel(E, todo, X, vw, magnitudes=magnitudes, tie=tie)
+            nodes.append(sum(stop - start for start, stop in ranges))
+        return kernel(E, todo, X, vw, ranges, magnitudes=magnitudes, tie=tie)
 
     monkeypatch.setattr(quad, "_panel_sums", counted_kernel)
     return nodes
@@ -486,9 +487,9 @@ def test_paired_gate_value_is_the_level_value(k, n, lams, level, monkeypatch):
     for i in straight:
         nodes.clear()
         stepped = _one_leg_rows(state, i, E)
-        stepped(level, every)
-        following, _ = stepped(level + 1, every)
-        fresh, _ = _one_leg_rows(state, i, E)(level + 1, every)
+        stepped([level], every)
+        ((following, _),) = stepped([level + 1], every)
+        ((fresh, _),) = _one_leg_rows(state, i, E)([level + 1], every)
         assert nodes == [
             _node_count(level),
             _node_count(level + 1) - _node_count(level),
@@ -503,8 +504,9 @@ def test_a_leg_converging_at_the_second_level_evaluates_its_nodes_once(
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
     nodes = _count_nodes(monkeypatch)
     leg_row(state, straight[0], forms, spec, quad_cfg)
+    # the start level and the new nodes of the next in one pass
     assert sum(nodes) == _node_count(quad_cfg.level + 1) == 391
-    assert len(nodes) == 2
+    assert len(nodes) == 1
 
 
 def test_a_capped_leg_evaluates_its_one_level(monkeypatch):
@@ -574,3 +576,115 @@ def test_integrate_smooth_rejects_a_path_away_from_the_state(quad_cfg):
     path = Path(segments=(Line(state.point + 1.0, state.point + 2.0),))
     with pytest.raises(ValueError, match="does not start at the state"):
         integrate_smooth(path, state, enumerate_forms(spec), spec, quad_cfg)
+
+
+# the curves of the verify benchmark, with its branch values -1.5 and 2+1i
+_ORACLE_CURVES = [
+    (2, 3, [-1.5]),
+    (3, 3, [-1.5]),
+    (2, 4, [-1.5, 2 + 1j]),
+    (4, 3, [-1.5]),
+    (5, 3, [-1.5]),
+    (3, 4, [-1.5, 2 + 1j]),
+]
+
+
+def _count_ranges(monkeypatch):
+    """The node ranges of each kernel call, as a list of (tanh-sinh?, count)
+    pairs; a tanh-sinh call is one with a tied log weight column."""
+    calls = []
+    kernel = quad._panel_sums
+
+    def counted_kernel(E, todo, X, vw, ranges=None, magnitudes=False, tie=None):
+        calls.append((tie is not None, len(ranges)))
+        return kernel(E, todo, X, vw, ranges, magnitudes=magnitudes, tie=tie)
+
+    monkeypatch.setattr(quad, "_panel_sums", counted_kernel)
+    return calls
+
+
+def _loop_pieces(state, n):
+    """The routes in and circles of the oracle's loops around r_1..r_n, and
+    the start logs of each piece."""
+    R = state.branch_points
+    routes = [contour.loop_pieces(state.point, i, R) for i in range(1, n + 1)]
+    chains = contour.chain_logs(
+        [inbound + (circle,) for inbound, circle in routes], R, [state.logs] * n
+    )
+    segments = [seg for inbound, circle in routes for seg in inbound + (circle,)]
+    return segments, [logs for chain in chains for logs in chain[:-1]]
+
+
+@pytest.mark.parametrize(
+    "k,n,lams", _LEG_CURVES + [curve for curve in _ORACLE_CURVES if curve not in _LEG_CURVES]
+)
+def test_a_fused_pass_has_the_bits_of_one_step_per_pass(k, n, lams, quad_cfg, monkeypatch):
+    # the first pass takes two steps in one kernel call, with a node range
+    # each, where one leg or piece of both fits the block.  The smallest
+    # such budget and one less cut the kernel's blocks alike, and under the
+    # second every pass takes one step: J and the loop rows keep their bits
+    spec = validate_spec(k, n, lams)
+    forms = enumerate_forms(spec)
+    R = spec.branch_points
+    state = init_branch(default_base_point(R), R)
+    E = exponent_matrix(forms, k, n)
+    segments, starts = _loop_pieces(state, n)
+    calls = _count_ranges(monkeypatch)
+
+    def run(budget):
+        monkeypatch.setattr(quad, "_BLOCK_VALUES", budget)
+        calls.clear()
+        J = quad.leg_rows(state, range(1, n + 1), forms, spec, quad_cfg)
+        rows = quad._gl_batch(segments, starts, R, E, quad_cfg)
+        # the most ranges of a tanh-sinh and of a Gauss-Legendre call
+        most = [max(r for legs, r in calls if legs == kind) for kind in (True, False)]
+        return J, rows, most
+
+    assert run(quad._BLOCK_VALUES)[2] == [2, 2]
+    two_levels = quad._level_size(quad_cfg.level) + quad._level_size(quad_cfg.level + 1, True)
+    two_meshes = quad._GL_ORDER * (4 + 8)
+    # a leg's two levels and their last nodes; the meshes fit the same block
+    J, rows, most = run(4 * (two_levels + 2) * (n + 1))
+    assert most == [2, 2]
+    J_one, rows_one, most = run(4 * (two_levels + 2) * (n + 1) - 1)
+    assert most == [1, 2]
+    assert np.array_equal(J_one, J) and np.array_equal(rows_one, rows)
+    # a piece's two meshes, under which no leg fuses its levels
+    J, rows, most = run(4 * two_meshes * n)
+    assert most == [1, 2]
+    J_one, rows_one, most = run(4 * two_meshes * n - 1)
+    assert most == [1, 1]
+    assert np.array_equal(J_one, J) and np.array_equal(rows_one, rows)
+
+
+@pytest.mark.parametrize("k,n,lams", _LEG_CURVES)
+def test_a_pass_of_two_levels_gives_each_its_value(k, n, lams, monkeypatch):
+    # rows_at asked for two levels returns the values of the level alone and
+    # of the level after it, from one kernel call over both node tables
+    spec, forms, state, E, straight = _legs(k, n, lams)
+    every = np.arange(len(forms))
+    nodes = _count_nodes(monkeypatch)
+    for level in (3, 6):
+        for i in straight:
+            nodes.clear()
+            (first, first_scale), (second, second_scale) = _one_leg_rows(state, i, E)(
+                [level, level + 1], every
+            )
+            assert nodes == [_node_count(level + 1)]
+            stepped = _one_leg_rows(state, i, E)
+            ((alone, _),) = stepped([level], every)
+            ((following, _),) = stepped([level + 1], every)
+            assert np.array_equal(first, alone) and np.array_equal(second, following)
+            assert np.array_equal(first_scale, np.abs(first))
+            assert np.array_equal(second_scale, np.abs(second))
+
+
+def test_a_level_17_start_takes_one_level_per_pass(capsys, monkeypatch):
+    # the level-17 table of one leg fills the block, so the new level-18
+    # nodes get a pass of their own: one node table never holds both
+    nodes = _count_nodes(monkeypatch)
+    assert cli.main(["periods", "-k", "3", "-n", "2", "--level", "17"]) == 0
+    capsys.readouterr()
+    level_17, new_18 = _node_count(17), _node_count(18) - _node_count(17)
+    assert set(nodes) == {level_17, new_18}
+    assert nodes[0] == level_17
