@@ -326,24 +326,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _quad_config(args: argparse.Namespace) -> QuadConfig:
-    """QuadConfig from the flags; an absent --tol or --level takes
-    QuadConfig's default.  Without --max-level the cap is the default cap,
-    or one above --level when that is higher: refinement accepts a value
-    only when two levels agree.  The raised cap cannot pass the highest
-    level, so a start there is refused naming --level."""
-    from .quad import _LEVEL_CAP, QuadConfig
+    """QuadConfig from the flags; an absent --tol or --max-level takes
+    QuadConfig's default."""
+    from .quad import QuadConfig
 
-    level = QuadConfig.level if args.level is None else args.level
     rel_tol = QuadConfig.rel_tol if args.tol is None else args.tol
-    max_level = args.max_level
-    if max_level is None:
-        max_level = max(QuadConfig.max_level, level + 1)
-        if max_level > _LEVEL_CAP >= level:
-            raise ValueError(
-                f"--level must lie in 0..{_LEVEL_CAP - 1} without --max-level, "
-                f"got {level}"
-            )
-    return QuadConfig(level=level, rel_tol=rel_tol, max_level=max_level)
+    max_level = QuadConfig.max_level if args.max_level is None else args.max_level
+    return QuadConfig(rel_tol=rel_tol, max_level=max_level)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -416,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--out", help="output path (default stdout)")
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--tol", type=float, help="quadrature relative tolerance")
-    quadrature.add_argument("--level", type=int, help="tanh-sinh starting level")
     quadrature.add_argument(
         "--max-level", type=int, help="tanh-sinh refinement cap before NoConvergence"
     )

@@ -124,6 +124,9 @@ def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
     M = np.asarray([f.m_exponents for f in pm.cols], dtype=np.int64).reshape(-1, n)
     chars = np.vstack([M, -M]) % k
     comps = np.hstack([pm.entries[first], pm.entries[first].conj()])
+    # scaling a column moves no row's independence, and puts every form's
+    # periods on one scale for the tolerance, however many decades apart
+    comps /= np.maximum(np.abs(comps).max(axis=0, initial=0.0), np.finfo(float).tiny)
     radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     code = chars @ radix
     order = np.argsort(code, kind="stable")
@@ -174,9 +177,11 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
         if kept.size != d:
             raise NotFullRank(f"generators have numerical rank {kept.size}, need {d}")
     basis = v[kept]
-    # a kept row is its own unit row; only the others need solving for
+    # a kept row is its own unit row; only the others need solving for, in
+    # columns scaled to one size, which moves no coordinate
     rest = np.delete(np.arange(m), kept)
-    coords = np.linalg.solve(basis.T, v[rest].T).T
+    size = np.maximum(np.abs(basis).max(axis=0, initial=0.0), np.finfo(float).tiny)
+    coords = np.linalg.solve((basis / size).T, (v[rest] / size).T).T
     rounded = np.rint(coords)
     off = np.max(np.abs(coords - rounded), axis=1, initial=0.0)
     bad = np.flatnonzero(off > _RECON_TOL)

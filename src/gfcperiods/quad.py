@@ -15,10 +15,10 @@ nodes, and a form leaves the loop at the first step that agrees with the
 previous one to the relative tolerance.  Tanh-sinh levels nest (the
 level-L nodes are the even-j nodes of level L + 1), so each level after a
 leg's first evaluates only the odd-j nodes it adds and takes the rest of
-its sum from the level before.  No form can leave before the second
-step, so the first pass takes the first two steps at once where one leg
-or piece of both fits the kernel's block budget: one node table holds
-both steps' nodes (the start level's and the next level's new ones, or
+its sum from the level before.  Every refinement starts at level 4 (4
+panels for Gauss-Legendre).  No form can leave before the second step,
+so the first pass takes the first two steps at once: one node table
+holds both steps' nodes (the level-4 nodes and the new level-5 ones, or
 the 4- and 8-panel meshes), and the kernel returns a sum per step's node
 range, each with the bits of a pass of its own.  Every later pass takes
 one step.
@@ -89,9 +89,15 @@ _GL_MAX_PANELS = 2 ** 13
 _BLOCK_VALUES = 2 ** 21
 # Nodes per BLAS product in the split kernel's node sum (`_node_product`).
 _CHUNK_NODES = 64
+# The first tanh-sinh level of every leg (195 nodes): levels nest, so a
+# leg that converges at level M evaluates the nodes of level M once in
+# all, and the start only sets where the two-level gate first looks.
+_START_LEVEL = 4
 # Highest tanh-sinh level, 2 floor(_T_MAX 2**18) + 1 = 3.2M nodes.  A leg
-# that starts there holds them all in one node table: `periods -k 3 -n 2
-# --level 18 --max-level 18` peaks at 499 MB (numpy 2.4, Linux x86-64).
+# that refines that far holds its 1.6M new nodes in one node table:
+# `periods -k 3 -n 3 -l 1e300 --max-level 18` exits 3 at level 18 after
+# 1.6-1.8 s in-process with a 430 MB peak (one BLAS thread, numpy 2.4,
+# Linux x86-64).
 _LEVEL_CAP = 18
 
 
@@ -99,28 +105,19 @@ _LEVEL_CAP = 18
 class QuadConfig:
     """Tolerances and refinement budget shared by both kernels.
 
-    level is the first tanh-sinh level evaluated; refinement may continue
-    to max_level before NoConvergence is raised.  Both lie in 0.._LEVEL_CAP
-    (18).
-
-    Levels nest, so a leg that converges at level M evaluates the nodes of
-    level M once in all, whatever the start: the start level 4 (195 nodes)
-    only lets a leg stop at level 5 (391 nodes).  The two-level agreement
-    gate is the same at any start, so a leg that needs more resolution
-    still refines upward.
+    Refinement starts at tanh-sinh level _START_LEVEL (4) and may continue
+    to max_level, which lies in 4.._LEVEL_CAP (18), before NoConvergence
+    is raised.
     """
 
-    level: int = 4
     rel_tol: float = 1e-10
     max_level: int = 14
 
     def __post_init__(self):
-        for name in ("level", "max_level"):
-            value = getattr(self, name)
-            if not 0 <= value <= _LEVEL_CAP:
-                raise ValueError(f"{name} must lie in 0..{_LEVEL_CAP}, got {value}")
-        if self.level > self.max_level:
-            raise ValueError("level must not exceed max_level")
+        if not _START_LEVEL <= self.max_level <= _LEVEL_CAP:
+            raise ValueError(
+                f"max_level must lie in {_START_LEVEL}..{_LEVEL_CAP}, got {self.max_level}"
+            )
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError("rel_tol must be a positive finite number")
 
@@ -145,12 +142,6 @@ def _de_nodes(level: int, new: bool = False):
 def _last_j(level: int) -> int:
     """The node index j of a level's last node, t = j 2**-level <= _T_MAX."""
     return math.floor(_T_MAX * 2.0**level)
-
-
-def _level_size(level: int, new: bool = False) -> int:
-    """The node count of `_de_nodes(level, new)`, without building it."""
-    last = _last_j(level)
-    return 2 * ((last + 1) // 2) if new else 2 * last + 1
 
 
 @lru_cache(maxsize=32)
@@ -185,15 +176,14 @@ def _de_table(t, h: float):
 def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
     """The one refinement loop of both kernels.
 
-    rows_at(steps, todo) evaluates the rows todo at the first of steps, or
-    at more of them in one pass, and returns one (values, scale) per step
-    it took, in order.  A row is taken at the first step where it agrees
-    with the previous step to rel_tol times its scale, and only the rows
-    still open are evaluated at the next step.  No row can be taken before
-    the second step, so the first pass is asked for the first two steps and
-    every later pass for one.  Returns all size values, or raises
-    NoConvergence naming the first open row and the last step, described as
-    unit.
+    rows_at(steps, todo) evaluates the rows todo at each of steps in one
+    pass and returns one (values, scale) per step, in order.  A row is
+    taken at the first step where it agrees with the previous step to
+    rel_tol times its scale, and only the rows still open are evaluated at
+    the next step.  No row can be taken before the second step, so the
+    first pass is asked for the first two steps and every later pass for
+    one.  Returns all size values, or raises NoConvergence naming the first
+    open row and the last step, described as unit.
     """
     steps = list(steps)
     todo = np.arange(size)
@@ -227,7 +217,7 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
         values = [np.atleast_1d(tanh_sinh_level(f, a, b, level)) for level in levels]
         return [(value, np.abs(value)) for value in values]
 
-    levels = range(cfg.level, cfg.max_level + 1)
+    levels = range(_START_LEVEL, cfg.max_level + 1)
     return _refine(rows_at, levels, 1, cfg.rel_tol, "tanh-sinh level")[0]
 
 
@@ -284,16 +274,13 @@ def _leg_rows(lines, targets, R, logs0, E):
     any other level evaluates its whole table.  A leg that converges at
     level M thus evaluates the nodes of level M once in all.
 
-    A pass takes the first of levels, and the second too (as `_refine`'s
-    first pass asks) where one leg's logs for both stay within
-    _BLOCK_VALUES.  Its node table lines up each level's nodes, each
-    followed by that level's last node J: the first pass holds the level-L
-    table and the new nodes of level L + 1, and one `_leg_logs` call per
-    block of legs and one kernel call per group cover both, the kernel
-    returning a sum per level's node range, S_(L+1) = S_L / 2 + S_new.  So
-    each level has the bits of a pass of its own.  From a start at level
-    13 (12 for n >= 5) the two levels overfill the block, and each pass
-    takes one level.
+    A pass takes the levels it is asked for (two in `_refine`'s first
+    pass, one in every later pass).  Its node table lines up each level's
+    nodes, each followed by that level's last node J: the first pass holds
+    the level-L table and the new nodes of level L + 1, and one
+    `_leg_logs` call per block of legs and one kernel call per group cover
+    both, the kernel returning a sum per level's node range, S_(L+1) =
+    S_L / 2 + S_new.  So each level has the bits of a pass of its own.
 
     Each pass takes the open legs in blocks that stay within
     _BLOCK_VALUES, with one `_leg_logs` call per block.  The node
@@ -332,18 +319,13 @@ def _leg_rows(lines, targets, R, logs0, E):
         nonlocal last
         new = last is not None and last[0] == levels[0] - 1
         steps = [(levels[0], new)] + [(level, True) for level in levels[1:]]
-        # each level's nodes and its last node J, for the tail beyond it
-        sizes = [_level_size(level, only_new) + 1 for level, only_new in steps]
-        # a block's logs and the line rule's temporaries, about four arrays
-        # of that size, stay within _BLOCK_VALUES; two levels share a pass
-        # only where they fit with one leg
-        if 4 * sum(sizes) * (n + 1) > _BLOCK_VALUES:
-            steps, sizes = steps[:1], sizes[:1]
         tails = [_last_node(level) for level, _ in steps]
+        # each level's nodes and its last node J, for the tail beyond it
         parts = []
         for (level, only_new), (j_table, _) in zip(steps, tails):
             parts += [_de_nodes(level, only_new), j_table]
         nodes = [np.concatenate(cols) for cols in zip(*parts)]
+        sizes = [len(table[0]) + 1 for table in parts[::2]]
         stops = np.cumsum(sizes)
         ranges = [(stop - count, stop - 1) for count, stop in zip(sizes, stops)]
         leg, form = np.divmod(todo, size)
@@ -351,6 +333,8 @@ def _leg_rows(lines, targets, R, logs0, E):
         forms_of = np.split(form, first[1:])
         sums = np.empty((len(steps), len(todo)), dtype=complex)
         at_j = np.empty((len(steps), len(lines), n), dtype=complex)
+        # a block's logs and the line rule's temporaries, about four arrays
+        # of that size, stay within _BLOCK_VALUES
         fit = max(1, _BLOCK_VALUES // (4 * len(nodes[0]) * (n + 1)))
         for b in range(0, len(first), fit):
             ats = first[b : b + fit]
@@ -417,13 +401,12 @@ def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
     `contour` call per segment kind, and evaluates them in one kernel call
     per set of open forms, with a piece axis: pieces whose open forms match
     share the call, and each piece's sums come out as they would alone.
-    The first pass takes the 4- and 8-panel meshes together where one
-    piece's logs for both stay within _BLOCK_VALUES, and the kernel returns
-    a sum per mesh's node range, each with the bits of a pass of its own;
-    every later pass takes one panel count.  A pair is gated against
-    max(|I|, 1e-3 * L1) so that closed-loop cancellations still settle.  A
-    NoConvergence or a StepTooCoarse carries the position of its segment as
-    `piece` (and a NoConvergence its form as `form`).
+    The first pass takes the 4- and 8-panel meshes together, and the kernel
+    returns a sum per mesh's node range, each with the bits of a pass of
+    its own; every later pass takes one panel count.  A pair is gated
+    against max(|I|, 1e-3 * L1) so that closed-loop cancellations still
+    settle.  A NoConvergence or a StepTooCoarse carries the position of its
+    segment as `piece` (and a NoConvergence its form as `form`).
     """
     anchors = np.asarray(R, dtype=complex)
     starts = np.asarray(starts, dtype=complex).reshape(len(segments), len(R))
@@ -448,12 +431,6 @@ def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
 
     def rows_at(steps, todo):
         sizes = [_GL_ORDER * panels for panels in steps]
-        # the pieces taken at once: their logs and the line rule's
-        # temporaries, about four arrays of that size, stay within one
-        # block; two panel counts share a pass only where they fit with one
-        # piece
-        if 4 * sum(sizes) * len(R) > _BLOCK_VALUES:
-            steps, sizes = steps[:1], sizes[:1]
         ts, weights = (np.concatenate(cols) for cols in zip(*map(_gl_mesh, steps)))
         stops = np.cumsum(sizes)
         ranges = [(stop - count, stop) for count, stop in zip(sizes, stops)]
@@ -465,6 +442,8 @@ def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
             groups.setdefault(forms.tobytes(), (forms, []))[1].append(at)
         cur = np.empty((len(steps), len(todo)), dtype=complex)
         scale = np.empty(cur.shape)
+        # the pieces taken at once: their logs and the line rule's
+        # temporaries, about four arrays of that size, stay within one block
         fit = max(1, _BLOCK_VALUES // (4 * len(ts) * len(R)))
         for forms, ats in groups.values():
             for b in range(0, len(ats), fit):
@@ -716,7 +695,7 @@ def leg_rows(
             [chain[-1] for chain in chains],
             E,
         )
-        levels = range(cfg.level, cfg.max_level + 1)
+        levels = range(_START_LEVEL, cfg.max_level + 1)
         try:
             rows += _refine(
                 rows_at, levels, rows.size, cfg.rel_tol, "tanh-sinh level"
@@ -730,11 +709,3 @@ def leg_rows(
     except StepTooCoarse as err:
         raise StepTooCoarse(f"base integral i={legs[err.piece]}: {err}") from err
     return rows
-
-
-def leg_row(
-    state: BranchState, i: int, forms: list[FormIndex], spec: CurveSpec, cfg: QuadConfig
-) -> np.ndarray:
-    """Integrals of W dw from the state's point to branch point r_i, one
-    per form: `leg_rows` with one leg."""
-    return leg_rows(state, [i], forms, spec, cfg)[0]

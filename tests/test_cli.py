@@ -225,8 +225,7 @@ def test_periods_deterministic_output(capsys, tmp_path):
 def test_periods_no_convergence_exits_3(capsys):
     code, out, err = run_cli(
         capsys,
-        "periods", "-k", "3", "-n", "2",
-        "--level", "2", "--max-level", "3", "--tol", "1e-15",
+        "periods", "-k", "3", "-n", "2", "--max-level", "4",
     )
     assert code == 3
     assert "alpha" in err and "i=" in err
@@ -234,18 +233,33 @@ def test_periods_no_convergence_exits_3(capsys):
 
 @pytest.mark.parametrize(
     "flag,field",
-    [("--level=-2000", "level"), ("--level=40", "level"), ("--max-level=19", "max_level")],
+    [
+        ("--level=-2000", "level"),
+        ("--level=40", "level"),
+        ("--max-level=3", "max_level"),
+        ("--max-level=19", "max_level"),
+    ],
 )
 def test_out_of_range_level_exits_2(capsys, monkeypatch, flag, field):
-    # refused when the configuration is built, before any node table exists
+    # refused before any node table exists: every refinement starts at
+    # level 4, so the parser knows no start level, and a cap outside 4..18
+    # is refused when the configuration is built
     def no_nodes(level):
         raise AssertionError(f"node table of level {level} built")
 
     monkeypatch.setattr(quad, "_de_nodes", no_nodes)
-    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", flag)
+    try:
+        code = cli.main(["periods", "-k", "3", "-n", "2", flag])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {field} must lie in 0..18, got ")
+    if field == "level":
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+    else:
+        value = flag.split("=")[1]
+        assert err == f"error: max_level must lie in 4..18, got {value}\n"
     assert "Traceback" not in err
 
 
@@ -272,28 +286,6 @@ def test_subcommand_help_exits_0(capsys, command):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: gfcperiods {command} ")
-
-
-@functools.cache
-def _default_periods_json() -> str:
-    return cli.periods_to_json(assemble(validate_spec(3, 2, []), QuadConfig()))
-
-
-@pytest.mark.parametrize("level", ["14", "17"])
-def test_high_start_level_converges(capsys, level):
-    # the cap rises to one above the start, so two levels can agree
-    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", "--level", level)
-    assert code == 0, err
-    high = np.asarray(json.loads(out)["periods"])
-    default = np.asarray(json.loads(_default_periods_json())["periods"])
-    assert np.max(np.abs(high - default)) <= 1e-12 * np.max(np.abs(default))
-
-
-def test_start_level_18_has_no_level_above_it(capsys):
-    code, out, err = run_cli(capsys, "periods", "-k", "3", "-n", "2", "--level", "18")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --level must lie in 0..17 without --max-level, got 18")
 
 
 def test_basis_classical_curve(capsys):
@@ -390,6 +382,8 @@ def test_basis_and_verify_never_build_the_selection_matrix(capsys, monkeypatch):
         ["info", "--level", "3"],
         ["info", "--max-level", "2"],
         ["info", "--tol", "5", "--level", "3", "--max-level", "2"],
+        # every refinement starts at tanh-sinh level 4
+        *([command, "--level", "4"] for command in ("periods", "basis", "verify")),
     ],
     ids=lambda argv: "_".join(a.strip("-") for a in argv),
 )
@@ -610,12 +604,11 @@ _NO_CONVERGENCE = "error: quadrature did not converge: "
             "loop i=1, route in, alpha=(0, 1, 1): "
             "did not reach rel_tol=1e-10 by Gauss-Legendre panels 8192",
         ),
-        # the first pass takes both levels and fails
+        # the cap leaves the first pass one level, in periods and in verify
         (
-            ("periods", "-k", "3", "-n", "2", "--level", "0", "--max-level", "1"),
-            "base integral i=1, alpha=(0, 2): did not reach rel_tol=1e-10 by tanh-sinh level 1",
+            ("periods", "-k", "3", "-n", "2", "--max-level", "4"),
+            "base integral i=1, alpha=(0, 2): did not reach rel_tol=1e-10 by tanh-sinh level 4",
         ),
-        # the cap leaves the first pass one level
         (
             ("verify", "-k", "3", "-n", "3", "-l", "2", "--max-level", "4"),
             "base integral i=1, alpha=(0, 0, 2): did not reach rel_tol=1e-10 by tanh-sinh level 4",
@@ -623,8 +616,8 @@ _NO_CONVERGENCE = "error: quadrature did not converge: "
     ],
 )
 def test_no_convergence_names_the_piece_form_and_last_step(capsys, argv, message):
-    # whether the first pass takes one step or two, the error line names
-    # the same piece, form and last step
+    # on a Gauss-Legendre piece or a tanh-sinh leg, the error line names
+    # the piece, form and last step
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", f"{_NO_CONVERGENCE}{message}\n")
 

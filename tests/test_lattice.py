@@ -245,6 +245,30 @@ def test_blocked_rows_match_row_loop_on_random_lambda():
         assert len(ref) == d
 
 
+# Far branch values, at which the forms' periods span up to 67 decades
+# (12 at 1e18), each with a near curve of its type: lambda = -1.5, or
+# (-1.5, 2).
+FAR_CURVES = [
+    *((3, 3, (lam,), (-1.5,)) for lam in (1e18, 1e20, 1e100, 1e150, -1e50, 1e30 + 1e30j)),
+    (3, 4, (1e50, 2), (-1.5, 2)),
+]
+
+
+@pytest.mark.parametrize("k,n,lams,near", FAR_CURVES, ids=str)
+def test_far_lambda_keeps_the_rows_and_coefficients_of_a_near_one(k, n, lams, near):
+    # the kept set is searched and the coordinates solved for in columns
+    # scaled to one size, so the small forms' periods are not read as
+    # dependent; the near curve's coefficients need no scaling and check
+    # the far ones independently of the scaled solve
+    far = extract_basis(_period_matrix(k, n, lams), validate_spec(k, n, list(lams)))
+    ref = extract_basis(_period_matrix(k, n, near), validate_spec(k, n, list(near)))
+    assert np.array_equal(far.kept, ref.kept)
+    assert np.array_equal(far.coefficients, ref.coefficients)
+    v = _generators(k, n, lams)
+    miss = np.abs(far.coefficients @ far.basis - v).max(axis=0)
+    assert np.all(miss <= 1e-12 * np.abs(v).max(axis=0))
+
+
 @pytest.mark.parametrize("k,n,lams", LADDER_CURVES)
 def test_extract_basis_matches_full_solve(k, n, lams):
     # solving only for the rows that were not kept changes no bit

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +18,10 @@ from gfcperiods.contour import (
     default_base_point,
     exponent_matrix,
 )
-from gfcperiods import cli, contour, quad
+from gfcperiods import contour, quad
 from gfcperiods.errors import NoConvergence
 from gfcperiods.periods import base_integrals
-from gfcperiods.quad import QuadConfig, leg_row, tanh_sinh, tanh_sinh_level
+from gfcperiods.quad import QuadConfig, leg_rows, tanh_sinh, tanh_sinh_level
 
 
 def _one_leg_rows(state, i, E):
@@ -41,25 +42,19 @@ def _beta_integrand(a, b):
 
 def test_quad_config_validation():
     with pytest.raises(ValueError):
-        QuadConfig(level=15, max_level=14)
-    with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive finite"):
             QuadConfig(rel_tol=bad)
-    # the cap bounds one leg's node table: 3.2M nodes at level 18
-    assert quad._LEVEL_CAP == 18
-    QuadConfig(level=18, max_level=18)
-    for field, kwargs in [
-        ("level", dict(level=-1)),
-        ("level", dict(level=-2000)),
-        ("level", dict(level=19, max_level=19)),
-        ("level", dict(level=40, max_level=40)),
-        ("max_level", dict(max_level=19)),
-        ("max_level", dict(level=0, max_level=-1)),
-    ]:
-        with pytest.raises(ValueError, match=rf"^{field} must lie in 0\.\.18"):
-            QuadConfig(**kwargs)
+    # every refinement starts at level 4, and the cap bounds one leg's node
+    # table: 3.2M nodes at level 18
+    assert (quad._START_LEVEL, quad._LEVEL_CAP) == (4, 18)
+    assert "level" not in {field.name for field in dataclasses.fields(QuadConfig)}
+    QuadConfig(max_level=4)
+    QuadConfig(max_level=18)
+    for max_level in (-1, 0, 3, 19, 40):
+        with pytest.raises(ValueError, match=rf"^max_level must lie in 4\.\.18, got {max_level}$"):
+            QuadConfig(max_level=max_level)
 
 
 def test_arcsine_integral(quad_cfg):
@@ -104,13 +99,13 @@ def test_leg_path_independence(quad_cfg):
     form = enumerate_forms(spec)[0]
     z0 = default_base_point(R)
     state = init_branch(z0, R)
-    (direct,) = leg_row(state, 1, [form], spec, quad_cfg)
+    ((direct,),) = leg_rows(state, [1], [form], spec, quad_cfg)
     # detour through a waypoint homotopic to the straight leg
     waypoint = z0 + 1.0 - 0.5j
     (prefix,), mid_state = integrate_smooth(
         Path(segments=(Line(z0, waypoint),)), state, [form], spec, quad_cfg
     )
-    (tail,) = leg_row(mid_state, 1, [form], spec, quad_cfg)
+    ((tail,),) = leg_rows(mid_state, [1], [form], spec, quad_cfg)
     detoured = prefix + tail
     assert abs(direct - detoured) / abs(direct) < 1e-9
 
@@ -164,9 +159,10 @@ def test_no_convergence_raises():
     spec = validate_spec(3, 2, [])
     state = init_branch(default_base_point(spec.branch_points), spec.branch_points)
     form = enumerate_forms(spec)[0]
-    cfg = QuadConfig(level=2, rel_tol=1e-15, max_level=3)
+    # one level, so no two levels can agree
+    cfg = QuadConfig(max_level=4)
     with pytest.raises(NoConvergence, match=r"base integral i=1, alpha="):
-        leg_row(state, 1, [form], spec, cfg)
+        leg_rows(state, [1], [form], spec, cfg)
 
 
 def test_leg_ladder_converges_across_desk_scale(quad_cfg):
@@ -186,7 +182,7 @@ def test_leg_ladder_converges_across_desk_scale(quad_cfg):
             every = np.arange(len(sample))
             for i in range(1, n + 1):
                 rows_at = _one_leg_rows(state, i, E)
-                levels = [rows_at([lvl], every)[0][0] for lvl in range(quad_cfg.level, 12)]
+                levels = [rows_at([lvl], every)[0][0] for lvl in range(quad._START_LEVEL, 12)]
                 for values in np.transpose(levels):
                     diffs = [
                         abs(v2 - v1) / abs(v2) for v1, v2 in zip(values, values[1:])
@@ -204,8 +200,8 @@ def test_leg_integral_reproduces_beta_difference(quad_cfg):
     R = spec.branch_points
     state = init_branch(default_base_point(R), R)
     form = enumerate_forms(spec)[0]  # alpha = (0, 2)
-    (j1,) = leg_row(state, 1, [form], spec, quad_cfg)
-    (j2,) = leg_row(state, 2, [form], spec, quad_cfg)
+    ((j1,),) = leg_rows(state, [1], [form], spec, quad_cfg)
+    ((j2,),) = leg_rows(state, [2], [form], spec, quad_cfg)
     exact = _beta_oracle(0.25, 0.5)
     assert abs(abs(j2 - j1) - exact) / exact < 1e-10
 
@@ -246,10 +242,10 @@ def test_leg_row_over_all_forms_matches_each_form_alone(
     R = spec.branch_points
     state = init_branch(default_base_point(R), R)
     for i in range(1, n + 1):
-        whole = leg_row(state, i, forms, spec, quad_cfg)
+        (whole,) = leg_rows(state, [i], forms, spec, quad_cfg)
         scale = np.max(np.abs(whole))
         for c, form in enumerate(forms):
-            (alone,) = leg_row(state, i, [form], spec, quad_cfg)
+            ((alone,),) = leg_rows(state, [i], [form], spec, quad_cfg)
             assert abs(alone - whole[c]) <= 1e-14 * scale
 
 
@@ -306,7 +302,7 @@ def test_batched_legs_match_each_leg_alone(case, block_values, quad_cfg, monkeyp
     assert max(pieces) == (1 if block_values else n // len(sides))
     assert max(levels) == {"detour": 11, "deep": 7}.get(case, 5)
     for i in range(1, n + 1):
-        assert np.array_equal(J[i - 1], leg_row(state, i, forms, spec, quad_cfg)), i
+        assert np.array_equal(J[i - 1], leg_rows(state, [i], forms, spec, quad_cfg)[0]), i
 
 
 def _kernel_reference(E, X, vw):
@@ -503,19 +499,19 @@ def test_a_leg_converging_at_the_second_level_evaluates_its_nodes_once(
 ):
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
     nodes = _count_nodes(monkeypatch)
-    leg_row(state, straight[0], forms, spec, quad_cfg)
+    leg_rows(state, [straight[0]], forms, spec, quad_cfg)
     # the start level and the new nodes of the next in one pass
-    assert sum(nodes) == _node_count(quad_cfg.level + 1) == 391
+    assert sum(nodes) == _node_count(quad._START_LEVEL + 1) == 391
     assert len(nodes) == 1
 
 
 def test_a_capped_leg_evaluates_its_one_level(monkeypatch):
     spec, forms, state, _, straight = _legs(3, 3, [-1.5])
     nodes = _count_nodes(monkeypatch)
-    cfg = QuadConfig(level=3, max_level=3, rel_tol=1e-15)
-    with pytest.raises(NoConvergence, match=r"base integral i=\d+, alpha=.*level 3$"):
-        leg_row(state, straight[0], forms, spec, cfg)
-    assert nodes == [_node_count(3)]
+    cfg = QuadConfig(max_level=4)
+    with pytest.raises(NoConvergence, match=r"base integral i=\d+, alpha=.*level 4$"):
+        leg_rows(state, [straight[0]], forms, spec, cfg)
+    assert nodes == [_node_count(4)]
 
 
 @pytest.mark.parametrize("k,n,lams", _LEG_CURVES)
@@ -620,9 +616,8 @@ def _loop_pieces(state, n):
 )
 def test_a_fused_pass_has_the_bits_of_one_step_per_pass(k, n, lams, quad_cfg, monkeypatch):
     # the first pass takes two steps in one kernel call, with a node range
-    # each, where one leg or piece of both fits the block.  The smallest
-    # such budget and one less cut the kernel's blocks alike, and under the
-    # second every pass takes one step: J and the loop rows keep their bits
+    # each; asked for one step per pass instead, J and the loop rows keep
+    # their bits
     spec = validate_spec(k, n, lams)
     forms = enumerate_forms(spec)
     R = spec.branch_points
@@ -631,8 +626,7 @@ def test_a_fused_pass_has_the_bits_of_one_step_per_pass(k, n, lams, quad_cfg, mo
     segments, starts = _loop_pieces(state, n)
     calls = _count_ranges(monkeypatch)
 
-    def run(budget):
-        monkeypatch.setattr(quad, "_BLOCK_VALUES", budget)
+    def run():
         calls.clear()
         J = quad.leg_rows(state, range(1, n + 1), forms, spec, quad_cfg)
         rows = quad._gl_batch(segments, starts, R, E, quad_cfg)
@@ -640,19 +634,18 @@ def test_a_fused_pass_has_the_bits_of_one_step_per_pass(k, n, lams, quad_cfg, mo
         most = [max(r for legs, r in calls if legs == kind) for kind in (True, False)]
         return J, rows, most
 
-    assert run(quad._BLOCK_VALUES)[2] == [2, 2]
-    two_levels = quad._level_size(quad_cfg.level) + quad._level_size(quad_cfg.level + 1, True)
-    two_meshes = quad._GL_ORDER * (4 + 8)
-    # a leg's two levels and their last nodes; the meshes fit the same block
-    J, rows, most = run(4 * (two_levels + 2) * (n + 1))
+    J, rows, most = run()
     assert most == [2, 2]
-    J_one, rows_one, most = run(4 * (two_levels + 2) * (n + 1) - 1)
-    assert most == [1, 2]
-    assert np.array_equal(J_one, J) and np.array_equal(rows_one, rows)
-    # a piece's two meshes, under which no leg fuses its levels
-    J, rows, most = run(4 * two_meshes * n)
-    assert most == [1, 2]
-    J_one, rows_one, most = run(4 * two_meshes * n - 1)
+    refine = quad._refine
+
+    def one_step_per_pass(rows_at, steps, *args):
+        def stepped(steps, todo):
+            return [value for step in steps for value in rows_at([step], todo)]
+
+        return refine(stepped, steps, *args)
+
+    monkeypatch.setattr(quad, "_refine", one_step_per_pass)
+    J_one, rows_one, most = run()
     assert most == [1, 1]
     assert np.array_equal(J_one, J) and np.array_equal(rows_one, rows)
 
@@ -677,14 +670,3 @@ def test_a_pass_of_two_levels_gives_each_its_value(k, n, lams, monkeypatch):
             assert np.array_equal(first, alone) and np.array_equal(second, following)
             assert np.array_equal(first_scale, np.abs(first))
             assert np.array_equal(second_scale, np.abs(second))
-
-
-def test_a_level_17_start_takes_one_level_per_pass(capsys, monkeypatch):
-    # the level-17 table of one leg fills the block, so the new level-18
-    # nodes get a pass of their own: one node table never holds both
-    nodes = _count_nodes(monkeypatch)
-    assert cli.main(["periods", "-k", "3", "-n", "2", "--level", "17"]) == 0
-    capsys.readouterr()
-    level_17, new_18 = _node_count(17), _node_count(18) - _node_count(17)
-    assert set(nodes) == {level_17, new_18}
-    assert nodes[0] == level_17
