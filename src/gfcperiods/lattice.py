@@ -60,13 +60,13 @@ def real_split(pm: PeriodMatrix) -> np.ndarray:
     return np.hstack([pm.entries.real, pm.entries.imag])
 
 
-def lattice_rank(vectors, rank_tol: float = 1e-8) -> int:
-    """Numerical rank via singular values with a relative threshold."""
+def lattice_rank(vectors) -> int:
+    """Numerical rank via singular values, relative threshold _RANK_TOL."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.size == 0:
         return 0
     s = np.linalg.svd(v, compute_uv=False)
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > _RANK_TOL * s[0]))
 
 
 def _first_independent(stack: np.ndarray) -> np.ndarray:

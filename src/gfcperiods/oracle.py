@@ -5,11 +5,11 @@ Three routes that never touch the closed-form entry formula:
 * `WordIntegrator` integrates the multivalued integrand along the loop
   concatenation spelled by a homology word, with the branch state carried
   continuously through every letter.  Each branch point's route in and
-  circle are integrated once, and all the pieces a request needs go to
-  the quadrature in one batch; the way out and the -1 loop follow from the
-  deck-action phase, all the request's word rows come from one array
-  expression, and the tests keep the literal traversal of
-  `contour.loop_path` as the reference;
+  circle are integrated once, all in one quadrature batch when the
+  integrator is built; the way out and the -1 loop follow from the
+  deck-action phase, all of a request's word rows come from one array
+  expression over that loop table, and the tests keep the literal
+  traversal of `contour.loop_path` as the reference;
 * `beta_closed_form` gives the classical Beta value that the rank-2 base
   integrals must reproduce in magnitude;
 * `agm_elliptic_periods` computes genus-1 period lattices by the
@@ -59,12 +59,12 @@ class WordIntegrator:
     are integrated, once per branch point, from the reference state and
     for all forms at once; the way out (the route in walked backwards) and
     the -1 loop (the +1 loop walked backwards) take their rows from that
-    phase.  `word_rows` takes many words in one request: the pieces of
-    every loop they need are integrated in one batch, and their values
-    over all forms are one array expression over all their letters.
-    Nothing is kept beyond the integrator, and the tests
-    keep the literal traversal of `contour.loop_path`, loop by loop and
-    letter by letter, as the reference.
+    phase.  The constructor integrates the pieces of every loop in one
+    batch into a table of loop rows, and `word_rows` takes many words in
+    one request, their values over all forms one array expression over all
+    their letters.  The tests keep the literal traversal of
+    `contour.loop_path`, loop by loop and letter by letter, as the
+    reference.
     """
 
     def __init__(self, spec: CurveSpec, cfg: QuadConfig):
@@ -76,13 +76,13 @@ class WordIntegrator:
         self.forms = enumerate_forms(spec)
         self._E = contour.exponent_matrix(self.forms, spec.k, spec.n)
         self._columns = {form.alpha: c for c, form in enumerate(self.forms)}
-        self._loops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._rows: dict[HomologyWord, np.ndarray] = {}
+        self._V, self._D = self._integrate_loops()
 
-    def _integrate_loops(self, loops) -> None:
-        """Integrate the loops around the branch points in loops, in one
-        `quad._gl_batch` call, and store each loop's integrals of all forms
-        from the reference state and its log offsets, in both orientations.
+    def _integrate_loops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The loop table: every loop's integrals of all forms from the
+        reference state (V, 2n x forms) and its log offsets (D, 2n x n),
+        loop (i, +1) at row 2(i - 1) and (i, -1) at the row after it, from
+        one `quad._gl_batch` call.
 
         Only the +1 loop's route in (I_in) and circle (C, log offsets d)
         are integrated; their start logs are chained up front in closed
@@ -93,8 +93,9 @@ class WordIntegrator:
         re-raised naming the loop and its piece, and a NoConvergence also
         the form.
         """
+        n = self.spec.n
         routes, failure = [], None
-        for i in loops:
+        for i in range(1, n + 1):
             try:
                 routes.append(contour.loop_pieces(self.base_point, i, self.R))
             except ClearanceUnachievable as err:
@@ -103,7 +104,7 @@ class WordIntegrator:
         segments = [seg for inbound, circle in routes for seg in inbound + (circle,)]
         owners = [
             (i, piece)
-            for i, (inbound, _) in zip(loops, routes)
+            for i, (inbound, _) in enumerate(routes, start=1)
             for piece in ["route in"] * len(inbound) + ["circle"]
         ]
         try:
@@ -117,7 +118,7 @@ class WordIntegrator:
             raise StepTooCoarse(f"loop i={i}, {piece}: {err}") from err
         # a routing failure comes after the continuation of the loops before it
         if failure is not None:
-            i = loops[len(routes)]
+            i = len(routes) + 1
             raise ClearanceUnachievable(f"loop i={i}, route in: {failure}") from failure
         starts = [logs for chain in chains for logs in chain[:-1]]
         try:
@@ -131,65 +132,58 @@ class WordIntegrator:
         except StepTooCoarse as err:
             i, piece = owners[err.piece]
             raise StepTooCoarse(f"loop i={i}, {piece}: {err}") from err
+        V = np.empty((2 * n, len(self.forms)), dtype=complex)
+        D = np.empty((2 * n, n), dtype=complex)
         first = 0
-        for i, (inbound, _), chain in zip(loops, routes, chains):
+        for s, (inbound, _), chain in zip(range(0, 2 * n, 2), routes, chains):
             count = len(inbound)
             I_in = np.zeros(len(self.forms), dtype=complex)
             for row in rows[first : first + count]:
                 I_in += row
             d = chain[-1] - chain[-2]
             T = np.exp(self._E @ d.real + 1j * (self._E @ d.imag))
-            V = I_in + rows[first + count] - T * I_in
-            self._loops[i, +1] = (V, d)
-            self._loops[i, -1] = (-V / T, -d)
+            V[s] = I_in + rows[first + count] - T * I_in
+            V[s + 1] = -V[s] / T
+            D[s], D[s + 1] = d, -d
             first += count + 1
-
-    def _loop_row(self, i: int, orientation: int):
-        """Loop integrals of all forms from the reference state and the
-        loop's log offsets (`_integrate_loops`)."""
-        if (i, orientation) not in self._loops:
-            self._integrate_loops([i])
-        return self._loops[i, orientation]
+        return V, D
 
     def word_rows(self, words) -> np.ndarray:
         """word_row of each word, one row per word.
 
-        The loops the words need that are not integrated yet are integrated
-        in one batch, lowest branch point first.  The rows not computed yet
-        come from one array expression over all their letters, in blocks of
-        words of at most _WORD_BLOCK_VALUES terms: -sum_s exp(E acc_s) V_s / k
-        over each word's letters s, with V_s the loop row of letter s and
-        acc_s the summed log offsets of the letters before it in its word
-        (summed on a word x letter grid).
+        The rows come from one array expression over all the words'
+        letters, in blocks of words of at most _WORD_BLOCK_VALUES terms:
+        -sum_s exp(E acc_s) V_s / k over each word's letters s, with V_s
+        the loop table's row of letter s and acc_s the summed log offsets
+        of the letters before it in its word (summed on a word x letter
+        grid).  A repeated word is computed once.  A letter of a loop
+        outside 1..n raises ValueError.
         """
-        new = [word for word in dict.fromkeys(words) if word not in self._rows]
-        if new:
-            spelled = [expand(word, self.spec.k) for word in new]
-            needed = {i for letters in spelled for i, _ in letters}
-            self._integrate_loops(sorted(needed - {i for i, _ in self._loops}))
-            at = {key: s for s, key in enumerate(self._loops)}
-            V = np.array([row for row, _ in self._loops.values()])
-            D = np.array([delta for _, delta in self._loops.values()])
-            lengths = np.array([len(letters) for letters in spelled])
-            grid = np.zeros((len(new), lengths.max()), dtype=np.intp)
-            for w, letters in enumerate(spelled):
-                grid[w, : len(letters)] = [at[letter] for letter in letters]
-            acc = np.zeros((*grid.shape, self.spec.n), dtype=complex)
-            np.cumsum(D[grid[:, :-1]], axis=1, out=acc[:, 1:])
-            used = np.arange(grid.shape[1]) < lengths[:, None]
-            Et = self._E.T
-            step = max(1, _WORD_BLOCK_VALUES // max(1, grid.shape[1] * len(self.forms)))
-            for b in range(0, len(new), step):
-                block = slice(b, b + step)
-                mask = used[block]
-                a = acc[block][mask]
-                terms = np.exp(a.real @ Et + 1j * (a.imag @ Et)) * V[grid[block][mask]]
-                firsts = np.concatenate(([0], np.cumsum(lengths[block][:-1])))
-                rows = -np.add.reduceat(terms, firsts, axis=0) / self.spec.k
-                self._rows.update(zip(new[block], rows))
-        return np.array([self._rows[word] for word in words]).reshape(
-            len(words), len(self.forms)
-        )
+        n = self.spec.n
+        distinct = list(dict.fromkeys(words))
+        spelled = [expand(word, self.spec.k) for word in distinct]
+        lengths = np.array([len(letters) for letters in spelled], dtype=np.intp)
+        grid = np.zeros((len(distinct), lengths.max(initial=0)), dtype=np.intp)
+        for w, letters in enumerate(spelled):
+            grid[w, : len(letters)] = [2 * (i - 1) + (sign < 0) for i, sign in letters]
+        # the table holds the loops 1..n; another index would wrap or overrun
+        if grid.size and not 0 <= grid.min() <= grid.max() < 2 * n:
+            raise ValueError(f"a letter's loop lies outside 1..{n}")
+        acc = np.zeros((*grid.shape, n), dtype=complex)
+        np.cumsum(self._D[grid[:, :-1]], axis=1, out=acc[:, 1:])
+        used = np.arange(grid.shape[1]) < lengths[:, None]
+        Et = self._E.T
+        out = np.empty((len(distinct), len(self.forms)), dtype=complex)
+        step = max(1, _WORD_BLOCK_VALUES // max(1, grid.shape[1] * len(self.forms)))
+        for b in range(0, len(distinct), step):
+            block = slice(b, b + step)
+            mask = used[block]
+            a = acc[block][mask]
+            terms = np.exp(a.real @ Et + 1j * (a.imag @ Et)) * self._V[grid[block][mask]]
+            firsts = np.concatenate(([0], np.cumsum(lengths[block][:-1])))
+            out[block] = -np.add.reduceat(terms, firsts, axis=0) / self.spec.k
+        at = {word: s for s, word in enumerate(distinct)}
+        return out[[at[word] for word in words]]
 
     def word_row(self, word: HomologyWord) -> np.ndarray:
         """-1/k times the word's integral for every form, in form order."""

@@ -12,16 +12,17 @@ count instead.
 Both rules share one refinement loop (`_refine`) and one evaluation
 kernel (`_panel_sums`).  Each step evaluates every form still open on its
 nodes, and a form leaves the loop at the first step that agrees with the
-previous one to the relative tolerance.  Tanh-sinh levels nest (the
-level-L nodes are the even-j nodes of level L + 1), so each level after a
-leg's first evaluates only the odd-j nodes it adds and takes the rest of
-its sum from the level before.  Every refinement starts at level 4 (4
-panels for Gauss-Legendre).  No form can leave before the second step,
-so the first pass takes the first two steps at once: one node table
-holds both steps' nodes (the level-4 nodes and the new level-5 ones, or
-the 4- and 8-panel meshes), and the kernel returns a sum per step's node
-range, each with the bits of a pass of its own.  Every later pass takes
-one step.
+previous one to the relative tolerance; a value that is not finite ends
+the loop at its step (the kernel leaves overflows to that check, without
+numpy warnings).  Tanh-sinh levels nest (the level-L nodes are the even-j
+nodes of level L + 1), so each level after a leg's first evaluates only
+the odd-j nodes it adds and takes the rest of its sum from the level
+before.  Every refinement starts at level 4 (4 panels for
+Gauss-Legendre).  No form can leave before the second step, so the first
+pass takes the first two steps at once: one node table holds both steps'
+nodes (the level-4 nodes and the new level-5 ones, or the 4- and 8-panel
+meshes), and the kernel returns a sum per step's node range, each with
+the bits of a pass of its own.  Every later pass takes one step.
 
 The legs of a curve go through one batch, `leg_rows`: one `_refine` gates
 every (leg, form) pair, each pass takes the continued logs of all the
@@ -32,7 +33,7 @@ own.
 
 Smooth pieces all go through one batch, `_gl_batch`: a caller hands over
 every segment it needs at once (all the detour prefixes of the legs, a
-literal loop path, or all the loop pieces of an oracle request), each
+literal loop path, or all the loop pieces of an oracle), each
 with its start logs chained up front in closed form, for all its chains
 in one `contour.chain_logs` call.  One refinement loop gates every
 (segment, form) pair, and each pass makes one kernel call per set of open
@@ -173,8 +174,9 @@ def _de_table(t, h: float):
     return sigma, tau, log_sigma, log_weight
 
 
-def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
-    """The one refinement loop of both kernels.
+def _refine(rows_at, steps, pieces: int, forms: int, rel_tol: float, unit: str):
+    """The one refinement loop of both kernels, over the pieces x forms
+    rows: row p * forms + f is form f of piece p.
 
     rows_at(steps, todo) evaluates the rows todo at each of steps in one
     pass and returns one (values, scale) per step, in order.  A row is
@@ -182,17 +184,23 @@ def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
     rel_tol times its scale, and only the rows still open are evaluated at
     the next step.  No row can be taken before the second step, so the
     first pass is asked for the first two steps and every later pass for
-    one.  Returns all size values, or raises NoConvergence naming the first
-    open row and the last step, described as unit.
+    one.  Returns all the values, or raises NoConvergence with the piece
+    and form of a row and the step, described as unit: of the first open
+    row that is not finite at a step (an infinite value would pass the
+    gate), else of the first open row after the last step.
     """
     steps = list(steps)
-    todo = np.arange(size)
+    todo = np.arange(pieces * forms)
     row = prev = None
     while steps:
         for cur, scale in rows_at(steps[: 2 if prev is None else 1], todo):
             step = steps.pop(0)
             if row is None:
                 row = np.zeros_like(cur)
+            wrong = np.flatnonzero(~np.isfinite(cur))
+            if wrong.size:
+                piece, form = divmod(int(todo[wrong[0]]), forms)
+                raise NoConvergence(f"value is not finite at {unit} {step}", form, piece)
             if prev is not None:
                 done = np.abs(cur - prev) <= rel_tol * scale
                 row[todo[done]] = cur[done]
@@ -200,9 +208,8 @@ def _refine(rows_at, steps, size: int, rel_tol: float, unit: str):
             if not todo.size:
                 return row
             prev = cur
-    raise NoConvergence(
-        f"did not reach rel_tol={rel_tol} by {unit} {step}", form=int(todo[0])
-    )
+    piece, form = divmod(int(todo[0]), forms)
+    raise NoConvergence(f"did not reach rel_tol={rel_tol} by {unit} {step}", form, piece)
 
 
 def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
@@ -218,7 +225,7 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadConfig):
         return [(value, np.abs(value)) for value in values]
 
     levels = range(_START_LEVEL, cfg.max_level + 1)
-    return _refine(rows_at, levels, 1, cfg.rel_tol, "tanh-sinh level")[0]
+    return _refine(rows_at, levels, 1, 1, cfg.rel_tol, "tanh-sinh level")[0]
 
 
 def tanh_sinh_level(f, a: float, b: float, level: int):
@@ -455,13 +462,9 @@ def _gl_batch(segments, starts, R, E, cfg: QuadConfig):
         return list(zip(cur, scale))
 
     panels = [2**p for p in range(2, _GL_MAX_PANELS.bit_length())]  # 4 .. max
-    try:
-        row = _refine(
-            rows_at, panels, len(segments) * size, cfg.rel_tol, "Gauss-Legendre panels"
-        )
-    except NoConvergence as err:
-        err.piece, err.form = divmod(err.form, size)
-        raise
+    row = _refine(
+        rows_at, panels, len(segments), size, cfg.rel_tol, "Gauss-Legendre panels"
+    )
     return row.reshape(len(segments), size)
 
 
@@ -497,6 +500,7 @@ def _factored(data: bytes, shape: tuple[int, int], tie: tuple[int, int] | None):
     return split
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _panel_sums(E, todo, X, vw, ranges=None, magnitudes: bool = False, tie=None):
     """Sums of exp(E[todo] @ X[p].T) * vw[p] over the nodes of each range
     (start, stop) of ranges (by default all nodes), with one axis for the
@@ -520,7 +524,9 @@ def _panel_sums(E, todo, X, vw, ranges=None, magnitudes: bool = False, tie=None)
     gives each step's sums the bits of a call of its own.  Every temporary
     stays under _BLOCK_VALUES.  A block is sized for one piece as if it
     were alone, and pieces whose blocks fit together are taken together, so
-    each piece's sums have the same bits as alone.
+    each piece's sums have the same bits as alone.  Overflows and invalid
+    values raise no numpy warning: a sum they leave not finite ends
+    `_refine` at its step.
     """
     split = _factored(E.tobytes(), E.shape, tie)
     pieces = X.shape[0]
@@ -651,9 +657,9 @@ def leg_rows(
     `_refine` over (leg, form) rows, so each level evaluates its new nodes
     once for every leg and form still open (`_leg_rows`).  Each row has the
     same bits as the leg's own call.  A NoConvergence names i and the
-    alpha of the first form that did not converge; a routing or
-    continuation failure names only i, because the node logs serve every
-    form.
+    alpha of the row `_refine` names (the first one not finite, else the
+    first one that did not converge); a routing or continuation failure
+    names only i, because the node logs serve every form.
     """
     R = state.branch_points
     routes, failure = [], None
@@ -696,13 +702,9 @@ def leg_rows(
             E,
         )
         levels = range(_START_LEVEL, cfg.max_level + 1)
-        try:
-            rows += _refine(
-                rows_at, levels, rows.size, cfg.rel_tol, "tanh-sinh level"
-            ).reshape(rows.shape)
-        except NoConvergence as err:
-            err.piece, err.form = divmod(err.form, len(forms))
-            raise
+        rows += _refine(
+            rows_at, levels, len(routes), len(forms), cfg.rel_tol, "tanh-sinh level"
+        ).reshape(rows.shape)
     except NoConvergence as err:
         i, alpha = legs[err.piece], forms[err.form].alpha
         raise NoConvergence(f"base integral i={i}, alpha={alpha}: {err}", err.form) from err

@@ -165,7 +165,7 @@ def test_criterion_5_conjugation_covariance(curves, sampled_words):
 def test_criterion_6_rank_law(curves):
     for data in curves.values():
         spec = data["spec"]
-        rank = lattice_rank(real_split(data["pm"]), rank_tol=1e-8)
+        rank = lattice_rank(real_split(data["pm"]))
         assert rank == 2 * genus(spec), f"(k,n)=({spec.k},{spec.n}) rank {rank}"
     _report(6, True, "lattice rank equals 2g on every curve")
 

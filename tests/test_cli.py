@@ -689,28 +689,43 @@ def test_periods_with_huge_lambda_exits_0(lam):
 
 _UNDERFLOW = "error: quadrature underflowed: base integral i=1, alpha=(0, 1, 1) is exactly 0"
 _ROUTE_IN = "error: quadrature did not converge: loop i=1, route in, alpha=(0, 1, 1): "
+_NOT_FINITE = (
+    "error: quadrature did not converge: base integral i=1, alpha={}: "
+    "value is not finite at tanh-sinh level 4"
+)
 
 
 @pytest.mark.parametrize(
-    "command,lam,message",
+    "command,k,n,lam,message",
     [
         # J underflows to exactly 0: refused before any lattice or oracle
         # step divides by it
         *(
-            pytest.param(command, lam, _UNDERFLOW, id=f"{lam}-{command}")
+            pytest.param(command, 2, 3, lam, _UNDERFLOW, id=f"{lam}-{command}")
             for lam in ("-1e300", "1e300+1e300i")
             for command in ("periods", "basis", "verify")
         ),
         # the periods exist, but uniform Gauss-Legendre panels run out on the
         # oracle's route in to r_1 (ROADMAP direction 1, a graded mesh)
         *(
-            pytest.param("verify", lam, _ROUTE_IN, id=f"{lam}-verify")
+            pytest.param("verify", 2, 3, lam, _ROUTE_IN, id=f"{lam}-verify")
             for lam in ("1e160", "1e200")
+        ),
+        # a kernel term overflows at the first level: refused there, with
+        # no numpy warning before the error line
+        *(
+            pytest.param(
+                command, 7, 3, "1e200", _NOT_FINITE.format((10, 6, 6)), id=f"k7-{command}"
+            )
+            for command in ("periods", "basis", "verify")
+        ),
+        pytest.param(
+            "periods", 5, 3, "1e230", _NOT_FINITE.format((6, 4, 4)), id="k5-periods"
         ),
     ],
 )
-def test_huge_lambda_exits_3_with_one_error_line(command, lam, message):
-    run = _run_child([command, "-k", "2", "-n", "3", "-l", lam])
+def test_huge_lambda_exits_3_with_one_error_line(command, k, n, lam, message):
+    run = _run_child([command, "-k", str(k), "-n", str(n), "-l", lam])
     assert run.returncode == 3, run.stderr
     assert run.stdout == ""
     assert "Traceback" not in run.stderr

@@ -26,7 +26,7 @@ from gfcperiods.errors import (
 )
 from gfcperiods.homology import ConjComm, Power, expand
 from gfcperiods import oracle
-from gfcperiods.oracle import WordIntegrator, _optimal_agm
+from gfcperiods.oracle import WordIntegrator, _optimal_agm, _sample_words
 from gfcperiods.periods import zeta_power
 
 
@@ -43,8 +43,9 @@ def test_separa_decomposition(wi32):
     for c, form in enumerate(enumerate_forms(spec)):
         m = form.m_exponents
         lhs = wi.integrate_word(ConjComm(g=(0, 0), j=1, l=2), form)
-        i1 = -wi._loop_row(1, +1)[0][c] / k
-        i2 = -wi._loop_row(2, +1)[0][c] / k
+        # the loop table's rows of (1, +1) and (2, +1)
+        i1 = -wi._V[0, c] / k
+        i2 = -wi._V[2, c] / k
         rhs = (1 - zeta_power(k, m[1])) * i1 - (1 - zeta_power(k, m[0])) * i2
         assert abs(lhs - rhs) / abs(rhs) < 1e-8
 
@@ -55,7 +56,7 @@ def test_expliciti_reduction(wi32):
     for c, form in enumerate(enumerate_forms(spec)):
         m = form.m_exponents
         for i in (1, 2):
-            lhs = -wi._loop_row(i, +1)[0][c] / spec.k
+            lhs = -wi._V[2 * (i - 1), c] / spec.k
             rhs = -(1 - zeta_power(spec.k, m[i - 1])) * J[i - 1, c] / spec.k
             assert abs(lhs - rhs) / abs(rhs) < 1e-8
 
@@ -148,7 +149,9 @@ def test_loop_row_matches_literal_loop_path(k, n, lams, detoured, quad_cfg):
         path = contour.loop_path(wi.base_point, i, wi.R, +1)
         assert len(path.segments) == (5 if i in detoured else 3)
         for orientation in (+1, -1):
-            row, delta = wi._loop_row(i, orientation)
+            # loop (i, +1) at row 2(i - 1) of the table, (i, -1) after it
+            s = 2 * (i - 1) + (orientation < 0)
+            row, delta = wi._V[s], wi._D[s]
             path = contour.loop_path(wi.base_point, i, wi.R, orientation)
             literal, end = quad.integrate_smooth(
                 path, wi.state0, wi.forms, spec, quad_cfg
@@ -156,7 +159,7 @@ def test_loop_row_matches_literal_loop_path(k, n, lams, detoured, quad_cfg):
             offsets = np.asarray(end.logs) - np.asarray(wi.state0.logs)
             assert np.max(np.abs(row - literal)) <= 1e-12 * np.max(np.abs(row))
             assert np.max(np.abs(delta - offsets)) <= 1e-12
-        assert np.array_equal(wi._loop_row(i, -1)[1], -wi._loop_row(i, +1)[1])
+        assert np.array_equal(wi._D[2 * i - 1], -wi._D[2 * i - 2])
 
 
 def test_crosscheck_integrates_each_loop_piece_once(quad_cfg, monkeypatch):
@@ -183,6 +186,27 @@ def test_crosscheck_integrates_each_loop_piece_once(quad_cfg, monkeypatch):
     assert set(segments) == set(pieces)
 
 
+def test_the_loop_table_is_built_once(quad_cfg, monkeypatch):
+    # the constructor integrates every loop in one batch; a request for
+    # words only reads the table
+    spec = validate_spec(3, 3, [-1.5])
+    real = quad._gl_batch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "_gl_batch", counted)
+    wi = WordIntegrator(spec, quad_cfg)
+    assert len(calls) == 1
+    assert wi._V.shape == (2 * spec.n, len(wi.forms))
+    assert wi._D.shape == (2 * spec.n, spec.n)
+    wi.word_rows([Power(i) for i in range(1, spec.n + 1)] + _sample_words(spec, 9, 0))
+    wi.word_row(Power(2))
+    assert len(calls) == 1
+
+
 def test_word_rows_match_each_word_alone(quad_cfg, monkeypatch):
     # one request for many words, with letters of every loop and padding
     # for the shorter words, against one fresh request per word, and
@@ -202,44 +226,48 @@ def test_word_rows_match_each_word_alone(quad_cfg, monkeypatch):
 
 
 def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
+    # one panel count, so no piece converges: the first piece, loop 1's
+    # route in, is named with the first form
     monkeypatch.setattr(quad, "_GL_MAX_PANELS", 4)
     spec = validate_spec(3, 2, [])
     form = enumerate_forms(spec)[0]
-    wi = WordIntegrator(spec, quad_cfg)
-    expected = re.escape(f"loop i=2, route in, alpha={form.alpha}: ")
+    expected = re.escape(f"loop i=1, route in, alpha={form.alpha}: ")
     with pytest.raises(NoConvergence, match=expected):
-        wi.integrate_word(Power(2), form)
+        WordIntegrator(spec, quad_cfg)
 
 
 def test_batch_no_convergence_names_the_lower_loop(quad_cfg, monkeypatch):
     # lambda = 1.05 lies next to r_2 = 1: the routes in of loops 2 and 3
-    # need 64 panels and every other piece 8, so at 32 both loops fail; one
-    # request for both names loop 2, as a request for loop 2 alone does
+    # need 64 panels and every other piece 8, so at 32 both loops fail, and
+    # the batch of all the loops names loop 2
     spec = validate_spec(3, 3, [1.05])
     monkeypatch.setattr(quad, "_GL_MAX_PANELS", 32)
-    with pytest.raises(NoConvergence) as alone:
-        WordIntegrator(spec, quad_cfg).word_row(Power(2))
-    with pytest.raises(NoConvergence) as both:
-        WordIntegrator(spec, quad_cfg).word_rows([Power(3), Power(2)])
-    alpha = enumerate_forms(spec)[both.value.form].alpha
-    assert str(both.value).startswith(f"loop i=2, route in, alpha={alpha}: ")
-    assert str(both.value).endswith("by Gauss-Legendre panels 32")
-    assert str(both.value) == str(alone.value)
+    with pytest.raises(NoConvergence) as err:
+        WordIntegrator(spec, quad_cfg)
+    alpha = enumerate_forms(spec)[err.value.form].alpha
+    assert str(err.value).startswith(f"loop i=2, route in, alpha={alpha}: ")
+    assert str(err.value).endswith("by Gauss-Legendre panels 32")
 
 
 def test_word_routing_failure_names_the_loop(quad_cfg, monkeypatch):
     # a clearance wider than the branch set leaves no detour for any loop
     monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
-    wi = WordIntegrator(validate_spec(2, 3, [2.0]), quad_cfg)
     expected = re.escape("loop i=1, route in: no midpoint detour")
     with pytest.raises(ClearanceUnachievable, match=expected):
-        wi.word_row(Power(1))
+        WordIntegrator(validate_spec(2, 3, [2.0]), quad_cfg)
 
 
 def test_integrate_word_rejects_a_foreign_form(wi32):
     wi, _ = wi32
     with pytest.raises(ValueError, match=re.escape("alpha=(0, 1, 1) is not a form")):
         wi.integrate_word(Power(1), FormIndex(alpha=(0, 1, 1)))
+
+
+@pytest.mark.parametrize("word", [Power(0), Power(3), ConjComm(g=(0, 0), j=1, l=3)])
+def test_word_rows_reject_a_foreign_loop(wi32, word):
+    wi, _ = wi32
+    with pytest.raises(ValueError, match=re.escape("a letter's loop lies outside 1..2")):
+        wi.word_rows([Power(1), word])
 
 
 def test_beta_magnitude_and_phase_consistency(quad_cfg):

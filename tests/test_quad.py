@@ -165,6 +165,39 @@ def test_no_convergence_raises():
         leg_rows(state, [1], [form], spec, cfg)
 
 
+def _table_rows(table):
+    """rows_at of rows whose values at each step are the table's."""
+
+    def rows_at(steps, todo):
+        return [(table[step][todo], np.abs(table[step][todo])) for step in steps]
+
+    return rows_at
+
+
+def test_refine_names_the_piece_and_form_of_an_open_row():
+    # rows p * forms + f over 2 pieces x 3 forms; rows 0 and 2 settle
+    table = {
+        4: np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        5: np.array([1.0, 2.5, 3.0, 4.5, 5.5, 6.5]),
+    }
+    with pytest.raises(NoConvergence, match="by step 5$") as err:
+        quad._refine(_table_rows(table), [4, 5], 2, 3, 1e-10, "step")
+    assert (err.value.piece, err.value.form) == (0, 1)
+
+
+def test_refine_stops_at_a_value_that_is_not_finite():
+    # |inf - x| <= rel_tol * inf, so a gate alone would take an infinite
+    # value that follows a finite one
+    table = {
+        4: np.array([1.0, 2.0, 3.0, 4.0]),
+        5: np.array([1.0, 2.0, 3.0, np.inf]),
+        6: np.array([1.0, 2.0, 3.0, 4.0]),
+    }
+    with pytest.raises(NoConvergence, match="value is not finite at step 5$") as err:
+        quad._refine(_table_rows(table), [4, 5, 6], 2, 2, 1e-10, "step")
+    assert (err.value.piece, err.value.form) == (1, 1)
+
+
 def test_leg_ladder_converges_across_desk_scale(quad_cfg):
     # every leg of every curve with k <= 5, n <= 4: the level ladder reaches
     # the tolerance before max_level, with decreasing steps on the way
