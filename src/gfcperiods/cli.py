@@ -38,7 +38,7 @@ import json
 import math
 import sys
 
-from .curve import validate_spec, enumerate_forms, genus
+from .curve import _alphas, genus, validate_spec
 from .errors import (
     ClearanceUnachievable,
     GfcError,
@@ -279,14 +279,15 @@ def _csv_cell(text: str) -> str:
 
 
 def info_payload(spec) -> dict:
-    forms = enumerate_forms(spec)
+    # the exponent tuples alone: info builds no FormIndex
+    alphas = _alphas(spec.k, spec.n)
     return {
         "k": spec.k,
         "n": spec.n,
         "lambdas": [_pair(v) for v in spec.lambdas],
         "genus": genus(spec),
-        "num_forms": len(forms),
-        "forms": [list(f.alpha) for f in forms],
+        "num_forms": len(alphas),
+        "forms": [list(alpha) for alpha in alphas],
         "num_generators": math.comb(spec.n, 2) * spec.k**spec.n,
     }
 

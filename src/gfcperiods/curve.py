@@ -104,11 +104,19 @@ def enumerate_forms(spec: CurveSpec) -> list[FormIndex]:
 
 @lru_cache(maxsize=32)
 def _forms(k: int, n: int) -> tuple[FormIndex, ...]:
-    forms = []
-    for tail in itertools.product(range(k), repeat=n - 1):
-        top = sum(tail) - 2
-        for a1 in range(top + 1):
-            forms.append(FormIndex(alpha=(a1,) + tail))
-    forms.sort(key=lambda f: f.alpha)
-    return tuple(forms)
+    return tuple(FormIndex(alpha=alpha) for alpha in _alphas(k, n))
 
+
+@lru_cache(maxsize=32)
+def _alphas(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The forms' exponent tuples alpha, in lexicographic order, once per
+    (k, n): alpha_1 outermost, then the tails in product order, which is
+    lexicographic already."""
+    tails = list(itertools.product(range(k), repeat=n - 1))
+    sums = [sum(tail) for tail in tails]
+    return tuple(
+        (a1,) + tail
+        for a1 in range(max(sums) - 1)
+        for tail, top in zip(tails, sums)
+        if a1 <= top - 2
+    )

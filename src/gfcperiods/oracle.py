@@ -43,12 +43,6 @@ from .periods import assemble
 from .quad import QuadConfig
 
 
-# Largest letters x forms block of the word-row expression, in complex
-# values (1 MiB).  One block of all the words of verify (6,4) raised its
-# peak RSS from 1292 to 1314 MB; every benchmark curve fits one block.
-_WORD_BLOCK_VALUES = 2**16
-
-
 class WordIntegrator:
     """Contour oracle for one curve: integrates -W/k along word paths.
 
@@ -149,51 +143,46 @@ class WordIntegrator:
         return V, D
 
     def word_rows(self, words) -> np.ndarray:
-        """word_row of each word, one row per word.
+        """-1/k times each word's integral for every form, in form order,
+        one row per word.
 
-        The rows come from one array expression over all the words'
-        letters, in blocks of words of at most _WORD_BLOCK_VALUES terms:
-        -sum_s exp(E acc_s) V_s / k over each word's letters s, with V_s
-        the loop table's row of letter s and acc_s the summed log offsets
-        of the letters before it in its word (summed on a word x letter
-        grid).  A repeated word is computed once.  A letter of a loop
-        outside 1..n raises ValueError.
+        The rows come from one array expression over the letters of all the
+        distinct words: -sum_s exp(E acc_s) V_s / k over each word's letters
+        s, with V_s the loop table's row of letter s and acc_s the summed log
+        offsets of the letters before it in its word (summed on a word x
+        letter grid).  A repeated word is computed once; an empty request
+        gives no rows.  A letter of a loop outside 1..n raises ValueError.
         """
         n = self.spec.n
         distinct = list(dict.fromkeys(words))
         spelled = [expand(word, self.spec.k) for word in distinct]
         lengths = np.array([len(letters) for letters in spelled], dtype=np.intp)
-        grid = np.zeros((len(distinct), lengths.max(initial=0)), dtype=np.intp)
-        for w, letters in enumerate(spelled):
-            grid[w, : len(letters)] = [2 * (i - 1) + (sign < 0) for i, sign in letters]
+        letters = np.array(
+            [2 * (i - 1) + (sign < 0) for spelling in spelled for i, sign in spelling],
+            dtype=np.intp,
+        )
         # the table holds the loops 1..n; another index would wrap or overrun
-        if grid.size and not 0 <= grid.min() <= grid.max() < 2 * n:
+        if letters.size and not 0 <= letters.min() <= letters.max() < 2 * n:
             raise ValueError(f"a letter's loop lies outside 1..{n}")
+        used = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        grid = np.zeros(used.shape, dtype=np.intp)
+        grid[used] = letters
         acc = np.zeros((*grid.shape, n), dtype=complex)
         np.cumsum(self._D[grid[:, :-1]], axis=1, out=acc[:, 1:])
-        used = np.arange(grid.shape[1]) < lengths[:, None]
-        Et = self._E.T
-        out = np.empty((len(distinct), len(self.forms)), dtype=complex)
-        step = max(1, _WORD_BLOCK_VALUES // max(1, grid.shape[1] * len(self.forms)))
-        for b in range(0, len(distinct), step):
-            block = slice(b, b + step)
-            mask = used[block]
-            a = acc[block][mask]
-            terms = np.exp(a.real @ Et + 1j * (a.imag @ Et)) * self._V[grid[block][mask]]
-            firsts = np.concatenate(([0], np.cumsum(lengths[block][:-1])))
-            out[block] = -np.add.reduceat(terms, firsts, axis=0) / self.spec.k
+        a, Et = acc[used], self._E.T
+        terms = np.exp(a.real @ Et + 1j * (a.imag @ Et)) * self._V[letters]
+        # each word's letters are consecutive rows of terms; with no words,
+        # there are no rows and no starts
+        rows = np.add.reduceat(terms, np.cumsum(lengths) - lengths, axis=0)
         at = {word: s for s, word in enumerate(distinct)}
-        return out[[at[word] for word in words]]
-
-    def word_row(self, word: HomologyWord) -> np.ndarray:
-        """-1/k times the word's integral for every form, in form order."""
-        return self.word_rows([word])[0]
+        return -rows[[at[word] for word in words]] / self.spec.k
 
     def integrate_word(self, word: HomologyWord, form: FormIndex) -> complex:
-        """-1/k times the word's integral of one form: its entry of word_row."""
+        """-1/k times the word's integral of one form: its entry of the word's
+        row of word_rows."""
         if form.alpha not in self._columns:
             raise ValueError(f"alpha={form.alpha} is not a form of this curve")
-        return complex(self.word_row(word)[self._columns[form.alpha]])
+        return complex(self.word_rows([word])[0][self._columns[form.alpha]])
 
 
 def beta_closed_form(form: FormIndex, k: int) -> float:

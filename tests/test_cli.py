@@ -457,7 +457,9 @@ def test_cli_leaves_unused_modules_unloaded(code, unloaded):
 def test_periods_stdout_does_not_depend_on_blas_threads():
     # the split kernel sums over nodes in a fixed order, not in a BLAS
     # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour;
-    # verify (3,4) and (5,3) take every loop piece through the batched kernel
+    # verify (3,4) and (5,3) take every loop piece through the batched kernel,
+    # and the lattice residual that verify (4,4) prints is summed in a fixed
+    # order too
     for argv in (
         ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
         ["periods", "-k", "20", "-n", "2"],
@@ -465,6 +467,7 @@ def test_periods_stdout_does_not_depend_on_blas_threads():
         ["periods", "-k", "4", "-n", "3", "-l", "0.115+0.842i"],
         ["verify", "-k", "3", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
         ["verify", "-k", "5", "-n", "3", "-l", "-1.5"],
+        ["verify", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
     ):
         code = f"import sys, gfcperiods.cli; sys.exit(gfcperiods.cli.main({argv!r}))"
         digests = set()

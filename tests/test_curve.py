@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from gfcperiods import enumerate_forms, genus, validate_spec
-from gfcperiods.curve import FormIndex
+from gfcperiods.curve import FormIndex, _alphas
 from gfcperiods.errors import CollidingBranchPoints, DegenerateInput
 
 
@@ -81,6 +83,20 @@ def test_form_count_equals_genus():
         for n in range(2, 6):
             spec = validate_spec(k, n, [2.0 + 0.5j * i for i in range(n - 2)])
             assert len(enumerate_forms(spec)) == genus(spec)
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 3), (4, 4), (7, 3)])
+def test_alphas_are_the_forms_exponents_in_lex_order(k, n):
+    # info lists these tuples without building a FormIndex; they are the
+    # forms' alphas, and the admissible tuples sorted
+    spec = validate_spec(k, n, [2.0 + 0.5j * i for i in range(n - 2)])
+    alphas = _alphas(k, n)
+    assert list(alphas) == [f.alpha for f in enumerate_forms(spec)]
+    # alpha_1 <= sum(alpha_2..alpha_n) - 2 may exceed k - 1
+    ranges = [range((n - 1) * (k - 1))] + [range(k)] * (n - 1)
+    admissible = [a for a in itertools.product(*ranges) if a[0] <= sum(a[1:]) - 2]
+    assert list(alphas) == sorted(admissible)
+    assert _alphas(k, n) is alphas
 
 
 def test_forms_satisfy_bounds_and_order():

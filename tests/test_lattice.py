@@ -271,13 +271,33 @@ def test_far_lambda_keeps_the_rows_and_coefficients_of_a_near_one(k, n, lams, ne
 
 @pytest.mark.parametrize("k,n,lams", LADDER_CURVES)
 def test_extract_basis_matches_full_solve(k, n, lams):
-    # solving only for the rows that were not kept changes no bit
+    # solving only for the rows that were not kept changes no bit; the
+    # residual is summed in a fixed order, within rounding of the BLAS one
     v = _generators(k, n, lams)
     result = extract_basis(v, validate_spec(k, n, list(lams)))
     coords = np.linalg.solve(result.basis.T, v.T).T
     coeffs = np.rint(coords)
     assert np.array_equal(result.coefficients, coeffs.astype(np.int64))
-    assert result.residual == float(np.max(np.abs(coeffs @ result.basis - v)))
+    rest = np.delete(np.arange(len(v)), result.kept)
+    assert result.residual == lattice._residual(coeffs[rest], result.basis, v[rest])
+    blas = float(np.max(np.abs(coeffs @ result.basis - v)))
+    assert abs(result.residual - blas) <= 1e-15 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("block_values", [2**21, 200 * 64])
+def test_residual_sums_integer_products_exactly(block_values, monkeypatch):
+    # small integers add exactly in any order, so the fixed-order sum must
+    # give the plain product's value; 150 basis rows, 64 of them unused,
+    # leave a short last slice, and 200 * 64 values make blocks of two rows
+    monkeypatch.setattr(lattice.quad, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(3)
+    coords = rng.integers(-3, 4, size=(9, 150)).astype(float)
+    coords[:, 64:128] = 0
+    basis = rng.integers(-50, 51, size=(150, 100)).astype(float)
+    target = coords @ basis + rng.integers(-2, 3, size=(9, 100))
+    expected = float(np.max(np.abs(coords @ basis - target)))
+    assert lattice._residual(coords, basis, target) == expected == 2.0
+    assert lattice._residual(coords[:0], basis, target[:0]) == 0.0
 
 
 def _unit(i):

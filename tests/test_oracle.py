@@ -25,7 +25,6 @@ from gfcperiods.errors import (
     NoConvergence,
 )
 from gfcperiods.homology import ConjComm, Power, expand
-from gfcperiods import oracle
 from gfcperiods.oracle import WordIntegrator, _optimal_agm, _sample_words
 from gfcperiods.periods import zeta_power
 
@@ -128,7 +127,7 @@ def test_word_row_matches_literal_traversal(k, n, lams, words, quad_cfg):
         # lambda lies next to the line from the base point to r_1
         assert len(contour.loop_path(wi.base_point, 1, wi.R, +1).segments) == 5
     for word in words:
-        row = wi.word_row(word)
+        row = wi.word_rows([word])[0]
         assert row.shape == (len(wi.forms),)
         literal = np.asarray([_literal_word(wi, word, form) for form in wi.forms])
         assert np.max(np.abs(row - literal)) <= 1e-12 * np.max(np.abs(row))
@@ -203,14 +202,13 @@ def test_the_loop_table_is_built_once(quad_cfg, monkeypatch):
     assert wi._V.shape == (2 * spec.n, len(wi.forms))
     assert wi._D.shape == (2 * spec.n, spec.n)
     wi.word_rows([Power(i) for i in range(1, spec.n + 1)] + _sample_words(spec, 9, 0))
-    wi.word_row(Power(2))
+    wi.word_rows([Power(2)])
     assert len(calls) == 1
 
 
-def test_word_rows_match_each_word_alone(quad_cfg, monkeypatch):
+def test_word_rows_match_each_word_alone(quad_cfg):
     # one request for many words, with letters of every loop and padding
-    # for the shorter words, against one fresh request per word, and
-    # against the same request taken one word per block
+    # for the shorter words, against one fresh request per word
     spec = validate_spec(3, 4, [-1.5, 2.0 + 1.0j])
     words = [Power(2), ConjComm(g=(2, 0, 1, 2), j=1, l=4), Power(4)]
     words += [ConjComm(g=(0, 0, 0, 0), j=2, l=3), ConjComm(g=(1, 1, 0, 0), j=3, l=4)]
@@ -219,10 +217,15 @@ def test_word_rows_match_each_word_alone(quad_cfg, monkeypatch):
     assert np.array_equal(rows[-2:], rows[:2])
     scale = np.max(np.abs(rows))
     for word, row in zip(words, rows):
-        alone = WordIntegrator(spec, quad_cfg).word_row(word)
+        alone = WordIntegrator(spec, quad_cfg).word_rows([word])[0]
         assert np.max(np.abs(row - alone)) <= 1e-15 * scale
-    monkeypatch.setattr(oracle, "_WORD_BLOCK_VALUES", 1)
-    assert np.array_equal(WordIntegrator(spec, quad_cfg).word_rows(words), rows[:-2])
+
+
+def test_empty_word_request_gives_no_rows(wi32):
+    wi, _ = wi32
+    rows = wi.word_rows([])
+    assert rows.shape == (0, len(wi.forms))
+    assert rows.dtype == complex
 
 
 def test_word_no_convergence_names_the_loop(quad_cfg, monkeypatch):
