@@ -6,7 +6,8 @@ cross-check report).  Data goes to stdout or --out; diagnostics go to
 stderr.  Exit codes: 2 invalid input or an --out that cannot be written,
 3 numerical failure (no quadrature convergence, a path through a branch
 point, no route, or a base integral that underflows to 0), 4 lattice
-extraction failure, 1 failed verification.
+extraction failure, 5 out of memory (the stage named), 1 failed
+verification.
 
 Each subcommand imports only the modules it runs.  At module level this
 file loads the standard library, errors and curve, which is all that info
@@ -202,14 +203,18 @@ def basis_payload(pm, result) -> dict:
     an index into it, and from_generators as the kept generators.  Basis
     row i holds the real, then the imaginary parts of pm.values at
     pm.index[kept[i]].  |det| can exceed the double range at large genus:
-    abs_det is then None (JSON null), and log10_abs_det, from slogdet,
-    still carries its size.  Both come from one slogdet: numpy's det is
-    the C exp of that log too, which math.exp matches bit for bit."""
+    abs_det is then None (JSON null), and log10_abs_det still carries its
+    size.  Both come from one ln |det|: result.log_abs_det, the
+    closed-form covolume, where extract_basis knows it (n = 2), else
+    slogdet, taken here.  numpy's det is the C exp of slogdet's log too,
+    which math.exp matches bit for bit."""
     import numpy as np
 
     abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
     if result.basis.size:
-        log_abs_det = float(np.linalg.slogdet(result.basis)[1])
+        log_abs_det = result.log_abs_det
+        if log_abs_det is None:
+            log_abs_det = float(np.linalg.slogdet(result.basis)[1])
         try:
             abs_det = math.exp(log_abs_det)
         except OverflowError:
@@ -313,17 +318,40 @@ def report_payload(report) -> dict:
     }
 
 
+_WRITE_BLOCK = 1 << 24
+
+
 def _emit(text: str, out: str | None) -> None:
     """text to stdout, or to the file out.  A file that cannot be opened or
-    written is a GfcError naming it, so main exits 2 without a traceback."""
+    written is a GfcError naming it, so main exits 2 without a traceback.
+
+    Unbuffered (PYTHONUNBUFFERED), sys.stdout is text over a raw stream,
+    which may take fewer bytes than one write hands it (the kernel takes
+    at most 0x7FFFF000 per call), and the text layer drops the rest.  So
+    the document goes through sys.stdout.buffer, encoded a block of
+    _WRITE_BLOCK characters at a time (so the encoded copy stays small
+    beside the document), and each block is written again from the count
+    the last write returned.  A stdout with no buffer, such as an
+    io.StringIO, takes the text in one write."""
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as err:
             raise GfcError(f"cannot write --out {out}: {err.strerror or err}") from err
-    else:
-        sys.stdout.write(text)
+        return
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:
+        stdout.write(text)
+        return
+    stdout.flush()
+    encoding, errors = stdout.encoding, stdout.errors
+    for start in range(0, len(text), _WRITE_BLOCK):
+        block = memoryview(text[start : start + _WRITE_BLOCK].encode(encoding, errors))
+        while block:
+            block = block[buffer.write(block) :]
+    buffer.flush()
 
 
 def _quad_config(args: argparse.Namespace) -> QuadConfig:
@@ -338,6 +366,7 @@ def _quad_config(args: argparse.Namespace) -> QuadConfig:
 
 def cmd_info(args: argparse.Namespace) -> int:
     spec = validate_spec(args.k, args.n, args.lambdas)
+    args.stage = "rendering"
     # the forms list holds integers only, which json.dumps renders with the
     # same bytes as _json_dump, and in a fraction of the time
     texts = {
@@ -346,9 +375,11 @@ def cmd_info(args: argparse.Namespace) -> int:
     }
     if args.fmt == "csv":
         lines = [f"{key},{_csv_cell(text)}" for key, text in texts.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(_json_object(texts) + "\n", args.out)
+        text = _json_object(texts) + "\n"
+    args.stage = "writing"
+    _emit(text, args.out)
     return 0
 
 
@@ -356,8 +387,11 @@ def cmd_periods(args: argparse.Namespace) -> int:
     from .periods import assemble
 
     spec = validate_spec(args.k, args.n, args.lambdas)
+    args.stage = "assembling the periods"
     pm = assemble(spec, _quad_config(args))
+    args.stage = "rendering"
     text = periods_to_csv(pm) if args.fmt == "csv" else periods_to_json(pm)
+    args.stage = "writing"
     _emit(text, args.out)
     return 0
 
@@ -367,9 +401,14 @@ def cmd_basis(args: argparse.Namespace) -> int:
     from .periods import assemble
 
     spec = validate_spec(args.k, args.n, args.lambdas)
+    args.stage = "assembling the periods"
     pm = assemble(spec, _quad_config(args))
-    payload = basis_payload(pm, extract_basis(pm, spec))
+    args.stage = "extracting the basis"
+    result = extract_basis(pm, spec)
+    args.stage = "rendering"
+    payload = basis_payload(pm, result)
     text = basis_to_csv(payload) if args.fmt == "csv" else basis_to_json(payload)
+    args.stage = "writing"
     _emit(text, args.out)
     return 0
 
@@ -378,9 +417,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import crosscheck_report
 
     spec = validate_spec(args.k, args.n, args.lambdas)
+    args.stage = "running the cross-checks"
     report = crosscheck_report(spec, _quad_config(args), seed=args.seed)
-    payload = report_payload(report)
-    _emit(_json_dump(payload) + "\n", args.out)
+    args.stage = "rendering"
+    text = _json_dump(report_payload(report)) + "\n"
+    args.stage = "writing"
+    _emit(text, args.out)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(
@@ -446,8 +488,13 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: cannot parse lambda value: {err}", file=sys.stderr)
         return 2
+    # each command names the stage it enters, for an out-of-memory exit
+    args.stage = "validating the input"
     try:
         return args.run(args)
+    except MemoryError:
+        print(f"error: out of memory while {args.stage}", file=sys.stderr)
+        return 5
     except (NotFullRank, ReconstructionFailed) as err:
         print(f"error: lattice extraction failed: {err}", file=sys.stderr)
         return 4

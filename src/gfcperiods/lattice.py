@@ -4,7 +4,8 @@ The period matrix rows, split into real and imaginary parts, generate a
 rank-2g lattice in R^(2g).  In generator order its first 2g linearly
 independent rows are a Z-basis of it.  The other rows' coordinates in
 them are solved for once and rounded; one further than 1e-7 from an
-integer is an error naming the generator.
+integer is an error naming the generator.  A period matrix of n = 2 skips
+the solve: its coordinates and covolume are exact, in closed form (below).
 
 Plain vectors are searched row by row; for a period matrix the Z_k^n
 action fixes the kept rows.  In the complexified real split, coordinate c
@@ -14,11 +15,21 @@ zeta**(g . chi).  Modulo the invariant span of the earlier pairs, pair p's
 rows are the monomials x**g on the characters X_p whose components p adds,
 so p keeps the lex standard monomials of X_p (Cerlienco and Mureddu,
 Discrete Math. 139, 1995).
+
+For n = 2 there is one pair, and X is every (x_1, x_2) = (zeta**a,
+zeta**b) with a, b and a + b nonzero mod k.  The kept rows are the box
+x_1**m x_2**j, m <= k - 3, j <= k - 2, and any row x**g is the normal form
+of x**g modulo the ideal of X, an integer combination of them with
+entries in {-1, 0, 1}: no float solve, no 1e-7 rounding gate, and no
+ReconstructionFailed.  The covolume is prod_c |P_0,c|**2 times the |det|
+of the box's monomials on X, k**e (a product of Vandermonde determinants
+of k-th roots of unity), over 2**g from the real split.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,13 +51,16 @@ class LatticeBasis:
     basis row i is input row kept[i].  coefficients expresses every input
     generator as an integer combination of the basis rows.  residual is
     the largest absolute error of coefficients @ basis against the input.
-    from_generators, every basis row as a 0/1 combination of the input
-    generators, is built from kept on first access."""
+    log_abs_det is ln |det basis| where it is known in closed form (a
+    period matrix of n = 2), else None.  from_generators, every basis row
+    as a 0/1 combination of the input generators, is built from kept on
+    first access."""
 
     basis: np.ndarray
     coefficients: np.ndarray
     residual: float
     kept: np.ndarray
+    log_abs_det: float | None = None
 
     @functools.cached_property
     def from_generators(self) -> np.ndarray:
@@ -103,15 +117,18 @@ def _standard_monomials(points) -> list[tuple[int, ...]]:
     """Exponents, in lex order, of the lex standard monomials (x_1 largest)
     of distinct points, one per point: x_1**i * x'**h is one exactly when
     x'**h is one for the points with x_1 dropped whose fibre holds more
-    than i points (Cerlienco and Mureddu)."""
+    than i points (Cerlienco and Mureddu).  Those points change only where
+    i reaches a fibre size, so each run of i between two sizes shares one
+    recursion."""
     if not points or not points[0]:
         return [()] * len(points)
     fibre = Counter(p[1:] for p in points)
-    return [
-        (i,) + h
-        for i in range(max(fibre.values()))
-        for h in _standard_monomials([y for y, f in fibre.items() if f > i])
-    ]
+    out, low = [], 0
+    for size in sorted(set(fibre.values())):
+        tails = _standard_monomials([y for y, f in fibre.items() if f >= size])
+        out += [(i,) + h for i in range(low, size) for h in tails]
+        low = size
+    return out
 
 
 def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
@@ -150,6 +167,45 @@ def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def _monomial_coordinates(k: int) -> np.ndarray:
+    """Row g1 * k + g2: the normal form of x_1**g1 x_2**g2 on the points
+    X of n = 2, as integers on the box x_1**m x_2**j (m <= k - 3,
+    j <= k - 2) in lex order.  It reduces by
+
+        x_2**(k-1) -> -sum_{j <= k-2} x_2**j,
+        x_1**(k-1) -> -sum_{m <= k-2} x_1**m,
+        x_1**(k-2) -> -sum_{m <= k-3} x_1**m sum_{l=0}^{k-2-m} x_2**(-l),
+
+    x_2's exponents taken mod k.  On X, x_1 is a k-th root of unity other
+    than 1 and x_2**-1, a root of (x**k - 1) / ((x - 1)(x - x_2**-1)),
+    which is the last rule.  Together the two rules for x_1 give
+    x_1**(k-1) the same sum with l from 1."""
+    m = np.arange(k - 2)
+    # [g2, m, e]: whether x_2**g2 times the sum over l holds x_2**e, at
+    # l = (g2 - e) mod k; the sum for x_1**(k-1) leaves out l = 0
+    lag = ((np.arange(k)[:, None] - np.arange(k)) % k)[:, None, :]
+    terms = lag <= (k - 2 - m)[:, None]
+    # x_2**e on the box: itself below k - 1, and -1 on every j at k - 1
+    x2 = np.eye(k, k - 1, dtype=np.int64)
+    x2[-1] = -1
+    coords = np.zeros((k, k, k - 2, k - 1), dtype=np.int64)
+    coords[m, :, m] = x2
+    coords[k - 2] = -(terms @ x2)
+    coords[k - 1] = (terms & (lag > 0)) @ x2
+    return coords.reshape(k * k, (k - 2) * (k - 1))
+
+
+def _covolume_log(pm: PeriodMatrix) -> float:
+    """ln |det| of the box rows of real_split(pm) for n = 2: 2 sum_c
+    ln |P_0,c| + e ln k - g ln 2, where P_0 is the g = 0 row and k**e the
+    |det| of the box's monomials on X, summed by math.fsum, which rounds
+    once, so no BLAS thread count can move it."""
+    k, g = pm.spec.k, len(pm.cols)
+    e = ((k - 2) ** 2 + (k - 1) * (k - 4)) / 2 + 1
+    logs = np.log(np.abs(pm.values[pm.index[0]])).tolist()
+    return math.fsum([2 * x for x in logs] + [e * math.log(k), -g * math.log(2)])
+
+
 def _residual(coords: np.ndarray, basis: np.ndarray, target: np.ndarray) -> float:
     """The largest |coords @ basis - target|, with the product summed in a
     fixed order, as `quad._node_product` sums its nodes.
@@ -184,11 +240,15 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     The result keeps their indices; no selection matrix is built.
 
     A period matrix's rows come from its characters, and a rank shortfall
-    names the character.  A kept row's coordinates are its unit row; the
-    others are solved for once and rounded, and if one lies further than
-    1e-7 from an integer, ReconstructionFailed names the first such
-    generator.  An input whose first independent rows span only a
-    sublattice, such as [[2, 0], [0, 2], [1, 1]], is rejected, not merged.
+    names the character.  A kept row's coordinates are its unit row.  For
+    a period matrix of n = 2 the others are exact normal forms of
+    monomials, with no rounding gate, so ReconstructionFailed cannot
+    arise, and log_abs_det is the closed-form covolume.  Otherwise they
+    are solved for once and rounded, and if one lies further than 1e-7
+    from an integer, ReconstructionFailed names the first such generator.
+    An input whose first independent rows span only a sublattice, such as
+    [[2, 0], [0, 2], [1, 1]], is rejected, not merged.  The residual
+    checks either kind of coordinates.
     """
     pm = vectors if isinstance(vectors, PeriodMatrix) else None
     if pm is not None and pm.spec != spec:
@@ -205,9 +265,20 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
         if kept.size != d:
             raise NotFullRank(f"generators have numerical rank {kept.size}, need {d}")
     basis = v[kept]
+    rest = np.delete(np.arange(m), kept)
+    if pm is not None and spec.n == 2:
+        # one pair at full rank keeps the box, in which every row's
+        # coordinates are exact
+        coefficients = _monomial_coordinates(spec.k)
+        return LatticeBasis(
+            basis=basis,
+            coefficients=coefficients,
+            residual=_residual(coefficients[rest].astype(float), basis, v[rest]),
+            kept=kept,
+            log_abs_det=_covolume_log(pm),
+        )
     # a kept row is its own unit row; only the others need solving for, in
     # columns scaled to one size, which moves no coordinate
-    rest = np.delete(np.arange(m), kept)
     size = np.maximum(np.abs(basis).max(axis=0, initial=0.0), np.finfo(float).tiny)
     coords = np.linalg.solve((basis / size).T, (v[rest] / size).T).T
     rounded = np.rint(coords)

@@ -320,8 +320,9 @@ def test_basis_payload_with_overflowing_det_is_valid_json():
 
 @pytest.mark.parametrize("case", ["k3n2", "k4n3", "k2n4"])
 def test_abs_det_is_the_det_of_the_basis_bit_for_bit(case):
-    # abs_det is math.exp of the slogdet that log10_abs_det comes from; the
-    # other bases have random entries of scale 0.1 to 10, |det| in range
+    # with no closed-form covolume, abs_det is math.exp of the slogdet that
+    # log10_abs_det comes from; the other bases have random entries of
+    # scale 0.1 to 10, |det| in range
     pm = _render_matrix(case)
     result = extract_basis(pm, pm.spec)
     rng = np.random.default_rng(len(result.basis))
@@ -331,7 +332,8 @@ def test_abs_det_is_the_det_of_the_basis_bit_for_bit(case):
         for scale in (0.1, 1.0, 10.0)
     ]
     for basis in bases:
-        payload = cli.basis_payload(pm, dataclasses.replace(result, basis=basis))
+        swapped = dataclasses.replace(result, basis=basis, log_abs_det=None)
+        payload = cli.basis_payload(pm, swapped)
         assert 0 < payload["abs_det"] < math.inf
         assert payload["abs_det"].hex() == abs(float(np.linalg.det(basis))).hex()
 
@@ -459,8 +461,10 @@ def test_periods_stdout_does_not_depend_on_blas_threads():
     # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour;
     # verify (3,4) and (5,3) take every loop piece through the batched kernel,
     # and the lattice residual that verify (4,4) prints is summed in a fixed
-    # order too
+    # order too; basis (17,2) and (40,2) take |det| in closed form, with no LU
     for argv in (
+        ["basis", "-k", "17", "-n", "2"],
+        ["basis", "-k", "40", "-n", "2"],
         ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
         ["periods", "-k", "20", "-n", "2"],
         ["periods", "-k", "40", "-n", "2"],
@@ -480,6 +484,58 @@ def test_periods_stdout_does_not_depend_on_blas_threads():
             ).stdout
             digests.add(hashlib.sha256(out).hexdigest())
         assert len(digests) == 1, argv
+
+
+def test_rank_two_basis_runs_no_lu_factorisation(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an LU factorisation ran")
+
+    for name in ("solve", "slogdet", "det"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    code, out, _ = run_cli(capsys, "basis", "-k", "17", "-n", "2")
+    assert code == 0
+    assert json.loads(out)["abs_det"] > 0
+
+
+@pytest.mark.parametrize(
+    "target,stage",
+    [
+        ("gfcperiods.periods.assemble", "assembling the periods"),
+        ("gfcperiods.lattice.extract_basis", "extracting the basis"),
+    ],
+)
+def test_out_of_memory_exits_5_naming_the_stage(capsys, monkeypatch, target, stage):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    code, out, err = run_cli(capsys, "basis", "-k", "3", "-n", "2")
+    assert (code, out, err) == (5, "", f"error: out of memory while {stage}\n")
+
+
+class _SevenBytesPerWrite(io.RawIOBase):
+    """A raw stream that takes at most 7 bytes per write, as the kernel
+    takes at most 0x7FFFF000 bytes per write to a pipe."""
+
+    def __init__(self):
+        self.received = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.received += bytes(data[:7])
+        return min(len(data), 7)
+
+
+def test_emit_writes_every_byte_through_short_writes(monkeypatch):
+    # unbuffered, sys.stdout is text over a raw stream, and one write of
+    # the text would hand over 7 bytes and drop the rest
+    raw = _SevenBytesPerWrite()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    text = cli.periods_to_json(_render_matrix("k3n2"))
+    cli._emit(text, None)
+    assert raw.received == text.encode()
 
 
 def test_basis_failure_exits_4(capsys, monkeypatch):

@@ -450,6 +450,43 @@ def test_extract_basis_from_period_matrix_matches_plain_vectors():
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
+@pytest.mark.parametrize("k", [*range(2, 26), 40])
+def test_rank_two_coordinates_equal_the_float_solve(k):
+    # exact normal forms on the period matrix, the rounded solve on its
+    # plain vectors: the same rows, coefficients and residual
+    pm = _period_matrix(k, 2, ())
+    exact, solved = extract_basis(pm, pm.spec), extract_basis(real_split(pm), pm.spec)
+    assert np.array_equal(exact.kept, solved.kept)
+    assert np.array_equal(exact.coefficients, solved.coefficients)
+    assert exact.coefficients.dtype == solved.coefficients.dtype
+    assert exact.residual == solved.residual
+    assert solved.log_abs_det is None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 12])
+def test_monomial_coordinates_reproduce_every_monomial_on_the_characters(k):
+    # x**g at the characters (zeta**a, zeta**b), a, b, a + b nonzero mod k,
+    # is its coordinates times the box's monomials there, entries -1, 0, 1
+    zeta = np.exp(2j * np.pi * np.arange(k) / k)
+    a, b = np.divmod(np.arange(k * k), k)
+    points = (a > 0) & (b > 0) & ((a + b) % k > 0)
+    monomials = zeta[np.outer(a, a[points]) % k] * zeta[np.outer(b, b[points]) % k]
+    box = (a <= k - 3) & (b <= k - 2)
+    coords = lattice._monomial_coordinates(k)
+    assert coords.shape == (k * k, box.sum()) == (k * k, points.sum())
+    assert set(np.unique(coords)) <= {-1, 0, 1}
+    assert np.array_equal(coords[box], np.eye(box.sum(), dtype=np.int64))
+    assert np.abs(coords @ monomials[box] - monomials).max(initial=0.0) < 1e-12 * k
+
+
+@pytest.mark.parametrize("k", range(3, 41))
+def test_rank_two_covolume_matches_slogdet(k):
+    pm = _period_matrix(k, 2, ())
+    result = extract_basis(pm, pm.spec)
+    reference = np.linalg.slogdet(result.basis)[1]
+    assert abs(result.log_abs_det - reference) <= 1e-14 * abs(reference)
+
+
 def test_extract_basis_rejects_period_matrix_of_another_curve():
     pm = _period_matrix(3, 3, (-1.5,))
     with pytest.raises(ValueError, match="another curve"):
