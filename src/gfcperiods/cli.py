@@ -2,12 +2,14 @@
 
 Subcommands: info (genus, forms, generator counts), periods (the full
 period matrix), basis (extracted lattice basis), verify (oracle
-cross-check report).  Data goes to stdout or --out; diagnostics go to
-stderr.  Exit codes: 2 invalid input or an --out that cannot be written,
-3 numerical failure (no quadrature convergence, a path through a branch
-point, no route, or a base integral that underflows to 0), 4 lattice
-extraction failure, 5 out of memory (the stage named), 1 failed
-verification.
+cross-check report).  --tol and --max-level act on the quadrature of
+n >= 3 periods and basis and of verify; n = 2 periods and bases take
+their base integrals from the Beta closed form and integrate nothing.
+Data goes to stdout or --out; diagnostics go to stderr.  Exit codes: 2
+invalid input or an --out that cannot be written, 3 numerical failure (no
+quadrature convergence, a path through a branch point, no route, or a
+base integral that underflows to 0), 4 lattice extraction failure, 5 out
+of memory (the stage named), 1 failed verification.
 
 Each subcommand imports only the modules it runs.  At module level this
 file loads the standard library, errors and curve, which is all that info
@@ -447,9 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument("--out", help="output path (default stdout)")
     quadrature = argparse.ArgumentParser(add_help=False)
-    quadrature.add_argument("--tol", type=float, help="quadrature relative tolerance")
     quadrature.add_argument(
-        "--max-level", type=int, help="tanh-sinh refinement cap before NoConvergence"
+        "--tol", type=float,
+        help="quadrature relative tolerance (n >= 3 periods and basis, and verify)",
+    )
+    quadrature.add_argument(
+        "--max-level", type=int,
+        help=(
+            "tanh-sinh refinement cap before NoConvergence (n >= 3 periods and "
+            "basis, and verify; n = 2 periods take the Beta closed form)"
+        ),
     )
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

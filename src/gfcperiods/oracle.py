@@ -39,7 +39,7 @@ from .errors import (
 )
 from .homology import ConjComm, HomologyWord, Power, expand, zeta_power
 from .lattice import extract_basis
-from .periods import assemble
+from .periods import assemble, base_integrals
 from .quad import QuadConfig
 
 
@@ -289,13 +289,19 @@ def crosscheck_report(
 
     Checks: vanishing of every power word; sampled conjugated commutators
     against the entry formula; conjugation covariance of the sampled
-    words; for n = 2 the Beta magnitudes of the base integrals; for
+    words; for n = 2 the Beta magnitudes of the base integrals, which are
+    integrated along the legs here, since assemble takes them from the
+    Beta closed form, so closed_form_vs_contour checks that form; for
     genus > 0 double inclusion of the extracted lattice basis; for
     (k, n) = (2, 3) lattice equality against the AGM periods.
     """
     forms = enumerate_forms(spec)
+    # for n = 2 the matrix holds the Beta closed form, J_1 = 0; the legs' own
+    # J keeps the scales below and the Beta check independent of it, and is
+    # integrated first, so a leg that fails stops before the matrix is built
+    legs = base_integrals(spec, cfg) if spec.n == 2 else None
     pm = assemble(spec, cfg)
-    J = pm.base_integrals
+    J = pm.base_integrals if legs is None else legs
     J_max = np.max(np.abs(J), axis=0)
     wi = WordIntegrator(spec, cfg)
     checks: list[CheckResult] = []

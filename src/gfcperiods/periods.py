@@ -14,6 +14,17 @@ with zeta = exp(2 pi i / k); J_l - J_j realizes the integral from r_j to
 r_l routed through the base point.  The power words phi_i**k are null in
 homology and take no rows; the contour oracle re-derives that numerically.
 
+For n = 2 (the classical Fermat curve) the legs are not integrated: every
+period depends on J only through D = J_2 - J_1, which is the Beta value
+
+    D = B(a, b) * exp(i pi (b - a)),  a = (alpha_1 + 1)/k,  b = 1 - alpha_2/k
+
+(Rohrlich, appendix to Gross, Invent. Math. 45, 1978), so assemble takes
+J_1 = 0 and J_2 = D, and the quadrature settings act only on n >= 3.  The
+phase is that of the legs' branch at the default base point 1/2 + 2i, and
+at any base point in the upper half-plane.  base_integrals keeps the legs
+for every n; the oracle's checks and the tests compare D against them.
+
 The conjugator enters only through the phase exponent mod k, so the
 k**n * C(n,2) commutator rows take at most k * C(n,2) * g distinct values.
 assemble computes each of them once and stores the matrix as that table
@@ -48,6 +59,11 @@ class PeriodMatrix:
     first access.  Row s = p * k**n + g . (k**(n-1), ..., k, 1) is the
     conjugated commutator of the p-th pair (j, l) in lexicographic order
     and the conjugator g; enumerate_generators(spec)[s] spells it out.
+
+    base_integrals holds J (n x forms) up to one constant per form, which
+    no period sees: for n >= 3 the integrals from the base point, for
+    n = 2 the integrals from r_1, J_1 = 0 and J_2 = D, in the branch the
+    legs take from the base point 1/2 + 2i (or any in the upper half-plane).
     """
 
     cols: tuple[FormIndex, ...]
@@ -157,10 +173,45 @@ def _factor_table(forms, J: np.ndarray, k: int):
     return values.ravel(), index.reshape(len(pairs) * k**n, len(forms))
 
 
+def _beta_rows(forms, k: int) -> np.ndarray:
+    """J of a (k, 2) curve up to one constant per form: J_1 = 0 and
+    J_2 = D = B(a, b) exp(i pi (b - a)), a = (alpha_1 + 1)/k = j_a/k and
+    b = 1 - alpha_2/k = j_b/k.
+
+    The forms have j_a + j_b <= k - 1, so B = Gamma(a) Gamma(b) / Gamma(a + b)
+    reads a table of Gamma(j/k), j = 1..k-1, and the phase a table of cos
+    and sin of pi m/k, |m| <= k - 2; numpy only gathers.  Each Gamma(x) is
+    the mean of math.gamma(x) and math.gamma(1 + x)/x, two evaluations with
+    independent rounding errors of 1-2 ulp: against 40-digit values the
+    mean's B was 6.3e-16 off on average over k = 3..40, and math.gamma(x)
+    alone 6.9e-16.  Exp of a sum of lgamma values lost 2-3 times more.
+    """
+    alpha = np.asarray([f.alpha for f in forms], dtype=np.intp).reshape(len(forms), 2)
+    ja, jb = alpha[:, 0] + 1, k - alpha[:, 1]
+    gamma = [0.5 * (math.gamma(j / k) + math.gamma((k + j) / k) * k / j) for j in range(1, k)]
+    gamma = np.asarray([math.nan] + gamma)
+    beta = gamma[ja] * gamma[jb] / gamma[ja + jb]
+    # angle m at m + k - 2
+    angles = [math.pi * m / k for m in range(2 - k, k - 1)]
+    cos = np.asarray([math.cos(t) for t in angles])
+    sin = np.asarray([math.sin(t) for t in angles])
+    J = np.zeros((2, len(forms)), dtype=complex)
+    J[1].real = beta * cos[jb - ja + k - 2]
+    J[1].imag = beta * sin[jb - ja + k - 2]
+    return J
+
+
 def assemble(spec: CurveSpec, cfg: QuadConfig) -> PeriodMatrix:
-    """Full period matrix over the generating set, deterministic ordering."""
+    """Full period matrix over the generating set, deterministic ordering.
+
+    For n >= 3, J comes from the tanh-sinh legs (base_integrals), under
+    cfg's tolerance and level cap.  For n = 2 it comes from the Beta
+    closed form (_beta_rows), with no quadrature, and cfg is not read:
+    J_1 = 0 and J_2 = D, whose phase is that of the legs' branch at the
+    base point 1/2 + 2i, as at any base point in the upper half-plane.
+    """
     forms = tuple(enumerate_forms(spec))
-    J = base_integrals(spec, cfg)
+    J = _beta_rows(forms, spec.k) if spec.n == 2 else base_integrals(spec, cfg)
     values, index = _factor_table(forms, J, spec.k)
     return PeriodMatrix(
         cols=forms,

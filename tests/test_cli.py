@@ -223,12 +223,59 @@ def test_periods_deterministic_output(capsys, tmp_path):
 
 
 def test_periods_no_convergence_exits_3(capsys):
+    # n >= 3: the legs are integrated under the level cap
     code, out, err = run_cli(
         capsys,
-        "periods", "-k", "3", "-n", "2", "--max-level", "4",
+        "periods", "-k", "3", "-n", "3", "-l", "2", "--max-level", "4",
     )
     assert code == 3
     assert "alpha" in err and "i=" in err
+
+
+@pytest.mark.parametrize("command", ["periods", "basis"])
+def test_rank_two_ignores_the_quadrature_flags(capsys, command):
+    # n = 2 takes its periods from the Beta closed form: a level cap that
+    # stops every leg, or any tolerance, changes no byte
+    _, default, _ = run_cli(capsys, command, "-k", "3", "-n", "2")
+    for flags in (["--max-level", "4"], ["--tol", "1e-3"]):
+        code, out, err = run_cli(capsys, command, "-k", "3", "-n", "2", *flags)
+        assert (code, out, err) == (0, default, "")
+
+
+def test_rank_two_periods_and_basis_integrate_no_leg(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a leg was integrated")
+
+    monkeypatch.setattr(quad, "leg_rows", refused)
+    for command in ("periods", "basis"):
+        code, out, err = run_cli(capsys, command, "-k", "17", "-n", "2")
+        assert (code, err) == (0, ""), command
+        assert json.loads(out)["genus"] == 120
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_rank_two_verify_checks_the_closed_form_against_the_legs(capsys, monkeypatch, k):
+    # verify still integrates the legs, for the Beta magnitudes and the
+    # scales, and passes every check under the same names and tolerances
+    calls = []
+    leg_rows = quad.leg_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return leg_rows(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "leg_rows", counted)
+    code, out, err = run_cli(capsys, "verify", "-k", str(k), "-n", "2")
+    assert code == 0, err
+    assert [list(legs) for legs in calls] == [[1, 2]]
+    checks = [(c["name"], c["tolerance"], c["passed"]) for c in json.loads(out)["checks"]]
+    assert checks == [
+        ("power_word_vanishing", 1e-8, True),
+        ("closed_form_vs_contour", 1.0, True),
+        ("conjugation_covariance", 1e-8, True),
+        ("beta_magnitude", 1e-9, True),
+        ("lattice_double_inclusion", 1e-10, True),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -663,9 +710,10 @@ _NO_CONVERGENCE = "error: quadrature did not converge: "
             "loop i=1, route in, alpha=(0, 1, 1): "
             "did not reach rel_tol=1e-10 by Gauss-Legendre panels 8192",
         ),
-        # the cap leaves the first pass one level, in periods and in verify
+        # the cap leaves the first pass one level, in verify; periods on
+        # n = 2 integrates no leg
         (
-            ("periods", "-k", "3", "-n", "2", "--max-level", "4"),
+            ("verify", "-k", "3", "-n", "2", "--max-level", "4"),
             "base integral i=1, alpha=(0, 2): did not reach rel_tol=1e-10 by tanh-sinh level 4",
         ),
         (

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,8 @@ def test_repeated_assembly_is_bit_identical(quad_cfg):
 
 
 def test_tolerance_tightening_is_stable():
-    spec = validate_spec(4, 2, [])
+    # n = 2 reads no tolerance, so the legs of an n = 3 curve carry the check
+    spec = validate_spec(3, 3, [-1.5])
     loose = assemble(spec, QuadConfig(rel_tol=1e-10))
     tight = assemble(spec, QuadConfig(rel_tol=1e-12))
     scale = np.max(np.abs(tight.entries))
@@ -206,6 +208,41 @@ def test_default_level_matches_high_precision_reference(curve):
         )
         err = np.max(np.abs(J[:, c] - ref)) / np.max(np.abs(ref))
         assert err <= 1e-13, (form.alpha, err)
+
+
+@pytest.mark.parametrize("k", [4, 7, 12, 17, 20])
+def test_rank_two_periods_take_the_beta_closed_form(k):
+    # J_1 = 0 and J_2 = D = B(a, b) exp(i pi (b - a)) within 2e-15 of the
+    # 30-digit reference J_2 - J_1, relative to |D|, phase included
+    spec = validate_spec(k, 2, [])
+    pm = assemble(spec, QuadConfig())
+    reference = _seed0_reference((k, 2, ()))
+    assert sorted(f.alpha for f in pm.cols) == sorted(reference)
+    assert np.array_equal(pm.base_integrals[0], np.zeros(len(pm.cols)))
+    for c, form in enumerate(pm.cols):
+        (re1, im1), (re2, im2) = reference[form.alpha]
+        want = complex(float(Decimal(re2) - Decimal(re1)), float(Decimal(im2) - Decimal(im1)))
+        err = abs(pm.base_integrals[1, c] - want) / abs(want)
+        assert err <= 2e-15, (form.alpha, err)
+
+
+def test_beta_closed_form_is_the_legs_difference():
+    # the phase is that of the legs' branch from the default base point
+    for k in range(3, 23):
+        spec = validate_spec(k, 2, [])
+        legs = base_integrals(spec, QuadConfig())
+        D = assemble(spec, QuadConfig()).base_integrals[1]
+        err = np.max(np.abs(D - (legs[1] - legs[0])) / np.abs(D))
+        assert err <= 2e-15, (k, err)
+
+
+def test_genus_zero_rank_two_has_empty_matrices():
+    pm = assemble(validate_spec(2, 2, []), QuadConfig())
+    assert pm.cols == ()
+    assert pm.values.shape == (0,)
+    assert pm.index.shape == (4, 0)
+    assert pm.base_integrals.shape == (2, 0)
+    assert pm.entries.shape == (4, 0)
 
 
 # 30-digit J of every form of (3, 3) with lambda next to r_1 = 0 or far out,
