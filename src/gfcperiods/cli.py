@@ -330,30 +330,29 @@ def _emit(text: str, out: str | None) -> None:
     Unbuffered (PYTHONUNBUFFERED), sys.stdout is text over a raw stream,
     which may take fewer bytes than one write hands it (the kernel takes
     at most 0x7FFFF000 per call), and the text layer drops the rest.  So
-    the document goes through sys.stdout.buffer, encoded a block of
-    _WRITE_BLOCK characters at a time (so the encoded copy stays small
-    beside the document), and each block is written again from the count
-    the last write returned.  A stdout with no buffer, such as an
-    io.StringIO, takes the text in one write."""
+    the ASCII document goes to sys.stdout.buffer, or to out opened binary,
+    a block of _WRITE_BLOCK characters encoded at a time (text mode would
+    encode it whole), each written again from the count the last write
+    returned.  A stdout with no buffer (io.StringIO) takes one write."""
     if out:
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
+            with open(out, "wb") as sink:
+                _write_blocks(text, sink, "utf-8", "strict")
         except OSError as err:
             raise GfcError(f"cannot write --out {out}: {err.strerror or err}") from err
-        return
-    stdout = sys.stdout
-    buffer = getattr(stdout, "buffer", None)
-    if buffer is None:
-        stdout.write(text)
-        return
-    stdout.flush()
-    encoding, errors = stdout.encoding, stdout.errors
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        _write_blocks(text, sys.stdout.buffer, sys.stdout.encoding, sys.stdout.errors)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_blocks(text: str, sink, encoding: str, errors: str) -> None:
     for start in range(0, len(text), _WRITE_BLOCK):
         block = memoryview(text[start : start + _WRITE_BLOCK].encode(encoding, errors))
         while block:
-            block = block[buffer.write(block) :]
-    buffer.flush()
+            block = block[sink.write(block) :]
+    sink.flush()
 
 
 def _quad_config(args: argparse.Namespace) -> QuadConfig:

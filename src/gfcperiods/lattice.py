@@ -71,8 +71,8 @@ class LatticeBasis:
 
 def real_split(pm: PeriodMatrix) -> np.ndarray:
     """Rows of the period matrix as real vectors: all real parts, then all
-    imaginary parts, in column order."""
-    return np.hstack([pm.entries.real, pm.entries.imag])
+    imaginary parts, in column order, gathered from pm.values."""
+    return np.hstack([pm.values.real[pm.index], pm.values.imag[pm.index]])
 
 
 def lattice_rank(vectors) -> int:
@@ -136,12 +136,12 @@ def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
     pairs' character components; a shortfall names the character."""
     k, n = pm.spec.k, pm.spec.n
     if not np.isfinite(pm.values).all():
-        bad = np.argmin(np.isfinite(pm.entries).all(axis=1))
+        bad = np.argmin(np.isfinite(pm.values)[pm.index].all(axis=1))
         raise NotFullRank(f"generator {bad} has a non-finite period")
     first = pm.identity_rows()
     M = np.asarray([f.m_exponents for f in pm.cols], dtype=np.int64).reshape(-1, n)
     chars = np.vstack([M, -M]) % k
-    comps = np.hstack([pm.entries[first], pm.entries[first].conj()])
+    comps = np.hstack([pm.values[pm.index[first]], pm.values[pm.index[first]].conj()])
     # scaling a column moves no row's independence, and puts every form's
     # periods on one scale for the tolerance, however many decades apart
     comps /= np.maximum(np.abs(comps).max(axis=0, initial=0.0), np.finfo(float).tiny)

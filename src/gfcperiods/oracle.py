@@ -382,8 +382,9 @@ def crosscheck_report(
     # (e) the extracted basis reproduces every generator
     if genus(spec) > 0:
         basis = extract_basis(pm, spec)
-        # the largest |real or imaginary part| of any period, as in real_split
-        worst = basis.residual / float(np.max(np.abs(pm.entries.view(np.float64))))
+        # the largest |real or imaginary part| of a value that some period uses
+        part = np.abs(pm.values.view(np.float64)).reshape(-1, 2).max(axis=1)
+        worst = basis.residual / float(np.max(part[pm.index]))
         checks.append(
             CheckResult(
                 name="lattice_double_inclusion",

@@ -35,7 +35,6 @@ object is built.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,11 +53,11 @@ class PeriodMatrix:
     """Periods of every form (columns) over every generator (rows).
 
     The matrix is stored factored: values is a 1-D complex table and index
-    (rows x cols integers) places its entries, so the period of form c over
-    word s is values[index[s, c]].  entries is that matrix, gathered on
-    first access.  Row s = p * k**n + g . (k**(n-1), ..., k, 1) is the
-    conjugated commutator of the p-th pair (j, l) in lexicographic order
-    and the conjugator g; enumerate_generators(spec)[s] spells it out.
+    (rows x cols int32) places its entries, so the period of form c over word
+    s is values[index[s, c]].  entries gathers it anew on each access; no
+    pipeline step reads it.  Row s = p * k**n + g . (k**(n-1), ..., k, 1) is
+    the conjugated commutator of the p-th pair (j, l) in lex order and the
+    conjugator g; enumerate_generators(spec)[s] spells it out.
 
     base_integrals holds J (n x forms) up to one constant per form, which
     no period sees: for n >= 3 the integrals from the base point, for
@@ -73,7 +72,7 @@ class PeriodMatrix:
     base_point: complex
     spec: CurveSpec
 
-    @functools.cached_property
+    @property
     def entries(self) -> np.ndarray:
         return self.values[self.index]
 
@@ -167,9 +166,10 @@ def _factor_table(forms, J: np.ndarray, k: int):
     for d in range(1, n):
         phase = (phase[:, None, :] + steps[:, :, d]).reshape(len(phase) * k, len(forms))
         phase -= (phase >= k) * small(k)
-    # widen before the arithmetic: the products outgrow the phase dtype
-    slot = np.arange(len(pairs))[:, None, None] * len(forms) + np.arange(len(forms))
-    index = phase.astype(np.intp) * (len(pairs) * len(forms)) + slot
+    # widen to int32 before the arithmetic (the products outgrow the phase
+    # dtype): 2**31 slots of values would need k**(n-1) times as many cells
+    slot = np.arange(len(pairs) * len(forms), dtype=np.int32).reshape(len(pairs), 1, -1)
+    index = phase.astype(np.int32) * (len(pairs) * len(forms)) + slot
     return values.ravel(), index.reshape(len(pairs) * k**n, len(forms))
 
 

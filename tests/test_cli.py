@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import gfcperiods.cli as cli
 from gfcperiods import assemble, contour, extract_basis, genus, quad, real_split, validate_spec
 from gfcperiods.errors import NotFullRank, StepTooCoarse
 from gfcperiods.homology import ConjComm, enumerate_generators
+from gfcperiods.periods import PeriodMatrix
 from gfcperiods.quad import QuadConfig
 
 
@@ -310,9 +312,20 @@ def test_out_of_range_level_exits_2(capsys, monkeypatch, flag, field):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("target", ["missing/x", "."])
+@pytest.mark.parametrize(
+    "target",
+    [
+        "missing/x",
+        ".",
+        pytest.param(
+            "/dev/full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
 def test_unwritable_out_exits_2(capsys, tmp_path, target):
-    # a path under a missing directory, and a directory
+    # a path under a missing directory, and a directory, where the open
+    # fails; and /dev/full, which opens and fails at the write
     out = tmp_path / target
     code, stdout, err = run_cli(capsys, "info", "-k", "2", "-n", "2", "--out", str(out))
     assert code == 2
@@ -585,6 +598,85 @@ def test_emit_writes_every_byte_through_short_writes(monkeypatch):
     assert raw.received == text.encode()
 
 
+def test_emit_to_a_stdout_with_no_buffer_is_one_write(monkeypatch):
+    # an io.StringIO stdout, as in-process callers have it, takes the whole
+    # text in one write, whatever the block size
+    class CountingStringIO(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    stdout = CountingStringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 7)
+    text = cli.periods_to_json(_render_matrix("k3n2"))
+    cli._emit(text, None)
+    assert (stdout.writes, stdout.getvalue()) == (1, text)
+
+
+def test_emit_to_a_file_encodes_one_block_at_a_time(monkeypatch, tmp_path):
+    # --out takes stdout's path: a 20 MiB text costs about a block of
+    # encoded bytes, where one text-mode write encodes all of it
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 2**20)
+    text = "0123456789abcdef" * (20 * 2**16)
+    out = tmp_path / "document"
+    tracemalloc.start()
+    try:
+        cli._emit(text, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert out.read_bytes() == text.encode()
+
+
+_CURVE_33 = ("-k", "3", "-n", "3", "-l", "-1.5")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", *_CURVE_33),
+        ("info", *_CURVE_33, "--format", "csv"),
+        ("periods", *_CURVE_33),
+        ("periods", *_CURVE_33, "--format", "csv"),
+        ("basis", *_CURVE_33),
+        ("basis", *_CURVE_33, "--format", "csv"),
+        ("verify", *_CURVE_33),
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(capsys, monkeypatch, tmp_path, argv):
+    # both destinations go through one writer; blocks of 7 characters make
+    # every document many blocks long
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 7)
+    code, out, err = run_cli(capsys, *argv)
+    path = tmp_path / "document"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("command", ["basis", "verify"])
+@pytest.mark.parametrize(
+    "curve",
+    [("-k", "4", "-n", "2"), _CURVE_33, ("-k", "2", "-n", "4", "-l", "2", "-l", "2+1i")],
+    ids=["4-2", "3-3", "2-4"],
+)
+def test_basis_and_verify_never_gather_the_period_matrix(capsys, monkeypatch, command, curve):
+    # the lattice step and the oracle read the value table by its index and
+    # hold no gathered copy of the matrix
+    expected = run_cli(capsys, command, *curve)
+
+    def refused(self):
+        raise AssertionError("PeriodMatrix.entries was gathered")
+
+    monkeypatch.setattr(PeriodMatrix, "entries", property(refused))
+    assert run_cli(capsys, command, *curve) == expected
+    assert expected[0] == 0
+
+
 def test_basis_failure_exits_4(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NotFullRank("forced by test")
@@ -699,6 +791,40 @@ def test_periods_step_too_coarse_names_the_leg(capsys, monkeypatch):
 
 
 _NO_CONVERGENCE = "error: quadrature did not converge: "
+
+# leg 1 of this curve clears a branch point by a midpoint detour, whose
+# prefix segments are chained and integrated apart from the final piece
+_DETOUR = ("periods", "-k", "4", "-n", "3", "-l", "0.115+0.842i")
+
+
+def test_detour_prefix_out_of_panels_names_the_leg_and_form(capsys, monkeypatch):
+    monkeypatch.setattr(quad, "_GL_MAX_PANELS", 4)
+    code, out, err = run_cli(capsys, *_DETOUR)
+    assert (code, out, err) == (
+        3,
+        "",
+        f"{_NO_CONVERGENCE}base integral i=1, alpha=(0, 0, 2): "
+        "did not reach rel_tol=1e-10 by Gauss-Legendre panels 4\n",
+    )
+
+
+def test_detour_prefix_continuation_failure_names_the_leg(capsys, monkeypatch):
+    # forced where the prefix's start logs are chained: one parameter, t = 1
+    line_logs = contour._line_logs
+
+    def chained(lines, tau, *args):
+        if tau.tolist() == [1.0]:
+            raise StepTooCoarse("continuation point coincides with a branch point", piece=0)
+        return line_logs(lines, tau, *args)
+
+    monkeypatch.setattr(contour, "_line_logs", chained)
+    code, out, err = run_cli(capsys, *_DETOUR)
+    assert (code, out, err) == (
+        3,
+        "",
+        "error: branch continuation failed: base integral i=1: "
+        "continuation point coincides with a branch point\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -321,6 +321,20 @@ def test_factor_table_layout(k, n, lams, quad_cfg):
         assert np.count_nonzero(pm.values == 0) > 1
 
 
+@pytest.mark.parametrize("k,n,lams", _LAYOUT_CURVES + [(4, 4, (-1.5, 2.0 + 1.0j))])
+def test_factor_table_index_is_int32(k, n, lams, quad_cfg):
+    # int32 numbers every slot of values, and the cells are those of the
+    # layout's formula in intp: (((g . M_c) mod k) * C(n,2) + pair) * g + c
+    pm = assemble(validate_spec(k, n, lams), quad_cfg)
+    assert pm.index.dtype == np.int32
+    g, P = len(pm.cols), math.comb(n, 2)
+    M = np.asarray([f.m_exponents for f in pm.cols], dtype=np.intp).reshape(g, n)
+    G = np.asarray(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
+    phase = (G @ M.T) % k
+    expected = (phase * P + np.arange(P)[:, None, None]) * g + np.arange(g)
+    assert np.array_equal(pm.index, expected.reshape(P * k**n, g))
+
+
 def test_identity_rows_start_each_pairs_block(quad_cfg):
     for k, n, lams in _LAYOUT_CURVES:
         spec = validate_spec(k, n, lams)
