@@ -19,6 +19,10 @@ oracle import them in their own bodies, or through those modules.  So info
 never loads numpy, periods never loads lattice or oracle, and basis never
 loads oracle.
 
+main builds its argparse parser on its first call and reuses it for the
+rest of the process, so in-process callers pay for it once; it runs the
+command function named by the parsed command, looked up on each call.
+
 All floating-point output uses 17 significant digits, so parsing the
 emitted JSON or CSV reproduces every double bit-exactly.  Each numeric
 matrix is one gather from a table of cell texts, each formatted once, and
@@ -36,6 +40,7 @@ the same as formatting every element on its own.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -104,11 +109,12 @@ def _joined(texts: list[str], index: np.ndarray, sep, end, head, tail) -> str:
     return "".join(parts)
 
 
-def _json_object(members: dict[str, str]) -> str:
-    """A JSON object from its keys and their rendered values, copied by one
-    join: a value can be a matrix of many megabytes."""
+def _json_object(members: dict[str, str], end: str = "") -> str:
+    """A JSON object from its keys and their rendered values, followed by
+    end, copied by one join: a value can be a matrix of many megabytes, so
+    a document's closing newline goes in here, not onto the joined text."""
     parts = [x for k, v in members.items() for x in (", ", json.dumps(k), ": ", v)]
-    return "".join(["{", *parts[1:], "}"])
+    return "".join(["{", *parts[1:], "}", end])
 
 
 def _json_dump(obj) -> str:
@@ -252,7 +258,7 @@ def basis_to_json(payload: dict) -> str:
             members[key] = _joined(texts, index, ", ", "], [", "[[", "]]") if len(index) else "[]"
         else:
             members[key] = _json_dump(value)
-    return _json_object(members) + "\n"
+    return _json_object(members, end="\n")
 
 
 def basis_to_csv(payload: dict) -> str:
@@ -375,10 +381,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         for key, val in info_payload(spec).items()
     }
     if args.fmt == "csv":
-        lines = [f"{key},{_csv_cell(text)}" for key, text in texts.items()]
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{key},{_csv_cell(text)}\n" for key, text in texts.items())
     else:
-        text = _json_object(texts) + "\n"
+        text = _json_object(texts, end="\n")
     args.stage = "writing"
     _emit(text, args.out)
     return 0
@@ -462,18 +467,27 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand registers only the options it reads
-    for name, run, parents, help_text in [
-        ("info", cmd_info, [curve, fmt], "genus, form list, and generator counts"),
-        ("periods", cmd_periods, [curve, quadrature, fmt], "compute the period matrix"),
-        ("basis", cmd_basis, [curve, quadrature, fmt], "extract an integer lattice basis"),
-        ("verify", cmd_verify, [curve, quadrature], "run the oracle cross-check report"),
+    # each subcommand registers only the options it reads; main runs
+    # cmd_<command>
+    for name, parents, help_text in [
+        ("info", [curve, fmt], "genus, form list, and generator counts"),
+        ("periods", [curve, quadrature, fmt], "compute the period matrix"),
+        ("basis", [curve, quadrature, fmt], "extract an integer lattice basis"),
+        ("verify", [curve, quadrature], "run the oracle cross-check report"),
     ]:
         p = sub.add_parser(name, help=help_text, parents=parents)
-        p.set_defaults(run=run)
-        if run is cmd_verify:
+        if name == "verify":
             p.add_argument("--seed", type=int, default=0, help="verify sampler seed")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses for the rest of the process, built on its
+    first call.  It holds no command function and nothing a call changes:
+    argparse gives each parse a fresh Namespace and copies the -l default
+    list before it appends."""
+    return build_parser()
 
 
 def _join_lambda_values(argv: list[str]) -> list[str]:
@@ -488,9 +502,8 @@ def _join_lambda_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_lambda_values(argv))
+    args = _parser().parse_args(_join_lambda_values(argv))
     try:
         args.lambdas = [parse_complex(v) for v in args.lambdas]
     except ValueError as err:
@@ -498,8 +511,10 @@ def main(argv=None) -> int:
         return 2
     # each command names the stage it enters, for an out-of-memory exit
     args.stage = "validating the input"
+    # looked up on each call, so a cmd_* replaced after the first call runs
+    run = globals()[f"cmd_{args.command}"]
     try:
-        return args.run(args)
+        return run(args)
     except MemoryError:
         print(f"error: out of memory while {args.stage}", file=sys.stderr)
         return 5

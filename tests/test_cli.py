@@ -340,6 +340,61 @@ def test_default_flags_give_the_default_quad_config():
     assert cli._quad_config(args) == QuadConfig()
 
 
+@pytest.fixture
+def unbuilt_parser(monkeypatch):
+    """main with no parser built yet in this process; calls to build_parser
+    are counted in the returned list."""
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    return built
+
+
+def test_main_builds_its_parser_once(capsys, unbuilt_parser):
+    for curve in (("-k", "3", "-n", "2"), _CURVE_33, ("-k", "4", "-n", "2")):
+        assert run_cli(capsys, "info", *curve)[0] == 0
+    assert len(unbuilt_parser) == 1
+    # callers of build_parser still get a parser of their own
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_reused_parser_shares_no_lambda_list(capsys, unbuilt_parser):
+    assert run_cli(capsys, "periods", *_CURVE_33)[0] == 0
+    code, out, _ = run_cli(capsys, "info", "-k", "3", "-n", "2")
+    assert code == 0
+    assert '"lambdas": []' in out
+
+
+def test_refused_call_leaves_the_reused_parser_as_it_was(capsys, monkeypatch, unbuilt_parser):
+    valid = ("periods", *_CURVE_33, "--format", "csv")
+    first = run_cli(capsys, *valid)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["periods", "-k", "3", "-n", "2", "--level", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --level 5" in capsys.readouterr().err
+    assert run_cli(capsys, *valid) == first
+    assert first[0] == 0
+
+
+def test_command_replaced_after_the_first_call_runs(capsys, monkeypatch):
+    assert run_cli(capsys, "info", "-k", "3", "-n", "2")[0] == 0
+    ran = []
+
+    def replaced(args):
+        ran.append((args.k, args.n))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_info", replaced)
+    assert run_cli(capsys, "info", "-k", "4", "-n", "2") == (0, "", "")
+    assert ran == [(4, 2)]
+
+
 @pytest.mark.parametrize("command", ["info", "periods", "basis", "verify"])
 def test_subcommand_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -630,6 +685,22 @@ def test_emit_to_a_file_encodes_one_block_at_a_time(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert peak <= 4 * 2**20
     assert out.read_bytes() == text.encode()
+
+
+def test_basis_json_is_one_join_of_its_members():
+    # the closing newline goes into the document's one join: the members
+    # and the document are the peak, with no third copy for the newline
+    spec = validate_spec(17, 2, [])
+    pm = assemble(spec, QuadConfig())
+    payload = cli.basis_payload(pm, extract_basis(pm, spec))
+    tracemalloc.start()
+    try:
+        text = cli.basis_to_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("}\n")
+    assert peak < 2.5 * len(text)
 
 
 _CURVE_33 = ("-k", "3", "-n", "3", "-l", "-1.5")
