@@ -167,10 +167,6 @@ def _generator_labels(k: int, n: int) -> list[str]:
     return [f"conj_comm:j={j};l={l};g={g}" for j, l in pairs for g in g_texts]
 
 
-def _form_label(form) -> str:
-    return ".".join(str(a) for a in form.alpha)
-
-
 def periods_to_json(pm) -> str:
     """The period document, the matrix gathered from pm.values by pm.index."""
     head = _json_object({
@@ -178,7 +174,7 @@ def periods_to_json(pm) -> str:
         "n": _json_dump(pm.spec.n),
         "lambdas": _json_dump([_pair(v) for v in pm.spec.lambdas]),
         "genus": _json_dump(genus(pm.spec)),
-        "forms": json.dumps([list(f.alpha) for f in pm.cols]),
+        "forms": json.dumps([list(alpha) for alpha in _alphas(pm.spec.k, pm.spec.n)]),
         "generators": _generators_json(pm.spec.k, pm.spec.n),
     })
     tail = ']], "base_point": ' + _json_dump(_pair(pm.base_point)) + "}\n"
@@ -192,8 +188,8 @@ def periods_to_csv(pm) -> str:
     import numpy as np
 
     header = ["generator"]
-    for f in pm.cols:
-        label = _form_label(f)
+    for alpha in _alphas(pm.spec.k, pm.spec.n):
+        label = ".".join(map(str, alpha))
         header.extend([f"re_{label}", f"im_{label}"])
     values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
     texts = ["%.17g,%.17g" % z for z in values] + _generator_labels(pm.spec.k, pm.spec.n)

@@ -139,8 +139,7 @@ def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
         bad = np.argmin(np.isfinite(pm.values)[pm.index].all(axis=1))
         raise NotFullRank(f"generator {bad} has a non-finite period")
     first = pm.identity_rows()
-    M = np.asarray([f.m_exponents for f in pm.cols], dtype=np.int64).reshape(-1, n)
-    chars = np.vstack([M, -M]) % k
+    chars = np.vstack([pm.m_exponents, -pm.m_exponents]) % k
     comps = np.hstack([pm.values[pm.index[first]], pm.values[pm.index[first]].conj()])
     # scaling a column moves no row's independence, and puts every form's
     # periods on one scale for the tolerance, however many decades apart
@@ -200,7 +199,7 @@ def _covolume_log(pm: PeriodMatrix) -> float:
     ln |P_0,c| + e ln k - g ln 2, where P_0 is the g = 0 row and k**e the
     |det| of the box's monomials on X, summed by math.fsum, which rounds
     once, so no BLAS thread count can move it."""
-    k, g = pm.spec.k, len(pm.cols)
+    k, g = pm.spec.k, len(pm.m_exponents)
     e = ((k - 2) ** 2 + (k - 1) * (k - 4)) / 2 + 1
     logs = np.log(np.abs(pm.values[pm.index[0]])).tolist()
     return math.fsum([2 * x for x in logs] + [e * math.log(k), -g * math.log(2)])

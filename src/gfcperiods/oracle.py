@@ -295,7 +295,6 @@ def crosscheck_report(
     genus > 0 double inclusion of the extracted lattice basis; for
     (k, n) = (2, 3) lattice equality against the AGM periods.
     """
-    forms = enumerate_forms(spec)
     # for n = 2 the matrix holds the Beta closed form, J_1 = 0; the legs' own
     # J keeps the scales below and the Beta check independent of it, and is
     # integrated first, so a leg that fails stops before the matrix is built
@@ -303,6 +302,7 @@ def crosscheck_report(
     pm = assemble(spec, cfg)
     J = pm.base_integrals if legs is None else legs
     J_max = np.max(np.abs(J), axis=0)
+    num_forms = len(pm.m_exponents)
     wi = WordIntegrator(spec, cfg)
     checks: list[CheckResult] = []
 
@@ -323,7 +323,7 @@ def crosscheck_report(
             name="power_word_vanishing",
             max_deviation=float(worst),
             tolerance=1e-8,
-            detail=f"{spec.n} power words x {len(forms)} forms",
+            detail=f"{spec.n} power words x {num_forms} forms",
         )
     )
 
@@ -342,7 +342,7 @@ def crosscheck_report(
             max_deviation=float(worst),
             tolerance=1.0,
             detail=(
-                f"{len(words)} words x {len(forms)} forms; deviations scaled by "
+                f"{len(words)} words x {num_forms} forms; deviations scaled by "
                 "max(1e-8 |entry|, 1e-10)"
             ),
         )
@@ -350,9 +350,7 @@ def crosscheck_report(
 
     # (c) conjugation covariance of the sampled words
     zeta = np.asarray([zeta_power(spec.k, e) for e in range(spec.k)])
-    M = np.asarray([form.m_exponents for form in forms], dtype=np.int64)
-    M = M.reshape(len(forms), spec.n)
-    rhs = zeta[(G @ M.T) % k] * bare_rows
+    rhs = zeta[(G @ pm.m_exponents.T) % k] * bare_rows
     scale = np.maximum(np.abs(rhs), 1e-2 * J_max)
     worst = float(np.max(np.abs(sampled_rows - rhs) / scale, initial=0.0))
     checks.append(
@@ -367,7 +365,7 @@ def crosscheck_report(
     # (d) Beta magnitudes for classical Fermat curves
     if spec.n == 2:
         worst = 0.0
-        for c, form in enumerate(forms):
+        for c, form in enumerate(enumerate_forms(spec)):
             b = beta_closed_form(form, spec.k)
             worst = max(worst, abs(abs(J[1, c] - J[0, c]) - b) / b)
         checks.append(
@@ -375,7 +373,7 @@ def crosscheck_report(
                 name="beta_magnitude",
                 max_deviation=float(worst),
                 tolerance=1e-9,
-                detail=f"|J_2 - J_1| vs Beta for {len(forms)} forms",
+                detail=f"|J_2 - J_1| vs Beta for {num_forms} forms",
             )
         )
 
@@ -392,7 +390,7 @@ def crosscheck_report(
                 tolerance=1e-10,
                 detail=(
                     f"{len(pm.index)} generators vs integer combinations of the "
-                    f"{2 * len(pm.cols)} basis rows, relative to max |generator entry|"
+                    f"{2 * num_forms} basis rows, relative to max |generator entry|"
                 ),
             )
         )

@@ -52,6 +52,10 @@ from .quad import QuadConfig
 class PeriodMatrix:
     """Periods of every form (columns) over every generator (rows).
 
+    Row c of m_exponents (forms x n int64) is the character M of the c-th
+    form of enumerate_forms(spec), M_1 = alpha_1 + 1 and M_i = -alpha_i for
+    i >= 2, through which alone a form enters its entries.
+
     The matrix is stored factored: values is a 1-D complex table and index
     (rows x cols int32) places its entries, so the period of form c over word
     s is values[index[s, c]].  entries gathers it anew on each access; no
@@ -65,7 +69,7 @@ class PeriodMatrix:
     legs take from the base point 1/2 + 2i (or any in the upper half-plane).
     """
 
-    cols: tuple[FormIndex, ...]
+    m_exponents: np.ndarray
     values: np.ndarray
     index: np.ndarray
     base_integrals: np.ndarray
@@ -119,10 +123,10 @@ def period_entry(word: ConjComm, form: FormIndex, J_col, k: int) -> complex:
     return phase * pref * (complex(J_col[word.l - 1]) - complex(J_col[word.j - 1]))
 
 
-def _factor_table(forms, J: np.ndarray, k: int):
+def _factor_table(M: np.ndarray, J: np.ndarray, k: int):
     """The factorisation (values, index) of period_entry over every
-    (generator, form) pair, each cell values[index] bit-identical to the
-    scalar routine.
+    (generator, form) pair, M the forms' m_exponents (forms x n), each
+    cell values[index] bit-identical to the scalar routine.
 
     values holds one entry per (phase e in Z_k, pair (j, l), form), at
     (e * P + pair) * g + form for the C(n,2) = P pairs in lexicographic
@@ -142,7 +146,7 @@ def _factor_table(forms, J: np.ndarray, k: int):
     pairs = list(itertools.combinations(range(n), 2))
     jj = np.asarray([j for j, _ in pairs], dtype=np.intp)
     ll = np.asarray([l for _, l in pairs], dtype=np.intp)
-    M = np.asarray([f.m_exponents for f in forms], dtype=np.int64).reshape(len(forms), n) % k
+    M = M % k
     powers = [zeta_power(k, e) for e in range(k)]
     zeta = np.asarray(powers)[:, None, None]
     pref = np.asarray([[(1 - a) * (1 - b) / k for b in powers] for a in powers])
@@ -164,19 +168,20 @@ def _factor_table(forms, J: np.ndarray, k: int):
     steps = ((np.arange(k)[:, None, None] * M) % k).astype(small)
     phase = steps[:, :, 0]
     for d in range(1, n):
-        phase = (phase[:, None, :] + steps[:, :, d]).reshape(len(phase) * k, len(forms))
+        phase = (phase[:, None, :] + steps[:, :, d]).reshape(len(phase) * k, len(M))
         phase -= (phase >= k) * small(k)
     # widen to int32 before the arithmetic (the products outgrow the phase
     # dtype): 2**31 slots of values would need k**(n-1) times as many cells
-    slot = np.arange(len(pairs) * len(forms), dtype=np.int32).reshape(len(pairs), 1, -1)
-    index = phase.astype(np.int32) * (len(pairs) * len(forms)) + slot
-    return values.ravel(), index.reshape(len(pairs) * k**n, len(forms))
+    slot = np.arange(len(pairs) * len(M), dtype=np.int32).reshape(len(pairs), 1, -1)
+    index = phase.astype(np.int32) * (len(pairs) * len(M)) + slot
+    return values.ravel(), index.reshape(len(pairs) * k**n, len(M))
 
 
-def _beta_rows(forms, k: int) -> np.ndarray:
-    """J of a (k, 2) curve up to one constant per form: J_1 = 0 and
-    J_2 = D = B(a, b) exp(i pi (b - a)), a = (alpha_1 + 1)/k = j_a/k and
-    b = 1 - alpha_2/k = j_b/k.
+def _beta_rows(M: np.ndarray, k: int) -> np.ndarray:
+    """J of a (k, 2) curve up to one constant per form, M the forms'
+    m_exponents: J_1 = 0 and J_2 = D = B(a, b) exp(i pi (b - a)),
+    a = (alpha_1 + 1)/k = j_a/k and b = 1 - alpha_2/k = j_b/k, so
+    j_a = M_1 and j_b = k + M_2.
 
     The forms have j_a + j_b <= k - 1, so B = Gamma(a) Gamma(b) / Gamma(a + b)
     reads a table of Gamma(j/k), j = 1..k-1, and the phase a table of cos
@@ -186,8 +191,7 @@ def _beta_rows(forms, k: int) -> np.ndarray:
     mean's B was 6.3e-16 off on average over k = 3..40, and math.gamma(x)
     alone 6.9e-16.  Exp of a sum of lgamma values lost 2-3 times more.
     """
-    alpha = np.asarray([f.alpha for f in forms], dtype=np.intp).reshape(len(forms), 2)
-    ja, jb = alpha[:, 0] + 1, k - alpha[:, 1]
+    ja, jb = M[:, 0], k + M[:, 1]
     gamma = [0.5 * (math.gamma(j / k) + math.gamma((k + j) / k) * k / j) for j in range(1, k)]
     gamma = np.asarray([math.nan] + gamma)
     beta = gamma[ja] * gamma[jb] / gamma[ja + jb]
@@ -195,7 +199,7 @@ def _beta_rows(forms, k: int) -> np.ndarray:
     angles = [math.pi * m / k for m in range(2 - k, k - 1)]
     cos = np.asarray([math.cos(t) for t in angles])
     sin = np.asarray([math.sin(t) for t in angles])
-    J = np.zeros((2, len(forms)), dtype=complex)
+    J = np.zeros((2, len(M)), dtype=complex)
     J[1].real = beta * cos[jb - ja + k - 2]
     J[1].imag = beta * sin[jb - ja + k - 2]
     return J
@@ -210,11 +214,12 @@ def assemble(spec: CurveSpec, cfg: QuadConfig) -> PeriodMatrix:
     J_1 = 0 and J_2 = D, whose phase is that of the legs' branch at the
     base point 1/2 + 2i, as at any base point in the upper half-plane.
     """
-    forms = tuple(enumerate_forms(spec))
-    J = _beta_rows(forms, spec.k) if spec.n == 2 else base_integrals(spec, cfg)
-    values, index = _factor_table(forms, J, spec.k)
+    forms = enumerate_forms(spec)
+    M = np.asarray([f.m_exponents for f in forms], dtype=np.int64).reshape(len(forms), spec.n)
+    J = _beta_rows(M, spec.k) if spec.n == 2 else base_integrals(spec, cfg)
+    values, index = _factor_table(M, J, spec.k)
     return PeriodMatrix(
-        cols=forms,
+        m_exponents=M,
         values=values,
         index=index,
         base_integrals=J,

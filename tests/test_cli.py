@@ -16,7 +16,16 @@ import pytest
 
 import gfcperiods
 import gfcperiods.cli as cli
-from gfcperiods import assemble, contour, extract_basis, genus, quad, real_split, validate_spec
+from gfcperiods import (
+    assemble,
+    contour,
+    enumerate_forms,
+    extract_basis,
+    genus,
+    quad,
+    real_split,
+    validate_spec,
+)
 from gfcperiods.errors import NotFullRank, StepTooCoarse
 from gfcperiods.homology import ConjComm, enumerate_generators
 from gfcperiods.periods import PeriodMatrix
@@ -191,7 +200,7 @@ def test_periods_json_round_trip(capsys, tmp_path):
     pm = assemble(validate_spec(3, 2, []), QuadConfig())
     assert raw["k"] == 3 and raw["n"] == 2
     assert raw["genus"] == 1
-    assert raw["forms"] == [list(f.alpha) for f in pm.cols]
+    assert raw["forms"] == [list(f.alpha) for f in enumerate_forms(pm.spec)]
     assert raw["generators"] == [_generator_dict(w) for w in enumerate_generators(pm.spec)]
     # [re, im] pairs of doubles viewed as complex, bit for bit
     entries = np.asarray(raw["periods"], dtype=float).view(complex)[..., 0]
@@ -209,7 +218,7 @@ def test_periods_csv_round_trip(capsys, tmp_path):
     assert code == 0
     header, *lines = out_path.read_text().splitlines()
     pm = assemble(validate_spec(2, 3, [2.0]), QuadConfig())
-    assert [f.alpha for f in pm.cols] == [(0, 1, 1)]
+    assert [f.alpha for f in enumerate_forms(pm.spec)] == [(0, 1, 1)]
     assert header == "generator,re_0.1.1,im_0.1.1"
     cells = [line.split(",") for line in lines]
     assert [row[0] for row in cells] == [_word_label(w) for w in enumerate_generators(pm.spec)]
@@ -1037,6 +1046,16 @@ def test_huge_lambda_exits_3_with_one_error_line(command, k, n, lam, message):
     assert line.startswith(message)
 
 
+@pytest.mark.parametrize("command", ["periods", "basis", "verify"])
+def test_underflow_exits_3_in_process(capsys, command):
+    # the same refusal through an in-process main: periods.base_integrals
+    # raises IntegralUnderflow and main turns it into exactly one line
+    code, out, err = run_cli(capsys, command, "-k", "2", "-n", "3", "-l", "1e300")
+    assert code == 3
+    assert out == ""
+    assert err == _UNDERFLOW + "\n"
+
+
 def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
     # a clearance wider than the branch set leaves no detour for any leg
     monkeypatch.setattr(contour, "_LEG_CLEARANCE", 1e3)
@@ -1049,19 +1068,17 @@ def test_periods_routing_failure_names_the_leg(capsys, monkeypatch):
 def _hand_set_matrix():
     """A (3, 2) period matrix with a zero row, a -0.0 entry, values that
     need all 17 significant digits and one at the edge of the double range."""
-    from gfcperiods import PeriodMatrix, enumerate_forms
-
     spec = validate_spec(3, 2, [])
-    cols = tuple(enumerate_forms(spec))
-    entries = np.zeros((3**2, len(cols)), dtype=complex)
+    forms = enumerate_forms(spec)
+    entries = np.zeros((3**2, len(forms)), dtype=complex)
     entries[:, 0] = np.linspace(-1.0, 1.0, len(entries)) * (0.1 + 1j / 3)
     entries[1, 0] = complex(-0.0, 5.2441151085842401)
     entries[2, 0] = complex(1e-300, -1.7976931348623157e308)
     return PeriodMatrix(
-        cols=cols,
+        m_exponents=np.asarray([f.m_exponents for f in forms], dtype=np.int64),
         values=entries.ravel(),
         index=np.arange(entries.size).reshape(entries.shape),
-        base_integrals=np.zeros((2, len(cols)), dtype=complex),
+        base_integrals=np.zeros((2, len(forms)), dtype=complex),
         base_point=0.5 + 2.25j,
         spec=spec,
     )
@@ -1125,7 +1142,7 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
         "n": pm.spec.n,
         "lambdas": [[float(z.real), float(z.imag)] for z in pm.spec.lambdas],
         "genus": genus(pm.spec),
-        "forms": [list(f.alpha) for f in pm.cols],
+        "forms": [list(f.alpha) for f in enumerate_forms(pm.spec)],
         "generators": [_generator_dict(w) for w in enumerate_generators(pm.spec)],
         "periods": np.stack((pm.entries.real, pm.entries.imag), axis=-1).tolist(),
         "base_point": [float(pm.base_point.real), float(pm.base_point.imag)],
@@ -1150,8 +1167,9 @@ def test_periods_to_json_matches_element_rendering(case, fragments):
 def test_periods_to_csv_matches_element_rendering(case, fragments):
     pm = _render_matrix(case)
     header = ["generator"]
-    for f in pm.cols:
-        header.extend(["re_" + cli._form_label(f), "im_" + cli._form_label(f)])
+    for f in enumerate_forms(pm.spec):
+        label = ".".join(str(a) for a in f.alpha)
+        header.extend(["re_" + label, "im_" + label])
     lines = [",".join(header)]
     for word, row in zip(enumerate_generators(pm.spec), pm.entries.tolist(), strict=True):
         cells = [_word_label(word)]
@@ -1225,25 +1243,24 @@ def _hand_set_basis():
     cells are gathered through an index that is not the identity.  The
     coefficients are negative down to -25507, with gaps in their range,
     and one is 10**6, a range wider than 2**16 and than the matrix."""
-    from gfcperiods import PeriodMatrix, enumerate_forms
     from gfcperiods.lattice import LatticeBasis
 
     spec = validate_spec(4, 2, [])
     rows = 4**2
-    cols = tuple(enumerate_forms(spec))
+    forms = enumerate_forms(spec)
     kept = np.array([0, 2, 3, 7, 8, 13])
     basis = np.diag([1e100] * 6)
     basis[0, 1] = -0.0
     basis[0, 2] = basis[1, 2] = 5.2441151085842401
     basis[3, 0] = basis[3, 4] = -1 / 3
-    entries = np.full((rows, len(cols)), 0.25 - 0.5j)
+    entries = np.full((rows, len(forms)), 0.25 - 0.5j)
     # through the parts, so that -0.0 keeps its sign
     entries.real[kept], entries.imag[kept] = basis[:, :3], basis[:, 3:]
     pm = PeriodMatrix(
-        cols=cols,
+        m_exponents=np.asarray([f.m_exponents for f in forms], dtype=np.int64),
         values=entries.ravel()[::-1].copy(),
         index=np.arange(entries.size)[::-1].reshape(entries.shape),
-        base_integrals=np.zeros((2, len(cols)), dtype=complex),
+        base_integrals=np.zeros((2, len(forms)), dtype=complex),
         base_point=0.5 + 2.25j,
         spec=spec,
     )

@@ -68,6 +68,17 @@ def test_init_branch_rejects_branch_point():
         init_branch(0j, R2)
 
 
+def test_path_rejects_segments_whose_ends_do_not_meet():
+    with pytest.raises(ValueError, match="^consecutive path segments do not share endpoints$"):
+        Path(segments=(Line(0j, 1 + 0j), Line(1 + 1e-9j, 2 + 0j)))
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5])
+def test_arc_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="^arc radius must be positive$"):
+        Arc(0j, radius, 0.0, math.pi)
+
+
 def _full_circle(center, radius, start_point, orientation):
     theta = cmath.phase(start_point - center)
     return Path(

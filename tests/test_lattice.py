@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -269,10 +270,23 @@ def test_far_lambda_keeps_the_rows_and_coefficients_of_a_near_one(k, n, lams, ne
     assert np.all(miss <= 1e-12 * np.abs(v).max(axis=0))
 
 
+def _exact_residual(coeffs: np.ndarray, basis: np.ndarray, target: np.ndarray) -> float:
+    """max |coeffs @ basis - target| rounded once: each c * b is written as
+    |c| copies of +-b, so every term of math.fsum is exact."""
+    worst = 0.0
+    for c, t in zip(coeffs.astype(np.int64), target):
+        terms = np.repeat(basis * np.sign(c)[:, None], np.abs(c), axis=0)
+        cells = zip(terms.T.tolist(), t.tolist())
+        worst = max([worst] + [abs(math.fsum(col + [-x])) for col, x in cells])
+    return worst
+
+
 @pytest.mark.parametrize("k,n,lams", LADDER_CURVES)
 def test_extract_basis_matches_full_solve(k, n, lams):
     # solving only for the rows that were not kept changes no bit; the
-    # residual is summed in a fixed order, within rounding of the BLAS one
+    # residual summed in a fixed order and the BLAS one each lie within the
+    # rounding bound of a d-term dot product and one subtraction,
+    # gamma_(d+1) * max(sum |c||b| + |t|), of the exactly rounded residual
     v = _generators(k, n, lams)
     result = extract_basis(v, validate_spec(k, n, list(lams)))
     coords = np.linalg.solve(result.basis.T, v.T).T
@@ -281,7 +295,12 @@ def test_extract_basis_matches_full_solve(k, n, lams):
     rest = np.delete(np.arange(len(v)), result.kept)
     assert result.residual == lattice._residual(coeffs[rest], result.basis, v[rest])
     blas = float(np.max(np.abs(coeffs @ result.basis - v)))
-    assert abs(result.residual - blas) <= 1e-15 * np.abs(v).max()
+    exact = _exact_residual(coeffs[rest], result.basis, v[rest])
+    m, u = len(result.basis) + 1, np.finfo(v.dtype).eps / 2
+    gamma = m * u / (1 - m * u)
+    bound = gamma * float(np.max(np.abs(coeffs) @ np.abs(result.basis) + np.abs(v)))
+    assert abs(result.residual - exact) <= bound
+    assert abs(blas - exact) <= bound
 
 
 @pytest.mark.parametrize("block_values", [2**21, 200 * 64])
@@ -518,7 +537,7 @@ def test_period_matrix_shortfall_names_the_character():
     # its conjugate (3, 2) at rank 0
     pm = _period_matrix(4, 2, ())
     values = pm.values.copy()
-    values.reshape(-1, len(pm.cols))[:, 0] = 0
+    values.reshape(-1, len(pm.m_exponents))[:, 0] = 0
     bad = dataclasses.replace(pm, values=values)
     with pytest.raises(NotFullRank) as err:
         extract_basis(bad, pm.spec)

@@ -12,6 +12,7 @@ from gfcperiods import (
     assemble,
     conjugation_phase,
     enumerate_forms,
+    genus,
     period_entry,
     validate_spec,
 )
@@ -40,7 +41,7 @@ def test_zero_prefactor_entries_are_exact_zero(quad_cfg):
 def test_conjugation_covariance_at_matrix_level(quad_cfg):
     spec = validate_spec(3, 2, [])
     pm = assemble(spec, quad_cfg)
-    forms = pm.cols
+    forms = enumerate_forms(spec)
     index = {w: s for s, w in enumerate(enumerate_generators(spec))}
     base = ConjComm(g=(0, 0), j=1, l=2)
     for g in [(1, 0), (2, 1), (1, 2)]:
@@ -217,9 +218,10 @@ def test_rank_two_periods_take_the_beta_closed_form(k):
     spec = validate_spec(k, 2, [])
     pm = assemble(spec, QuadConfig())
     reference = _seed0_reference((k, 2, ()))
-    assert sorted(f.alpha for f in pm.cols) == sorted(reference)
-    assert np.array_equal(pm.base_integrals[0], np.zeros(len(pm.cols)))
-    for c, form in enumerate(pm.cols):
+    forms = enumerate_forms(spec)
+    assert sorted(f.alpha for f in forms) == sorted(reference)
+    assert np.array_equal(pm.base_integrals[0], np.zeros(len(forms)))
+    for c, form in enumerate(forms):
         (re1, im1), (re2, im2) = reference[form.alpha]
         want = complex(float(Decimal(re2) - Decimal(re1)), float(Decimal(im2) - Decimal(im1)))
         err = abs(pm.base_integrals[1, c] - want) / abs(want)
@@ -238,11 +240,24 @@ def test_beta_closed_form_is_the_legs_difference():
 
 def test_genus_zero_rank_two_has_empty_matrices():
     pm = assemble(validate_spec(2, 2, []), QuadConfig())
-    assert pm.cols == ()
+    assert pm.m_exponents.shape == (0, 2)
     assert pm.values.shape == (0,)
     assert pm.index.shape == (4, 0)
     assert pm.base_integrals.shape == (2, 0)
     assert pm.entries.shape == (4, 0)
+
+
+@pytest.mark.parametrize(
+    "k,n,lams", [(2, 2, ()), (5, 2, ()), (3, 3, (-1.5,)), (2, 4, (2.0, 2.0 + 1.0j))]
+)
+def test_m_exponents_are_the_forms_characters(k, n, lams, quad_cfg):
+    # row c is FormIndex.m_exponents of the c-th form, in enumerate_forms order
+    spec = validate_spec(k, n, lams)
+    pm = assemble(spec, quad_cfg)
+    forms = enumerate_forms(spec)
+    assert pm.m_exponents.dtype == np.int64
+    assert pm.m_exponents.shape == (len(forms), n)
+    assert [tuple(row) for row in pm.m_exponents.tolist()] == [f.m_exponents for f in forms]
 
 
 # 30-digit J of every form of (3, 3) with lambda next to r_1 = 0 or far out,
@@ -276,7 +291,7 @@ def _entry_loop(pm) -> np.ndarray:
     """The matrix built one period_entry call at a time."""
     out = np.zeros(pm.entries.shape, dtype=complex)
     for s, word in enumerate(enumerate_generators(pm.spec)):
-        for c, form in enumerate(pm.cols):
+        for c, form in enumerate(enumerate_forms(pm.spec)):
             out[s, c] = period_entry(word, form, pm.base_integrals[:, c], pm.spec.k)
     return out
 
@@ -304,12 +319,12 @@ def test_factor_table_layout(k, n, lams, quad_cfg):
     spec = validate_spec(k, n, lams)
     pm = assemble(spec, quad_cfg)
     words = enumerate_generators(spec)
-    g, P = len(pm.cols), math.comb(n, 2)
+    g, P = genus(spec), math.comb(n, 2)
     assert pm.values.shape == (k * P * g,)
     assert pm.index.shape == (len(words), g)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     radix = k ** np.arange(n - 1, -1, -1)
-    M = np.asarray([f.m_exponents for f in pm.cols]).reshape(g, n)
+    M = np.asarray([f.m_exponents for f in enumerate_forms(spec)]).reshape(g, n)
     for s, word in enumerate(words):
         p = pairs.index((word.j, word.l))
         assert s == p * k**n + np.dot(word.g, radix)
@@ -325,10 +340,11 @@ def test_factor_table_layout(k, n, lams, quad_cfg):
 def test_factor_table_index_is_int32(k, n, lams, quad_cfg):
     # int32 numbers every slot of values, and the cells are those of the
     # layout's formula in intp: (((g . M_c) mod k) * C(n,2) + pair) * g + c
-    pm = assemble(validate_spec(k, n, lams), quad_cfg)
+    spec = validate_spec(k, n, lams)
+    pm = assemble(spec, quad_cfg)
     assert pm.index.dtype == np.int32
-    g, P = len(pm.cols), math.comb(n, 2)
-    M = np.asarray([f.m_exponents for f in pm.cols], dtype=np.intp).reshape(g, n)
+    g, P = genus(spec), math.comb(n, 2)
+    M = np.asarray([f.m_exponents for f in enumerate_forms(spec)], dtype=np.intp).reshape(g, n)
     G = np.asarray(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
     phase = (G @ M.T) % k
     expected = (phase * P + np.arange(P)[:, None, None]) * g + np.arange(g)
@@ -343,7 +359,8 @@ def test_identity_rows_start_each_pairs_block(quad_cfg):
         block = k**n
         assert first.tolist() == [p * block for p in range(math.comb(n, 2))]
         radix = k ** np.arange(n - 1, -1, -1)
-        M = np.asarray([f.m_exponents for f in pm.cols]).reshape(len(pm.cols), n)
+        forms = enumerate_forms(spec)
+        M = np.asarray([f.m_exponents for f in forms]).reshape(len(forms), n)
         words = enumerate_generators(spec)
         for row in first:
             base = words[row]
