@@ -197,33 +197,22 @@ def periods_to_csv(pm) -> str:
     return _joined(texts, index, ",", "\n", ",".join(header) + "\n", "\n")
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 def basis_payload(pm, result) -> dict:
-    """The fields of the basis document of result, a LatticeBasis of
-    real_split(pm): plain values, each matrix as a table of cell texts and
-    an index into it, and from_generators as the kept generators.  Basis
-    row i holds the real, then the imaginary parts of pm.values at
-    pm.index[kept[i]].  |det| can exceed the double range at large genus:
-    abs_det is then None (JSON null), and log10_abs_det still carries its
-    size.  Both come from one ln |det|: result.log_abs_det, the
-    closed-form covolume, where extract_basis knows it (n = 2), else
-    slogdet, taken here.  numpy's det is the C exp of slogdet's log too,
-    which math.exp matches bit for bit."""
+    """The fields of the basis document of result, the LatticeBasis that
+    extract_basis gives for pm: plain values, each matrix as a table of
+    cell texts and an index into it, and from_generators as the kept
+    generators.  Basis row i holds the real, then the imaginary parts of
+    pm.values at pm.index[kept[i]].  abs_det and log10_abs_det both come
+    from result.log_abs_det, the closed-form ln |det|, so no linear algebra
+    runs here.  |det| can exceed the double range at large genus: abs_det
+    is then None (JSON null), and log10_abs_det still carries its size.  A
+    genus-0 basis is empty, of |det| 1."""
     import numpy as np
 
-    abs_det, log10_abs_det = 0.0, -math.inf  # genus 0: an empty basis
-    if result.basis.size:
-        log_abs_det = result.log_abs_det
-        if log_abs_det is None:
-            log_abs_det = float(np.linalg.slogdet(result.basis)[1])
-        try:
-            abs_det = math.exp(log_abs_det)
-        except OverflowError:
-            abs_det = math.inf
-        log10_abs_det = log_abs_det / math.log(10)
+    try:
+        abs_det = math.exp(result.log_abs_det)
+    except OverflowError:
+        abs_det = None
     parts = pm.values.real.tolist() + pm.values.imag.tolist()
     kept = pm.index[result.kept]
     return {
@@ -235,8 +224,8 @@ def basis_payload(pm, result) -> dict:
         "coefficients": _cells(result.coefficients),
         "from_generators": result.kept.tolist(),
         "residual": float(result.residual),
-        "abs_det": _finite_or_none(abs_det),
-        "log10_abs_det": _finite_or_none(log10_abs_det),
+        "abs_det": abs_det,
+        "log10_abs_det": result.log_abs_det / math.log(10),
     }
 
 

@@ -5,7 +5,7 @@ rank-2g lattice in R^(2g).  In generator order its first 2g linearly
 independent rows are a Z-basis of it.  The other rows' coordinates in
 them are solved for once and rounded; one further than 1e-7 from an
 integer is an error naming the generator.  A period matrix of n = 2 skips
-the solve: its coordinates and covolume are exact, in closed form (below).
+the solve: its coordinates are exact, in closed form (below).
 
 Plain vectors are searched row by row; for a period matrix the Z_k^n
 action fixes the kept rows.  In the complexified real split, coordinate c
@@ -14,23 +14,32 @@ is the pair's g = 0 row with each character chi's component times
 zeta**(g . chi).  Modulo the invariant span of the earlier pairs, pair p's
 rows are the monomials x**g on the characters X_p whose components p adds,
 so p keeps the lex standard monomials of X_p (Cerlienco and Mureddu,
-Discrete Math. 139, 1995).
+Discrete Math. 139, 1995).  The same walk gives the covolume of every
+period matrix in closed form: ln |det| of the kept rows is
+
+    sum_chi ln |det W_chi| + sum_d c_d ln |2 sin(pi d / k)| - g ln 2,
+
+where W_chi is the block of g = 0 components of the pairs that add at chi,
+c_d counts the pairs of first coordinates that differ by d in the fibres
+of each X_p and of its tail problems, and 2**g comes from the real split
+(_kept_by_characters and _standard_monomials derive it).  It is
+summed by math.fsum, which rounds once, and takes an LU only of blocks
+W_chi larger than 1 x 1, so no BLAS thread count moves it.
 
 For n = 2 there is one pair, and X is every (x_1, x_2) = (zeta**a,
 zeta**b) with a, b and a + b nonzero mod k.  The kept rows are the box
 x_1**m x_2**j, m <= k - 3, j <= k - 2, and any row x**g is the normal form
 of x**g modulo the ideal of X, an integer combination of them with
 entries in {-1, 0, 1}: no float solve, no 1e-7 rounding gate, and no
-ReconstructionFailed.  The covolume is prod_c |P_0,c|**2 times the |det|
-of the box's monomials on X, k**e (a product of Vandermonde determinants
-of k-th roots of unity), over 2**g from the real split.
+ReconstructionFailed.  Every W_chi is 1 x 1 there, and the c_d sum is
+e ln k with e = ((k-2)**2 + (k-1)(k-4)) / 2 + 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +60,10 @@ class LatticeBasis:
     basis row i is input row kept[i].  coefficients expresses every input
     generator as an integer combination of the basis rows.  residual is
     the largest absolute error of coefficients @ basis against the input.
-    log_abs_det is ln |det basis| where it is known in closed form (a
-    period matrix of n = 2), else None.  from_generators, every basis row
-    as a 0/1 combination of the input generators, is built from kept on
-    first access."""
+    log_abs_det is ln |det basis|, in closed form, for the basis of a
+    period matrix; plain vectors leave it None.  from_generators, every
+    basis row as a 0/1 combination of the input generators, is built from
+    kept on first access."""
 
     basis: np.ndarray
     coefficients: np.ndarray
@@ -113,27 +122,53 @@ def _first_independent(stack: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _standard_monomials(points) -> list[tuple[int, ...]]:
+def _standard_monomials(points, diffs: list[int], weight: int = 1) -> list[tuple[int, ...]]:
     """Exponents, in lex order, of the lex standard monomials (x_1 largest)
     of distinct points, one per point: x_1**i * x'**h is one exactly when
     x'**h is one for the points with x_1 dropped whose fibre holds more
     than i points (Cerlienco and Mureddu).  Those points change only where
     i reaches a fibre size, so each run of i between two sizes shares one
-    recursion."""
-    if not points or not points[0]:
-        return [()] * len(points)
-    fibre = Counter(p[1:] for p in points)
+    recursion.
+
+    Divided differences along x_1 make the matrix of the monomials on the
+    points block-triangular: one Vandermonde in x_1 per fibre, then the
+    tail problem once per i of each run.  So diffs[d] gains weight times
+    the count of pairs of first coordinates, in one fibre, that differ by
+    d, and each tail problem adds its own with weight times the length of
+    its run.  On the points zeta**chi of chi in Z_k**n, the monomials'
+    |det| is then the product over d of |2 sin(pi d / k)|**diffs[d]."""
+    if len(points) < 2:
+        return [(0,) * len(p) for p in points]
+    # the fibres as bit sets of first coordinates, 2 * width bits apart in
+    # packed: the pairs in a fibre that differ by d are packed & packed >> d
+    fibre = defaultdict(int)
+    for p in points:
+        fibre[p[1:]] |= 1 << p[0]
+    width = max(fibre.values()).bit_length()
+    packed = sum(f << 2 * width * i for i, f in enumerate(fibre.values()))
+    for d in range(1, width):
+        diffs[d] += weight * (packed & packed >> d).bit_count()
     out, low = [], 0
-    for size in sorted(set(fibre.values())):
-        tails = _standard_monomials([y for y, f in fibre.items() if f >= size])
+    for size in sorted({f.bit_count() for f in fibre.values()}):
+        ys = [y for y, f in fibre.items() if f.bit_count() >= size]
+        tails = _standard_monomials(ys, diffs, weight * (size - low))
         out += [(i,) + h for i in range(low, size) for h in tails]
         low = size
     return out
 
 
-def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
+def _kept_by_characters(pm: PeriodMatrix) -> tuple[np.ndarray, float]:
     """The rows of real_split(pm) kept in order, from one search over the
-    pairs' character components; a shortfall names the character."""
+    pairs' character components, and ln |det| of them; a shortfall names
+    the character.
+
+    In the kept rows' complexified split, the columns of character chi
+    times the inverse of W_chi, the m_chi x m_chi block of g = 0
+    components of the pairs that add at chi, leave each pair one column
+    per character it adds, and zero in the later pairs' columns.  So |det|
+    is prod_chi |det W_chi| times each pair's monomial determinant on its
+    characters (_standard_monomials), over 2**g from the real split.
+    W_chi is taken in the scaled columns, whose scales are added back."""
     k, n = pm.spec.k, pm.spec.n
     if not np.isfinite(pm.values).all():
         bad = np.argmin(np.isfinite(pm.values)[pm.index].all(axis=1))
@@ -143,7 +178,8 @@ def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
     comps = np.hstack([pm.values[pm.index[first]], pm.values[pm.index[first]].conj()])
     # scaling a column moves no row's independence, and puts every form's
     # periods on one scale for the tolerance, however many decades apart
-    comps /= np.maximum(np.abs(comps).max(axis=0, initial=0.0), np.finfo(float).tiny)
+    scale = np.maximum(np.abs(comps).max(axis=0, initial=0.0), np.finfo(float).tiny)
+    comps /= scale
     radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     code = chars @ radix
     order = np.argsort(code, kind="stable")
@@ -159,11 +195,23 @@ def _kept_by_characters(pm: PeriodMatrix) -> np.ndarray:
             f"generators have numerical rank {rank.sum()}, need {mult.sum()}: character "
             f"M = {tuple(chi[c])} mod {k} reaches rank {rank[c]} of {mult[c]}"
         )
-    kept = []
+    kept, diffs = [], [0] * k
     for row, added in zip(first, adds):
-        g = _standard_monomials([tuple(chi[c]) for c in np.flatnonzero(added)])
+        g = _standard_monomials([tuple(chi[c]) for c in np.flatnonzero(added)], diffs)
         kept.append(row + np.asarray(g, dtype=np.int64).reshape(-1, n) @ radix)
-    return np.concatenate(kept)
+    # |zeta**d - 1| is the same at d and k - d, with product k over d < k:
+    # the count every d shares takes ln k once
+    twice = [diffs[d] + diffs[k - d] for d in range(1, k)]
+    shared = min(twice, default=0)
+    logs = [*np.log(scale).tolist(), -len(pm.m_exponents) * math.log(2), shared / 2 * math.log(k)]
+    for d, t in enumerate(twice, 1):
+        logs.append((t - shared) / 2 * math.log(2 * math.sin(math.pi * d / k)))
+    # W_c is mult[c] rows from start[c]: one LU per multiplicity above 1
+    rows = stack[adds.T]
+    for m in set(mult.tolist()):
+        w = rows[start[mult == m, None] + np.arange(m), :m]
+        logs += (np.linalg.slogdet(w)[1] if m > 1 else np.log(np.abs(w[:, 0, 0]))).tolist()
+    return np.concatenate(kept), math.fsum(logs)
 
 
 def _monomial_coordinates(k: int) -> np.ndarray:
@@ -192,17 +240,6 @@ def _monomial_coordinates(k: int) -> np.ndarray:
     coords[k - 2] = -(terms @ x2)
     coords[k - 1] = (terms & (lag > 0)) @ x2
     return coords.reshape(k * k, (k - 2) * (k - 1))
-
-
-def _covolume_log(pm: PeriodMatrix) -> float:
-    """ln |det| of the box rows of real_split(pm) for n = 2: 2 sum_c
-    ln |P_0,c| + e ln k - g ln 2, where P_0 is the g = 0 row and k**e the
-    |det| of the box's monomials on X, summed by math.fsum, which rounds
-    once, so no BLAS thread count can move it."""
-    k, g = pm.spec.k, len(pm.m_exponents)
-    e = ((k - 2) ** 2 + (k - 1) * (k - 4)) / 2 + 1
-    logs = np.log(np.abs(pm.values[pm.index[0]])).tolist()
-    return math.fsum([2 * x for x in logs] + [e * math.log(k), -g * math.log(2)])
 
 
 def _residual(coords: np.ndarray, basis: np.ndarray, target: np.ndarray) -> float:
@@ -239,10 +276,10 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     The result keeps their indices; no selection matrix is built.
 
     A period matrix's rows come from its characters, and a rank shortfall
-    names the character.  A kept row's coordinates are its unit row.  For
-    a period matrix of n = 2 the others are exact normal forms of
-    monomials, with no rounding gate, so ReconstructionFailed cannot
-    arise, and log_abs_det is the closed-form covolume.  Otherwise they
+    names the character, and log_abs_det is its closed-form covolume.  A
+    kept row's coordinates are its unit row.  For a period matrix of n = 2
+    the others are exact normal forms of monomials, with no rounding gate,
+    so ReconstructionFailed cannot arise.  Otherwise they
     are solved for once and rounded, and if one lies further than 1e-7
     from an integer, ReconstructionFailed names the first such generator.
     An input whose first independent rows span only a sublattice, such as
@@ -256,9 +293,9 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     d = 2 * genus(spec)
     if v.shape[1] != d:
         raise ValueError(f"expected vectors of dimension 2g = {d}, got {v.shape[1]}")
-    m = v.shape[0]
+    m, log_abs_det = v.shape[0], None
     if pm is not None:
-        kept = _kept_by_characters(pm)
+        kept, log_abs_det = _kept_by_characters(pm)
     else:
         kept = np.flatnonzero(_first_independent(v[None])[:, 0])
         if kept.size != d:
@@ -269,32 +306,28 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
         # one pair at full rank keeps the box, in which every row's
         # coordinates are exact
         coefficients = _monomial_coordinates(spec.k)
-        return LatticeBasis(
-            basis=basis,
-            coefficients=coefficients,
-            residual=_residual(coefficients[rest].astype(float), basis, v[rest]),
-            kept=kept,
-            log_abs_det=_covolume_log(pm),
-        )
-    # a kept row is its own unit row; only the others need solving for, in
-    # columns scaled to one size, which moves no coordinate
-    size = np.maximum(np.abs(basis).max(axis=0, initial=0.0), np.finfo(float).tiny)
-    coords = np.linalg.solve((basis / size).T, (v[rest] / size).T).T
-    rounded = np.rint(coords)
-    off = np.max(np.abs(coords - rounded), axis=1, initial=0.0)
-    bad = np.flatnonzero(off > _RECON_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise ReconstructionFailed(
-            f"generator {rest[i]}: a coordinate in the basis rows is {off[i]:.1e} "
-            f"from an integer (tolerance {_RECON_TOL})"
-        )
-    coefficients = np.zeros((m, d), dtype=np.int64)
-    coefficients[kept, np.arange(d)] = 1
-    coefficients[rest] = rounded
+        rounded = coefficients[rest].astype(float)
+    else:
+        # a kept row is its own unit row; only the others need solving for,
+        # in columns scaled to one size, which moves no coordinate
+        size = np.maximum(np.abs(basis).max(axis=0, initial=0.0), np.finfo(float).tiny)
+        coords = np.linalg.solve((basis / size).T, (v[rest] / size).T).T
+        rounded = np.rint(coords)
+        off = np.max(np.abs(coords - rounded), axis=1, initial=0.0)
+        bad = np.flatnonzero(off > _RECON_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise ReconstructionFailed(
+                f"generator {rest[i]}: a coordinate in the basis rows is {off[i]:.1e} "
+                f"from an integer (tolerance {_RECON_TOL})"
+            )
+        coefficients = np.zeros((m, d), dtype=np.int64)
+        coefficients[kept, np.arange(d)] = 1
+        coefficients[rest] = rounded
     return LatticeBasis(
         basis=basis,
         coefficients=coefficients,
         residual=_residual(rounded, basis, v[rest]),
         kept=kept,
+        log_abs_det=log_abs_det,
     )

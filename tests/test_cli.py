@@ -444,9 +444,9 @@ def test_basis_payload_with_overflowing_det_is_valid_json():
 
 @pytest.mark.parametrize("case", ["k3n2", "k4n3", "k2n4"])
 def test_abs_det_is_the_det_of_the_basis_bit_for_bit(case):
-    # with no closed-form covolume, abs_det is math.exp of the slogdet that
-    # log10_abs_det comes from; the other bases have random entries of
-    # scale 0.1 to 10, |det| in range
+    # abs_det is math.exp of the log_abs_det that log10_abs_det comes from,
+    # which on slogdet's log gives numpy's det bit for bit; the other bases
+    # have random entries of scale 0.1 to 10, |det| in range
     pm = _render_matrix(case)
     result = extract_basis(pm, pm.spec)
     rng = np.random.default_rng(len(result.basis))
@@ -456,9 +456,12 @@ def test_abs_det_is_the_det_of_the_basis_bit_for_bit(case):
         for scale in (0.1, 1.0, 10.0)
     ]
     for basis in bases:
-        swapped = dataclasses.replace(result, basis=basis, log_abs_det=None)
+        log_abs_det = float(np.linalg.slogdet(basis)[1])
+        swapped = dataclasses.replace(result, basis=basis, log_abs_det=log_abs_det)
         payload = cli.basis_payload(pm, swapped)
         assert 0 < payload["abs_det"] < math.inf
+        assert payload["abs_det"].hex() == math.exp(log_abs_det).hex()
+        assert payload["log10_abs_det"].hex() == (log_abs_det / math.log(10)).hex()
         assert payload["abs_det"].hex() == abs(float(np.linalg.det(basis))).hex()
 
 
@@ -585,10 +588,13 @@ def test_periods_stdout_does_not_depend_on_blas_threads():
     # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour;
     # verify (3,4) and (5,3) take every loop piece through the batched kernel,
     # and the lattice residual that verify (4,4) prints is summed in a fixed
-    # order too; basis (17,2) and (40,2) take |det| in closed form, with no LU
+    # order too; basis takes |det| in closed form: no LU on n = 2, and on
+    # (4,4) and (5,4) none larger than a character's multiplicity
     for argv in (
         ["basis", "-k", "17", "-n", "2"],
         ["basis", "-k", "40", "-n", "2"],
+        ["basis", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
+        ["basis", "-k", "5", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
         ["periods", "-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"],
         ["periods", "-k", "20", "-n", "2"],
         ["periods", "-k", "40", "-n", "2"],
@@ -619,6 +625,23 @@ def test_rank_two_basis_runs_no_lu_factorisation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "basis", "-k", "17", "-n", "2")
     assert code == 0
     assert json.loads(out)["abs_det"] > 0
+
+
+@pytest.mark.parametrize("k,n,lams", [(3, 3, [-1.5]), (2, 4, [-1.5, 2 + 1j])])
+def test_basis_payload_runs_no_linear_algebra(monkeypatch, k, n, lams):
+    # |det| comes from extract_basis's closed form, on every n
+    spec = validate_spec(k, n, lams)
+    pm = assemble(spec, QuadConfig())
+    result = extract_basis(pm, spec)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("basis_payload ran linear algebra")
+
+    for name in ("solve", "slogdet", "det"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    payload = cli.basis_payload(pm, result)
+    assert payload["log10_abs_det"] == result.log_abs_det / math.log(10) > 0
+    assert payload["abs_det"] == math.exp(result.log_abs_det)
 
 
 @pytest.mark.parametrize(
@@ -1274,7 +1297,11 @@ def _hand_set_basis():
         [2, 0, 0, 0, 0, 10**6],
     ]
     result = LatticeBasis(
-        basis=real_split(pm)[kept], coefficients=coefficients, residual=2.5e-16, kept=kept
+        basis=real_split(pm)[kept],
+        coefficients=coefficients,
+        residual=2.5e-16,
+        kept=kept,
+        log_abs_det=600 * math.log(10),
     )
     assert np.array_equal(result.basis.view(np.uint64), basis.view(np.uint64))
     return pm, result
@@ -1300,7 +1327,7 @@ def test_basis_rendering_matches_element_rendering(case):
         pm, result = _hand_set_basis()
     else:
         pm = _render_matrix(case)
-        result = extract_basis(real_split(pm), pm.spec)
+        result = extract_basis(pm, pm.spec)
     payload = cli.basis_payload(pm, result)
     reference = dict(
         payload,

@@ -203,7 +203,7 @@ def _kept(v):
 
 
 def _kept_by_characters(pm):
-    return lattice._kept_by_characters(pm).tolist()
+    return lattice._kept_by_characters(pm)[0].tolist()
 
 
 # The basis_ladder and verify_oracle curves of the benchmark, seed 0.
@@ -427,18 +427,38 @@ def test_standard_monomials_match_greedy_evaluation():
         k, n = rng.choice([2, 3, 4, 5]), rng.choice([1, 2, 3])
         box = list(itertools.product(range(k), repeat=n))
         points = rng.sample(box, rng.randint(1, min(len(box), 24)))
-        got = lattice._standard_monomials(points)
+        diffs = [0] * k
+        got = lattice._standard_monomials(points, diffs)
         assert len(got) == len(points)
         assert got == _greedy_monomials(points, k, n), (k, n, points)
+        # |det| of the monomials on the points zeta**chi, from the counted
+        # differences of first coordinates
+        chi, g = np.asarray(points).reshape(-1, n), np.asarray(got).reshape(-1, n)
+        monomials = np.exp(2j * np.pi * (g @ chi.T) / k)
+        sines = [math.log(2 * math.sin(math.pi * d / k)) for d in range(1, k)]
+        log_abs_det = sum(c * x for c, x in zip(diffs[1:], sines))
+        assert abs(np.linalg.slogdet(monomials)[1] - log_abs_det) < 1e-12 * len(points)
 
 
 def test_standard_monomials_edge_cases():
-    assert lattice._standard_monomials([]) == []
-    assert lattice._standard_monomials([(2, 1)]) == [(0, 0)]
-    # one fibre of three points over x_2 = 0: x_1 takes degrees 0, 1, 2
-    assert lattice._standard_monomials([(0, 0), (1, 0), (2, 0)]) == [(0, 0), (1, 0), (2, 0)]
-    # three fibres of one point each: x_2 takes the degrees
-    assert lattice._standard_monomials([(0, 0), (0, 1), (0, 2)]) == [(0, 0), (0, 1), (0, 2)]
+    def monomials_and_diffs(points):
+        diffs = [0] * 3
+        return lattice._standard_monomials(points, diffs), diffs
+
+    assert monomials_and_diffs([]) == ([], [0, 0, 0])
+    assert monomials_and_diffs([(2, 1)]) == ([(0, 0)], [0, 0, 0])
+    # one fibre of three points over x_2 = 0: x_1 takes degrees 0, 1, 2,
+    # and the Vandermonde of x_1 = 1, zeta, zeta**2 has differences 1, 1, 2
+    assert monomials_and_diffs([(0, 0), (1, 0), (2, 0)]) == (
+        [(0, 0), (1, 0), (2, 0)],
+        [0, 2, 1],
+    )
+    # three fibres of one point each: x_2 takes the degrees, and the tail
+    # problem's Vandermonde counts once
+    assert monomials_and_diffs([(0, 0), (0, 1), (0, 2)]) == (
+        [(0, 0), (0, 1), (0, 2)],
+        [0, 2, 1],
+    )
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -466,7 +486,10 @@ def test_extract_basis_from_period_matrix_matches_plain_vectors():
     pm = _period_matrix(3, 3, (-1.5,))
     a, b = extract_basis(pm, pm.spec), extract_basis(real_split(pm), pm.spec)
     for field in dataclasses.fields(a):
-        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        if field.name != "log_abs_det":
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+    # only the period matrix carries the characters its covolume comes from
+    assert b.log_abs_det is None and math.isfinite(a.log_abs_det)
 
 
 @pytest.mark.parametrize("k", [*range(2, 26), 40])
@@ -504,6 +527,30 @@ def test_rank_two_covolume_matches_slogdet(k):
     result = extract_basis(pm, pm.spec)
     reference = np.linalg.slogdet(result.basis)[1]
     assert abs(result.log_abs_det - reference) <= 1e-14 * abs(reference)
+
+
+@pytest.mark.parametrize(
+    "k,n,lams",
+    [
+        *LADDER_CURVES,
+        (5, 4, (-1.5, 2 + 1j)),
+        (6, 4, (-1.5, 2 + 1j)),
+        (3, 3, (0.3 + 0.4j,)),
+        (2, 6, (-1.5, 2 + 1j, 2, -1 - 1j)),
+        (2, 2, ()),
+    ],
+)
+def test_covolume_matches_slogdet(k, n, lams):
+    # every n, characters of multiplicity above 1, and genus 0, whose empty
+    # basis has |det| 1 exactly; (6,4)'s 2,810 kept rows skip the solve, and
+    # the kept rows of real_split(pm) are gathered alone
+    pm = assemble(validate_spec(k, n, list(lams)), QuadConfig())
+    kept, log_abs_det = lattice._kept_by_characters(pm)
+    if (k, n) != (6, 4):
+        assert extract_basis(pm, pm.spec).log_abs_det == log_abs_det
+    rows = pm.index[kept]
+    reference = np.linalg.slogdet(np.hstack([pm.values.real[rows], pm.values.imag[rows]]))[1]
+    assert abs(log_abs_det - reference) <= 1e-14 * abs(reference)
 
 
 def test_extract_basis_rejects_period_matrix_of_another_curve():
