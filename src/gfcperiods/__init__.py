@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "curve": ("CurveSpec", "FormIndex", "enumerate_forms", "genus", "validate_spec"),
     "homology": ("ConjComm", "Power", "conjugation_phase", "enumerate_generators", "expand"),
-    "contour": ("BranchState", "Path", "default_base_point", "init_branch", "loop_path"),
-    "quad": ("QuadConfig", "integrate_smooth", "tanh_sinh"),
+    "contour": ("BranchState", "default_base_point", "init_branch"),
+    "quad": ("QuadConfig", "tanh_sinh"),
     "periods": ("PeriodMatrix", "assemble", "base_integrals", "period_entry"),
     "lattice": ("LatticeBasis", "extract_basis", "lattice_rank", "real_split"),
     "oracle": (

@@ -18,17 +18,18 @@ Paths are chains of line segments and circular arcs.  `clear_leg` is the
 one routing decision: the straight line from the base point to a branch
 point, with a perpendicular midpoint detour when it passes too close to
 another branch point relative to the leg's length.  The J legs of the quad
-module and the generator loops of `loop_path` (in along the route, cut at
-a small circle around the branch point, the full circle, and the same
-route back out) both follow it, so each loop is homotopic to its leg by
-construction.  `loop_pieces` gives a loop's route in and circle alone.
+module and the generator loops (in along the route, cut at a small circle
+around the branch point, the full circle, and the same route back out)
+both follow it, so each loop is homotopic to its leg by construction.
+`loop_pieces` gives a loop's route in and circle; the way out is that
+route reversed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,43 +63,6 @@ class Arc:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("arc radius must be positive")
-
-
-Segment = Line | Arc
-
-
-def segment_start(seg: Segment) -> complex:
-    if isinstance(seg, Line):
-        return seg.start
-    return seg.center + seg.radius * cmath.exp(1j * seg.start_angle)
-
-
-def segment_end(seg: Segment) -> complex:
-    if isinstance(seg, Line):
-        return seg.end
-    return seg.center + seg.radius * cmath.exp(1j * seg.end_angle)
-
-
-@dataclass(frozen=True)
-class Path:
-    """Chain of segments with matching endpoints."""
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
-        for a, b in zip(segs, segs[1:]):
-            if abs(segment_end(a) - segment_start(b)) > 1e-12:
-                raise ValueError("consecutive path segments do not share endpoints")
-
-    @property
-    def start(self) -> complex:
-        return segment_start(self.segments[0])
-
-    @property
-    def end(self) -> complex:
-        return segment_end(self.segments[-1])
 
 
 @dataclass(frozen=True)
@@ -385,16 +349,3 @@ def loop_pieces(base_point: complex, i: int, R) -> tuple[tuple[Line, ...], Arc]:
     )
     return inbound, circle
 
-
-def loop_path(base_point: complex, i: int, R, orientation: int) -> Path:
-    """Standard loop realizing the i-th fundamental-group generator (or its
-    inverse for orientation -1): the route in of `loop_pieces`, a full
-    circle around r_i in the orientation's sense, and the same route back
-    out."""
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    inbound, circle = loop_pieces(base_point, i, R)
-    if orientation == -1:
-        circle = replace(circle, end_angle=circle.start_angle - 2.0 * math.pi)
-    outbound = tuple(Line(seg.end, seg.start) for seg in reversed(inbound))
-    return Path(segments=inbound + (circle,) + outbound)

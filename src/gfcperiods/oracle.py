@@ -8,8 +8,9 @@ Three routes that never touch the closed-form entry formula:
   circle are integrated once, all in one quadrature batch when the
   integrator is built; the way out and the -1 loop follow from the
   deck-action phase, all of a request's word rows come from one array
-  expression over that loop table, and the tests keep the literal
-  traversal of `contour.loop_path` as the reference;
+  expression over that loop table, and the tests keep a literal
+  traversal of each loop (the route in, the circle, the route back out)
+  as the reference;
 * `beta_closed_form` gives the classical Beta value that the rank-2 base
   integrals must reproduce in magnitude;
 * `agm_elliptic_periods` computes genus-1 period lattices by the
@@ -42,6 +43,9 @@ from .lattice import extract_basis
 from .periods import assemble, base_integrals
 from .quad import QuadConfig
 
+# conjugated commutator words drawn by crosscheck_report
+_SAMPLE = 25
+
 
 class WordIntegrator:
     """Contour oracle for one curve: integrates -W/k along word paths.
@@ -56,9 +60,8 @@ class WordIntegrator:
     phase.  The constructor integrates the pieces of every loop in one
     batch into a table of loop rows, and `word_rows` takes many words in
     one request, their values over all forms one array expression over all
-    their letters.  The tests keep the literal traversal of
-    `contour.loop_path`, loop by loop and letter by letter, as the
-    reference.
+    their letters.  The tests keep the literal traversal of each loop,
+    loop by loop and letter by letter, as the reference.
     """
 
     def __init__(self, spec: CurveSpec, cfg: QuadConfig):
@@ -282,9 +285,7 @@ def _sample_words(spec: CurveSpec, sample: int, seed: int) -> list[ConjComm]:
     return words
 
 
-def crosscheck_report(
-    spec: CurveSpec, cfg: QuadConfig, sample: int = 25, seed: int = 0
-) -> CrosscheckReport:
+def crosscheck_report(spec: CurveSpec, cfg: QuadConfig, seed: int = 0) -> CrosscheckReport:
     """Run the oracle battery against the closed-form pipeline.
 
     Checks: vanishing of every power word; sampled conjugated commutators
@@ -308,7 +309,7 @@ def crosscheck_report(
 
     # every word the checks need, in one request
     n, k = spec.n, spec.k
-    words = _sample_words(spec, sample, seed)
+    words = _sample_words(spec, _SAMPLE, seed)
     powers = [Power(i) for i in range(1, n + 1)]
     bare = [ConjComm(g=(0,) * n, j=word.j, l=word.l) for word in words]
     power_rows, sampled_rows, bare_rows = np.split(
@@ -417,7 +418,7 @@ def crosscheck_report(
         k=spec.k,
         n=spec.n,
         lambdas=spec.lambdas,
-        sample=sample,
+        sample=_SAMPLE,
         seed=seed,
         checks=tuple(checks),
     )

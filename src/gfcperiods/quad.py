@@ -32,13 +32,12 @@ kernel call.  Each leg's values have the same bits as in a batch of its
 own.
 
 Smooth pieces all go through one batch, `_gl_batch`: a caller hands over
-every segment it needs at once (all the detour prefixes of the legs, a
-literal loop path, or all the loop pieces of an oracle), each
-with its start logs chained up front in closed form, for all its chains
-in one `contour.chain_logs` call.  One refinement loop gates every
-(segment, form) pair, and each pass makes one kernel call per set of open
-forms, with a piece axis; the kernel gives every piece the same bits as a
-call of its own.
+every segment it needs at once (all the detour prefixes of the legs, or
+all the loop pieces of an oracle), each with its start logs chained up
+front in closed form, for all its chains in one `contour.chain_logs`
+call.  One refinement loop gates every (segment, form) pair, and each
+pass makes one kernel call per set of open forms, with a piece axis; the
+kernel gives every piece the same bits as a call of its own.
 
 A form's term at a node is exp(E . X): E its exponent row, X the node's
 continued logs.  Column 0 of the forms' exponent matrix takes at most
@@ -72,7 +71,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import contour
-from .contour import BranchState, Path
+from .contour import BranchState
 from .curve import CurveSpec, FormIndex
 from .errors import ClearanceUnachievable, NoConvergence, StepTooCoarse
 
@@ -616,33 +615,6 @@ def _open_rows(group, todo):
         return group
     present, inverse = np.unique(index[todo], return_inverse=True)
     return cols, rows[present], inverse.reshape(-1)
-
-
-def integrate_smooth(
-    path: Path,
-    state: BranchState,
-    forms: list[FormIndex],
-    spec: CurveSpec,
-    cfg: QuadConfig,
-) -> tuple[np.ndarray, BranchState]:
-    """Integrals of W dw along a smooth path, one per form, plus the
-    continued end state.  The path's segments go to `_gl_batch` together.
-
-    A NoConvergence carries in `form` the position in forms of the first
-    form that did not converge.
-    """
-    if path.segments and abs(path.start - state.point) > 1e-9 * (
-        1.0 + abs(state.point)
-    ):
-        raise ValueError("path does not start at the state's current point")
-    E = contour.exponent_matrix(forms, spec.k, spec.n)
-    R = state.branch_points
-    (logs,) = contour.chain_logs([path.segments], R, [state.logs])
-    row = np.zeros(len(forms), dtype=complex)
-    for values in _gl_batch(path.segments, logs[:-1], R, E, cfg):
-        row += values
-    end = path.end if path.segments else state.point
-    return row, BranchState(point=end, logs=tuple(logs[-1]), branch_points=R)
 
 
 def leg_rows(

@@ -489,7 +489,7 @@ def test_basis_and_verify_never_build_the_selection_matrix(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "extract_basis", recorded)
     assert cli.main(["basis", "-k", "4", "-n", "2"]) == 0
     capsys.readouterr()
-    oracle.crosscheck_report(validate_spec(3, 2, []), QuadConfig(), sample=3)
+    oracle.crosscheck_report(validate_spec(3, 2, []), QuadConfig())
     assert len(results) == 2
     assert not any("from_generators" in vars(result) for result in results)
     # on first access it is the 0/1 int64 selection of the kept generators
@@ -834,8 +834,8 @@ def test_verify_reports_failure_exit(capsys, monkeypatch):
 
     real = oracle_mod.crosscheck_report
 
-    def rigged(spec, cfg, sample=25, seed=0):
-        report = real(spec, cfg, sample=3, seed=seed)
+    def rigged(spec, cfg, seed=0):
+        report = real(spec, cfg, seed=seed)
         failed = oracle_mod.CheckResult(name="forced_failure", max_deviation=1.0, tolerance=0.0)
         return oracle_mod.CrosscheckReport(
             k=report.k,

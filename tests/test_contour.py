@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import literal_loop
 
-from gfcperiods import contour, enumerate_forms, init_branch, loop_path, quad, validate_spec
+from gfcperiods import contour, enumerate_forms, init_branch, quad, validate_spec
 from gfcperiods.contour import (
     Arc,
     Line,
-    Path,
     clear_leg,
     default_base_point,
     exponent_matrix,
@@ -42,9 +42,10 @@ def _segment_logs(seg, ts, R, logs0):
     return contour._kind_logs([seg], ts, anchors, np.asarray(logs0, dtype=complex)[None])[0]
 
 
-def _walk(logs, path, R):
-    """Logs continued segment by segment along the path, to its end."""
-    return contour.chain_logs([path.segments], R, [logs])[0][-1]
+def _walk(logs, segments, R):
+    """Logs continued segment by segment along a chain of segments, to its
+    end."""
+    return contour.chain_logs([segments], R, [logs])[0][-1]
 
 
 def _W(logs, form, k):
@@ -68,11 +69,6 @@ def test_init_branch_rejects_branch_point():
         init_branch(0j, R2)
 
 
-def test_path_rejects_segments_whose_ends_do_not_meet():
-    with pytest.raises(ValueError, match="^consecutive path segments do not share endpoints$"):
-        Path(segments=(Line(0j, 1 + 0j), Line(1 + 1e-9j, 2 + 0j)))
-
-
 @pytest.mark.parametrize("radius", [0.0, -0.5])
 def test_arc_rejects_a_radius_that_is_not_positive(radius):
     with pytest.raises(ValueError, match="^arc radius must be positive$"):
@@ -81,15 +77,13 @@ def test_arc_rejects_a_radius_that_is_not_positive(radius):
 
 def _full_circle(center, radius, start_point, orientation):
     theta = cmath.phase(start_point - center)
-    return Path(
-        segments=(
-            Arc(
-                center=center,
-                radius=radius,
-                start_angle=theta,
-                end_angle=theta + orientation * 2 * math.pi,
-            ),
-        )
+    return (
+        Arc(
+            center=center,
+            radius=radius,
+            start_angle=theta,
+            end_angle=theta + orientation * 2 * math.pi,
+        ),
     )
 
 
@@ -126,15 +120,15 @@ def test_path_reversal_restores_logs():
         (R3, 2.5 + 5e-9j, 1, 5),
         (R3, 2.5 + 5e-9j, 2, 3),
     ]:
-        fwd = loop_path(z0, i, R, +1).segments
-        back = loop_path(z0, i, R, -1).segments
+        fwd = literal_loop(z0, i, R, +1)
+        back = literal_loop(z0, i, R, -1)
         assert len(fwd) == len(back) == nseg
         for a, b in zip(fwd, reversed(back)):
             assert type(a) is type(b)
             gap = _points(a, SEED) - _points(b, SEED[::-1])
             assert np.max(np.abs(gap)) < 1e-12
         st = init_branch(z0, R)
-        roundtrip = _walk(_walk(st.logs, Path(fwd), R), Path(back), R)
+        roundtrip = _walk(_walk(st.logs, fwd, R), back, R)
         assert np.max(np.abs(roundtrip - st.logs)) < 1e-10
 
 
@@ -164,7 +158,7 @@ def test_eval_w_monodromy_ratio(i):
     z0 = default_base_point(R)
     st = init_branch(z0, R)
     before = _W(st.logs, form, spec.k)
-    after = _W(_walk(st.logs, loop_path(z0, i, R, +1), R), form, spec.k)
+    after = _W(_walk(st.logs, literal_loop(z0, i, R, +1), R), form, spec.k)
     if i == 1:
         expected = cmath.exp(2j * math.pi * (form.alpha[0] + 1) / spec.k)
     else:
@@ -173,14 +167,14 @@ def test_eval_w_monodromy_ratio(i):
 
 
 def test_loop_path_structure():
-    path = loop_path(1j, 1, R2, +1)
-    assert len(path.segments) == 3
-    arc = path.segments[1]
+    path = literal_loop(1j, 1, R2, +1)
+    assert len(path) == 3
+    arc = path[1]
     assert isinstance(arc, Arc)
     assert abs(arc.end_angle - arc.start_angle - 2 * math.pi) < 1e-12
     assert abs(arc.radius - loop_radius(1, R2)) == 0
-    assert abs(path.start - 1j) < 1e-12 and abs(path.end - 1j) < 1e-12
-    cw = loop_path(1j, 1, R2, -1).segments[1]
+    assert abs(path[0].start - 1j) < 1e-12 and abs(path[-1].end - 1j) < 1e-12
+    cw = literal_loop(1j, 1, R2, -1)[1]
     assert abs(cw.end_angle - cw.start_angle + 2 * math.pi) < 1e-12
 
 
@@ -197,10 +191,10 @@ def test_clear_leg_detours_around_interior_point():
         dist = np.min(np.abs(_points(seg, np.linspace(0, 1, 1001)) - r3))
         assert dist >= clearance
     # the loop around r_1 follows the same route, cut at its circle
-    path = loop_path(z0, 1, R, +1)
-    assert len(path.segments) == 5
-    assert path.segments[0] == legs[0]
-    inbound = path.segments[1]
+    path = literal_loop(z0, 1, R, +1)
+    assert len(path) == 5
+    assert path[0] == legs[0]
+    inbound = path[1]
     assert inbound.start == legs[1].start
     assert abs(abs(inbound.end) - loop_radius(1, R)) < 1e-15
     assert abs(cmath.phase(inbound.end) - cmath.phase(legs[1].start)) < 1e-12
@@ -261,18 +255,13 @@ def test_branch_state_invariant_preserved_along_paths():
     st = init_branch(z0, R)
     assert _residual(z0, np.asarray(st.logs), R) < 1e-12
     for i in (1, 2, 3):
-        moved = _walk(st.logs, loop_path(z0, i, R, +1), R)
+        moved = _walk(st.logs, literal_loop(z0, i, R, +1), R)
         assert _residual(z0, moved, R) < 1e-12
-
-
-def test_loop_path_rejects_bad_orientation():
-    with pytest.raises(ValueError, match="orientation"):
-        loop_path(1j, 1, R2, 0)
 
 
 def test_loop_path_rejects_base_point_on_branch_point():
     with pytest.raises(BasePointOnBranchPoint):
-        loop_path(R2[1], 2, R2, +1)
+        contour.loop_pieces(R2[1], 2, R2)
 
 
 def test_arc_logs_match_a_fine_step_continuation():
@@ -284,7 +273,7 @@ def test_arc_logs_match_a_fine_step_continuation():
     ts = np.linspace(0.0, 1.0, 129)
     for turns in (+3, -3):
         arc = Arc(R[2], 0.5, start_angle=0.3, end_angle=0.3 + turns * 2 * math.pi)
-        logs0 = init_branch(contour.segment_start(arc), R).logs
+        logs0 = init_branch(arc.center + arc.radius * cmath.exp(1j * arc.start_angle), R).logs
         got = _segment_logs(arc, ts, R, logs0)
         with mpmath.workdps(30):
             a0, a1 = mpmath.mpf(arc.start_angle), mpmath.mpf(arc.end_angle)
@@ -324,7 +313,8 @@ def test_loop_circles_close_on_the_deck_offset(k, n, lams):
     assert len(params) == 131074
     for i in range(1, n + 1):
         _, circle = contour.loop_pieces(z0, i, R)
-        logs0 = np.asarray(init_branch(contour.segment_start(circle), R).logs)
+        start = circle.center + circle.radius * cmath.exp(1j * circle.start_angle)
+        logs0 = np.asarray(init_branch(start, R).logs)
         moved = _segment_logs(circle, params, R, logs0)[-1] - logs0
         expected = np.zeros(n, dtype=complex)
         expected[i - 1] = 2j * math.pi
@@ -400,7 +390,7 @@ def test_chain_logs_over_many_chains_keep_each_chains_bits(k, n, lams):
         for inbound, circle in (contour.loop_pieces(z0, i, R) for i in range(1, n + 1))
     ]
     chains += [tuple(clear_leg(z0, R[i], R, exclude={i})[:-1]) for i in range(n)]
-    chains.append(loop_path(z0 + 1.0, 1, R, -1).segments)
+    chains.append(literal_loop(z0 + 1.0, 1, R, -1))
     starts = [st.logs] * (len(chains) - 1) + [init_branch(z0 + 1.0, R).logs]
     assert any(len(chain) > 1 for chain in chains) and () in chains
     together = contour.chain_logs(chains, R, starts)

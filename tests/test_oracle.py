@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 import scipy.integrate
+from conftest import integrate_segments, literal_loop
 
 from gfcperiods import (
     agm_elliptic_periods,
@@ -86,11 +87,12 @@ def _literal_word(wi, word, form):
     """-1/k times the word's integral of one form, one loop per letter from
     the branch state the letters before it left: the reference for the
     integrator's reuse of each loop's integrals."""
-    state = wi.state0
+    E = contour.exponent_matrix([form], wi.spec.k, wi.spec.n)
+    logs = wi.state0.logs
     total = 0j
     for i, sign in expand(word, wi.spec.k):
-        path = contour.loop_path(wi.base_point, i, wi.R, sign)
-        (value,), state = quad.integrate_smooth(path, state, [form], wi.spec, wi.cfg)
+        loop = literal_loop(wi.base_point, i, wi.R, sign)
+        (value,), logs = integrate_segments(loop, logs, wi.R, E, wi.cfg)
         total += value
     return -total / wi.spec.k
 
@@ -125,7 +127,7 @@ def test_word_row_matches_literal_traversal(k, n, lams, words, quad_cfg):
     wi = WordIntegrator(spec, quad_cfg)
     if (k, n) == (4, 3):
         # lambda lies next to the line from the base point to r_1
-        assert len(contour.loop_path(wi.base_point, 1, wi.R, +1).segments) == 5
+        assert len(literal_loop(wi.base_point, 1, wi.R, +1)) == 5
     for word in words:
         row = wi.word_rows([word])[0]
         assert row.shape == (len(wi.forms),)
@@ -141,21 +143,19 @@ def test_word_row_matches_literal_traversal(k, n, lams, words, quad_cfg):
 def test_loop_row_matches_literal_loop_path(k, n, lams, detoured, quad_cfg):
     # each loop's route in and circle are integrated once; the way out and
     # the -1 loop come from the deck-action phase and must agree with the
-    # literal traversal of loop_path
+    # literal traversal of the loop
     spec = validate_spec(k, n, lams)
     wi = WordIntegrator(spec, quad_cfg)
+    E = contour.exponent_matrix(wi.forms, k, n)
     for i in range(1, n + 1):
-        path = contour.loop_path(wi.base_point, i, wi.R, +1)
-        assert len(path.segments) == (5 if i in detoured else 3)
+        assert len(literal_loop(wi.base_point, i, wi.R, +1)) == (5 if i in detoured else 3)
         for orientation in (+1, -1):
             # loop (i, +1) at row 2(i - 1) of the table, (i, -1) after it
             s = 2 * (i - 1) + (orientation < 0)
             row, delta = wi._V[s], wi._D[s]
-            path = contour.loop_path(wi.base_point, i, wi.R, orientation)
-            literal, end = quad.integrate_smooth(
-                path, wi.state0, wi.forms, spec, quad_cfg
-            )
-            offsets = np.asarray(end.logs) - np.asarray(wi.state0.logs)
+            loop = literal_loop(wi.base_point, i, wi.R, orientation)
+            literal, end = integrate_segments(loop, wi.state0.logs, wi.R, E, quad_cfg)
+            offsets = end - np.asarray(wi.state0.logs)
             assert np.max(np.abs(row - literal)) <= 1e-12 * np.max(np.abs(row))
             assert np.max(np.abs(delta - offsets)) <= 1e-12
         assert np.array_equal(wi._D[2 * i - 1], -wi._D[2 * i - 2])
@@ -179,7 +179,7 @@ def test_crosscheck_integrates_each_loop_piece_once(quad_cfg, monkeypatch):
         return real(segs, *args, **kwargs)
 
     monkeypatch.setattr(quad, "_gl_batch", counted)
-    report = crosscheck_report(spec, quad_cfg, sample=9, seed=0)
+    report = crosscheck_report(spec, quad_cfg, seed=0)
     assert report.passed
     assert len(segments) == len(pieces) == 2 * spec.n
     assert set(segments) == set(pieces)
@@ -363,7 +363,7 @@ def test_agm_carlson_crosscheck():
 
 def test_crosscheck_report_passes(quad_cfg):
     spec = validate_spec(3, 2, [])
-    report = crosscheck_report(spec, quad_cfg, sample=9, seed=0)
+    report = crosscheck_report(spec, quad_cfg, seed=0)
     assert report.passed
     names = {c.name for c in report.checks}
     assert {
@@ -378,7 +378,7 @@ def test_crosscheck_report_passes(quad_cfg):
     "k,n,lams", [(4, 4, [-1.5, 2.0 + 1.0j]), (2, 5, [-1.5, 2.0 + 1.0j, 2.0])]
 )
 def test_crosscheck_report_passes_beyond_desk_scale(k, n, lams, quad_cfg):
-    report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, sample=25, seed=0)
+    report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, seed=0)
     assert all(c.passed for c in report.checks), report.checks
     names = {c.name for c in report.checks}
     assert {
@@ -391,7 +391,7 @@ def test_crosscheck_report_passes_beyond_desk_scale(k, n, lams, quad_cfg):
 
 @pytest.mark.parametrize("k,n,lams", [(3, 3, [-1.5]), (2, 4, [2.0, 2.0 + 1.0j])])
 def test_crosscheck_report_checks_the_lattice(k, n, lams, quad_cfg):
-    report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, sample=5, seed=1)
+    report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, seed=1)
     check = next(c for c in report.checks if c.name == "lattice_double_inclusion")
     assert check.passed and check.tolerance == 1e-10
     assert report.passed
@@ -405,12 +405,12 @@ def test_crosscheck_report_passes_on_random_lambda(quad_cfg):
     for c in range(40):
         k, n = kinds[c % len(kinds)]
         lams = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n - 2)]
-        report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, sample=5, seed=c)
+        report = crosscheck_report(validate_spec(k, n, lams), quad_cfg, seed=c)
         assert report.passed, (k, n, lams, report.checks)
 
 
 def test_crosscheck_report_agm_branch(quad_cfg):
-    report = crosscheck_report(validate_spec(2, 3, [2.0]), quad_cfg, sample=5, seed=3)
+    report = crosscheck_report(validate_spec(2, 3, [2.0]), quad_cfg, seed=3)
     assert report.passed
     names = {c.name for c in report.checks}
     assert {"lattice_double_inclusion", "agm_lattice_equality"} <= names

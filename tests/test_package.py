@@ -46,3 +46,39 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'gfcperiods' has no attribute 'no_such_name'"):
         gfcperiods.no_such_name
     assert not hasattr(gfcperiods, "no_such_name")
+
+
+def test_the_public_names_are_pinned():
+    # a new export is a deliberate change to this list
+    assert sorted(gfcperiods.__all__) == [
+        "BranchState",
+        "ConjComm",
+        "CrosscheckReport",
+        "CurveSpec",
+        "FormIndex",
+        "LatticeBasis",
+        "PeriodMatrix",
+        "Power",
+        "QuadConfig",
+        "WordIntegrator",
+        "agm_elliptic_periods",
+        "assemble",
+        "base_integrals",
+        "beta_closed_form",
+        "conjugation_phase",
+        "crosscheck_report",
+        "default_base_point",
+        "enumerate_forms",
+        "enumerate_generators",
+        "expand",
+        "extract_basis",
+        "genus",
+        "init_branch",
+        "lattice_rank",
+        "period_entry",
+        "real_split",
+        "validate_spec",
+    ]
+    for name in ("Path", "integrate_smooth", "loop_path"):
+        with pytest.raises(AttributeError):
+            getattr(gfcperiods, name)

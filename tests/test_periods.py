@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ from gfcperiods import (
     base_integrals,
     assemble,
     conjugation_phase,
+    default_base_point,
     enumerate_forms,
     genus,
     period_entry,
@@ -371,3 +373,53 @@ def test_identity_rows_start_each_pairs_block(quad_cfg):
                 assert s - row == np.dot(word.g, radix)
                 phase = np.exp(2j * np.pi * (M @ np.asarray(word.g)) / k)
                 assert np.allclose(pm.entries[s], phase * pm.entries[row], rtol=1e-14, atol=0)
+
+
+def _loop_around_infinity(spec, descending=False):
+    """For each form whose character is trivial at infinity (sum M = 0 mod
+    k): the sum S of the legs' terms zeta**(M_a1 + ... + M_a(t-1)) (1 -
+    zeta**M_at) J_at, the legs a_1..a_n in ascending arg(r - z0), and the
+    sum of the terms' moduli."""
+    pm = assemble(spec, QuadConfig())
+    R = spec.branch_points
+    z0 = default_base_point(R)
+    order = sorted(range(spec.n), key=lambda i: cmath.phase(R[i] - z0), reverse=descending)
+    M = pm.m_exponents[:, order]
+    trivial = M.sum(axis=1) % spec.k == 0
+    zeta = np.exp(2j * np.pi * np.arange(spec.k) / spec.k)
+    before = (np.cumsum(M, axis=1) - M) % spec.k
+    terms = zeta[before] * (1 - zeta[M % spec.k]) * pm.base_integrals[order].T
+    return np.abs(terms.sum(axis=1))[trivial], np.abs(terms).sum(axis=1)[trivial]
+
+
+@pytest.mark.parametrize(
+    "k,n,lams",
+    [
+        (3, 3, [-1.5]),
+        (3, 3, [0.3 + 0.4j]),
+        (4, 3, [-1.5]),
+        (5, 3, [-1.5]),
+        (2, 4, [-1.5, 2 + 1j]),
+        (3, 4, [-1.5, 2 + 1j]),
+        (4, 4, [-1.5, 2 + 1j]),
+        (2, 5, [-1.5, 2 + 1j, 2.0]),
+        # curves whose verify oracle exits 3
+        (3, 3, [1e8]),
+        (3, 3, [1.0001]),
+        (3, 3, [1e-5]),
+        (3, 4, [1e-4, 2.0]),
+    ],
+)
+def test_loop_around_infinity_vanishes_on_j(k, n, lams):
+    # the product of the loops around every branch point, taken in the
+    # order in which they leave the base point, is the loop around
+    # infinity; on a form that does not branch there its integral is 0
+    total, scale = _loop_around_infinity(validate_spec(k, n, lams))
+    assert len(total) > 0
+    assert np.all(total <= 1e-12 * scale), total / scale
+
+
+def test_loop_around_infinity_needs_the_legs_in_ascending_order():
+    total, scale = _loop_around_infinity(validate_spec(3, 3, [-1.5]), descending=True)
+    assert len(total) > 0
+    assert np.all(total > 0.5 * scale), total / scale

@@ -3,17 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import integrate_segments, literal_loop
 
 from gfcperiods import (
     enumerate_forms,
     init_branch,
-    integrate_smooth,
     validate_spec,
 )
 from gfcperiods.contour import (
     Arc,
+    BranchState,
     Line,
-    Path,
     clear_leg,
     default_base_point,
     exponent_matrix,
@@ -102,9 +102,9 @@ def test_leg_path_independence(quad_cfg):
     ((direct,),) = leg_rows(state, [1], [form], spec, quad_cfg)
     # detour through a waypoint homotopic to the straight leg
     waypoint = z0 + 1.0 - 0.5j
-    (prefix,), mid_state = integrate_smooth(
-        Path(segments=(Line(z0, waypoint),)), state, [form], spec, quad_cfg
-    )
+    E = exponent_matrix([form], spec.k, spec.n)
+    (prefix,), logs = integrate_segments((Line(z0, waypoint),), state.logs, R, E, quad_cfg)
+    mid_state = BranchState(point=waypoint, logs=tuple(logs), branch_points=R)
     ((tail,),) = leg_rows(mid_state, [1], [form], spec, quad_cfg)
     detoured = prefix + tail
     assert abs(direct - detoured) / abs(direct) < 1e-9
@@ -113,10 +113,10 @@ def test_leg_path_independence(quad_cfg):
 def test_zero_length_path(quad_cfg):
     spec = validate_spec(3, 2, [])
     state = init_branch(default_base_point(spec.branch_points), spec.branch_points)
-    form = enumerate_forms(spec)[0]
-    (val,), out = integrate_smooth(Path(segments=()), state, [form], spec, quad_cfg)
+    E = exponent_matrix(enumerate_forms(spec)[:1], spec.k, spec.n)
+    (val,), out = integrate_segments((), state.logs, spec.branch_points, E, quad_cfg)
     assert val == 0j
-    assert out.logs == state.logs
+    assert tuple(out) == state.logs
 
 
 def test_closed_loop_without_branch_points_is_zero(quad_cfg):
@@ -125,34 +125,25 @@ def test_closed_loop_without_branch_points_is_zero(quad_cfg):
     center = 3.0 + 2.0j
     start = center + 0.4
     state = init_branch(start, spec.branch_points)
-    circle = Path(
-        segments=(
-            Arc(
-                center=center,
-                radius=0.4,
-                start_angle=0.0,
-                end_angle=2 * math.pi,
-            ),
-        )
-    )
-    (val,), out = integrate_smooth(circle, state, [form], spec, quad_cfg)
+    circle = (Arc(center=center, radius=0.4, start_angle=0.0, end_angle=2 * math.pi),)
+    E = exponent_matrix([form], spec.k, spec.n)
+    (val,), out = integrate_segments(circle, state.logs, spec.branch_points, E, quad_cfg)
     assert abs(val) < 1e-10
-    assert np.max(np.abs(np.asarray(out.logs) - np.asarray(state.logs))) < 1e-10
+    assert np.max(np.abs(out - np.asarray(state.logs))) < 1e-10
 
 
 def test_loop_then_reversed_loop_cancels(quad_cfg):
-    from gfcperiods import loop_path
-
     spec = validate_spec(4, 2, [])
     form = enumerate_forms(spec)[1]
     R = spec.branch_points
     z0 = default_base_point(R)
     state = init_branch(z0, R)
-    loop, reverse = (loop_path(z0, 2, R, sign) for sign in (+1, -1))
-    (v1,), mid = integrate_smooth(loop, state, [form], spec, quad_cfg)
-    (v2,), back = integrate_smooth(reverse, mid, [form], spec, quad_cfg)
+    E = exponent_matrix([form], spec.k, spec.n)
+    loop, reverse = (literal_loop(z0, 2, R, sign) for sign in (+1, -1))
+    (v1,), mid = integrate_segments(loop, state.logs, R, E, quad_cfg)
+    (v2,), back = integrate_segments(reverse, mid, R, E, quad_cfg)
     assert abs(v1 + v2) < 1e-10
-    assert np.max(np.abs(np.asarray(back.logs) - np.asarray(state.logs))) < 1e-10
+    assert np.max(np.abs(back - np.asarray(state.logs))) < 1e-10
 
 
 def test_no_convergence_raises():
@@ -242,22 +233,20 @@ def test_leg_integral_reproduces_beta_difference(quad_cfg):
 def test_smooth_kernel_blocks_give_the_same_row(quad_cfg, monkeypatch):
     # every form of (3, 3) around loop 2, once in one block and once in
     # blocks of one form per panel count
-    from gfcperiods import loop_path
-    from gfcperiods import quad
-
     spec = validate_spec(3, 3, [-1.5])
     forms = enumerate_forms(spec)
     R = spec.branch_points
     z0 = default_base_point(R)
     state = init_branch(z0, R)
-    loop = loop_path(z0, 2, R, +1)
-    whole, end = integrate_smooth(loop, state, forms, spec, quad_cfg)
+    E = exponent_matrix(forms, spec.k, spec.n)
+    loop = literal_loop(z0, 2, R, +1)
+    whole, end = integrate_segments(loop, state.logs, R, E, quad_cfg)
     monkeypatch.setattr(quad, "_BLOCK_VALUES", 1)
-    blocked, end_blocked = integrate_smooth(loop, state, forms, spec, quad_cfg)
+    blocked, end_blocked = integrate_segments(loop, state.logs, R, E, quad_cfg)
     assert np.max(np.abs(whole - blocked)) <= 1e-14 * np.max(np.abs(whole))
-    assert end.logs == end_blocked.logs
-    for c, form in enumerate(forms):
-        (alone,), _ = integrate_smooth(loop, state, [form], spec, quad_cfg)
+    assert np.array_equal(end, end_blocked)
+    for c in range(len(forms)):
+        (alone,), _ = integrate_segments(loop, state.logs, R, E[c : c + 1], quad_cfg)
         assert abs(alone - whole[c]) <= 1e-14 * np.max(np.abs(whole))
 
 
@@ -597,14 +586,6 @@ def test_high_k_legs_reproduce_the_beta_integral(k, quad_cfg):
     for c, form in enumerate(forms):
         exact = _beta_oracle((form.alpha[0] + 1) / k, 1 - form.alpha[1] / k)
         assert abs(abs(J[1, c] - J[0, c]) - exact) <= 1e-10 * exact, form.alpha
-
-
-def test_integrate_smooth_rejects_a_path_away_from_the_state(quad_cfg):
-    spec = validate_spec(3, 2, [])
-    state = init_branch(default_base_point(spec.branch_points), spec.branch_points)
-    path = Path(segments=(Line(state.point + 1.0, state.point + 2.0),))
-    with pytest.raises(ValueError, match="does not start at the state"):
-        integrate_smooth(path, state, enumerate_forms(spec), spec, quad_cfg)
 
 
 # the curves of the verify benchmark, with its branch values -1.5 and 2+1i
