@@ -34,7 +34,9 @@ is written from its kept generator alone.  The generator words of the
 period document are written from their layout, with no word object: the
 texts of the conjugators g in Z_k**n are formatted once, in lex order, and
 each pair (j, l) repeats them between its own head and tail.  The text is
-the same as formatting every element on its own.
+the same as formatting every element on its own.  The generator texts
+depend on (k, n) alone, and are built once per curve type (_generators_json
+and _generator_labels); no value text is cached.
 """
 
 from __future__ import annotations
@@ -148,10 +150,12 @@ def _conjugator_texts(k: int, n: int, sep: str) -> list[str]:
     return [sep.join(g) for g in itertools.product(digits, repeat=n)]
 
 
+@functools.lru_cache(maxsize=8)
 def _generators_json(k: int, n: int) -> str:
     """The generators in the PeriodMatrix row layout as a JSON list of
     {"type": "conj_comm", "g": [...], "j": ..., "l": ...} objects: per
-    pair, one join of the conjugator texts between its tail and the head."""
+    pair, one join of the conjugator texts between its tail and the head.
+    Built once per curve type."""
     head = '{"type": "conj_comm", "g": ['
     g_texts = _conjugator_texts(k, n, ", ")
     pairs = itertools.combinations(range(1, n + 1), 2)
@@ -159,12 +163,13 @@ def _generators_json(k: int, n: int) -> str:
     return "[" + ", ".join(head + (t + ", " + head).join(g_texts) + t for t in tails) + "]"
 
 
-def _generator_labels(k: int, n: int) -> list[str]:
+@functools.lru_cache(maxsize=8)
+def _generator_labels(k: int, n: int) -> tuple[str, ...]:
     """The CSV label conj_comm:j=...;l=...;g=... of every generator, in the
-    PeriodMatrix row layout."""
+    PeriodMatrix row layout.  Built once per curve type."""
     g_texts = _conjugator_texts(k, n, ".")
     pairs = itertools.combinations(range(1, n + 1), 2)
-    return [f"conj_comm:j={j};l={l};g={g}" for j, l in pairs for g in g_texts]
+    return tuple(f"conj_comm:j={j};l={l};g={g}" for j, l in pairs for g in g_texts)
 
 
 def periods_to_json(pm) -> str:
@@ -192,7 +197,8 @@ def periods_to_csv(pm) -> str:
         label = ".".join(map(str, alpha))
         header.extend([f"re_{label}", f"im_{label}"])
     values = zip(pm.values.real.tolist(), pm.values.imag.tolist())
-    texts = ["%.17g,%.17g" % z for z in values] + _generator_labels(pm.spec.k, pm.spec.n)
+    texts = ["%.17g,%.17g" % z for z in values]
+    texts += _generator_labels(pm.spec.k, pm.spec.n)
     index = np.column_stack((np.arange(pm.values.size, len(texts)), pm.index))
     return _joined(texts, index, ",", "\n", ",".join(header) + "\n", "\n")
 

@@ -33,6 +33,16 @@ of x**g modulo the ideal of X, an integer combination of them with
 entries in {-1, 0, 1}: no float solve, no 1e-7 rounding gate, and no
 ReconstructionFailed.  Every W_chi is 1 x 1 there, and the c_d sum is
 e ln k with e = ((k-2)**2 + (k-1)(k-4)) / 2 + 1.
+
+What depends on the curve type (k, n) alone is built once per type and
+kept read-only: the grouping of the split's columns by character
+(_characters), each pair's standard monomials and difference counts, per
+set of characters the pair adds (_monomial_offsets), and the n = 2 normal
+forms (_monomial_coordinates, as int8).  The components, their scales,
+the search and its rank check, the solve, the residual and the W_chi
+determinants are computed on every call; nothing that depends on lambda
+is cached.  The covolume is summed on the first read of log_abs_det, so
+a caller that never reads it (verify) takes no LU and no log sum.
 """
 
 from __future__ import annotations
@@ -53,6 +63,26 @@ _RANK_TOL = 1e-8
 _RECON_TOL = 1e-7
 
 
+class _OnFirstRead:
+    """A dataclass field that also takes, in place of its value, a
+    function of no arguments: the first read calls it and keeps what it
+    returns."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """2g independent vectors spanning the generators' Z-span.
@@ -61,15 +91,17 @@ class LatticeBasis:
     generator as an integer combination of the basis rows.  residual is
     the largest absolute error of coefficients @ basis against the input.
     log_abs_det is ln |det basis|, in closed form, for the basis of a
-    period matrix; plain vectors leave it None.  from_generators, every
-    basis row as a 0/1 combination of the input generators, is built from
-    kept on first access."""
+    period matrix; plain vectors leave it None.  extract_basis computes it
+    on its first read, so a caller that never reads it (verify) runs no
+    LU and no log sum.  from_generators, every basis row as a 0/1
+    combination of the input generators, is built from kept on first
+    access."""
 
     basis: np.ndarray
     coefficients: np.ndarray
     residual: float
     kept: np.ndarray
-    log_abs_det: float | None = None
+    log_abs_det: float | None = _OnFirstRead()
 
     @functools.cached_property
     def from_generators(self) -> np.ndarray:
@@ -157,53 +189,66 @@ def _standard_monomials(points, diffs: list[int], weight: int = 1) -> list[tuple
     return out
 
 
-def _kept_by_characters(pm: PeriodMatrix) -> tuple[np.ndarray, float]:
+def _kept_by_characters(pm: PeriodMatrix):
     """The rows of real_split(pm) kept in order, from one search over the
-    pairs' character components, and ln |det| of them; a shortfall names
-    the character.
+    pairs' character components, and a function of no arguments that
+    gives ln |det| of them; a shortfall names the character.
+
+    The characters' grouping comes from _characters and each pair's
+    monomials from _monomial_offsets, both built once per curve type; the
+    components, their scales, the search and the rank check are this
+    call's own."""
+    k, n = pm.spec.k, pm.spec.n
+    if not np.isfinite(pm.values).all():
+        bad = np.argmin(np.isfinite(pm.values)[pm.index].all(axis=1))
+        raise NotFullRank(f"generator {bad} has a non-finite period")
+    first = pm.identity_rows()
+    M = np.asarray(pm.m_exponents, dtype=np.int64)
+    order, start, mult, owner, slot, chi = _characters(M.tobytes(), M.shape, k)
+    comps = np.hstack([pm.values[pm.index[first]], pm.values[pm.index[first]].conj()])
+    # scaling a column moves no row's independence, and puts every form's
+    # periods on one scale for the tolerance, however many decades apart
+    scale = np.maximum(np.abs(comps).max(axis=0, initial=0.0), np.finfo(float).tiny)
+    comps /= scale
+    stack = np.zeros((start.size, len(first), mult.max(initial=0)), dtype=complex)
+    stack[owner, :, slot] = comps[:, order].T
+    adds = _first_independent(stack)
+    rank = adds.sum(axis=0)
+    if np.any(rank < mult):
+        c = int(np.argmax(rank < mult))
+        raise NotFullRank(
+            f"generators have numerical rank {rank.sum()}, need {mult.sum()}: character "
+            f"M = {chi[c]} mod {k} reaches rank {rank[c]} of {mult[c]}"
+        )
+    kept, diffs = [], [0] * k
+    for row, added in zip(first, adds):
+        offsets, counts = _monomial_offsets(tuple(chi[c] for c in np.flatnonzero(added)), k, n)
+        kept.append(row + offsets)
+        for d, count in enumerate(counts):
+            diffs[d] += count
+    covolume = functools.partial(_covolume_log, k, len(M), scale, stack, adds, start, mult, diffs)
+    return np.concatenate(kept), covolume
+
+
+def _covolume_log(k, forms, scale, stack, adds, start, mult, diffs) -> float:
+    """ln |det| of the kept rows of _kept_by_characters, from its scaled
+    character stack, the rows each character adds (adds), the characters'
+    start and multiplicity, the column scales and the difference counts
+    diffs of the pairs' monomials.
 
     In the kept rows' complexified split, the columns of character chi
     times the inverse of W_chi, the m_chi x m_chi block of g = 0
     components of the pairs that add at chi, leave each pair one column
     per character it adds, and zero in the later pairs' columns.  So |det|
     is prod_chi |det W_chi| times each pair's monomial determinant on its
-    characters (_standard_monomials), over 2**g from the real split.
-    W_chi is taken in the scaled columns, whose scales are added back."""
-    k, n = pm.spec.k, pm.spec.n
-    if not np.isfinite(pm.values).all():
-        bad = np.argmin(np.isfinite(pm.values)[pm.index].all(axis=1))
-        raise NotFullRank(f"generator {bad} has a non-finite period")
-    first = pm.identity_rows()
-    chars = np.vstack([pm.m_exponents, -pm.m_exponents]) % k
-    comps = np.hstack([pm.values[pm.index[first]], pm.values[pm.index[first]].conj()])
-    # scaling a column moves no row's independence, and puts every form's
-    # periods on one scale for the tolerance, however many decades apart
-    scale = np.maximum(np.abs(comps).max(axis=0, initial=0.0), np.finfo(float).tiny)
-    comps /= scale
-    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    code = chars @ radix
-    order = np.argsort(code, kind="stable")
-    _, start, mult = np.unique(code[order], return_index=True, return_counts=True)
-    owner = np.repeat(np.arange(start.size), mult)
-    stack = np.zeros((start.size, len(first), mult.max(initial=0)), dtype=complex)
-    stack[owner, :, np.arange(order.size) - start[owner]] = comps[:, order].T
-    adds = _first_independent(stack)
-    rank, chi = adds.sum(axis=0), chars[order[start]].tolist()
-    if np.any(rank < mult):
-        c = int(np.argmax(rank < mult))
-        raise NotFullRank(
-            f"generators have numerical rank {rank.sum()}, need {mult.sum()}: character "
-            f"M = {tuple(chi[c])} mod {k} reaches rank {rank[c]} of {mult[c]}"
-        )
-    kept, diffs = [], [0] * k
-    for row, added in zip(first, adds):
-        g = _standard_monomials([tuple(chi[c]) for c in np.flatnonzero(added)], diffs)
-        kept.append(row + np.asarray(g, dtype=np.int64).reshape(-1, n) @ radix)
+    characters (_standard_monomials), over 2**g from the real split, g the
+    count of forms.  W_chi is taken in the scaled columns, whose scales are
+    added back."""
     # |zeta**d - 1| is the same at d and k - d, with product k over d < k:
     # the count every d shares takes ln k once
     twice = [diffs[d] + diffs[k - d] for d in range(1, k)]
     shared = min(twice, default=0)
-    logs = [*np.log(scale).tolist(), -len(pm.m_exponents) * math.log(2), shared / 2 * math.log(k)]
+    logs = [*np.log(scale).tolist(), -forms * math.log(2), shared / 2 * math.log(k)]
     for d, t in enumerate(twice, 1):
         logs.append((t - shared) / 2 * math.log(2 * math.sin(math.pi * d / k)))
     # W_c is mult[c] rows from start[c]: one LU per multiplicity above 1
@@ -211,9 +256,49 @@ def _kept_by_characters(pm: PeriodMatrix) -> tuple[np.ndarray, float]:
     for m in set(mult.tolist()):
         w = rows[start[mult == m, None] + np.arange(m), :m]
         logs += (np.linalg.slogdet(w)[1] if m > 1 else np.log(np.abs(w[:, 0, 0]))).tolist()
-    return np.concatenate(kept), math.fsum(logs)
+    return math.fsum(logs)
 
 
+@functools.lru_cache(maxsize=16)
+def _characters(data: bytes, shape: tuple[int, int], k: int):
+    """The grouping of the split's columns by character, for the forms'
+    m_exponents M given as int64 bytes and shape, built once per curve
+    type, as read-only arrays.  Column c carries the character M_c mod k,
+    column g + c its conjugate -M_c.
+
+    Returns order (the columns, stably sorted by character), the start and
+    multiplicity mult of each distinct character in that order, each
+    sorted column's owner (its character) and slot (its place among the
+    owner's columns), and chi, the distinct characters as tuples."""
+    n = shape[1]
+    M = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    chars = np.vstack([M, -M]) % k
+    code = chars @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    order = np.argsort(code, kind="stable")
+    _, start, mult = np.unique(code[order], return_index=True, return_counts=True)
+    owner = np.repeat(np.arange(start.size), mult)
+    slot = np.arange(order.size) - start[owner]
+    for table in (order, start, mult, owner, slot):
+        table.flags.writeable = False
+    return order, start, mult, owner, slot, tuple(map(tuple, chars[order[start]].tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _monomial_offsets(points: tuple[tuple[int, ...], ...], k: int, n: int):
+    """The row offsets g . (k**(n-1), ..., k, 1) of the lex standard
+    monomials x**g of the characters points (read-only int64, in lex
+    order), and the difference counts _standard_monomials gives them at
+    weight 1 (k of them).  lambda enters a pair's walk only through which
+    characters it adds, so each generic lambda of a type reuses it."""
+    diffs = [0] * k
+    g = _standard_monomials(points, diffs)
+    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    offsets = np.asarray(g, dtype=np.int64).reshape(-1, n) @ radix
+    offsets.flags.writeable = False
+    return offsets, tuple(diffs)
+
+
+@functools.lru_cache(maxsize=16)
 def _monomial_coordinates(k: int) -> np.ndarray:
     """Row g1 * k + g2: the normal form of x_1**g1 x_2**g2 on the points
     X of n = 2, as integers on the box x_1**m x_2**j (m <= k - 3,
@@ -239,7 +324,11 @@ def _monomial_coordinates(k: int) -> np.ndarray:
     coords[m, :, m] = x2
     coords[k - 2] = -(terms @ x2)
     coords[k - 1] = (terms & (lag > 0)) @ x2
-    return coords.reshape(k * k, (k - 2) * (k - 1))
+    # built once per k, kept as int8 (its entries are -1, 0 and 1) and
+    # read-only; extract_basis widens it to int64
+    table = coords.reshape(k * k, (k - 2) * (k - 1)).astype(np.int8)
+    table.flags.writeable = False
+    return table
 
 
 def _residual(coords: np.ndarray, basis: np.ndarray, target: np.ndarray) -> float:
@@ -276,12 +365,13 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     The result keeps their indices; no selection matrix is built.
 
     A period matrix's rows come from its characters, and a rank shortfall
-    names the character, and log_abs_det is its closed-form covolume.  A
-    kept row's coordinates are its unit row.  For a period matrix of n = 2
-    the others are exact normal forms of monomials, with no rounding gate,
-    so ReconstructionFailed cannot arise.  Otherwise they
-    are solved for once and rounded, and if one lies further than 1e-7
-    from an integer, ReconstructionFailed names the first such generator.
+    names the character, and log_abs_det is its closed-form covolume,
+    computed on first read.  A kept row's coordinates are its unit row.
+    For a period matrix of n = 2 the others are exact normal forms of
+    monomials, with no rounding gate, so ReconstructionFailed cannot
+    arise.  Otherwise they are solved for once and rounded, and if one
+    lies further than 1e-7 from an integer, ReconstructionFailed names the
+    first such generator.
     An input whose first independent rows span only a sublattice, such as
     [[2, 0], [0, 2], [1, 1]], is rejected, not merged.  The residual
     checks either kind of coordinates.
@@ -293,9 +383,9 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     d = 2 * genus(spec)
     if v.shape[1] != d:
         raise ValueError(f"expected vectors of dimension 2g = {d}, got {v.shape[1]}")
-    m, log_abs_det = v.shape[0], None
+    m, covolume = v.shape[0], None
     if pm is not None:
-        kept, log_abs_det = _kept_by_characters(pm)
+        kept, covolume = _kept_by_characters(pm)
     else:
         kept = np.flatnonzero(_first_independent(v[None])[:, 0])
         if kept.size != d:
@@ -305,8 +395,9 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     if pm is not None and spec.n == 2:
         # one pair at full rank keeps the box, in which every row's
         # coordinates are exact
-        coefficients = _monomial_coordinates(spec.k)
-        rounded = coefficients[rest].astype(float)
+        table = _monomial_coordinates(spec.k)
+        coefficients = table.astype(np.int64)
+        rounded = table[rest].astype(float)
     else:
         # a kept row is its own unit row; only the others need solving for,
         # in columns scaled to one size, which moves no coordinate
@@ -329,5 +420,5 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
         coefficients=coefficients,
         residual=_residual(rounded, basis, v[rest]),
         kept=kept,
-        log_abs_det=log_abs_det,
+        log_abs_det=covolume,
     )

@@ -31,6 +31,12 @@ assemble computes each of them once and stores the matrix as that table
 and an index array of the same shape as the matrix.  The rows follow the
 arithmetic layout of the generating set (see PeriodMatrix), so no word
 object is built.
+
+Everything in that table but J depends on the curve type (k, n) alone,
+and is built once per type (_type_factors): the phase exponent of every
+conjugator, the phases times the prefactors, the zero slots and the pair
+indices, as read-only arrays.  J, the values and the index are computed
+on every call; nothing that depends on lambda is cached.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,18 +142,49 @@ def _factor_table(M: np.ndarray, J: np.ndarray, k: int):
     row p * k**n + g . (k**(n-1), ..., k, 1) is the p-th pair's conjugator
     g, and its cell c points at the phase e = (g . M_c) mod k.
 
-    The phase and the prefactor come from tables of Python complex values
-    indexed by exponents mod k, built from the k values zeta_power(k, e).
-    The two complex products are written out in real arithmetic in the
-    scalar routine's order, (phase * pref) * diff, because numpy's complex
-    multiply may fuse a multiply and an add and round the last bit
-    differently.
+    Everything but J comes from _type_factors, built once per curve type;
+    here J enters through the differences J_l - J_j.  The two complex
+    products are written out in real arithmetic in the scalar routine's
+    order, (phase * pref) * diff, because numpy's complex multiply may
+    fuse a multiply and an add and round the last bit differently.  values
+    and index are new arrays on every call.
     """
-    n = J.shape[0]
+    M = np.asarray(M, dtype=np.int64)
+    phase, ab_re, ab_im, zero, jj, ll = _type_factors(M.tobytes(), M.shape, k)
+    d_re = J.real[ll] - J.real[jj]
+    d_im = J.imag[ll] - J.imag[jj]
+    values = np.empty(ab_re.shape, dtype=complex)
+    values.real = ab_re * d_re - ab_im * d_im
+    values.imag = ab_re * d_im + ab_im * d_re
+    values[:, zero] = 0j
+    # widen to int32 in the multiply (the products outgrow the phase
+    # dtype): 2**31 slots of values would need k**(n-1) times as many cells
+    width = len(jj) * len(M)
+    slot = np.arange(width, dtype=np.int32).reshape(len(jj), 1, -1)
+    index = np.multiply(phase, np.int32(width), dtype=np.int32) + slot
+    return values.ravel(), index.reshape(len(phase) * len(jj), len(M))
+
+
+@lru_cache(maxsize=16)
+def _type_factors(data: bytes, shape: tuple[int, int], k: int):
+    """The parts of _factor_table that J does not enter, for the forms'
+    m_exponents M given as int64 bytes and shape, built once per curve
+    type, as read-only arrays: the phase exponent (g . M_c) mod k of every
+    conjugator g (k**n x forms, row g . radix), the real and imaginary
+    parts of zeta**e * (1 - zeta**M_j)(1 - zeta**M_l)/k (k x pairs x
+    forms), the mask of the slots whose M_j or M_l is 0 mod k (pairs x
+    forms), and the pairs' j and l, 0-based.
+
+    The phase and the prefactor come from tables of Python complex values
+    indexed by exponents mod k, built from the k values zeta_power(k, e),
+    and their product is written out in real arithmetic, as in
+    period_entry.
+    """
+    n = shape[1]
+    M = np.frombuffer(data, dtype=np.int64).reshape(shape) % k
     pairs = list(itertools.combinations(range(n), 2))
     jj = np.asarray([j for j, _ in pairs], dtype=np.intp)
     ll = np.asarray([l for _, l in pairs], dtype=np.intp)
-    M = M % k
     powers = [zeta_power(k, e) for e in range(k)]
     zeta = np.asarray(powers)[:, None, None]
     pref = np.asarray([[(1 - a) * (1 - b) / k for b in powers] for a in powers])
@@ -154,27 +192,20 @@ def _factor_table(M: np.ndarray, J: np.ndarray, k: int):
     b = pref[Mj, Ml]
     ab_re = zeta.real * b.real - zeta.imag * b.imag
     ab_im = zeta.real * b.imag + zeta.imag * b.real
-    d_re = J.real[ll] - J.real[jj]
-    d_im = J.imag[ll] - J.imag[jj]
-    values = np.empty(ab_re.shape, dtype=complex)
-    values.real = ab_re * d_re - ab_im * d_im
-    values.imag = ab_re * d_im + ab_im * d_re
-    values[:, (Mj == 0) | (Ml == 0)] = 0j
 
-    # the phase exponent (g . M_c) mod k of every conjugator g in Z_k**n, at
-    # row g . radix, summed one coordinate at a time in the narrowest dtype
-    # that holds 2k - 1, each partial sum brought below k by one subtraction
+    # the phase exponent of every conjugator g in Z_k**n, at row g . radix,
+    # summed one coordinate at a time in the narrowest dtype that holds
+    # 2k - 1, each partial sum brought below k by one subtraction
     small = np.min_scalar_type(2 * k - 1).type
     steps = ((np.arange(k)[:, None, None] * M) % k).astype(small)
     phase = steps[:, :, 0]
     for d in range(1, n):
         phase = (phase[:, None, :] + steps[:, :, d]).reshape(len(phase) * k, len(M))
         phase -= (phase >= k) * small(k)
-    # widen to int32 before the arithmetic (the products outgrow the phase
-    # dtype): 2**31 slots of values would need k**(n-1) times as many cells
-    slot = np.arange(len(pairs) * len(M), dtype=np.int32).reshape(len(pairs), 1, -1)
-    index = phase.astype(np.int32) * (len(pairs) * len(M)) + slot
-    return values.ravel(), index.reshape(len(pairs) * k**n, len(M))
+    tables = (phase, ab_re, ab_im, (Mj == 0) | (Ml == 0), jj, ll)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _beta_rows(M: np.ndarray, k: int) -> np.ndarray:

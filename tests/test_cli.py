@@ -629,10 +629,12 @@ def test_rank_two_basis_runs_no_lu_factorisation(capsys, monkeypatch):
 
 @pytest.mark.parametrize("k,n,lams", [(3, 3, [-1.5]), (2, 4, [-1.5, 2 + 1j])])
 def test_basis_payload_runs_no_linear_algebra(monkeypatch, k, n, lams):
-    # |det| comes from extract_basis's closed form, on every n
+    # |det| comes from extract_basis's closed form, on every n, which the
+    # lattice step computes on its first read
     spec = validate_spec(k, n, lams)
     pm = assemble(spec, QuadConfig())
     result = extract_basis(pm, spec)
+    assert math.isfinite(result.log_abs_det)
 
     def refused(*args, **kwargs):
         raise AssertionError("basis_payload ran linear algebra")
@@ -1214,7 +1216,7 @@ def test_generator_texts_match_the_words(k, n):
     # the template rendering of each pair's words against one word at a time
     words = enumerate_generators(validate_spec(k, n, [-1.5, 2 + 1j, 2][: n - 2]))
     assert json.loads(cli._generators_json(k, n)) == [_generator_dict(w) for w in words]
-    assert cli._generator_labels(k, n) == [_word_label(w) for w in words]
+    assert list(cli._generator_labels(k, n)) == [_word_label(w) for w in words]
 
 
 def test_periods_path_builds_no_words(monkeypatch):
