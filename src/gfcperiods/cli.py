@@ -6,10 +6,11 @@ cross-check report).  --tol and --max-level act on the quadrature of
 n >= 3 periods and basis and of verify; n = 2 periods and bases take
 their base integrals from the Beta closed form and integrate nothing.
 Data goes to stdout or --out; diagnostics go to stderr.  Exit codes: 2
-invalid input or an --out that cannot be written, 3 numerical failure (no
-quadrature convergence, a path through a branch point, no route, or a
-base integral that underflows to 0), 4 lattice extraction failure, 5 out
-of memory (the stage named), 1 failed verification.
+invalid input or a stdout or --out that cannot be written (a closed pipe
+among them), 3 numerical failure (no quadrature convergence, a path
+through a branch point, no route, or a base integral that underflows to
+0), 4 lattice extraction failure, 5 out of memory (the stage named), 1
+failed verification.
 
 Each subcommand imports only the modules it runs.  At module level this
 file loads the standard library, errors and curve, which is all that info
@@ -46,6 +47,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 from .curve import _alphas, genus, validate_spec
@@ -322,7 +324,10 @@ _WRITE_BLOCK = 1 << 24
 
 def _emit(text: str, out: str | None) -> None:
     """text to stdout, or to the file out.  A file that cannot be opened or
-    written is a GfcError naming it, so main exits 2 without a traceback.
+    written, or a stdout that cannot be written (a pipe whose reader has
+    gone), is a GfcError naming it, so main exits 2 without a traceback.
+    A failed stdout's descriptor is then pointed at devnull, so the bytes
+    left in its buffer do not fail again at exit ("Exception ignored").
 
     Unbuffered (PYTHONUNBUFFERED), sys.stdout is text over a raw stream,
     which may take fewer bytes than one write hands it (the kernel takes
@@ -338,8 +343,14 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as err:
             raise GfcError(f"cannot write --out {out}: {err.strerror or err}") from err
     elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        _write_blocks(text, sys.stdout.buffer, sys.stdout.encoding, sys.stdout.errors)
+        try:
+            sys.stdout.flush()
+            _write_blocks(text, sys.stdout.buffer, sys.stdout.encoding, sys.stdout.errors)
+        except OSError as err:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise GfcError(f"cannot write stdout: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 

@@ -22,9 +22,10 @@ period matrix in closed form: ln |det| of the kept rows is
 where W_chi is the block of g = 0 components of the pairs that add at chi,
 c_d counts the pairs of first coordinates that differ by d in the fibres
 of each X_p and of its tail problems, and 2**g comes from the real split
-(_kept_by_characters and _standard_monomials derive it).  It is
-summed by math.fsum, which rounds once, and takes an LU only of blocks
-W_chi larger than 1 x 1, so no BLAS thread count moves it.
+(_kept_by_characters and _standard_monomials derive it).  |det W_chi| is
+the product of the lengths at which the search keeps W_chi's rows, and
+the sum is taken by math.fsum, which rounds once, so no BLAS thread count
+moves it.
 
 For n = 2 there is one pair, and X is every (x_1, x_2) = (zeta**a,
 zeta**b) with a, b and a + b nonzero mod k.  The kept rows are the box
@@ -39,10 +40,9 @@ kept read-only: the grouping of the split's columns by character
 (_characters), each pair's standard monomials and difference counts, per
 set of characters the pair adds (_monomial_offsets), and the n = 2 normal
 forms (_monomial_coordinates, as int8).  The components, their scales,
-the search and its rank check, the solve, the residual and the W_chi
-determinants are computed on every call; nothing that depends on lambda
-is cached.  The covolume is summed on the first read of log_abs_det, so
-a caller that never reads it (verify) takes no LU and no log sum.
+the search and its rank check, the covolume's log sum, the solve and the
+residual are computed on every call; nothing that depends on lambda is
+cached.
 """
 
 from __future__ import annotations
@@ -63,26 +63,6 @@ _RANK_TOL = 1e-8
 _RECON_TOL = 1e-7
 
 
-class _OnFirstRead:
-    """A dataclass field that also takes, in place of its value, a
-    function of no arguments: the first read calls it and keeps what it
-    returns."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = obj.__dict__[self.name] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """2g independent vectors spanning the generators' Z-span.
@@ -91,17 +71,15 @@ class LatticeBasis:
     generator as an integer combination of the basis rows.  residual is
     the largest absolute error of coefficients @ basis against the input.
     log_abs_det is ln |det basis|, in closed form, for the basis of a
-    period matrix; plain vectors leave it None.  extract_basis computes it
-    on its first read, so a caller that never reads it (verify) runs no
-    LU and no log sum.  from_generators, every basis row as a 0/1
-    combination of the input generators, is built from kept on first
-    access."""
+    period matrix; plain vectors leave it None.  from_generators, every
+    basis row as a 0/1 combination of the input generators, is built from
+    kept on first access."""
 
     basis: np.ndarray
     coefficients: np.ndarray
     residual: float
     kept: np.ndarray
-    log_abs_det: float | None = _OnFirstRead()
+    log_abs_det: float | None = None
 
     @functools.cached_property
     def from_generators(self) -> np.ndarray:
@@ -126,16 +104,18 @@ def lattice_rank(vectors) -> int:
 
 
 def _first_independent(stack: np.ndarray) -> np.ndarray:
-    """Rows x problems mask of the rows kept in order in each problem of
+    """Rows x problems lengths of the rows kept in order in each problem of
     a stack (problems x rows x width, real or complex): a row projected
     twice off its problem's orthonormal kept rows, at most width, is kept
-    if longer than _RANK_TOL times the largest row norm in the stack.  A
-    NaN or infinite entry makes that non-finite, and nothing is kept."""
+    if longer than _RANK_TOL times the largest row norm in the stack, and
+    its entry is that projected length; every other entry is 0, so the
+    kept rows are those > 0.  A NaN or infinite entry makes that
+    non-finite, and nothing is kept."""
     probs, rows, width = stack.shape
-    keep = np.zeros((rows, probs), dtype=bool)
+    lengths = np.zeros((rows, probs))
     tol = _RANK_TOL * float(np.max(np.linalg.norm(stack, axis=2), initial=0.0))
     if not np.isfinite(tol):
-        return keep
+        return lengths
     q = np.zeros((probs, width, width), dtype=stack.dtype)
     count = np.zeros(probs, dtype=np.intp)
     for i in range(rows):
@@ -150,8 +130,8 @@ def _first_independent(stack: np.ndarray) -> np.ndarray:
         new = np.flatnonzero((dist > tol) & (count < width))
         q[new, count[new]] = r[new] / dist[new, None]
         count[new] += 1
-        keep[i, new] = True
-    return keep
+        lengths[i, new] = dist[new]
+    return lengths
 
 
 def _standard_monomials(points, diffs: list[int], weight: int = 1) -> list[tuple[int, ...]]:
@@ -191,13 +171,22 @@ def _standard_monomials(points, diffs: list[int], weight: int = 1) -> list[tuple
 
 def _kept_by_characters(pm: PeriodMatrix):
     """The rows of real_split(pm) kept in order, from one search over the
-    pairs' character components, and a function of no arguments that
-    gives ln |det| of them; a shortfall names the character.
+    pairs' character components, and ln |det| of them; a shortfall names
+    the character.
+
+    In the kept rows' complexified split, the columns of character chi
+    times the inverse of W_chi, the block of g = 0 components of the pairs
+    that add at chi, leave each pair one column per character it adds, and
+    zero in the later pairs' columns.  So |det| is prod_chi |det W_chi|
+    times each pair's monomial determinant on its characters
+    (_standard_monomials), over 2**g from the real split.  |det W_chi| is
+    the product of the lengths the search keeps its rows at (a Gram
+    determinant), taken in the scaled columns, whose scales are added back.
 
     The characters' grouping comes from _characters and each pair's
     monomials from _monomial_offsets, both built once per curve type; the
-    components, their scales, the search and the rank check are this
-    call's own."""
+    components, their scales, the search, the rank check and the log sum
+    are this call's own."""
     k, n = pm.spec.k, pm.spec.n
     if not np.isfinite(pm.values).all():
         bad = np.argmin(np.isfinite(pm.values)[pm.index].all(axis=1))
@@ -212,7 +201,8 @@ def _kept_by_characters(pm: PeriodMatrix):
     comps /= scale
     stack = np.zeros((start.size, len(first), mult.max(initial=0)), dtype=complex)
     stack[owner, :, slot] = comps[:, order].T
-    adds = _first_independent(stack)
+    lengths = _first_independent(stack)
+    adds = lengths > 0
     rank = adds.sum(axis=0)
     if np.any(rank < mult):
         c = int(np.argmax(rank < mult))
@@ -226,37 +216,15 @@ def _kept_by_characters(pm: PeriodMatrix):
         kept.append(row + offsets)
         for d, count in enumerate(counts):
             diffs[d] += count
-    covolume = functools.partial(_covolume_log, k, len(M), scale, stack, adds, start, mult, diffs)
-    return np.concatenate(kept), covolume
-
-
-def _covolume_log(k, forms, scale, stack, adds, start, mult, diffs) -> float:
-    """ln |det| of the kept rows of _kept_by_characters, from its scaled
-    character stack, the rows each character adds (adds), the characters'
-    start and multiplicity, the column scales and the difference counts
-    diffs of the pairs' monomials.
-
-    In the kept rows' complexified split, the columns of character chi
-    times the inverse of W_chi, the m_chi x m_chi block of g = 0
-    components of the pairs that add at chi, leave each pair one column
-    per character it adds, and zero in the later pairs' columns.  So |det|
-    is prod_chi |det W_chi| times each pair's monomial determinant on its
-    characters (_standard_monomials), over 2**g from the real split, g the
-    count of forms.  W_chi is taken in the scaled columns, whose scales are
-    added back."""
     # |zeta**d - 1| is the same at d and k - d, with product k over d < k:
     # the count every d shares takes ln k once
     twice = [diffs[d] + diffs[k - d] for d in range(1, k)]
     shared = min(twice, default=0)
-    logs = [*np.log(scale).tolist(), -forms * math.log(2), shared / 2 * math.log(k)]
+    logs = [*np.log(scale).tolist(), *np.log(lengths[adds]).tolist()]
+    logs += [-len(M) * math.log(2), shared / 2 * math.log(k)]
     for d, t in enumerate(twice, 1):
         logs.append((t - shared) / 2 * math.log(2 * math.sin(math.pi * d / k)))
-    # W_c is mult[c] rows from start[c]: one LU per multiplicity above 1
-    rows = stack[adds.T]
-    for m in set(mult.tolist()):
-        w = rows[start[mult == m, None] + np.arange(m), :m]
-        logs += (np.linalg.slogdet(w)[1] if m > 1 else np.log(np.abs(w[:, 0, 0]))).tolist()
-    return math.fsum(logs)
+    return np.concatenate(kept), math.fsum(logs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -365,8 +333,8 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     The result keeps their indices; no selection matrix is built.
 
     A period matrix's rows come from its characters, and a rank shortfall
-    names the character, and log_abs_det is its closed-form covolume,
-    computed on first read.  A kept row's coordinates are its unit row.
+    names the character, and log_abs_det is its closed-form covolume.
+    A kept row's coordinates are its unit row.
     For a period matrix of n = 2 the others are exact normal forms of
     monomials, with no rounding gate, so ReconstructionFailed cannot
     arise.  Otherwise they are solved for once and rounded, and if one
@@ -383,9 +351,9 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
     d = 2 * genus(spec)
     if v.shape[1] != d:
         raise ValueError(f"expected vectors of dimension 2g = {d}, got {v.shape[1]}")
-    m, covolume = v.shape[0], None
+    m, log_abs_det = v.shape[0], None
     if pm is not None:
-        kept, covolume = _kept_by_characters(pm)
+        kept, log_abs_det = _kept_by_characters(pm)
     else:
         kept = np.flatnonzero(_first_independent(v[None])[:, 0])
         if kept.size != d:
@@ -420,5 +388,5 @@ def extract_basis(vectors, spec: CurveSpec) -> LatticeBasis:
         coefficients=coefficients,
         residual=_residual(rounded, basis, v[rest]),
         kept=kept,
-        log_abs_det=covolume,
+        log_abs_det=log_abs_det,
     )

@@ -343,6 +343,27 @@ def test_unwritable_out_exits_2(capsys, tmp_path, target):
     assert "Traceback" not in err
 
 
+def test_closed_stdout_pipe_exits_2():
+    # a stdout whose reader has gone fails like an --out that cannot be
+    # written: one error line, and nothing more at the interpreter's exit
+    argv = ["periods", "-k", "3", "-n", "3", "-l", "-1.5"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "gfcperiods.cli", *argv],
+            env=_child_env(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: cannot write stdout: ")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+
+
 def test_default_flags_give_the_default_quad_config():
     # absent flags take QuadConfig's own defaults, so the parser needs no quad
     args = cli.build_parser().parse_args(["periods", "-k", "3", "-n", "2"])
@@ -588,8 +609,8 @@ def test_periods_stdout_does_not_depend_on_blas_threads():
     # product: (4,4) and (20,2), (40,2) split, and (4,3) here takes a detour;
     # verify (3,4) and (5,3) take every loop piece through the batched kernel,
     # and the lattice residual that verify (4,4) prints is summed in a fixed
-    # order too; basis takes |det| in closed form: no LU on n = 2, and on
-    # (4,4) and (5,4) none larger than a character's multiplicity
+    # order too; basis takes |det| in closed form, as a log sum over the
+    # kept-set search's lengths, with no determinant on any n
     for argv in (
         ["basis", "-k", "17", "-n", "2"],
         ["basis", "-k", "40", "-n", "2"],
@@ -627,10 +648,25 @@ def test_rank_two_basis_runs_no_lu_factorisation(capsys, monkeypatch):
     assert json.loads(out)["abs_det"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["-k", "3", "-n", "3", "-l", "-1.5"], ["-k", "4", "-n", "4", "-l", "-1.5", "-l", "2+1i"]]
+)
+def test_basis_takes_no_determinant(capsys, monkeypatch, argv):
+    # |det W_chi| of characters of multiplicity 2 is the product of the
+    # lengths the kept-set search keeps their rows at: no determinant runs
+    def refused(*args, **kwargs):
+        raise AssertionError("a determinant ran")
+
+    for name in ("slogdet", "det"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    code, out, err = run_cli(capsys, "basis", *argv)
+    assert code == 0, err
+    assert json.loads(out)["log10_abs_det"] > 0
+
+
 @pytest.mark.parametrize("k,n,lams", [(3, 3, [-1.5]), (2, 4, [-1.5, 2 + 1j])])
 def test_basis_payload_runs_no_linear_algebra(monkeypatch, k, n, lams):
-    # |det| comes from extract_basis's closed form, on every n, which the
-    # lattice step computes on its first read
+    # |det| comes from extract_basis's closed form, on every n
     spec = validate_spec(k, n, lams)
     pm = assemble(spec, QuadConfig())
     result = extract_basis(pm, spec)

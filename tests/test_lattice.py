@@ -473,10 +473,12 @@ def test_stacked_search_equals_one_search_per_problem(dtype):
         rows = np.vstack([fresh[:2], mix[:2, :2] @ fresh[:2], fresh[2:], mix @ fresh])
         problems.append(scale * rows[rng.permutation(len(rows))])
     stack = np.asarray(problems)
-    mask = lattice._first_independent(stack)
+    # a problem's lengths stacked and alone may differ in the last bit; the
+    # rows kept, those > 0, may not
+    mask = lattice._first_independent(stack) > 0
     assert mask.shape == (stack.shape[1], stack.shape[0])
     for p, rows in enumerate(problems):
-        assert np.array_equal(mask[:, p], lattice._first_independent(rows[None])[:, 0])
+        assert np.array_equal(mask[:, p], lattice._first_independent(rows[None])[:, 0] > 0)
         if dtype is float:
             assert np.flatnonzero(mask[:, p]).tolist() == _reference_first_independent(rows, 4)
     assert np.array_equal(mask.sum(axis=0), [4, 4, 4, 4])
@@ -538,15 +540,19 @@ def test_rank_two_covolume_matches_slogdet(k):
         (3, 3, (0.3 + 0.4j,)),
         (2, 6, (-1.5, 2 + 1j, 2, -1 - 1j)),
         (2, 2, ()),
+        (3, 3, (1e15,)),
+        (3, 3, (1e-15,)),
+        (2, 4, (2, 2.0000000001)),
+        (3, 4, (1e-4, 2)),
     ],
 )
 def test_covolume_matches_slogdet(k, n, lams):
-    # every n, characters of multiplicity above 1, and genus 0, whose empty
-    # basis has |det| 1 exactly; (6,4)'s 2,810 kept rows skip the solve, and
+    # every n, characters of multiplicity above 1, genus 0, whose empty
+    # basis has |det| 1 exactly, and character blocks spread ill by extreme
+    # or nearly equal lambdas; (6,4)'s 2,810 kept rows skip the solve, and
     # the kept rows of real_split(pm) are gathered alone
     pm = assemble(validate_spec(k, n, list(lams)), QuadConfig())
-    kept, covolume = lattice._kept_by_characters(pm)
-    log_abs_det = covolume()
+    kept, log_abs_det = lattice._kept_by_characters(pm)
     if (k, n) != (6, 4):
         assert extract_basis(pm, pm.spec).log_abs_det == log_abs_det
     rows = pm.index[kept]

@@ -3,8 +3,6 @@ lambda: no output depends on which curves ran before it in the process,
 no caller can write into them, and every per-call array stays the
 caller's own."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ import gfcperiods.cli as cli
 import gfcperiods.lattice as lattice
 import gfcperiods.periods as periods
 from gfcperiods import assemble, extract_basis, validate_spec
-from gfcperiods.lattice import LatticeBasis
 from gfcperiods.oracle import crosscheck_report
 from gfcperiods.quad import QuadConfig
 
@@ -113,33 +110,11 @@ def test_per_call_arrays_are_fresh_and_writeable():
 
 
 def test_verify_computes_no_covolume(monkeypatch):
+    # the covolume is a log sum over the kept-set search's own lengths:
+    # verify's lattice check takes no determinant
     def refused(*args, **kwargs):
-        raise AssertionError("the covolume was computed")
+        raise AssertionError("a determinant was taken")
 
-    monkeypatch.setattr(lattice, "_covolume_log", refused)
     monkeypatch.setattr(np.linalg, "slogdet", refused)
     assert crosscheck_report(validate_spec(3, 3, [-1.5]), QuadConfig()).passed
     assert crosscheck_report(validate_spec(4, 2, []), QuadConfig()).passed
-
-
-def test_log_abs_det_is_computed_on_first_read_only():
-    calls = []
-
-    def covolume():
-        calls.append(None)
-        return 2.5
-
-    result = LatticeBasis(
-        basis=np.eye(2),
-        coefficients=np.eye(2, dtype=np.int64),
-        residual=0.0,
-        kept=np.arange(2),
-        log_abs_det=covolume,
-    )
-    assert calls == []
-    assert result.log_abs_det == result.log_abs_det == 2.5
-    assert len(calls) == 1
-    assert dataclasses.replace(result, log_abs_det=1.0).log_abs_det == 1.0
-    assert LatticeBasis(np.eye(2), np.eye(2), 0.0, np.arange(2)).log_abs_det is None
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        result.log_abs_det = 3.0
